@@ -22,6 +22,7 @@ from .core import (
     FlpStep,
     LocalState,
     Pid,
+    read_step_script,
 )
 
 
@@ -265,22 +266,8 @@ def scheduler_events_from_trace(trace: ExecutionTrace) -> list[AsyncEvent]:
 
 def scripted_scheduler_from_file(path) -> ScriptedScheduler:
     """Read a JSONL event script (same record schema as flp trace steps)."""
-    import json
-
-    from .core import TraceFormatError, _parse_step
-
-    events = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(f"script line {lineno}: {exc}") from None
-            step = _parse_step("flp", record, lineno)
-            events.append(AsyncEvent(pid=step.pid, deliver=step.deliver, crash=step.crash))
-    return ScriptedScheduler(events)
+    steps = read_step_script(path, "flp")
+    return ScriptedScheduler([AsyncEvent(pid=s.pid, deliver=s.deliver, crash=s.crash) for s in steps])
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,11 @@ class EngineError(AdversimError):
 
 Pid = int
 
+# A message payload: any immutable, hashable, orderable value - bytes, int,
+# str, None, or tuples of these.  Engines and wrappers pass payloads along
+# as they are; nothing serializes them.
+Payload = Any
+
 
 @dataclass(frozen=True, slots=True)
 class LocalState:
@@ -170,7 +175,9 @@ class RoundProtocol:
     All three methods are pure.  ``transition`` receives the messages
     delivered this round as a mapping sender -> payload, built by the engine
     in ascending sender order (the models fix a delivery order; ascending id
-    is the one used throughout this lab).  Payloads are opaque bytes.
+    is the one used throughout this lab).  Payloads are opaque ``Payload``
+    values: immutable, hashable and orderable, so wrappers can keep them in
+    sets and sort them.
     """
 
     protocol_id: str = "?"
@@ -179,11 +186,11 @@ class RoundProtocol:
     def init(self, pid: Pid, input: int) -> Any:
         raise NotImplementedError
 
-    def message(self, internal: Any, round: int) -> bytes:
+    def message(self, internal: Any, round: int) -> Payload:
         raise NotImplementedError
 
     def transition(
-        self, internal: Any, round: int, received: Mapping[Pid, bytes]
+        self, internal: Any, round: int, received: Mapping[Pid, Payload]
     ) -> tuple[Any, Optional[int]]:
         raise NotImplementedError
 
@@ -195,6 +202,7 @@ class AsyncProtocol:
     engine as an ``(sender, payload)`` envelope), updates the internal state,
     and sends any number of messages.  A destination of ``None`` means
     broadcast to every other process; a process never sends to itself.
+    Payloads follow the same ``Payload`` contract as round protocols.
     """
 
     protocol_id: str = "?"
@@ -204,8 +212,8 @@ class AsyncProtocol:
         raise NotImplementedError
 
     def step(
-        self, internal: Any, incoming: Optional[tuple[Pid, bytes]]
-    ) -> tuple[Any, list[tuple[Optional[Pid], bytes]], Optional[int]]:
+        self, internal: Any, incoming: Optional[tuple[Pid, Payload]]
+    ) -> tuple[Any, list[tuple[Optional[Pid], Payload]], Optional[int]]:
         raise NotImplementedError
 
 
@@ -291,11 +299,14 @@ class ExecutionTrace:
         if model not in MODELS:
             raise TraceFormatError(f"unknown model tag {model!r}")
         n = header["n"]
-        inputs = tuple(header["inputs"])
-        if not isinstance(n, int) or n < 2:
+        if not _is_int(n) or n < 2:
             raise TraceFormatError(f"bad n {n!r}")
-        if len(inputs) != n or any(b not in (0, 1) for b in inputs):
+        if not isinstance(header["protocol"], str):
+            raise TraceFormatError(f"bad protocol {header['protocol']!r}")
+        inputs = header["inputs"]
+        if not isinstance(inputs, list) or len(inputs) != n or not all(map(_is_bit, inputs)):
             raise TraceFormatError("inputs must be a binary array of length n")
+        inputs = tuple(inputs)
         steps = tuple(
             _parse_step(model, _loads(line, i + 2), i + 2) for i, line in enumerate(lines[1:])
         )
@@ -362,40 +373,71 @@ def _parse_outputs(record: dict, lineno: int) -> tuple[tuple[Pid, int], ...]:
             pid = int(key)
         except ValueError:
             raise TraceFormatError(f"line {lineno}: bad output pid {key!r}") from None
-        if value not in (0, 1):
+        if not _is_bit(value):
             raise TraceFormatError(f"line {lineno}: output value must be 0 or 1")
         outs.append((pid, value))
     return tuple(sorted(outs))
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; booleans are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_bit(value) -> bool:
+    return _is_int(value) and value in (0, 1)
+
+
+# Step fields and the JSON values each accepts, with how to name them.
+_STEP_FIELDS = {
+    "round": (_is_int, "an integer"),
+    "sender": (_is_int, "an integer"),
+    "victims": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "dropped": (lambda v: isinstance(v, dict), "an object"),
+    "pid": (_is_int, "an integer"),
+    "deliver": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "crash": (lambda v: isinstance(v, bool), "a boolean"),
+}
+
+
 def _parse_step(model: str, record: dict, lineno: int) -> TraceStep:
     outputs = _parse_outputs(record, lineno)
+
+    def field(key):
+        if key not in record:
+            raise TraceFormatError(f"line {lineno}: {model} step missing {key!r}")
+        ok, what = _STEP_FIELDS[key]
+        if not ok(record[key]):
+            raise TraceFormatError(f"line {lineno}: {key} must be {what}, got {record[key]!r}")
+        return record[key]
+
     if model == "fts":
-        for key in ("round", "sender", "victims"):
-            if key not in record:
-                raise TraceFormatError(f"line {lineno}: fts step missing {key!r}")
-        return FtsStep(
-            round=record["round"],
-            fault=RoundFault(record["sender"], record["victims"]),
-            outputs=outputs,
-        )
+        fault = RoundFault(field("sender"), field("victims"))
+        return FtsStep(round=field("round"), fault=fault, outputs=outputs)
     if model == "ftr":
-        for key in ("round", "dropped"):
-            if key not in record:
-                raise TraceFormatError(f"line {lineno}: ftr step missing {key!r}")
         try:
-            dropped = {int(k): v for k, v in record["dropped"].items()}
-        except (ValueError, AttributeError):
+            dropped = {int(k): v for k, v in field("dropped").items()}
+        except ValueError:
             raise TraceFormatError(f"line {lineno}: bad dropped map") from None
-        return FtrStep(round=record["round"], fault=ReceiveFault(dropped), outputs=outputs)
+        if not all(map(_is_int, dropped.values())):
+            raise TraceFormatError(f"line {lineno}: dropped senders must be integers")
+        return FtrStep(round=field("round"), fault=ReceiveFault(dropped), outputs=outputs)
     if record.get("event") != "step":
         raise TraceFormatError(f"line {lineno}: flp step must have event='step'")
-    for key in ("pid", "deliver", "crash"):
-        if key not in record:
-            raise TraceFormatError(f"line {lineno}: flp step missing {key!r}")
     return FlpStep(
-        pid=record["pid"], deliver=record["deliver"], crash=bool(record["crash"]), outputs=outputs
+        pid=field("pid"), deliver=field("deliver"), crash=field("crash"), outputs=outputs
     )
+
+
+def read_step_script(path, model: str) -> list[TraceStep]:
+    """Parse a JSONL step script: one record per non-blank line, in the
+    schema of the model's trace steps."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [
+            _parse_step(model, _loads(line, lineno), lineno)
+            for lineno, line in enumerate(fh, start=1)
+            if line.strip()
+        ]
 
 
 # ---------------------------------------------------------------------------

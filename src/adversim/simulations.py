@@ -16,12 +16,15 @@ Three directions, each usable on its host engine and composable:
 
 The trivial fourth direction (a fail-to-send fault as a fail-to-receive
 fault) is the one-line translator ``sync_engine.receive_fault_for``.
+
+Wrapper messages are plain payload values (see ``core.Payload``): tuples of
+(sender, payload) pairs, (round, payload) pairs and (sends, others) pairs
+that nest the inner protocol's payloads unchanged.  They never leave the
+process and never appear in a trace, so nothing serializes them.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
@@ -31,10 +34,13 @@ from .core import (
     Configuration,
     ExecutionTrace,
     FtrStep,
+    MODELS,
+    Payload,
     Pid,
     ReceiveFault,
     RoundFault,
     RoundProtocol,
+    UnknownProtocolError,
     ValidationReport,
     validate_trace,
 )
@@ -54,37 +60,6 @@ class EmulationLemmaViolation(AdversimError):
 
 class ResourceLimitError(AdversimError):
     """A wrapper's accumulated message set outgrew its configured cap."""
-
-
-# ---------------------------------------------------------------------------
-# Wire codec for wrapper payloads: canonical JSON, bytes tagged as base64
-# ---------------------------------------------------------------------------
-
-
-def _enc(obj) -> bytes:
-    return json.dumps(_enc_obj(obj), sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def _enc_obj(obj):
-    if isinstance(obj, bytes):
-        return {"b": base64.b64encode(obj).decode("ascii")}
-    if isinstance(obj, (list, tuple)):
-        return [_enc_obj(x) for x in obj]
-    if obj is None or isinstance(obj, (int, str)):
-        return obj
-    raise AdversimError(f"cannot encode {type(obj).__name__} on the wire")
-
-
-def _dec(data: bytes):
-    return _dec_obj(json.loads(data.decode("utf-8")))
-
-
-def _dec_obj(obj):
-    if isinstance(obj, dict):
-        return base64.b64decode(obj["b"])
-    if isinstance(obj, list):
-        return tuple(_dec_obj(x) for x in obj)
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +95,16 @@ class GetCoreWrapper(RoundProtocol):
             pid=pid, inner=self.inner.init(pid, input), sim_round=1, phase=1, seen=frozenset()
         )
 
-    def message(self, internal: GetCoreState, round: int) -> bytes:
+    def message(self, internal: GetCoreState, round: int) -> Payload:
         own = (internal.pid, self.inner.message(internal.inner, internal.sim_round))
-        return _enc(sorted(internal.seen | {own}))
+        return tuple(sorted(internal.seen | {own}))
 
     def transition(
-        self, internal: GetCoreState, round: int, received: Mapping[Pid, bytes]
+        self, internal: GetCoreState, round: int, received: Mapping[Pid, Payload]
     ) -> tuple[GetCoreState, Optional[int]]:
         merged = set(internal.seen)
-        for raw in received.values():
-            for entry in _dec(raw):
-                sender, payload = entry
-                if sender != internal.pid:
-                    merged.add((sender, payload))
+        for entries in received.values():
+            merged.update(entry for entry in entries if entry[0] != internal.pid)
         if internal.phase < 3:
             return (
                 GetCoreState(
@@ -145,7 +117,7 @@ class GetCoreWrapper(RoundProtocol):
                 ),
                 None,
             )
-        delivered: dict[Pid, bytes] = {}
+        delivered: dict[Pid, Payload] = {}
         for sender, payload in sorted(merged):
             if sender in delivered and delivered[sender] != payload:
                 raise AdversimError(f"two payloads for sender {sender} in one simulated round")
@@ -288,12 +260,11 @@ class SynchronizerWrapper(AsyncProtocol):
         )
 
     def step(
-        self, internal: SynchronizerState, incoming: Optional[tuple[Pid, bytes]]
+        self, internal: SynchronizerState, incoming: Optional[tuple[Pid, Payload]]
     ) -> tuple[SynchronizerState, list, Optional[int]]:
         buffer = set(internal.buffer)
         if incoming is not None:
-            sender, raw = incoming
-            r, payload = _dec(raw)
+            sender, (r, payload) = incoming
             if r >= internal.round:
                 buffer.add((r, sender, payload))
         inner = internal.inner
@@ -302,7 +273,7 @@ class SynchronizerWrapper(AsyncProtocol):
         sends = []
         output = None
         if not internal.started:
-            sends.append((None, _enc((round, self.inner.message(inner, round)))))
+            sends.append((None, (round, self.inner.message(inner, round))))
         while True:
             current = sorted(
                 (sender, payload) for (r, sender, payload) in buffer if r == round
@@ -316,7 +287,7 @@ class SynchronizerWrapper(AsyncProtocol):
             log = log + ((round, tuple(current), out),)
             buffer = {e for e in buffer if e[0] != round}
             round += 1
-            sends.append((None, _enc((round, self.inner.message(inner, round)))))
+            sends.append((None, (round, self.inner.message(inner, round))))
         return (
             SynchronizerState(
                 pid=internal.pid,
@@ -442,22 +413,18 @@ class PiggybackWrapper(RoundProtocol):
             pid=pid, inner=self.inner.init(pid, input), started=False, next_seq=0
         )
 
-    def message(self, internal: PiggybackState, round: int) -> bytes:
-        sends = [(seq, dest, payload) for seq, dest, payload, _ in internal.my_sends]
-        return _enc((sends, sorted(internal.others, key=_entry_key)))
+    def message(self, internal: PiggybackState, round: int) -> Payload:
+        sends = tuple((seq, dest, payload) for seq, dest, payload, _ in internal.my_sends)
+        return (sends, tuple(sorted(internal.others, key=_entry_key)))
 
     def transition(
-        self, internal: PiggybackState, round: int, received: Mapping[Pid, bytes]
+        self, internal: PiggybackState, round: int, received: Mapping[Pid, Payload]
     ) -> tuple[PiggybackState, Optional[int]]:
         others = set(internal.others)
-        for sender, raw in received.items():
-            their_sends, their_others = _dec(raw)
-            for seq, dest, payload in their_sends:
-                if sender != internal.pid:
-                    others.add((sender, seq, dest, payload))
-            for entry in their_others:
-                if entry[0] != internal.pid:
-                    others.add(tuple(entry))
+        for sender, (their_sends, their_others) in received.items():
+            if sender != internal.pid:
+                others.update((sender, seq, dest, payload) for seq, dest, payload in their_sends)
+            others.update(entry for entry in their_others if entry[0] != internal.pid)
         if len(others) + len(internal.my_sends) > self.seen_cap:
             raise ResourceLimitError(
                 f"seen set exceeded cap of {self.seen_cap} simulated messages"
@@ -587,18 +554,24 @@ _WRAPPERS = {
 }
 
 
+def _stack_models(stack: str) -> list[str]:
+    models = stack.split("-over-")
+    if len(models) < 2 or any(m not in MODELS for m in models):
+        raise UnknownProtocolError(f"malformed stack descriptor {stack!r}")
+    return models
+
+
 def build_stack(stack: str, base_id: str, n: int):
     """Compose wrappers per a stack descriptor such as ``fts-over-ftr`` or
     ``fts-over-ftr-over-flp``.  The leftmost model is the base protocol's
     native model and the rightmost is the engine the result runs on.  A
     stack starting at ``flp`` takes round-based targets through the
     synchronizer first (the only bridge from round protocols into the
-    asynchronous world)."""
+    asynchronous world).  A malformed descriptor, or one naming a
+    simulation that does not exist, is an unknown protocol."""
     from .protocols import get_protocol
 
-    models = stack.split("-over-")
-    if len(models) < 2 or any(m not in ("fts", "ftr", "flp") for m in models):
-        raise AdversimError(f"malformed stack descriptor {stack!r}")
+    models = _stack_models(stack)
     protocol = get_protocol(base_id, n)
     if models[0] == "flp" and isinstance(protocol, RoundProtocol):
         protocol = synchronizer_wrap(protocol, n)
@@ -606,7 +579,7 @@ def build_stack(stack: str, base_id: str, n: int):
         try:
             wrap = _WRAPPERS[(inner_model, outer_model)]
         except KeyError:
-            raise AdversimError(
+            raise UnknownProtocolError(
                 f"no simulation of {inner_model!r} on {outer_model!r}"
             ) from None
         protocol = wrap(protocol, n)
@@ -616,7 +589,4 @@ def build_stack(stack: str, base_id: str, n: int):
 
 def stack_model(stack: str) -> str:
     """The engine model a stack descriptor runs on."""
-    models = stack.split("-over-")
-    if len(models) < 2:
-        raise AdversimError(f"malformed stack descriptor {stack!r}")
-    return models[-1]
+    return _stack_models(stack)[-1]

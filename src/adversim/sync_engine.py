@@ -29,6 +29,7 @@ from .core import (
     RoundFault,
     RoundProtocol,
     TraceStep,
+    read_step_script,
 )
 
 
@@ -160,22 +161,7 @@ class RandomFaultPolicy(AdversaryPolicy):
 
 def scripted_policy_from_file(path, model: str) -> ScriptedPolicy:
     """Read a JSONL fault script (same record schema as trace steps)."""
-    import json
-
-    from .core import TraceFormatError, _parse_step
-
-    faults = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(f"script line {lineno}: {exc}") from None
-            step = _parse_step(model, record, lineno)
-            faults.append(step.fault)
-    return ScriptedPolicy(faults, model=model)
+    return ScriptedPolicy([step.fault for step in read_step_script(path, model)], model=model)
 
 
 # ---------------------------------------------------------------------------

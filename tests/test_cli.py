@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from adversim.cli import main
 from conftest import run_adversim
 
@@ -316,3 +318,97 @@ def test_seeded_commands_byte_identical_across_processes(tmp_path):
     a = (tmp_path / "a" / "trace.jsonl").read_bytes()
     b = (tmp_path / "b" / "trace.jsonl").read_bytes()
     assert a == b
+
+
+# -- bad input fails closed ---------------------------------------------------------
+
+_RUNS = {
+    "fts": ["--model", "fts", "--adversary", "silent:1"],
+    "ftr": ["--model", "ftr", "--adversary", "silent:1"],
+    "flp": ["--model", "flp", "--protocol", "ftr-over-flp:phase-king-lite",
+            "--scheduler", "round-robin"],
+}
+
+
+def _recorded_trace(tmp_path, model):
+    out = tmp_path / f"{model}.jsonl"
+    args = ["run", "--protocol", "phase-king-lite", *_RUNS[model], "--n", "3",
+            "--inputs", "1,0,0", "--horizon", "6", "--out", str(out)]
+    assert run_cli(args) == 0
+    return out
+
+
+def _assert_fails_closed(args, cwd, code):
+    proc = run_adversim(args, cwd)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "model, line, key, value",
+    [
+        ("fts", 1, "victims", 5),
+        ("fts", 1, "victims", [1.5]),
+        ("fts", 1, "round", "1"),
+        ("fts", 1, "sender", True),
+        ("fts", 1, "sender", "a"),
+        ("fts", 1, "outputs", {"0": True}),
+        ("ftr", 1, "dropped", {"1": "2"}),
+        ("ftr", 1, "dropped", [1]),
+        ("ftr", 1, "round", 1.0),
+        ("flp", 1, "pid", "x"),
+        ("flp", 1, "pid", True),
+        ("flp", 2, "deliver", "0"),
+        ("flp", 1, "crash", 0),
+        ("fts", 0, "inputs", 5),
+        ("fts", 0, "inputs", [True, False, False]),
+        ("fts", 0, "n", True),
+        ("fts", 0, "protocol", 7),
+    ],
+)
+def test_validate_mistyped_field_exit_five(tmp_path, model, line, key, value):
+    trace = _recorded_trace(tmp_path, model)
+    lines = trace.read_text().splitlines()
+    record = json.loads(lines[line])
+    record[key] = value
+    lines[line] = json.dumps(record)
+    trace.write_text("\n".join(lines) + "\n")
+    _assert_fails_closed(["validate", str(trace)], tmp_path, 5)
+
+
+@pytest.mark.parametrize(
+    "model, script_line",
+    [
+        ("fts", "[1]"),
+        ("fts", '{"round":1,"sender":true,"victims":[1]}'),
+        ("ftr", '"dropped"'),
+        ("flp", "[1]"),
+        ("flp", '{"event":"step","pid":0,"deliver":null,"crash":"no"}'),
+    ],
+)
+def test_malformed_step_script_exit_five(tmp_path, model, script_line):
+    script = tmp_path / "script.jsonl"
+    script.write_text(script_line + "\n")
+    args = ["run", "--protocol", "phase-king-lite", *_RUNS[model], "--n", "3",
+            "--inputs", "1,0,0", "--horizon", "4", "--out", str(tmp_path / "t.jsonl")]
+    flag = "--scheduler" if model == "flp" else "--adversary"
+    args[args.index(flag) + 1] = f"script:{script}"
+    _assert_fails_closed(args, tmp_path, 5)
+
+
+@pytest.mark.parametrize("stack", ["fts", "fts-over-flp", "ftr-over-xyz", "fts-over-"])
+def test_simulate_malformed_stack_exit_three(tmp_path, stack):
+    args = ["simulate", "--stack", stack, "--protocol", "phase-king-lite", "--n", "3",
+            "--inputs", "1,0,0", "--horizon", "6"]
+    _assert_fails_closed(args, tmp_path, 3)
+
+
+def test_validate_trace_with_malformed_stack_protocol_exit_three(tmp_path):
+    trace = _recorded_trace(tmp_path, "fts")
+    lines = trace.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["protocol"] = "phase-king-lite:x"
+    lines[0] = json.dumps(header)
+    trace.write_text("\n".join(lines) + "\n")
+    _assert_fails_closed(["validate", str(trace)], tmp_path, 3)

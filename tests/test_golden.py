@@ -1,0 +1,80 @@
+"""Golden artefacts: the README's commands emit byte-identical files.
+
+Each command below is copied from the README and run in-process with
+``$ADVERSIM_OUTDIR`` pointing at a fresh directory, so commands that name no
+output path write to their documented defaults there.  The sha256 of every
+trace and report is compared with a constant recorded from the code before
+the simulation wrappers stopped encoding their payloads; a change to any of
+these digests is a change to the emitted artefacts and has to be justified.
+"""
+
+import hashlib
+
+import pytest
+
+from adversim.cli import main
+
+README_COMMANDS = {
+    "attack": (
+        0,
+        ["attack", "--protocol", "phase-king-lite", "--n", "3", "--rounds", "30",
+         "--out", "attack.jsonl", "--report", "witnesses.jsonl"],
+    ),
+    "check-naive-majority": (
+        1,
+        ["check", "--protocol", "naive-majority", "--n", "3", "--mode", "exhaustive",
+         "--depth", "2"],
+    ),
+    "simulate-fts-over-ftr": (
+        0,
+        ["simulate", "--stack", "fts-over-ftr", "--protocol", "phase-king-lite", "--n", "3",
+         "--inputs", "1,0,0", "--adversary", "random", "--seed", "9", "--horizon", "30"],
+    ),
+    "simulate-ftr-over-flp": (
+        0,
+        ["simulate", "--stack", "ftr-over-flp", "--protocol", "phase-king-lite", "--n", "4",
+         "--inputs", "1,0,1,0", "--scheduler", "random", "--seed", "2", "--crash", "2:40",
+         "--horizon", "700"],
+    ),
+    "simulate-flp-over-ftr": (
+        0,
+        ["simulate", "--stack", "flp-over-ftr", "--protocol", "phase-king-lite", "--n", "3",
+         "--inputs", "1,1,0", "--adversary", "silent:2", "--horizon", "50"],
+    ),
+}
+
+GOLDEN_SHA256 = {
+    "attack": {
+        "attack.jsonl": "c133f1b502edc964031cbdceb4c846f1b434ac28a0a297e4b9ebae5d0051e983",
+        "witnesses.jsonl": "f0fb598e6cd30e7fabf4aa9562dad0a90b83446c5790700c942f985eaa3bad78",
+    },
+    "check-naive-majority": {
+        "violation.trace.jsonl": "06bcbeb5d60d0b2a0da0532169d6f658228fc22233b9a9d3f51788ce135ed291",
+        "violation.report.jsonl": "65728e46fc5bd26fadeea77b73f7719ed648d1e93d0400d6d5cf613483e612cb",
+    },
+    "simulate-fts-over-ftr": {
+        "simulate.trace.jsonl": "ce1eef3d028496f88d10f664400ce89b16941f74682bc74c1cf05959791ffde1",
+        "simulate.report.jsonl": "17de4f8a61fc4355b8c718b8d48be9ab555f58b39311353bc0c9930c9f212a4d",
+    },
+    "simulate-ftr-over-flp": {
+        "simulate.trace.jsonl": "15796b276008bd3ec0bb09d763f1580e6ea9cd25de3cf2fb2e124181474299f1",
+        "simulate.report.jsonl": "090e58a3e78d35c03a489209d84fb72d1d94b40b1a168e070f1f3547e3deef89",
+    },
+    "simulate-flp-over-ftr": {
+        "simulate.trace.jsonl": "a6a4627ed99b47d35ed73ecfaf13846c8ffa5359dfb58c22ba9d6c3688d9f952",
+        "simulate.report.jsonl": "1f9190c4f9fcac9d8f6162d37aa54247571a2468fdd9a9201cd6d95f233e7bbe",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_COMMANDS))
+def test_readme_artefacts_match_golden_digests(name, tmp_path, monkeypatch):
+    expected_code, argv = README_COMMANDS[name]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("ADVERSIM_OUTDIR", str(tmp_path))
+    assert main(argv) == expected_code
+    digests = {
+        fname: hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
+        for fname in GOLDEN_SHA256[name]
+    }
+    assert digests == GOLDEN_SHA256[name]

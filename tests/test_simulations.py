@@ -4,14 +4,13 @@ import random
 
 import pytest
 
-from adversim.core import ReceiveFault, initial_configuration, validate_trace
+from adversim import protocols
+from adversim.core import ReceiveFault, RoundProtocol, initial_configuration, validate_trace
 from adversim.async_engine import make_scheduler, run_async
 from adversim.protocols import phase_king_lite
 from adversim.simulations import (
     EmulationLemmaViolation,
     ResourceLimitError,
-    _dec,
-    _enc,
     build_stack,
     classify_delivery,
     core_set,
@@ -26,6 +25,7 @@ from adversim.simulations import (
 from adversim.sync_engine import (
     NO_FAULT,
     NoFaultPolicy,
+    RandomFaultPolicy,
     RoundFault,
     ScriptedPolicy,
     SilentPolicy,
@@ -35,21 +35,104 @@ from adversim.sync_engine import (
 )
 
 
-def test_wire_codec_round_trip():
-    values = [
-        (1, b"\x00\xffpayload"),
-        ((2, None, b""), "text", 5),
-        [],
-    ]
-    for v in values:
-        decoded = _dec(_enc(v))
-        # lists decode as tuples; normalize for comparison
-        def norm(x):
-            if isinstance(x, (list, tuple)):
-                return tuple(norm(y) for y in x)
-            return x
+class FloatMean(RoundProtocol):
+    """Averages float payloads for four rounds, then outputs whether the
+    mean reached one half.  Floats are not bytes, ints, strings or None, so
+    this protocol only runs under wrappers that pass payloads through as
+    plain values."""
 
-        assert decoded == norm(v)
+    protocol_id = "float-mean"
+
+    def __init__(self, n):
+        self.n = n
+
+    def init(self, pid, input):
+        return float(input) + pid / 8
+
+    def message(self, internal, round):
+        return internal
+
+    def transition(self, internal, round, received):
+        if round > 4:
+            return internal, None
+        value = (internal + sum(received.values())) / (1 + len(received))
+        return value, (int(value >= 0.5) if round == 4 else None)
+
+
+@pytest.fixture
+def float_mean(monkeypatch):
+    # registered so that stack ids and trace validation resolve it
+    monkeypatch.setitem(protocols._REGISTRY, "float-mean", FloatMean)
+    return FloatMean
+
+
+def _assert_gather_equals_direct(configs, faults, n, inputs):
+    """Every simulated round of a gather run equals the direct fail-to-send
+    run of float-mean under the classified fault, state for state."""
+    base = FloatMean(n)
+    direct = initial_configuration(base, inputs)
+    rounds = getcore_rounds(configs, faults)
+    assert len(rounds) >= 4
+    for rep in rounds:
+        direct = step_fts(direct, base, rep.fault)
+        wrapped = configs[3 * rep.sim_round]
+        assert [s.internal.inner for s in wrapped.states] == [s.internal for s in direct.states]
+        assert wrapped.outputs() == direct.outputs()
+    assert len(direct.outputs()) == n
+    assert all(isinstance(s.internal, float) for s in direct.states)
+
+
+def _assert_synchronized_equals_direct(protocol, inputs, horizon):
+    """A synchronized asynchronous run projects onto a valid fail-to-receive
+    trace, and the slowest live processes hold exactly the state that the
+    direct run of the inner protocol under that trace reaches."""
+    sched = make_scheduler("seeded-random-fair", len(inputs), seed=5)
+    final = run_async(inputs, protocol, sched, horizon=horizon).final_state
+    states = [s.internal for s in final.states]
+    proj = project_synchronized_run(states, final.crashed, protocol.inner, inputs)
+    assert proj.report.valid, proj.report.problems
+    faults = [step.fault for step in proj.trace.steps]
+    direct = run(
+        initial_configuration(protocol.inner, inputs),
+        protocol.inner,
+        ScriptedPolicy(faults, "ftr"),
+        horizon=proj.min_round,
+        keep_configs=True,
+    )
+    slowest = [q for q in proj.completed_rounds if proj.completed_rounds[q] == proj.min_round]
+    for q in slowest:
+        assert states[q].inner == direct.final_config.states[q].internal
+    return direct
+
+
+def test_float_payloads_pass_unchanged_through_gather(float_mean):
+    n, inputs = 4, (1, 0, 0, 1)
+    proto = build_stack("fts-over-ftr", "float-mean", n)
+    rng = random.Random(11)
+    result = run(
+        initial_configuration(proto, inputs),
+        proto,
+        RandomFaultPolicy(n, rng, model="ftr"),
+        horizon=15,
+        keep_configs=True,
+    )
+    faults = [step.fault for step in result.trace.steps]
+    _assert_gather_equals_direct(result.configs, faults, n, inputs)
+
+
+def test_float_payloads_pass_unchanged_through_synchronizer(float_mean):
+    n, inputs = 4, (1, 0, 0, 1)
+    proto = build_stack("ftr-over-flp", "float-mean", n)
+    direct = _assert_synchronized_equals_direct(proto, inputs, horizon=400)
+    assert len(direct.final_config.outputs()) == n
+
+
+def test_float_payloads_pass_unchanged_through_nested_stack(float_mean):
+    n, inputs = 4, (1, 0, 0, 1)
+    proto = build_stack("fts-over-ftr-over-flp", "float-mean", n)
+    direct = _assert_synchronized_equals_direct(proto, inputs, horizon=1200)
+    faults = [step.fault for step in direct.trace.steps]
+    _assert_gather_equals_direct(direct.configs, faults, n, inputs)
 
 
 # -- get-core -----------------------------------------------------------------
