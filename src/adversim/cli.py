@@ -159,13 +159,25 @@ def _scheduler_for(args, n: int):
     raise UsageError(f"unknown scheduler spec {spec!r}")
 
 
+def _protocol(protocol_id: str, n: int, stack: Optional[str] = None):
+    """Build the protocol a command names.  Constructors reject a size they
+    do not support with ValueError, which on the command line is a usage
+    error."""
+    try:
+        if stack is None:
+            return get_protocol(protocol_id, n)
+        return build_stack(stack, protocol_id, n)
+    except ValueError as exc:
+        raise UsageError(f"--n {n}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_run(args) -> int:
-    protocol = get_protocol(args.protocol, args.n)
+    protocol = _protocol(args.protocol, args.n)
     if args.model == "flp":
         if not isinstance(protocol, AsyncProtocol):
             raise UsageError(
@@ -210,7 +222,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    protocol = get_protocol(args.protocol, args.n)
+    protocol = _protocol(args.protocol, args.n)
     try:
         result = nondecider.build_nondeciding_execution(
             protocol, args.n, rounds=args.rounds, cap=args.cap, restricted=args.restricted
@@ -245,7 +257,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_check(args) -> int:
-    protocol = get_protocol(args.protocol, args.n)
+    protocol = _protocol(args.protocol, args.n)
     if args.mode == "exhaustive":
         result = checking.check_exhaustive(
             protocol,
@@ -288,7 +300,7 @@ def cmd_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = stack_model(args.stack)
-    protocol = build_stack(args.stack, args.protocol, args.n)
+    protocol = _protocol(args.protocol, args.n, args.stack)
     inputs = _parse_inputs(args, args.n)
     out = _outpath(args.out, "simulate.trace.jsonl")
     report_path = _outpath(args.report, "simulate.report.jsonl")

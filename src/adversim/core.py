@@ -177,7 +177,8 @@ class RoundProtocol:
     in ascending sender order (the models fix a delivery order; ascending id
     is the one used throughout this lab).  Payloads are opaque ``Payload``
     values: immutable, hashable and orderable, so wrappers can keep them in
-    sets and sort them.
+    sets and sort them.  Internal states are immutable and hashable too:
+    the decision oracles memoize their results by configuration.
     """
 
     protocol_id: str = "?"
@@ -318,8 +319,19 @@ class ExecutionTrace:
 
     @classmethod
     def read(cls, path) -> "ExecutionTrace":
+        return cls.from_jsonl(_read_text(path))
+
+
+def _read_text(path) -> str:
+    """A trace or script file's text; a path that cannot be read, or whose
+    bytes are not UTF-8, is a trace error."""
+    try:
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_jsonl(fh.read())
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except OSError as exc:
+        raise TraceFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _dumps(obj) -> str:
@@ -432,12 +444,11 @@ def _parse_step(model: str, record: dict, lineno: int) -> TraceStep:
 def read_step_script(path, model: str) -> list[TraceStep]:
     """Parse a JSONL step script: one record per non-blank line, in the
     schema of the model's trace steps."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return [
-            _parse_step(model, _loads(line, lineno), lineno)
-            for lineno, line in enumerate(fh, start=1)
-            if line.strip()
-        ]
+    return [
+        _parse_step(model, _loads(line, lineno), lineno)
+        for lineno, line in enumerate(_read_text(path).split("\n"), start=1)
+        if line.strip()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +534,11 @@ def validate_trace(
     shape_problems = _check_shape(trace)
     problems.extend(shape_problems)
 
-    protocol = resolver(trace.protocol, trace.n)  # may raise UnknownProtocolError
+    try:
+        protocol = resolver(trace.protocol, trace.n)  # may raise UnknownProtocolError
+    except ValueError as exc:  # the protocol does not run at the header's n
+        problems.append(f"header: {exc}")
+        return ValidationReport(valid=False, problems=problems)
 
     want_async = trace.model == "flp"
     if isinstance(protocol, AsyncProtocol) != want_async:

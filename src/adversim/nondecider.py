@@ -117,64 +117,110 @@ def default_cap(n: int) -> int:
     return 10 * n
 
 
+# Probe results recorded along whole probe paths, one table per (protocol,
+# fault): configuration -> (decision, rounds the probe still needs from it).
+# A memo belongs to one attack; nothing outlives it.
+OracleMemo = dict[tuple[RoundProtocol, RoundFault], dict[Configuration, tuple[int, int]]]
+
+
 def _probe(
     config: Configuration,
     protocol: RoundProtocol,
     fault: RoundFault,
     cap: int,
     kind: str,
+    memo: Optional[OracleMemo] = None,
 ) -> DecisionOracleResult:
-    """Run the same fault every round until all processes have output."""
+    """Run the same fault every round until all processes have output.
+
+    With a memo, every configuration the probe passes through is recorded
+    with the decision and the rounds still needed from it, since the rest of
+    this probe is its own probe.  A later probe that reaches a recorded
+    configuration after k rounds needs k + rounds_left in all and exceeds
+    the cap exactly when stepping on would.  Only probes that end in
+    agreement are recorded, so a disagreeing path is always stepped in full.
+    """
     if cap < 1:
         raise AdversimError("oracle cap must be >= 1")
+    table = None if memo is None else memo.setdefault((protocol, fault), {})
+    path: list[Configuration] = []
     current = config
-    steps = []
-    rounds = 0
+    hit = None
     while not current.all_decided():
-        if rounds >= cap:
+        if table is not None and (hit := table.get(current)) is not None:
+            break
+        if len(path) >= cap:
             raise OracleCapExceeded(kind, cap)
-        before = current.outputs()
+        path.append(current)
         current = step_fts(current, protocol, fault)
-        rounds += 1
-        wrote = tuple(sorted((q, v) for q, v in current.outputs().items() if q not in before))
-        steps.append(FtsStep(round=current.round - 1, fault=fault, outputs=wrote))
-    outputs = current.outputs()
-    values = set(outputs.values())
-    if len(values) != 1:
-        trace = ExecutionTrace(
-            model="fts",
-            n=config.n,
-            protocol=protocol.protocol_id,
-            inputs=config.inputs(),
-            steps=tuple(steps),
-        )
-        raise AgreementViolation(outputs, trace)
-    return DecisionOracleResult(decision=values.pop(), rounds_used=rounds)
+    if hit is not None:
+        decision, left = hit
+        rounds = len(path) + left
+        if rounds > cap:
+            raise OracleCapExceeded(kind, cap)
+    else:
+        outputs = current.outputs()
+        values = set(outputs.values())
+        if len(values) != 1:
+            raise AgreementViolation(outputs, _probe_trace(protocol, fault, [*path, current]))
+        decision, rounds = values.pop(), len(path)
+    if table is not None:
+        for i, c in enumerate(path):
+            table[c] = (decision, rounds - i)
+    return DecisionOracleResult(decision=decision, rounds_used=rounds)
+
+
+def _probe_trace(
+    protocol: RoundProtocol, fault: RoundFault, configs: list[Configuration]
+) -> ExecutionTrace:
+    """The trace of a probe that stepped through ``configs``."""
+    steps = []
+    for before, after in zip(configs, configs[1:]):
+        old = before.outputs()
+        wrote = tuple(sorted((q, v) for q, v in after.outputs().items() if q not in old))
+        steps.append(FtsStep(round=before.round, fault=fault, outputs=wrote))
+    return ExecutionTrace(
+        model="fts",
+        n=configs[0].n,
+        protocol=protocol.protocol_id,
+        inputs=configs[0].inputs(),
+        steps=tuple(steps),
+    )
 
 
 def failure_free_decision(
-    config: Configuration, protocol: RoundProtocol, cap: int
+    config: Configuration, protocol: RoundProtocol, cap: int, *, memo: Optional[OracleMemo] = None
 ) -> DecisionOracleResult:
     """Decision of the continuation with no faults at all."""
-    return _probe(config, protocol, NO_FAULT, cap, "failure-free")
+    return _probe(config, protocol, NO_FAULT, cap, "failure-free", memo)
 
 
 def silent_decision(
-    config: Configuration, p: Pid, protocol: RoundProtocol, cap: int
+    config: Configuration,
+    p: Pid,
+    protocol: RoundProtocol,
+    cap: int,
+    *,
+    memo: Optional[OracleMemo] = None,
 ) -> DecisionOracleResult:
     """Decision of the continuation in which p is silenced every round
     (fault (p, everyone else)); p still hears the others and must also
     output for the probe to complete."""
     fault = RoundFault(p, [q for q in range(config.n) if q != p])
-    return _probe(config, protocol, fault, cap, f"{p}-silent")
+    return _probe(config, protocol, fault, cap, f"{p}-silent", memo)
 
 
 def is_p_dependent(
-    config: Configuration, p: Pid, protocol: RoundProtocol, cap: int
+    config: Configuration,
+    p: Pid,
+    protocol: RoundProtocol,
+    cap: int,
+    *,
+    memo: Optional[OracleMemo] = None,
 ) -> Optional[DependenceWitness]:
-    """Fresh two-oracle dependence test; the sole constructor of witnesses."""
-    ff = failure_free_decision(config, protocol, cap)
-    sil = silent_decision(config, p, protocol, cap)
+    """Two-oracle dependence test; the sole constructor of witnesses."""
+    ff = failure_free_decision(config, protocol, cap, memo=memo)
+    sil = silent_decision(config, p, protocol, cap, memo=memo)
     if ff.decision == sil.decision:
         return None
     if config.outputs():
@@ -189,7 +235,7 @@ def is_p_dependent(
 
 
 def find_dependent_in_chain(
-    chain: AdjacentChain, protocol: RoundProtocol, cap: int
+    chain: AdjacentChain, protocol: RoundProtocol, cap: int, *, memo: Optional[OracleMemo] = None
 ) -> tuple[int, Pid, DependenceWitness]:
     """Locate a dependent configuration on a chain whose failure-free
     decisions flip somewhere.
@@ -200,9 +246,9 @@ def find_dependent_in_chain(
     Otherwise c_{j-1} is: silencing the differing process erases the only
     state distinction between the two, so their silent decisions coincide,
     and that value disagrees with c_{j-1}'s failure-free decision.  The
-    returned witness is re-established by a fresh two-oracle test either way.
+    returned witness is re-established by a two-oracle test either way.
     """
-    ffs = [failure_free_decision(c, protocol, cap).decision for c in chain.configs]
+    ffs = [failure_free_decision(c, protocol, cap, memo=memo).decision for c in chain.configs]
     flip = None
     for j in range(1, len(ffs)):
         if ffs[j - 1] != ffs[j]:
@@ -211,9 +257,9 @@ def find_dependent_in_chain(
     if flip is None:
         raise NoFlipInChain("no flip in chain")
     p = chain.differing[flip - 1]
-    sil = silent_decision(chain.configs[flip], p, protocol, cap)
+    sil = silent_decision(chain.configs[flip], p, protocol, cap, memo=memo)
     k = flip if sil.decision != ffs[flip] else flip - 1
-    witness = is_p_dependent(chain.configs[k], p, protocol, cap)
+    witness = is_p_dependent(chain.configs[k], p, protocol, cap, memo=memo)
     if witness is None:
         raise InvariantViolation(
             f"chain entry {k} failed re-verification as {p}-dependent"
@@ -222,7 +268,7 @@ def find_dependent_in_chain(
 
 
 def find_initial_dependent(
-    protocol: RoundProtocol, n: int, cap: Optional[int] = None
+    protocol: RoundProtocol, n: int, cap: Optional[int] = None, *, memo: Optional[OracleMemo] = None
 ) -> tuple[Configuration, Pid, DependenceWitness]:
     """Dependent initial configuration, found on the monotone input chain.
 
@@ -239,7 +285,7 @@ def find_initial_dependent(
         inputs = tuple(1 if j < i else 0 for j in range(n))
         configs.append(initial_configuration(protocol, inputs))
     chain = AdjacentChain(configs=tuple(configs), differing=tuple(range(n)))
-    k, p, witness = find_dependent_in_chain(chain, protocol, cap)
+    k, p, witness = find_dependent_in_chain(chain, protocol, cap, memo=memo)
     return configs[k], p, witness
 
 
@@ -258,6 +304,8 @@ def extend_dependent(
     protocol: RoundProtocol,
     cap: Optional[int] = None,
     restricted: bool = False,
+    *,
+    memo: Optional[OracleMemo] = None,
 ) -> ExtensionStep:
     """One attack round: from a p-dependent configuration, pick a fault whose
     successor is again dependent for some process.
@@ -285,9 +333,9 @@ def extend_dependent(
     if not restricted:
         full = RoundFault(p, others)
         c1 = step_fts(config, protocol, full)
-        ff1 = failure_free_decision(c1, protocol, cap)
+        ff1 = failure_free_decision(c1, protocol, cap, memo=memo)
         if ff1.decision != b:
-            w = is_p_dependent(c1, p, protocol, cap)
+            w = is_p_dependent(c1, p, protocol, cap, memo=memo)
             if w is None:
                 raise InvariantViolation("full-silence successor failed re-verification")
             return ExtensionStep(fault=full, config=c1, process=p, witness=w)
@@ -301,7 +349,7 @@ def extend_dependent(
     differing = tuple(others[start - 1 : n - 1])
     chain = AdjacentChain(configs=configs, differing=differing)
     try:
-        k, q, w = find_dependent_in_chain(chain, protocol, cap)
+        k, q, w = find_dependent_in_chain(chain, protocol, cap, memo=memo)
     except NoFlipInChain:
         if restricted:
             raise ChainExhausted() from None
@@ -347,18 +395,23 @@ def build_nondeciding_execution(
     restricted: bool = False,
 ) -> AttackResult:
     """Inductively build a ``rounds``-long execution every prefix of which
-    ends in a dependent configuration, hence writes no output at all."""
+    ends in a dependent configuration, hence writes no output at all.
+
+    All oracle probes of the attack share one memo, so a probe that reaches
+    a configuration an earlier probe passed through under the same fault
+    stops there."""
     if rounds < 1:
         raise AdversimError("rounds must be >= 1")
     cap = default_cap(n) if cap is None else cap
-    config, p, witness = find_initial_dependent(protocol, n, cap)
+    memo: OracleMemo = {}
+    config, p, witness = find_initial_dependent(protocol, n, cap, memo=memo)
     records = [AttackRound(round=0, fault=NO_FAULT, config=config, process=p, witness=witness)]
     steps: list[FtsStep] = []
     exhausted_at = None
     current, cur_p, cur_w = config, p, witness
     for r in range(1, rounds + 1):
         try:
-            ext = extend_dependent(current, cur_p, cur_w, protocol, cap, restricted)
+            ext = extend_dependent(current, cur_p, cur_w, protocol, cap, restricted, memo=memo)
         except ChainExhausted:
             exhausted_at = r
             break

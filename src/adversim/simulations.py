@@ -85,7 +85,7 @@ class GetCoreWrapper(RoundProtocol):
 
     def __init__(self, inner: RoundProtocol, n: int):
         if n < 3:
-            raise AdversimError("the three-phase gather needs n >= 3")
+            raise ValueError("the three-phase gather needs n >= 3")
         self.inner = inner
         self.n = n
         self.protocol_id = f"fts-over-ftr:{inner.protocol_id}"
@@ -245,7 +245,7 @@ class SynchronizerWrapper(AsyncProtocol):
 
     def __init__(self, inner: RoundProtocol, n: int):
         if n < 3:
-            raise AdversimError("the synchronizer needs n >= 3")
+            raise ValueError("the synchronizer needs n >= 3")
         self.inner = inner
         self.n = n
         self.protocol_id = f"ftr-over-flp:{inner.protocol_id}"
@@ -402,7 +402,7 @@ class PiggybackWrapper(RoundProtocol):
 
     def __init__(self, inner: AsyncProtocol, n: int, seen_cap: int = 100_000):
         if n < 3:
-            raise AdversimError("piggybacked delivery needs n >= 3")
+            raise ValueError("piggybacked delivery needs n >= 3")
         self.inner = inner
         self.n = n
         self.seen_cap = seen_cap

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .core import (
     AdversimError,
@@ -36,24 +36,26 @@ from .core import (
 def _apply_round(
     config: Configuration,
     protocol: RoundProtocol,
-    delivered,  # delivered(q) -> iterable of senders whose payload q receives
+    dropped: Mapping[Pid, Pid],  # receiver -> the one sender it misses
 ) -> Configuration:
-    n = config.n
+    """Every process broadcasts, then transitions on what reached it: every
+    other payload, in ascending sender order, except the one it drops."""
     round = config.round
     payloads = []
-    for p in range(n):
+    for p, state in enumerate(config.states):
         try:
-            payloads.append(protocol.message(config.states[p].internal, round))
+            payloads.append((p, protocol.message(state.internal, round)))
         except Exception as exc:  # noqa: BLE001 - protocol bug surfaced as engine error
             raise EngineError(f"message() failed: {exc}", round=round, pid=p) from exc
     new_states = []
-    for q in range(n):
-        received = {s: payloads[s] for s in delivered(q)}
+    for q, state in enumerate(config.states):
+        miss = dropped.get(q)
+        received = {s: m for s, m in payloads if s != q and s != miss}
         try:
-            internal, out = protocol.transition(config.states[q].internal, round, received)
+            internal, out = protocol.transition(state.internal, round, received)
         except Exception as exc:  # noqa: BLE001
             raise EngineError(f"transition() failed: {exc}", round=round, pid=q) from exc
-        new_states.append(LocalState(config.states[q].input, internal, config.states[q].output).write(out))
+        new_states.append(LocalState(state.input, internal, state.output).write(out))
     return Configuration(round=round + 1, states=tuple(new_states))
 
 
@@ -61,25 +63,14 @@ def step_fts(config: Configuration, protocol: RoundProtocol, fault: RoundFault) 
     """One fail-to-send round: every process receives every other payload,
     except that fault.sender's payload is withheld from fault.victims."""
     fault.validate(config.n)
-    sender, victims = fault.sender, fault.victims
-
-    def delivered(q: Pid):
-        return (s for s in range(config.n) if s != q and not (s == sender and q in victims))
-
-    return _apply_round(config, protocol, delivered)
+    return _apply_round(config, protocol, {q: fault.sender for q in fault.victims})
 
 
 def step_ftr(config: Configuration, protocol: RoundProtocol, fault: ReceiveFault) -> Configuration:
     """One fail-to-receive round: each process receives every other payload
     except the single sender (if any) dropped for it."""
     fault.validate(config.n)
-    dropped = fault.mapping
-
-    def delivered(q: Pid):
-        miss = dropped.get(q)
-        return (s for s in range(config.n) if s != q and s != miss)
-
-    return _apply_round(config, protocol, delivered)
+    return _apply_round(config, protocol, fault.mapping)
 
 
 # ---------------------------------------------------------------------------

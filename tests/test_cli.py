@@ -338,6 +338,9 @@ def _recorded_trace(tmp_path, model):
     return out
 
 
+NOT_UTF8 = bytes.fromhex("fffe00626164")
+
+
 def _assert_fails_closed(args, cwd, code):
     proc = run_adversim(args, cwd)
     assert proc.returncode == code, proc.stderr
@@ -385,11 +388,15 @@ def test_validate_mistyped_field_exit_five(tmp_path, model, line, key, value):
         ("ftr", '"dropped"'),
         ("flp", "[1]"),
         ("flp", '{"event":"step","pid":0,"deliver":null,"crash":"no"}'),
+        ("fts", NOT_UTF8),
     ],
 )
 def test_malformed_step_script_exit_five(tmp_path, model, script_line):
     script = tmp_path / "script.jsonl"
-    script.write_text(script_line + "\n")
+    if isinstance(script_line, bytes):
+        script.write_bytes(script_line)
+    else:
+        script.write_text(script_line + "\n")
     args = ["run", "--protocol", "phase-king-lite", *_RUNS[model], "--n", "3",
             "--inputs", "1,0,0", "--horizon", "4", "--out", str(tmp_path / "t.jsonl")]
     flag = "--scheduler" if model == "flp" else "--adversary"
@@ -412,3 +419,43 @@ def test_validate_trace_with_malformed_stack_protocol_exit_three(tmp_path):
     lines[0] = json.dumps(header)
     trace.write_text("\n".join(lines) + "\n")
     _assert_fails_closed(["validate", str(trace)], tmp_path, 3)
+
+
+@pytest.mark.parametrize("command", ["validate", "script"])
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+def test_unreadable_trace_or_script_path_exit_five(tmp_path, command, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(NOT_UTF8)
+    if command == "validate":
+        args = ["validate", str(path)]
+    else:
+        args = ["run", "--protocol", "phase-king-lite", *_RUNS["fts"], "--n", "3",
+                "--inputs", "1,0,0", "--adversary", f"script:{path}",
+                "--out", str(tmp_path / "t.jsonl")]
+    _assert_fails_closed(args, tmp_path, 5)
+
+
+def test_validate_trace_at_unsupported_size_exit_five(tmp_path):
+    trace = tmp_path / "small.jsonl"
+    trace.write_text('{"inputs":[1,0],"model":"fts","n":2,"protocol":"phase-king-lite"}\n')
+    _assert_fails_closed(["validate", str(trace)], tmp_path, 5)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--model", "fts", "--protocol", "phase-king-lite", "--n", "2", "--inputs", "1,0"],
+        ["attack", "--protocol", "phase-king-lite", "--n", "1"],
+        ["check", "--protocol", "naive-majority", "--n", "2"],
+        ["simulate", "--stack", "fts-over-ftr", "--protocol", "phase-king-lite", "--n", "2",
+         "--inputs", "1,0"],
+        ["simulate", "--stack", "fts-over-ftr", "--protocol", "constant-0", "--n", "2",
+         "--inputs", "1,0"],
+    ],
+    ids=["run", "attack", "check", "simulate", "simulate-wrapper"],
+)
+def test_protocol_size_error_is_usage_error(tmp_path, args):
+    _assert_fails_closed(args, tmp_path, 64)

@@ -1,11 +1,14 @@
 """Golden artefacts: the README's commands emit byte-identical files.
 
-Each command below is copied from the README and run in-process with
-``$ADVERSIM_OUTDIR`` pointing at a fresh directory, so commands that name no
-output path write to their documented defaults there.  The sha256 of every
-trace and report is compared with a constant recorded from the code before
-the simulation wrappers stopped encoding their payloads; a change to any of
-these digests is a change to the emitted artefacts and has to be justified.
+Each command below is copied from the README, or is the README's attack at
+n = 8 and n = 16 over 40 rounds, where decision-oracle probes revisit many
+configurations.  Each runs in-process with ``$ADVERSIM_OUTDIR`` pointing at a
+fresh directory, so commands that name no output path write to their
+documented defaults there.  The sha256 of every trace and report is compared
+with a constant recorded from the code before the simulation wrappers stopped
+encoding their payloads (the two larger attacks: before oracle probes were
+memoized); a change to any of these digests is a change to the emitted
+artefacts and has to be justified.
 """
 
 import hashlib
@@ -18,6 +21,16 @@ README_COMMANDS = {
     "attack": (
         0,
         ["attack", "--protocol", "phase-king-lite", "--n", "3", "--rounds", "30",
+         "--out", "attack.jsonl", "--report", "witnesses.jsonl"],
+    ),
+    "attack-n8": (
+        0,
+        ["attack", "--protocol", "phase-king-lite", "--n", "8", "--rounds", "40",
+         "--out", "attack.jsonl", "--report", "witnesses.jsonl"],
+    ),
+    "attack-n16": (
+        0,
+        ["attack", "--protocol", "phase-king-lite", "--n", "16", "--rounds", "40",
          "--out", "attack.jsonl", "--report", "witnesses.jsonl"],
     ),
     "check-naive-majority": (
@@ -47,6 +60,14 @@ GOLDEN_SHA256 = {
     "attack": {
         "attack.jsonl": "c133f1b502edc964031cbdceb4c846f1b434ac28a0a297e4b9ebae5d0051e983",
         "witnesses.jsonl": "f0fb598e6cd30e7fabf4aa9562dad0a90b83446c5790700c942f985eaa3bad78",
+    },
+    "attack-n8": {
+        "attack.jsonl": "dc79baba8c840547bdddb97b0ed9a2a7c9885c567be398102c119f37bbff2cd3",
+        "witnesses.jsonl": "6c36d92128cda607421fc74cc6aeb6ec1cbafc743399abdfc8d0265f95204fef",
+    },
+    "attack-n16": {
+        "attack.jsonl": "434f0db29c460ba5363afae44bb27380d032064b608a30e881590557f00be6c8",
+        "witnesses.jsonl": "64a23a49838974df9910a34be3a6b378139a3cf7dd9c68a3ec036e41fc401705",
     },
     "check-naive-majority": {
         "violation.trace.jsonl": "06bcbeb5d60d0b2a0da0532169d6f658228fc22233b9a9d3f51788ce135ed291",

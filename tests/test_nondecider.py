@@ -374,3 +374,101 @@ def test_report_records_shape():
         assert rec["outputs_written"] == 0
         assert set(rec["witness"]) == {"pid", "ff", "silent"}
         assert rec["witness"]["ff"] != rec["witness"]["silent"]
+
+
+# -- oracle memo ------------------------------------------------------------------
+
+
+def _oracle(config, p, protocol, cap, **memo):
+    """The failure-free decision for p None, else the p-silent decision."""
+    if p is None:
+        return failure_free_decision(config, protocol, cap, **memo)
+    return silent_decision(config, p, protocol, cap, **memo)
+
+
+def _probe_path(config, p, protocol):
+    """The configurations a probe steps through, start included, end excluded."""
+    n = config.n
+    fault = RoundFault(0, []) if p is None else RoundFault(p, [q for q in range(n) if q != p])
+    path = []
+    while not config.all_decided():
+        path.append(config)
+        config = step_fts(config, protocol, fault)
+    return path
+
+
+def test_memo_hit_beyond_cap_raises_like_fresh_probe():
+    # The 0-silent probe from (1,1,0) needs 5 rounds.  Recording the probe
+    # from two rounds in lets the full probe hit after k = 2 stepped rounds
+    # with 3 rounds left: 5 in all.
+    pk = phase_king_lite(3)
+    start = initial_configuration(pk, (1, 1, 0))
+    total = silent_decision(start, 0, pk, CAP).rounds_used
+    assert total == 5
+    inner = _probe_path(start, 0, pk)[2]
+
+    def memo_from_inner():
+        memo = {}
+        assert silent_decision(inner, 0, pk, CAP, memo=memo).rounds_used == total - 2
+        return memo
+
+    with pytest.raises(OracleCapExceeded):
+        silent_decision(start, 0, pk, total - 1)
+    with pytest.raises(OracleCapExceeded) as info:
+        silent_decision(start, 0, pk, total - 1, memo=memo_from_inner())
+    assert (info.value.kind, info.value.cap) == ("0-silent", total - 1)
+    fresh = silent_decision(start, 0, pk, total)
+    assert fresh.rounds_used == total
+    assert silent_decision(start, 0, pk, total, memo=memo_from_inner()) == fresh
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_memoized_oracles_match_fresh_on_attack_configs(n):
+    pk = phase_king_lite(n)
+    cap = default_cap(n)
+    configs = [entry.config for entry in build_nondeciding_execution(pk, n, rounds=10).witnesses]
+    memo = {}
+    for config in configs:
+        for p in [None, *range(n)]:
+            # the start first (it may hit a path recorded by an earlier
+            # probe after k rounds), then every configuration on its path
+            for c in _probe_path(config, p, pk):
+                assert _oracle(c, p, pk, cap, memo=memo) == _oracle(c, p, pk, cap), (c, p)
+    # and the attack's own memoized steps agree with unmemoized ones
+    config, p, witness = find_initial_dependent(pk, n)
+    assert find_initial_dependent(pk, n, memo={}) == (config, p, witness)
+    memo = {}
+    for _ in range(10):
+        ext = extend_dependent(config, p, witness, pk)
+        assert extend_dependent(config, p, witness, pk, memo=memo) == ext
+        config, p, witness = ext.config, ext.process, ext.witness
+
+
+@pytest.mark.parametrize("first", ["naive-majority", "phase-king-lite"])
+def test_memo_entries_never_cross_protocols(first):
+    # Both protocols start from (input, False), so their initial
+    # configurations are equal; one memo must still keep them apart.
+    nm, pk = naive_majority(3), phase_king_lite(3)
+    protocols = [nm, pk] if first == "naive-majority" else [pk, nm]
+    inputs = (1, 1, 0)
+    assert initial_configuration(nm, inputs) == initial_configuration(pk, inputs)
+    memo = {}
+    for protocol in protocols:
+        config = initial_configuration(protocol, inputs)
+        fresh = failure_free_decision(config, protocol, CAP)
+        assert failure_free_decision(config, protocol, CAP, memo=memo) == fresh
+    assert failure_free_decision(initial_configuration(nm, inputs), nm, CAP).rounds_used == 1
+    assert failure_free_decision(initial_configuration(pk, inputs), pk, CAP).rounds_used == 3
+
+
+def test_memoized_agreement_violation_carries_the_fresh_trace():
+    nm = naive_majority(3)
+    config = step_fts(initial_configuration(nm, (0, 1, 1)), nm, RoundFault(1, [0]))
+    memo = {}
+    with pytest.raises(AgreementViolation) as fresh:
+        failure_free_decision(config, nm, CAP)
+    for _ in range(2):
+        with pytest.raises(AgreementViolation) as memoized:
+            failure_free_decision(config, nm, CAP, memo=memo)
+        assert memoized.value.outputs == fresh.value.outputs
+        assert memoized.value.trace == fresh.value.trace
