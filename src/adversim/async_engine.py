@@ -6,12 +6,18 @@ state, and sends any number of messages.  At most one process may crash-stop,
 after which it takes no further steps.  Fair schedulers keep every live
 process stepping and deliver every message within a bounded window, which a
 finite-horizon fairness check can audit on any recorded run.
+
+Messages in flight wait in one queue per destination, in send order, so a
+step only ever looks at the stepping process's own queue.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+from itertools import chain, takewhile
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -21,6 +27,7 @@ from .core import (
     ExecutionTrace,
     FlpStep,
     LocalState,
+    Payload,
     Pid,
     read_step_script,
 )
@@ -34,15 +41,18 @@ class ScheduleError(AdversimError):
 class InFlight:
     sender: Pid
     dest: Pid
-    payload: bytes
+    payload: Payload
     index: int  # global send order; doubles as the message id in traces
     sent_at: int  # step count when sent, for fairness ageing
+
+
+_index = attrgetter("index")
 
 
 @dataclass(frozen=True)
 class AsyncSystemState:
     states: tuple[LocalState, ...]
-    in_flight: tuple[InFlight, ...]
+    queues: tuple[tuple[InFlight, ...], ...]  # per destination, in send order
     crashed: Optional[Pid]
     next_index: int
     step_count: int
@@ -51,11 +61,16 @@ class AsyncSystemState:
     def n(self) -> int:
         return len(self.states)
 
+    @property
+    def in_flight(self) -> tuple[InFlight, ...]:
+        """Every message in flight, in send order."""
+        return tuple(sorted(chain.from_iterable(self.queues), key=_index))
+
     def live(self) -> list[Pid]:
         return [q for q in range(self.n) if q != self.crashed]
 
-    def addressed_to(self, pid: Pid) -> list[InFlight]:
-        return [m for m in self.in_flight if m.dest == pid]
+    def addressed_to(self, pid: Pid) -> tuple[InFlight, ...]:
+        return self.queues[pid]
 
     def outputs(self) -> dict[Pid, int]:
         return {q: s.output for q, s in enumerate(self.states) if s.output is not None}
@@ -77,7 +92,7 @@ def initial_async_state(protocol: AsyncProtocol, inputs: Iterable[int]) -> Async
     if len(states) < 2:
         raise AdversimError("need at least 2 processes")
     return AsyncSystemState(
-        states=tuple(states), in_flight=(), crashed=None, next_index=0, step_count=0
+        states=tuple(states), queues=((),) * len(states), crashed=None, next_index=0, step_count=0
     )
 
 
@@ -86,80 +101,53 @@ def step_async(
 ) -> tuple[AsyncSystemState, tuple[tuple[Pid, int], ...]]:
     """Apply one scheduler event; returns the new state and the outputs
     written during the step."""
-    n = state.n
-    if not 0 <= event.pid < n:
-        raise ScheduleError(f"pid {event.pid} out of range")
+    n, pid, now = state.n, event.pid, state.step_count
+    if not 0 <= pid < n:
+        raise ScheduleError(f"pid {pid} out of range")
     if event.crash:
         if state.crashed is not None:
-            raise ScheduleError(f"second crash ({event.pid}); {state.crashed} already crashed")
+            raise ScheduleError(f"second crash ({pid}); {state.crashed} already crashed")
         if event.deliver is not None:
             raise ScheduleError("a crash event delivers nothing")
-        return (
-            replace(state, crashed=event.pid, step_count=state.step_count + 1),
-            (),
-        )
-    if event.pid == state.crashed:
-        raise ScheduleError(f"crashed process {event.pid} cannot step")
+        return replace(state, crashed=pid, step_count=now + 1), ()
+    if pid == state.crashed:
+        raise ScheduleError(f"crashed process {pid} cannot step")
 
     incoming = None
-    in_flight = state.in_flight
+    queues = list(state.queues)
     if event.deliver is not None:
-        msg = next((m for m in in_flight if m.index == event.deliver), None)
-        if msg is None:
-            raise ScheduleError(f"message {event.deliver} is not in flight")
-        if msg.dest != event.pid:
-            raise ScheduleError(
-                f"message {event.deliver} is addressed to {msg.dest}, not {event.pid}"
-            )
-        incoming = (msg.sender, msg.payload)
-        in_flight = tuple(m for m in in_flight if m.index != event.deliver)
+        queue = queues[pid]
+        at = bisect_left(queue, event.deliver, key=_index)
+        if at == len(queue) or queue[at].index != event.deliver:
+            msg = next((m for m in chain(*queues) if m.index == event.deliver), None)
+            if msg is None:
+                raise ScheduleError(f"message {event.deliver} is not in flight")
+            raise ScheduleError(f"message {event.deliver} is addressed to {msg.dest}, not {pid}")
+        incoming = (queue[at].sender, queue[at].payload)
+        queues[pid] = queue[:at] + queue[at + 1 :]
 
-    local = state.states[event.pid]
+    local = state.states[pid]
     try:
         internal, sends, out = protocol.step(local.internal, incoming)
     except Exception as exc:  # noqa: BLE001 - protocol bug surfaced as engine error
-        raise EngineError(f"step() failed: {exc}", round=state.step_count, pid=event.pid) from exc
+        raise EngineError(f"step() failed: {exc}", round=now, pid=pid) from exc
 
-    new_msgs = []
     next_index = state.next_index
     for dest, payload in sends:
-        dests = [q for q in range(n) if q != event.pid] if dest is None else [dest]
-        for d in dests:
-            if d == event.pid:
-                raise EngineError(
-                    "a process never sends to itself", round=state.step_count, pid=event.pid
-                )
+        for d in [q for q in range(n) if q != pid] if dest is None else [dest]:
+            if d == pid:
+                raise EngineError("a process never sends to itself", round=now, pid=pid)
             if not 0 <= d < n:
-                raise EngineError(
-                    f"send destination {d} out of range", round=state.step_count, pid=event.pid
-                )
-            new_msgs.append(
-                InFlight(
-                    sender=event.pid,
-                    dest=d,
-                    payload=payload,
-                    index=next_index,
-                    sent_at=state.step_count,
-                )
-            )
+                raise EngineError(f"send destination {d} out of range", round=now, pid=pid)
+            queues[d] += (InFlight(pid, d, payload, next_index, now),)
             next_index += 1
 
-    before = local.output
     new_local = LocalState(local.input, internal, local.output).write(out)
-    states = tuple(
-        new_local if q == event.pid else s for q, s in enumerate(state.states)
-    )
+    states = tuple(new_local if q == pid else s for q, s in enumerate(state.states))
     wrote = ()
-    if before is None and new_local.output is not None:
-        wrote = ((event.pid, new_local.output),)
-    new_state = AsyncSystemState(
-        states=states,
-        in_flight=in_flight + tuple(new_msgs),
-        crashed=state.crashed,
-        next_index=next_index,
-        step_count=state.step_count + 1,
-    )
-    return new_state, wrote
+    if local.output is None and new_local.output is not None:
+        wrote = ((pid, new_local.output),)
+    return AsyncSystemState(states, tuple(queues), state.crashed, next_index, now + 1), wrote
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +164,8 @@ class Scheduler:
 
 
 def _oldest_addressed(state: AsyncSystemState, pid: Pid) -> Optional[int]:
-    msgs = state.addressed_to(pid)
-    return min((m.index for m in msgs), default=None)
+    queue = state.queues[pid]
+    return queue[0].index if queue else None
 
 
 class RoundRobinScheduler(Scheduler):
@@ -258,16 +246,19 @@ def make_scheduler(
     raise AdversimError(f"unknown scheduler kind {kind!r}")
 
 
+def _event(step: FlpStep) -> AsyncEvent:
+    return AsyncEvent(pid=step.pid, deliver=step.deliver, crash=step.crash)
+
+
 def scheduler_events_from_trace(trace: ExecutionTrace) -> list[AsyncEvent]:
     if trace.model != "flp":
         raise AdversimError("only flp traces script a scheduler")
-    return [AsyncEvent(pid=s.pid, deliver=s.deliver, crash=s.crash) for s in trace.steps]
+    return [_event(s) for s in trace.steps]
 
 
 def scripted_scheduler_from_file(path) -> ScriptedScheduler:
     """Read a JSONL event script (same record schema as flp trace steps)."""
-    steps = read_step_script(path, "flp")
-    return ScriptedScheduler([AsyncEvent(pid=s.pid, deliver=s.deliver, crash=s.crash) for s in steps])
+    return ScriptedScheduler([_event(s) for s in read_step_script(path, "flp")])
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +277,6 @@ class AsyncRunResult:
     trace: ExecutionTrace
     final_state: AsyncSystemState
     fairness: Optional[FairnessReport] = None
-    states: Optional[tuple[AsyncSystemState, ...]] = None
 
 
 def run_async(
@@ -295,7 +285,6 @@ def run_async(
     scheduler: Scheduler,
     horizon: int,
     fairness_window: Optional[int] = None,
-    keep_states: bool = False,
 ) -> AsyncRunResult:
     """Drive ``horizon`` scheduler events and record the trace.
 
@@ -308,7 +297,6 @@ def run_async(
         raise AdversimError("horizon must be >= 0")
     state = initial_async_state(protocol, tuple(inputs))
     steps: list[FlpStep] = []
-    kept = [state] if keep_states else None
     violations: list[str] = []
     reported_msgs: set[int] = set()
     reported_pids: set[Pid] = set()
@@ -320,8 +308,6 @@ def run_async(
         steps.append(
             FlpStep(pid=event.pid, deliver=event.deliver, crash=event.crash, outputs=wrote)
         )
-        if kept is not None:
-            kept.append(state)
         if not event.crash:
             last_stepped[event.pid] = state.step_count
         if fairness_window is not None:
@@ -332,17 +318,21 @@ def run_async(
                         f"process {q} unstepped for more than {fairness_window} steps at step {now}"
                     )
                     reported_pids.add(q)
-            for m in state.in_flight:
-                if (
-                    m.dest != state.crashed
-                    and now - m.sent_at > fairness_window
-                    and m.index not in reported_msgs
-                ):
-                    violations.append(
-                        f"message {m.index} to process {m.dest} undelivered after "
-                        f"{fairness_window} steps"
-                    )
-                    reported_msgs.add(m.index)
+            # sent_at rises with the index, so the overdue messages of each
+            # queue form a prefix of it
+            cutoff = now - fairness_window
+            overdue = (
+                m
+                for q in state.live()
+                for m in takewhile(lambda m: m.sent_at < cutoff, state.queues[q])
+                if m.index not in reported_msgs
+            )
+            for m in sorted(overdue, key=_index):
+                violations.append(
+                    f"message {m.index} to process {m.dest} undelivered after "
+                    f"{fairness_window} steps"
+                )
+                reported_msgs.add(m.index)
 
     trace = ExecutionTrace(
         model="flp",
@@ -354,12 +344,7 @@ def run_async(
     fairness = None
     if fairness_window is not None:
         fairness = FairnessReport(ok=not violations, violations=violations)
-    return AsyncRunResult(
-        trace=trace,
-        final_state=state,
-        fairness=fairness,
-        states=tuple(kept) if kept else None,
-    )
+    return AsyncRunResult(trace=trace, final_state=state, fairness=fairness)
 
 
 def replay_flp_steps(trace: ExecutionTrace, protocol: AsyncProtocol):
@@ -367,8 +352,6 @@ def replay_flp_steps(trace: ExecutionTrace, protocol: AsyncProtocol):
     state = initial_async_state(protocol, trace.inputs)
     per_step = []
     for step in trace.steps:
-        state, wrote = step_async(
-            state, protocol, AsyncEvent(pid=step.pid, deliver=step.deliver, crash=step.crash)
-        )
+        state, wrote = step_async(state, protocol, _event(step))
         per_step.append(wrote)
     return per_step

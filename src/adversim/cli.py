@@ -6,7 +6,8 @@ non-deciding execution), ``check`` (exhaustive or fuzz property checking),
 (replay a trace file).
 
 Exit codes: 0 ok, 1 property violation, 2 oracle cap exceeded, 3 unknown
-protocol, 4 budget exceeded, 5 trace error (64 for usage errors).  Reports
+protocol, 4 budget exceeded, 5 trace error, 64 usage error, 70 internal error
+(a protocol or engine bug).  Reports
 are machine-readable JSON Lines; the human-readable summary goes to stderr.
 All randomness in a command flows from its single --seed through named
 derived streams, so identical invocations are byte-identical.
@@ -22,6 +23,8 @@ from typing import Optional
 
 from . import checking, nondecider
 from .async_engine import (
+    ScheduleError,
+    ScriptedScheduler,
     make_scheduler,
     run_async,
     scripted_scheduler_from_file,
@@ -63,6 +66,7 @@ EXIT_UNKNOWN_PROTOCOL = 3
 EXIT_BUDGET = 4
 EXIT_TRACE = 5
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 OUTDIR_ENV = "ADVERSIM_OUTDIR"
 
@@ -133,19 +137,33 @@ def _make_policy(spec: str, model: str, n: int, seed: Optional[int], restricted:
     raise UsageError(f"unknown adversary spec {spec!r}")
 
 
-def _parse_crash(spec: Optional[str]):
+def _parse_crash(spec: Optional[str], n: int):
     if not spec:
         return None
     try:
-        pid, step = spec.split(":")
-        return (int(pid), int(step))
+        pid, step = (int(x) for x in spec.split(":"))
     except ValueError:
         raise UsageError(f"bad --crash {spec!r}, expected PID:STEP") from None
+    if not 0 <= pid < n:
+        raise UsageError(f"--crash process {pid} out of range")
+    return (pid, step)
+
+
+def _run_async(args, protocol, inputs, **kwargs):
+    """Run the command's scheduler; an event a scheduler script cannot play
+    is an error in that script, not in the engine."""
+    scheduler = _scheduler_for(args, args.n)
+    try:
+        return run_async(inputs, protocol, scheduler, args.horizon, **kwargs)
+    except ScheduleError as exc:
+        if isinstance(scheduler, ScriptedScheduler):
+            raise TraceFormatError(f"{args.scheduler}: {exc}") from None
+        raise
 
 
 def _scheduler_for(args, n: int):
     spec = args.scheduler
-    crash = _parse_crash(args.crash)
+    crash = _parse_crash(args.crash, n)
     if spec == "round-robin":
         return make_scheduler("round-robin", n, crash=crash)
     if spec == "random":
@@ -162,7 +180,9 @@ def _scheduler_for(args, n: int):
 def _protocol(protocol_id: str, n: int, stack: Optional[str] = None):
     """Build the protocol a command names.  Constructors reject a size they
     do not support with ValueError, which on the command line is a usage
-    error."""
+    error, as is a size no protocol runs at."""
+    if n < 2:
+        raise UsageError(f"--n {n}: need at least 2 processes")
     try:
         if stack is None:
             return get_protocol(protocol_id, n)
@@ -184,10 +204,7 @@ def cmd_run(args) -> int:
                 f"{args.protocol!r} is round-based; run it under fts/ftr or via a stack id"
             )
         inputs = _parse_inputs(args, args.n)
-        scheduler = _scheduler_for(args, args.n)
-        result = run_async(
-            inputs, protocol, scheduler, args.horizon, fairness_window=args.fairness_window
-        )
+        result = _run_async(args, protocol, inputs, fairness_window=args.fairness_window)
         trace = result.trace
         outputs = result.final_state.outputs()
         fairness_note = ""
@@ -354,8 +371,7 @@ def cmd_simulate(args) -> int:
                 f"{len(undelivered)} not fully delivered"
             )
     else:
-        scheduler = _scheduler_for(args, args.n)
-        result = run_async(inputs, protocol, scheduler, args.horizon)
+        result = _run_async(args, protocol, inputs)
         result.trace.write(out)
         final = result.final_state
         proj = project_synchronized_run(
@@ -480,32 +496,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Exception -> (exit code, message prefix); the first matching row wins.
+# Reading a trace or script turns its OSError into TraceFormatError, so an
+# OSError that gets here comes from writing an artefact.
+EXIT_CODES = (
+    (UsageError, EXIT_USAGE, ""),
+    (OSError, EXIT_USAGE, "cannot write artefact: "),
+    (UnknownProtocolError, EXIT_UNKNOWN_PROTOCOL, ""),
+    (OracleCapExceeded, EXIT_ORACLE_CAP, ""),
+    (BudgetExceeded, EXIT_BUDGET, ""),
+    (TraceFormatError, EXIT_TRACE, ""),
+    ((AgreementViolation, EmulationLemmaViolation), EXIT_VIOLATION, ""),
+    (AdversimError, EXIT_INTERNAL, "internal error: "),
+)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        _say(f"adversim: {exc}")
-        return EXIT_USAGE
-    except UnknownProtocolError as exc:
-        _say(f"adversim: {exc}")
-        return EXIT_UNKNOWN_PROTOCOL
-    except OracleCapExceeded as exc:
-        _say(f"adversim: {exc}")
-        return EXIT_ORACLE_CAP
-    except BudgetExceeded as exc:
-        _say(f"adversim: {exc}")
-        return EXIT_BUDGET
-    except (TraceFormatError, FileNotFoundError) as exc:
-        _say(f"adversim: {exc}")
-        return EXIT_TRACE
-    except (AgreementViolation, EmulationLemmaViolation) as exc:
-        _say(f"adversim: {exc}")
-        return EXIT_VIOLATION
-    except AdversimError as exc:
-        _say(f"adversim: internal error: {exc}")
-        return 70
+    except (AdversimError, OSError) as exc:
+        code, prefix = next((c, p) for kind, c, p in EXIT_CODES if isinstance(exc, kind))
+        _say(f"adversim: {prefix}{exc}")
+        return code
 
 
 if __name__ == "__main__":

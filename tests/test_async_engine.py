@@ -1,6 +1,10 @@
 """Asynchronous engine: events, crashes, schedulers, fairness, replay."""
 
+from dataclasses import dataclass, replace
+from typing import Optional
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adversim.async_engine import (
     AsyncEvent,
@@ -13,7 +17,7 @@ from adversim.async_engine import (
     scheduler_events_from_trace,
     step_async,
 )
-from adversim.core import AdversimError
+from adversim.core import AdversimError, AsyncProtocol, LocalState
 from adversim.protocols import phase_king_lite
 from adversim.simulations import synchronizer_wrap
 
@@ -146,3 +150,168 @@ def test_crashed_trace_validates_and_single_crash_enforced():
 def test_bad_scheduler_kind():
     with pytest.raises(AdversimError):
         make_scheduler("zigzag", 3)
+
+
+# -- differential test against the flat-tuple delivery rules -------------------
+
+
+@dataclass(frozen=True)
+class FlatState:
+    """Every message in flight in one tuple of (index, sender, dest, payload,
+    sent_at), in send order: the engine's delivery rules before it kept one
+    queue per destination."""
+
+    states: tuple
+    in_flight: tuple
+    crashed: Optional[int]
+    next_index: int
+    step_count: int
+
+
+def flat_step(state, protocol, event):
+    n = len(state.states)
+    if not 0 <= event.pid < n:
+        raise ScheduleError(f"pid {event.pid} out of range")
+    if event.crash:
+        if state.crashed is not None:
+            raise ScheduleError(f"second crash ({event.pid}); {state.crashed} already crashed")
+        if event.deliver is not None:
+            raise ScheduleError("a crash event delivers nothing")
+        return replace(state, crashed=event.pid, step_count=state.step_count + 1), ()
+    if event.pid == state.crashed:
+        raise ScheduleError(f"crashed process {event.pid} cannot step")
+    in_flight, incoming = state.in_flight, None
+    if event.deliver is not None:
+        found = [m for m in in_flight if m[0] == event.deliver]
+        if not found:
+            raise ScheduleError(f"message {event.deliver} is not in flight")
+        _, sender, dest, payload, _ = found[0]
+        if dest != event.pid:
+            raise ScheduleError(f"message {event.deliver} is addressed to {dest}, not {event.pid}")
+        incoming = (sender, payload)
+        in_flight = tuple(m for m in in_flight if m[0] != event.deliver)
+    local = state.states[event.pid]
+    internal, sends, out = protocol.step(local.internal, incoming)
+    index = state.next_index
+    for dest, payload in sends:
+        for d in ([q for q in range(n) if q != event.pid] if dest is None else [dest]):
+            in_flight += ((index, event.pid, d, payload, state.step_count),)
+            index += 1
+    new_local = LocalState(local.input, internal, local.output).write(out)
+    wrote = ()
+    if local.output is None and new_local.output is not None:
+        wrote = ((event.pid, new_local.output),)
+    states = tuple(new_local if q == event.pid else s for q, s in enumerate(state.states))
+    return FlatState(states, in_flight, state.crashed, index, state.step_count + 1), wrote
+
+
+class Relay(AsyncProtocol):
+    """Sends two messages per step, to its predecessor and then to a rotating
+    addressee, so one step's sends are not always in ascending destination
+    order; writes the parity of its step count once it has heard four
+    messages."""
+
+    protocol_id = "relay"
+
+    def __init__(self, n):
+        self.n = n
+
+    def init(self, pid, input_bit):
+        return (pid, 0, 0)
+
+    def step(self, internal, incoming):
+        pid, steps, heard = internal
+        heard += incoming is not None
+        dests = ((pid - 1) % self.n, (pid + 1 + steps % (self.n - 1)) % self.n)
+        out = steps % 2 if heard >= 4 else None
+        return (pid, steps + 1, heard), [(d, (pid, steps)) for d in dests], out
+
+
+# Recorded from the engine that kept every message in one flat tuple.  The
+# messages come due to processes 0, 1 and 2 interleaved; under Relay one step
+# sends to process 1 and then to process 0.  Messages to the crashed process
+# stop counting once it crashes.
+CRASHED_RUN_VIOLATIONS = {
+    "synchronizer": [
+        "message 5 to process 2 undelivered after 5 steps",
+        "message 6 to process 0 undelivered after 5 steps",
+        "message 8 to process 0 undelivered after 5 steps",
+        "message 10 to process 1 undelivered after 5 steps",
+        "message 11 to process 2 undelivered after 5 steps",
+        "message 12 to process 1 undelivered after 5 steps",
+        "message 14 to process 0 undelivered after 5 steps",
+        "message 16 to process 0 undelivered after 5 steps",
+        "message 17 to process 1 undelivered after 5 steps",
+    ],
+    "relay": [
+        "message 9 to process 2 undelivered after 5 steps",
+        "message 10 to process 0 undelivered after 5 steps",
+        "message 13 to process 0 undelivered after 5 steps",
+        "message 16 to process 0 undelivered after 5 steps",
+        "message 17 to process 0 undelivered after 5 steps",
+        "message 21 to process 1 undelivered after 5 steps",
+        "message 22 to process 0 undelivered after 5 steps",
+        "message 24 to process 1 undelivered after 5 steps",
+        "message 28 to process 0 undelivered after 5 steps",
+        "message 30 to process 1 undelivered after 5 steps",
+        "message 31 to process 0 undelivered after 5 steps",
+        "message 34 to process 0 undelivered after 5 steps",
+        "message 35 to process 0 undelivered after 5 steps",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRASHED_RUN_VIOLATIONS))
+def test_crashed_run_fairness_violations_in_send_order(name):
+    if name == "synchronizer":
+        args = ((1, 0, 0), _sync(), make_scheduler("round-robin", 3, crash=(2, 9)), 80)
+    else:
+        args = ((1, 0, 0, 1), Relay(4), make_scheduler("round-robin", 4, crash=(3, 7)), 24)
+    result = run_async(*args, fairness_window=5)
+    assert result.fairness.violations == CRASHED_RUN_VIOLATIONS[name]
+
+
+def _view(state):
+    return [(m.index, m.sender, m.dest, m.payload, m.sent_at) for m in state.in_flight]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(3, 4),
+    relay=st.booleans(),
+    length=st.integers(1, 150),
+    data=st.data(),
+)
+def test_queue_engine_matches_flat_delivery_rules(n, relay, length, data):
+    proto = Relay(n) if relay else _sync(n)
+    inputs = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    state = initial_async_state(proto, inputs)
+    flat = FlatState(state.states, (), None, 0, 0)
+    kinds = ["oldest"] * 4 + ["any"] * 2 + ["none", "index", "crash"]
+    for _ in range(length):
+        kind = data.draw(st.sampled_from(kinds))
+        pid = data.draw(st.integers(-1, n) if kind == "index" else st.integers(0, n - 1))
+        mine = [m[0] for m in flat.in_flight if m[2] == pid]
+        deliver = None
+        if kind == "oldest" and mine:
+            deliver = mine[0]
+        elif kind == "any" and mine:
+            deliver = data.draw(st.sampled_from(mine))
+        elif kind in ("index", "crash"):
+            deliver = data.draw(st.none() | st.integers(-1, flat.next_index + 2))
+        event = AsyncEvent(pid=pid, deliver=deliver, crash=kind == "crash")
+        try:
+            flat, flat_wrote = flat_step(flat, proto, event)
+        except ScheduleError as exc:
+            with pytest.raises(ScheduleError) as raised:
+                step_async(state, proto, event)
+            assert str(raised.value) == str(exc)
+            continue
+        state, wrote = step_async(state, proto, event)
+        assert wrote == flat_wrote
+        assert _view(state) == list(flat.in_flight)
+        assert state.states == flat.states and state.crashed == flat.crashed
+        for q in range(n):
+            assert [m.index for m in state.addressed_to(q)] == [
+                m[0] for m in flat.in_flight if m[2] == q
+            ]

@@ -459,3 +459,66 @@ def test_validate_trace_at_unsupported_size_exit_five(tmp_path):
 )
 def test_protocol_size_error_is_usage_error(tmp_path, args):
     _assert_fails_closed(args, tmp_path, 64)
+
+
+def _flp_step(pid, deliver=None, crash=False):
+    return json.dumps({"event": "step", "pid": pid, "deliver": deliver, "crash": crash})
+
+
+@pytest.mark.parametrize(
+    "command, script",
+    [
+        ("run", [_flp_step(0, deliver=7)]),
+        ("run", [_flp_step(0), _flp_step(2, deliver=0)]),
+        ("run", [_flp_step(1, crash=True), _flp_step(1)]),
+        ("run", [_flp_step(1, crash=True), _flp_step(2, crash=True)]),
+        ("run", [_flp_step(0)]),
+        ("simulate", [_flp_step(0, deliver=7)]),
+    ],
+    ids=["not-in-flight", "wrong-addressee", "crashed-steps", "second-crash", "exhausted",
+         "simulate"],
+)
+def test_scheduler_script_error_exit_five(tmp_path, command, script):
+    path = tmp_path / "sched.jsonl"
+    path.write_text("\n".join(script) + "\n")
+    if command == "run":
+        args = ["run", "--model", "flp", "--protocol", "ftr-over-flp:phase-king-lite"]
+    else:
+        args = ["simulate", "--stack", "ftr-over-flp", "--protocol", "phase-king-lite"]
+    args += ["--n", "4", "--inputs", "1,0,1,0", "--horizon", "5",
+             "--scheduler", f"script:{path}", "--out", str(tmp_path / "t.jsonl")]
+    _assert_fails_closed(args, tmp_path, 5)
+
+
+@pytest.mark.parametrize("flag", ["--out", "--report"])
+@pytest.mark.parametrize("kind", ["directory", "missing-directory"])
+def test_unwritable_artefact_path_is_usage_error(tmp_path, flag, kind):
+    target = "." if kind == "directory" else os.path.join("nodir", "x.jsonl")
+    args = ["attack", "--protocol", "phase-king-lite", "--n", "3", "--rounds", "2",
+            "--out", "t.jsonl", "--report", "r.jsonl"]
+    args[args.index(flag) + 1] = target
+    proc = run_adversim(args, tmp_path)
+    assert proc.returncode == 64, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert repr(target) in proc.stderr or target in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--model", "fts", "--protocol", "constant-0", "--n", "1", "--inputs", "1"],
+        ["run", "--model", "ftr", "--protocol", "constant-1", "--n", "0", "--seed", "1"],
+        ["attack", "--protocol", "constant-0", "--n", "1"],
+        ["check", "--protocol", "constant-0", "--n", "1"],
+    ],
+    ids=["run-fts", "run-ftr", "attack", "check"],
+)
+def test_too_few_processes_is_usage_error(tmp_path, args):
+    _assert_fails_closed(args, tmp_path, 64)
+
+
+def test_crash_directive_out_of_range_is_usage_error(tmp_path):
+    args = ["run", "--model", "flp", "--protocol", "ftr-over-flp:phase-king-lite", "--n", "3",
+            "--inputs", "1,0,1", "--crash", "7:3", "--out", str(tmp_path / "t.jsonl")]
+    _assert_fails_closed(args, tmp_path, 64)

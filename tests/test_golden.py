@@ -2,12 +2,14 @@
 
 Each command below is copied from the README, or is the README's attack at
 n = 8 and n = 16 over 40 rounds, where decision-oracle probes revisit many
-configurations.  Each runs in-process with ``$ADVERSIM_OUTDIR`` pointing at a
+configurations.  The README's flp ``run`` also pins its stderr summary, which
+carries the fairness audit's findings.  Each runs in-process with ``$ADVERSIM_OUTDIR`` pointing at a
 fresh directory, so commands that name no output path write to their
 documented defaults there.  The sha256 of every trace and report is compared
 with a constant recorded from the code before the simulation wrappers stopped
 encoding their payloads (the two larger attacks: before oracle probes were
-memoized); a change to any of these digests is a change to the emitted
+memoized; the flp run: before the asynchronous engine kept one queue per
+destination); a change to any of these digests is a change to the emitted
 artefacts and has to be justified.
 """
 
@@ -37,6 +39,12 @@ README_COMMANDS = {
         1,
         ["check", "--protocol", "naive-majority", "--n", "3", "--mode", "exhaustive",
          "--depth", "2"],
+    ),
+    "run-flp": (
+        0,
+        ["run", "--model", "flp", "--protocol", "ftr-over-flp:phase-king-lite", "--n", "3",
+         "--inputs", "1,0,1", "--scheduler", "random", "--seed", "4", "--horizon", "200",
+         "--fairness-window", "12"],
     ),
     "simulate-fts-over-ftr": (
         0,
@@ -73,6 +81,9 @@ GOLDEN_SHA256 = {
         "violation.trace.jsonl": "06bcbeb5d60d0b2a0da0532169d6f658228fc22233b9a9d3f51788ce135ed291",
         "violation.report.jsonl": "65728e46fc5bd26fadeea77b73f7719ed648d1e93d0400d6d5cf613483e612cb",
     },
+    "run-flp": {
+        "run.trace.jsonl": "d46657ff5908d471cfef7d04aed3c794faa6b8b0d2df9e82b503bb18dcdb118d",
+    },
     "simulate-fts-over-ftr": {
         "simulate.trace.jsonl": "ce1eef3d028496f88d10f664400ce89b16941f74682bc74c1cf05959791ffde1",
         "simulate.report.jsonl": "17de4f8a61fc4355b8c718b8d48be9ab555f58b39311353bc0c9930c9f212a4d",
@@ -88,12 +99,28 @@ GOLDEN_SHA256 = {
 }
 
 
+# stderr lines other than the one naming the output path
+GOLDEN_STDERR = {
+    "run-flp": [
+        "fairness: message 20 to process 1 undelivered after 12 steps",
+        "fairness: message 92 to process 1 undelivered after 12 steps",
+        "fairness: message 104 to process 1 undelivered after 12 steps",
+        "fairness: message 170 to process 1 undelivered after 12 steps",
+        "run: model=flp protocol=ftr-over-flp:phase-king-lite n=3 horizon=200 "
+        "outputs={0: 0, 1: 0, 2: 0} fairness=VIOLATED",
+    ],
+}
+
+
 @pytest.mark.parametrize("name", sorted(README_COMMANDS))
-def test_readme_artefacts_match_golden_digests(name, tmp_path, monkeypatch):
+def test_readme_artefacts_match_golden_digests(name, tmp_path, monkeypatch, capsys):
     expected_code, argv = README_COMMANDS[name]
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("ADVERSIM_OUTDIR", str(tmp_path))
     assert main(argv) == expected_code
+    if name in GOLDEN_STDERR:
+        lines = capsys.readouterr().err.splitlines()
+        assert [ln for ln in lines if not ln.startswith("trace written")] == GOLDEN_STDERR[name]
     digests = {
         fname: hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
         for fname in GOLDEN_SHA256[name]
