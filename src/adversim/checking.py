@@ -20,16 +20,17 @@ from .core import (
     AdversimError,
     Configuration,
     ExecutionTrace,
-    FtrStep,
-    FtsStep,
     RoundProtocol,
+    check_colorless_outcome,
     initial_configuration,
 )
 from .sync_engine import (
     NoFaultPolicy,
     RandomFaultPolicy,
+    ScriptedPolicy,
     SilentPolicy,
     enumerate_faults,
+    run,
     step_fts,
     step_ftr,
 )
@@ -69,24 +70,23 @@ class CheckResult:
 
 
 def _violation_kind(inputs, before: dict, after: dict) -> Optional[str]:
-    for q, v in before.items():
-        if after.get(q) != v:
-            return "write-once"
-    values = set(after.values())
-    if {0, 1} <= values:
-        return "agreement"
-    if len(set(inputs)) == 1 and (1 - inputs[0]) in values:
-        return "validity"
-    return None
+    if any(after.get(q) != v for q, v in before.items()):
+        return "write-once"
+    return check_colorless_outcome(inputs, after.values()).violation
 
 
-def _trace_from_path(model, protocol, inputs, path) -> ExecutionTrace:
-    step_cls = FtsStep if model == "fts" else FtrStep
-    steps = tuple(
-        step_cls(round=i + 1, fault=fault, outputs=outs) for i, (fault, outs) in enumerate(path)
-    )
-    return ExecutionTrace(
-        model=model, n=len(inputs), protocol=protocol.protocol_id, inputs=tuple(inputs), steps=steps
+def _violation(kind, protocol, model, inputs, faults, run_index=None) -> CheckViolation:
+    """Report a violation reached by ``faults``, re-running them to record
+    the replayable trace."""
+    policy = ScriptedPolicy(faults, model)
+    result = run(initial_configuration(protocol, inputs), protocol, policy, len(faults))
+    return CheckViolation(
+        kind=kind,
+        inputs=inputs,
+        round=result.final_config.round - 1,
+        outputs=result.final_config.outputs(),
+        trace=result.trace,
+        run_index=run_index,
     )
 
 
@@ -120,18 +120,10 @@ def check_exhaustive(
         for fault in faults:
             child = step(config, protocol, fault)
             explored += 1
-            after = child.outputs()
-            wrote = tuple(sorted((q, v) for q, v in after.items() if q not in before))
-            path.append((fault, wrote))
-            kind = _violation_kind(config.inputs(), before, after)
+            path.append(fault)
+            kind = _violation_kind(config.inputs(), before, child.outputs())
             if kind is not None:
-                return CheckViolation(
-                    kind=kind,
-                    inputs=config.inputs(),
-                    round=child.round - 1,
-                    outputs=after,
-                    trace=_trace_from_path(model, protocol, config.inputs(), path),
-                )
+                return _violation(kind, protocol, model, config.inputs(), path)
             found = dfs(child, path)
             if found is not None:
                 return found
@@ -167,6 +159,10 @@ def check_fuzz(
 ) -> CheckResult:
     """Seeded random input vectors and fault schedules.  Runs stop early once
     every process has decided (registers are frozen after that)."""
+    if runs < 1:
+        raise AdversimError("runs must be >= 1")
+    if depth < 1:
+        raise AdversimError("depth must be >= 1")
     step = step_fts if model == "fts" else step_ftr
     explored = 0
     for run_index in range(runs):
@@ -183,22 +179,11 @@ def check_fuzz(
             before = config.outputs()
             config = step(config, protocol, fault)
             explored += 1
-            after = config.outputs()
-            wrote = tuple(sorted((q, v) for q, v in after.items() if q not in before))
-            path.append((fault, wrote))
-            kind = _violation_kind(inputs, before, after)
+            path.append(fault)
+            kind = _violation_kind(inputs, before, config.outputs())
             if kind is not None:
-                return CheckResult(
-                    violation=CheckViolation(
-                        kind=kind,
-                        inputs=inputs,
-                        round=config.round - 1,
-                        outputs=after,
-                        trace=_trace_from_path(model, protocol, inputs, path),
-                        run_index=run_index,
-                    ),
-                    explored=explored,
-                )
+                violation = _violation(kind, protocol, model, inputs, path, run_index)
+                return CheckResult(violation=violation, explored=explored)
     return CheckResult(violation=None, explored=explored)
 
 

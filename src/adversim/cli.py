@@ -81,6 +81,20 @@ class UsageError(AdversimError):
     pass
 
 
+def _at_least(minimum: int):
+    """Argparse type for an integer flag with a lower bound, so a bad count
+    is a usage error naming the flag."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -439,7 +453,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--inputs", help="comma-separated bits, one per process")
         p.add_argument("--seed", type=int, help="single seed for all randomized choices")
-        p.add_argument("--horizon", type=int, default=horizon_default)
+        p.add_argument("--horizon", type=_at_least(0), default=horizon_default)
         p.add_argument("--out", help="trace output path (default under $ADVERSIM_OUTDIR)")
 
     p = sub.add_parser("run", help="execute one model directly")
@@ -449,14 +463,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--restricted", action="store_true", help="forbid full-silence faults")
     p.add_argument("--scheduler", default="round-robin", help="round-robin | random | script:PATH")
     p.add_argument("--crash", help="PID:STEP crash directive (flp)")
-    p.add_argument("--fairness-window", type=int, help="audit fairness with this window (flp)")
+    p.add_argument(
+        "--fairness-window", type=_at_least(1), help="audit fairness with this window (flp)"
+    )
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("attack", help="synthesize a non-deciding execution")
     p.add_argument("--protocol", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rounds", type=int, default=30)
-    p.add_argument("--cap", type=int, help="oracle round cap (default 10n)")
+    p.add_argument("--rounds", type=_at_least(1), default=30)
+    p.add_argument("--cap", type=_at_least(1), help="oracle round cap (default 10n)")
     p.add_argument("--restricted", action="store_true", help="forbid full-silence faults")
     p.add_argument("--out", help="trace output path")
     p.add_argument("--report", help="witness report path")
@@ -467,8 +483,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "fuzz"), default="exhaustive")
     p.add_argument("--model", choices=("fts", "ftr"), default="fts")
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--runs", type=int, default=1000, help="fuzz run count")
+    p.add_argument("--depth", type=_at_least(1), default=4)
+    p.add_argument("--runs", type=_at_least(1), default=1000, help="fuzz run count")
     p.add_argument("--seed", type=int)
     p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("--restricted", action="store_true")

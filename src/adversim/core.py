@@ -605,19 +605,12 @@ def _replay_outputs(trace: ExecutionTrace, protocol) -> list[tuple[tuple[Pid, in
 
         return replay_flp_steps(trace, protocol)
 
-    from .sync_engine import step_fts, step_ftr
+    from .sync_engine import ScriptedPolicy, run
 
-    config = initial_configuration(protocol, trace.inputs)
-    per_step: list[tuple[tuple[Pid, int], ...]] = []
-    for step in trace.steps:
-        before = config.outputs()
-        if trace.model == "fts":
-            config = step_fts(config, protocol, step.fault)
-        else:
-            config = step_ftr(config, protocol, step.fault)
-        after = config.outputs()
-        per_step.append(tuple(sorted((q, v) for q, v in after.items() if q not in before)))
-    return per_step
+    faults = [step.fault for step in trace.steps]
+    policy = ScriptedPolicy(faults, trace.model)
+    result = run(initial_configuration(protocol, trace.inputs), protocol, policy, len(faults))
+    return [step.outputs for step in result.trace.steps]
 
 
 def _compare_outputs(

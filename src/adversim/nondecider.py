@@ -28,7 +28,7 @@ from .core import (
     RoundProtocol,
     initial_configuration,
 )
-from .sync_engine import NO_FAULT, step_fts
+from .sync_engine import NO_FAULT, ScriptedPolicy, run, step_fts
 
 
 class OracleCapExceeded(AdversimError):
@@ -162,30 +162,13 @@ def _probe(
         outputs = current.outputs()
         values = set(outputs.values())
         if len(values) != 1:
-            raise AgreementViolation(outputs, _probe_trace(protocol, fault, [*path, current]))
+            probe = run(config, protocol, ScriptedPolicy([fault] * len(path)), len(path))
+            raise AgreementViolation(outputs, probe.trace)
         decision, rounds = values.pop(), len(path)
     if table is not None:
         for i, c in enumerate(path):
             table[c] = (decision, rounds - i)
     return DecisionOracleResult(decision=decision, rounds_used=rounds)
-
-
-def _probe_trace(
-    protocol: RoundProtocol, fault: RoundFault, configs: list[Configuration]
-) -> ExecutionTrace:
-    """The trace of a probe that stepped through ``configs``."""
-    steps = []
-    for before, after in zip(configs, configs[1:]):
-        old = before.outputs()
-        wrote = tuple(sorted((q, v) for q, v in after.outputs().items() if q not in old))
-        steps.append(FtsStep(round=before.round, fault=fault, outputs=wrote))
-    return ExecutionTrace(
-        model="fts",
-        n=configs[0].n,
-        protocol=protocol.protocol_id,
-        inputs=configs[0].inputs(),
-        steps=tuple(steps),
-    )
 
 
 def failure_free_decision(

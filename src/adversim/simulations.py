@@ -10,17 +10,18 @@ Three directions, each usable on its host engine and composable:
 * ``ftr-over-flp`` - a synchronizer: broadcast your round-r message on
   entering round r, buffer messages from the future, discard stale ones, and
   advance once n-2 current-round messages are buffered.
-* ``flp-over-ftr`` - piggybacked delivery: every real message carries the
-  set of all simulated messages its sender has ever seen; a process delivers
-  any simulated message addressed to itself the moment it first sees it.
+* ``flp-over-ftr`` - piggybacked delivery: every real message carries, for
+  each process, the longest prefix of that process's send log its sender has
+  seen; a process delivers any simulated message addressed to itself the
+  moment it first sees it.
 
 The trivial fourth direction (a fail-to-send fault as a fail-to-receive
 fault) is the one-line translator ``sync_engine.receive_fault_for``.
 
 Wrapper messages are plain payload values (see ``core.Payload``): tuples of
-(sender, payload) pairs, (round, payload) pairs and (sends, others) pairs
-that nest the inner protocol's payloads unchanged.  They never leave the
-process and never appear in a trace, so nothing serializes them.
+(sender, payload) pairs, (round, payload) pairs and per-sender send-log
+prefixes that nest the inner protocol's payloads unchanged.  They never
+leave the process and never appear in a trace, so nothing serializes them.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class EmulationLemmaViolation(AdversimError):
 
 
 class ResourceLimitError(AdversimError):
-    """A wrapper's accumulated message set outgrew its configured cap."""
+    """A wrapper came to know more simulated messages than it allows."""
 
 
 # ---------------------------------------------------------------------------
@@ -377,61 +378,67 @@ def project_synchronized_run(final_states, crashed: Optional[Pid], base: RoundPr
 # ---------------------------------------------------------------------------
 
 
+# Guard against protocols whose traffic grows without bound: the wrapper takes
+# one inner step per delivered message, so a protocol that sends two messages
+# per step doubles its traffic every round.
+MAX_SIMULATED_MESSAGES = 100_000
+
+
 @dataclass(frozen=True)
 class PiggybackState:
     pid: Pid
     inner: Any
     started: bool
-    next_seq: int
-    # Own simulated sends: (seq, dest or None for broadcast, payload, round sent).
-    my_sends: tuple = ()
-    # Simulated messages learned from others: (sender, seq, dest, payload).
-    others: frozenset = frozenset()
+    # Per process, the longest prefix of its send log seen so far, as
+    # (seq, dest or None for broadcast, payload) entries; a process's own
+    # entry is its whole log.
+    logs: tuple
+    # Round of each own send, by seq.
+    sent_rounds: tuple = ()
     # Deliveries consumed by this process: ((sender, seq), round delivered).
     delivered: tuple = ()
 
 
 class PiggybackWrapper(RoundProtocol):
     """Runs an asynchronous protocol on the fail-to-receive engine.  Every
-    real broadcast carries all simulated messages the sender has ever seen;
-    a process delivers a simulated message addressed to itself the first
-    time it sees one, in ascending (sender, sequence) order.  Each round a
-    process delivers everything newly addressed to it, or takes one
-    spontaneous step if nothing arrived, so the simulated processes keep
-    taking steps forever."""
+    real broadcast carries, for each sender, the longest prefix of its
+    append-only send log the broadcaster has seen (a vector clock whose
+    entries carry the messages themselves).  A process delivers a simulated
+    message addressed to itself the first time it sees one, in ascending
+    (sender, sequence) order.  Each round a process delivers everything newly
+    addressed to it, or takes one spontaneous step if nothing arrived, so the
+    simulated processes keep taking steps forever."""
 
-    def __init__(self, inner: AsyncProtocol, n: int, seen_cap: int = 100_000):
+    def __init__(self, inner: AsyncProtocol, n: int):
         if n < 3:
             raise ValueError("piggybacked delivery needs n >= 3")
         self.inner = inner
         self.n = n
-        self.seen_cap = seen_cap
         self.protocol_id = f"flp-over-ftr:{inner.protocol_id}"
 
     def init(self, pid: Pid, input: int) -> PiggybackState:
         return PiggybackState(
-            pid=pid, inner=self.inner.init(pid, input), started=False, next_seq=0
+            pid=pid, inner=self.inner.init(pid, input), started=False, logs=((),) * self.n
         )
 
     def message(self, internal: PiggybackState, round: int) -> Payload:
-        sends = tuple((seq, dest, payload) for seq, dest, payload, _ in internal.my_sends)
-        return (sends, tuple(sorted(internal.others, key=_entry_key)))
+        return internal.logs
 
     def transition(
         self, internal: PiggybackState, round: int, received: Mapping[Pid, Payload]
     ) -> tuple[PiggybackState, Optional[int]]:
-        others = set(internal.others)
-        for sender, (their_sends, their_others) in received.items():
-            if sender != internal.pid:
-                others.update((sender, seq, dest, payload) for seq, dest, payload in their_sends)
-            others.update(entry for entry in their_others if entry[0] != internal.pid)
-        if len(others) + len(internal.my_sends) > self.seen_cap:
+        pid = internal.pid
+        logs = list(internal.logs)
+        for their_logs in received.values():
+            for s, log in enumerate(their_logs):
+                if len(log) > len(logs[s]):
+                    logs[s] = log
+        if sum(map(len, logs)) > MAX_SIMULATED_MESSAGES:
             raise ResourceLimitError(
-                f"seen set exceeded cap of {self.seen_cap} simulated messages"
+                f"more than {MAX_SIMULATED_MESSAGES} simulated messages known"
             )
 
         inner = internal.inner
-        delivered_ids = {mid for mid, _ in internal.delivered}
         delivered = list(internal.delivered)
         outbox = []
         output = None
@@ -439,8 +446,7 @@ class PiggybackWrapper(RoundProtocol):
 
         def take(step_incoming):
             nonlocal inner, output, stepped
-            new_inner, sends, out = self.inner.step(inner, step_incoming)
-            inner = new_inner
+            inner, sends, out = self.inner.step(inner, step_incoming)
             outbox.extend(sends)
             stepped = True
             if output is None and out is not None:
@@ -449,51 +455,36 @@ class PiggybackWrapper(RoundProtocol):
         if not internal.started:
             take(None)  # bootstrap step: first sends happen here
 
-        pending = sorted(
-            (
-                entry
-                for entry in others
-                if (entry[0], entry[1]) not in delivered_ids
-                and (entry[2] == internal.pid or entry[2] is None)
-            ),
-            key=_entry_key,
-        )
-        for sender, seq, dest, payload in pending:
-            take((sender, payload))
-            delivered.append(((sender, seq), round))
-            delivered_ids.add((sender, seq))
+        for sender, (old, log) in enumerate(zip(internal.logs, logs)):
+            for seq, dest, payload in log[len(old) :]:
+                if dest == pid or dest is None:
+                    take((sender, payload))
+                    delivered.append(((sender, seq), round))
         if not stepped:
             take(None)  # idle round: the simulated process still steps
 
-        my_sends = list(internal.my_sends)
-        next_seq = internal.next_seq
-        for dest, payload in outbox:
-            if dest == internal.pid:
-                raise AdversimError("a process never sends to itself")
-            my_sends.append((next_seq, dest, payload, round))
-            next_seq += 1
+        if any(dest == pid for dest, _ in outbox):
+            raise AdversimError("a process never sends to itself")
+        own = logs[pid]
+        logs[pid] = own + tuple(
+            (seq, dest, payload) for seq, (dest, payload) in enumerate(outbox, len(own))
+        )
 
         return (
             PiggybackState(
-                pid=internal.pid,
+                pid=pid,
                 inner=inner,
                 started=True,
-                next_seq=next_seq,
-                my_sends=tuple(my_sends),
-                others=frozenset(others),
+                logs=tuple(logs),
+                sent_rounds=internal.sent_rounds + (round,) * len(outbox),
                 delivered=tuple(delivered),
             ),
             output,
         )
 
 
-def _entry_key(entry):
-    sender, seq, dest, payload = entry
-    return (sender, seq, -1 if dest is None else dest, payload)
-
-
-def piggyback_wrap(inner: AsyncProtocol, n: int, seen_cap: int = 100_000) -> RoundProtocol:
-    return PiggybackWrapper(inner, n, seen_cap)
+def piggyback_wrap(inner: AsyncProtocol, n: int) -> RoundProtocol:
+    return PiggybackWrapper(inner, n)
 
 
 @dataclass(frozen=True)
@@ -530,7 +521,7 @@ def piggyback_ledger(config: Configuration) -> list[LedgerEntry]:
             deliveries.setdefault(tuple(mid), []).append((q, round))
     entries = []
     for p in range(n):
-        for seq, dest, _payload, sent_round in states[p].my_sends:
+        for (seq, dest, _payload), sent_round in zip(states[p].logs[p], states[p].sent_rounds):
             entries.append(
                 LedgerEntry(
                     sender=p,

@@ -522,3 +522,43 @@ def test_crash_directive_out_of_range_is_usage_error(tmp_path):
     args = ["run", "--model", "flp", "--protocol", "ftr-over-flp:phase-king-lite", "--n", "3",
             "--inputs", "1,0,1", "--crash", "7:3", "--out", str(tmp_path / "t.jsonl")]
     _assert_fails_closed(args, tmp_path, 64)
+
+
+_PK3 = ["--protocol", "phase-king-lite", "--n", "3"]
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["check", "--mode", "fuzz", "--seed", "1", *_PK3, "--runs", "-5"], "--runs"),
+        (["check", "--mode", "fuzz", "--seed", "1", *_PK3, "--runs", "0"], "--runs"),
+        (["check", "--mode", "fuzz", "--seed", "1", *_PK3, "--depth", "-3"], "--depth"),
+        (["check", *_PK3, "--depth", "-1"], "--depth"),
+        (["run", "--model", "fts", *_PK3, "--inputs", "1,0,0", "--horizon", "-1"], "--horizon"),
+        (["simulate", "--stack", "fts-over-ftr", *_PK3, "--inputs", "1,0,0", "--horizon", "-1"],
+         "--horizon"),
+        (["attack", *_PK3, "--rounds", "0"], "--rounds"),
+        (["attack", *_PK3, "--cap", "0"], "--cap"),
+        (["run", "--model", "flp", "--protocol", "ftr-over-flp:phase-king-lite", "--n", "3",
+          "--inputs", "1,0,1", "--horizon", "10", "--fairness-window", "-1"],
+         "--fairness-window"),
+    ],
+    ids=["fuzz-runs-negative", "fuzz-runs-zero", "fuzz-depth", "exhaustive-depth",
+         "run-horizon", "simulate-horizon", "attack-rounds", "attack-cap", "fairness-window"],
+)
+def test_count_below_minimum_is_usage_error(tmp_path, args, flag):
+    proc = run_adversim([*args, "--out", "t.jsonl"], tmp_path)
+    assert proc.returncode == 64, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert flag in proc.stderr.strip().splitlines()[-1], proc.stderr
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+@pytest.mark.parametrize("runs, depth", [(0, 4), (-5, 4), (10, 0)])
+def test_check_fuzz_rejects_bad_counts(runs, depth):
+    from adversim.checking import check_fuzz
+    from adversim.core import AdversimError
+    from adversim.protocols import phase_king_lite
+
+    with pytest.raises(AdversimError, match="must be >= 1"):
+        check_fuzz(phase_king_lite(3), 3, runs=runs, depth=depth, seed=1)

@@ -2,14 +2,16 @@
 
 Each command below is copied from the README, or is the README's attack at
 n = 8 and n = 16 over 40 rounds, where decision-oracle probes revisit many
-configurations.  The README's flp ``run`` also pins its stderr summary, which
+configurations, or is one of two negative controls whose violation traces the
+checker records: a fuzz run and the exhaustive fail-to-receive check.  The README's flp ``run`` also pins its stderr summary, which
 carries the fairness audit's findings.  Each runs in-process with ``$ADVERSIM_OUTDIR`` pointing at a
 fresh directory, so commands that name no output path write to their
 documented defaults there.  The sha256 of every trace and report is compared
 with a constant recorded from the code before the simulation wrappers stopped
 encoding their payloads (the two larger attacks: before oracle probes were
 memoized; the flp run: before the asynchronous engine kept one queue per
-destination); a change to any of these digests is a change to the emitted
+destination; the two negative controls: before the checker re-ran a
+violation's faults to record its trace); a change to any of these digests is a change to the emitted
 artefacts and has to be justified.
 """
 
@@ -39,6 +41,15 @@ README_COMMANDS = {
         1,
         ["check", "--protocol", "naive-majority", "--n", "3", "--mode", "exhaustive",
          "--depth", "2"],
+    ),
+    "check-fuzz-naive-majority": (
+        1,
+        ["check", "--mode", "fuzz", "--protocol", "naive-majority", "--n", "4", "--runs", "50",
+         "--seed", "3"],
+    ),
+    "check-ftr-phase-king-lite": (
+        1,
+        ["check", "--protocol", "phase-king-lite", "--n", "3", "--model", "ftr", "--depth", "3"],
     ),
     "run-flp": (
         0,
@@ -80,6 +91,14 @@ GOLDEN_SHA256 = {
     "check-naive-majority": {
         "violation.trace.jsonl": "06bcbeb5d60d0b2a0da0532169d6f658228fc22233b9a9d3f51788ce135ed291",
         "violation.report.jsonl": "65728e46fc5bd26fadeea77b73f7719ed648d1e93d0400d6d5cf613483e612cb",
+    },
+    "check-fuzz-naive-majority": {
+        "violation.trace.jsonl": "2908ea80e10bf844de648ccf074ef4334aa41ada51dbd5ce4eb0065e58c89877",
+        "violation.report.jsonl": "008857cc3f2113dadd664b5741c73c34eeca8ab545f751ffaaed0c713cd75f9b",
+    },
+    "check-ftr-phase-king-lite": {
+        "violation.trace.jsonl": "15c3212d0e4684550f0adc070c037e158e2d31277fb9d5ed50a1f266832048d2",
+        "violation.report.jsonl": "401d919fd6f9235f80322314c9c12c2c7b8b7149a53e318a0fced26df2f80920",
     },
     "run-flp": {
         "run.trace.jsonl": "d46657ff5908d471cfef7d04aed3c794faa6b8b0d2df9e82b503bb18dcdb118d",

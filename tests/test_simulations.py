@@ -1,15 +1,25 @@
 """Model reductions: gather core, synchronizer projection, piggyback ledger."""
 
 import random
+from dataclasses import dataclass
+from typing import Any
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from adversim import protocols
-from adversim.core import ReceiveFault, RoundProtocol, initial_configuration, validate_trace
+from adversim import protocols, simulations
+from adversim.core import (
+    AdversimError,
+    ReceiveFault,
+    RoundProtocol,
+    initial_configuration,
+    validate_trace,
+)
 from adversim.async_engine import make_scheduler, run_async
 from adversim.protocols import phase_king_lite
 from adversim.simulations import (
     EmulationLemmaViolation,
+    LedgerEntry,
     ResourceLimitError,
     build_stack,
     classify_delivery,
@@ -32,7 +42,9 @@ from adversim.sync_engine import (
     enumerate_faults,
     run,
     step_fts,
+    step_ftr,
 )
+from test_async_engine import Relay
 
 
 class FloatMean(RoundProtocol):
@@ -287,9 +299,9 @@ def test_projection_trace_is_plain_ftr():
 # -- piggyback --------------------------------------------------------------------
 
 
-def _piggy(n=3, seen_cap=100_000):
+def _piggy(n=3):
     inner = synchronizer_wrap(phase_king_lite(n), n)
-    return piggyback_wrap(inner, n, seen_cap=seen_cap)
+    return piggyback_wrap(inner, n)
 
 
 def test_no_drops_delivers_within_one_round():
@@ -339,14 +351,160 @@ def test_drop_then_relent_delivers_via_piggyback():
     assert lagged, "dropped copy must arrive one round later via another carrier"
 
 
-def test_seen_cap_enforced():
-    proto = _piggy(3, seen_cap=5)
+def test_seen_cap_enforced(monkeypatch):
+    monkeypatch.setattr(simulations, "MAX_SIMULATED_MESSAGES", 5)
+    proto = _piggy(3)
     config = initial_configuration(proto, (1, 0, 0))
     with pytest.raises(Exception) as info:
         run(config, proto, NoFaultPolicy("ftr"), horizon=20)
     assert isinstance(info.value.__cause__, ResourceLimitError) or isinstance(
         info.value, ResourceLimitError
     )
+
+
+# The piggyback as first written: every process keeps the set of every
+# simulated message it has seen and broadcasts all of it, sorted, each round.
+# The wrapper under test must deliver exactly what this one delivers.
+
+
+@dataclass(frozen=True)
+class SeenSetState:
+    pid: int
+    inner: Any
+    started: bool
+    next_seq: int
+    my_sends: tuple = ()  # (seq, dest, payload, round sent)
+    others: frozenset = frozenset()  # (sender, seq, dest, payload)
+    delivered: tuple = ()  # ((sender, seq), round delivered)
+
+
+def _entry_key(entry):
+    sender, seq, dest, payload = entry
+    return (sender, seq, -1 if dest is None else dest, payload)
+
+
+class SeenSetPiggyback(RoundProtocol):
+    def __init__(self, inner, n):
+        self.inner = inner
+        self.n = n
+        self.protocol_id = f"flp-over-ftr:{inner.protocol_id}"
+
+    def init(self, pid, input):
+        return SeenSetState(pid=pid, inner=self.inner.init(pid, input), started=False, next_seq=0)
+
+    def message(self, internal, round):
+        sends = tuple((seq, dest, payload) for seq, dest, payload, _ in internal.my_sends)
+        return (sends, tuple(sorted(internal.others, key=_entry_key)))
+
+    def transition(self, internal, round, received):
+        others = set(internal.others)
+        for sender, (their_sends, their_others) in received.items():
+            others.update((sender, seq, dest, payload) for seq, dest, payload in their_sends)
+            others.update(entry for entry in their_others if entry[0] != internal.pid)
+        inner = internal.inner
+        delivered_ids = {mid for mid, _ in internal.delivered}
+        delivered = list(internal.delivered)
+        outbox = []
+        output = None
+        stepped = False
+
+        def take(step_incoming):
+            nonlocal inner, output, stepped
+            inner, sends, out = self.inner.step(inner, step_incoming)
+            outbox.extend(sends)
+            stepped = True
+            if output is None and out is not None:
+                output = out
+
+        if not internal.started:
+            take(None)
+        pending = sorted(
+            (
+                entry
+                for entry in others
+                if (entry[0], entry[1]) not in delivered_ids
+                and (entry[2] == internal.pid or entry[2] is None)
+            ),
+            key=_entry_key,
+        )
+        for sender, seq, dest, payload in pending:
+            take((sender, payload))
+            delivered.append(((sender, seq), round))
+            delivered_ids.add((sender, seq))
+        if not stepped:
+            take(None)
+        my_sends = list(internal.my_sends)
+        next_seq = internal.next_seq
+        for dest, payload in outbox:
+            my_sends.append((next_seq, dest, payload, round))
+            next_seq += 1
+        state = SeenSetState(
+            pid=internal.pid,
+            inner=inner,
+            started=True,
+            next_seq=next_seq,
+            my_sends=tuple(my_sends),
+            others=frozenset(others),
+            delivered=tuple(delivered),
+        )
+        return state, output
+
+
+def _seen_set_ledger(config):
+    deliveries = {}
+    for q, state in enumerate(config.states):
+        for mid, round in state.internal.delivered:
+            deliveries.setdefault(mid, []).append((q, round))
+    return [
+        LedgerEntry(p, seq, dest, sent_round, tuple(sorted(deliveries.get((p, seq), []))))
+        for p, state in enumerate(config.states)
+        for seq, dest, _payload, sent_round in state.internal.my_sends
+    ]
+
+
+@st.composite
+def _receive_fault_scripts(draw):
+    n = draw(st.sampled_from([3, 4]))
+    drop = st.one_of(st.none(), st.integers(0, n - 2))  # index among the other processes
+    faults = []
+    for _ in range(draw(st.integers(1, 12))):
+        dropped = {}
+        for q in range(n):
+            k = draw(drop)
+            if k is not None:
+                dropped[q] = [s for s in range(n) if s != q][k]
+        faults.append(ReceiveFault(dropped))
+    inputs = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return n, inputs, faults
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_receive_fault_scripts(), inner_kind=st.sampled_from(["synchronizer", "relay"]))
+def test_piggyback_matches_seen_set_reference(case, inner_kind):
+    n, inputs, faults = case
+    inner = synchronizer_wrap(phase_king_lite(n), n) if inner_kind == "synchronizer" else Relay(n)
+    wrapper = piggyback_wrap(inner, n)
+    reference = SeenSetPiggyback(inner, n)
+    config = initial_configuration(wrapper, inputs)
+    expected = initial_configuration(reference, inputs)
+    for fault in faults:
+        config = step_ftr(config, wrapper, fault)
+        expected = step_ftr(expected, reference, fault)
+        assert config.outputs() == expected.outputs()
+        for got, want in zip(config.states, expected.states):
+            assert got.internal.inner == want.internal.inner
+            assert got.internal.delivered == want.internal.delivered
+    assert piggyback_ledger(config) == _seen_set_ledger(expected)
+
+
+def test_relay_traffic_reaches_message_cap():
+    # Relay sends two messages per step and the wrapper takes one step per
+    # delivered message, so the known traffic doubles every round.
+    proto = piggyback_wrap(Relay(3), 3)
+    config = initial_configuration(proto, (0, 1, 0))
+    with pytest.raises(AdversimError) as info:
+        run(config, proto, NoFaultPolicy("ftr"), horizon=30)
+    assert isinstance(info.value.__cause__, ResourceLimitError)
 
 
 # -- stacks -----------------------------------------------------------------------
