@@ -1,11 +1,13 @@
 """Agreement/validity/write-once checking over fault schedules.
 
-Exhaustive mode walks every canonical fault sequence to a depth (depth-first,
-pruning once all processes have decided, since output registers are frozen
-from then on).  Fuzz mode draws seeded random inputs and faults; every run's
-randomness derives from (seed, run index), so a reported counterexample
-replays in isolation.  Both modes return the first violation together with a
-replayable trace.
+Exhaustive mode searches every canonical fault sequence to a depth,
+depth-first, pruning once all processes have decided (output registers are
+frozen from then on).  It expands each configuration once: all its children
+come from one fan-out round, and a configuration whose subtree was already
+searched without a violation is not searched again.  Fuzz mode draws seeded
+random inputs and faults; every run's randomness derives from (seed, run
+index), so a reported counterexample replays in isolation.  Both modes
+return the first violation together with a replayable trace.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .sync_engine import (
     run,
     step_fts,
     step_ftr,
+    successors,
 )
 
 
@@ -62,7 +65,9 @@ class CheckViolation:
 @dataclass
 class CheckResult:
     violation: Optional[CheckViolation]
-    explored: int  # rounds stepped (exhaustive: tree nodes; fuzz: total rounds)
+    # rounds stepped: children built (exhaustive, each configuration expanded
+    # once); total rounds (fuzz)
+    explored: int
 
     @property
     def ok(self) -> bool:
@@ -99,11 +104,14 @@ def check_exhaustive(
     budget: int = 2_000_000,
 ) -> CheckResult:
     """Explore every canonical fault sequence up to ``depth`` for every input
-    vector; return the first violation in depth-first order."""
+    vector; return the first violation in depth-first order.  Each distinct
+    configuration is expanded at most once."""
     if depth < 1:
         raise AdversimError("depth must be >= 1")
     faults = enumerate_faults(model, n, restricted=restricted)
-    step = step_fts if model == "fts" else step_ftr
+    for fault in faults:
+        fault.validate(n)
+    drop_maps = [fault.mapping for fault in faults]
     per_vector = sum(len(faults) ** d for d in range(1, depth + 1))
     if per_vector * 2**n > budget:
         raise BudgetExceeded(
@@ -111,23 +119,27 @@ def check_exhaustive(
         )
 
     explored = 0
+    # Configurations whose whole subtree was explored without a violation.
+    # The round is part of a configuration and fixes the depth left, so a
+    # configuration's subtree depends on the configuration alone.
+    safe: set[Configuration] = set()
 
     def dfs(config: Configuration, path: list) -> Optional[CheckViolation]:
         nonlocal explored
-        if config.all_decided() or len(path) == depth:
+        if len(path) == depth or config.all_decided() or config in safe:
             return None
-        before = config.outputs()
-        for fault in faults:
-            child = step(config, protocol, fault)
+        inputs, before = config.inputs(), config.outputs()
+        for fault, child in zip(faults, successors(config, protocol, drop_maps)):
             explored += 1
             path.append(fault)
-            kind = _violation_kind(config.inputs(), before, child.outputs())
+            kind = _violation_kind(inputs, before, child.outputs())
             if kind is not None:
-                return _violation(kind, protocol, model, config.inputs(), path)
+                return _violation(kind, protocol, model, inputs, path)
             found = dfs(child, path)
             if found is not None:
                 return found
             path.pop()
+        safe.add(config)
         return None
 
     for bits in product((0, 1), repeat=n):

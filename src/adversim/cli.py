@@ -7,7 +7,7 @@ non-deciding execution), ``check`` (exhaustive or fuzz property checking),
 
 Exit codes: 0 ok, 1 property violation, 2 oracle cap exceeded, 3 unknown
 protocol, 4 budget exceeded, 5 trace error, 64 usage error, 70 internal error
-(a protocol or engine bug).  Reports
+(a protocol or engine bug, or any other unexpected exception).  Reports
 are machine-readable JSON Lines; the human-readable summary goes to stderr.
 All randomness in a command flows from its single --seed through named
 derived streams, so identical invocations are byte-identical.
@@ -264,6 +264,14 @@ def cmd_attack(args) -> int:
             "never flip across the input chain; target is not pseudo-consensus)"
         )
         return EXIT_VIOLATION
+    except AgreementViolation as exc:
+        out = _outpath(None, "violation.trace.jsonl")
+        report = _outpath(None, "violation.report.jsonl")
+        exc.trace.write(out)
+        outputs = {str(q): v for q, v in sorted(exc.outputs.items())}
+        _write_jsonl(report, [{"violation": "agreement", "outputs": outputs}])
+        _say(f"attack: {exc}; trace written to {out}; report written to {report}")
+        return EXIT_VIOLATION
     out = _outpath(args.out, "attack.trace.jsonl")
     report = _outpath(args.report, "attack.report.jsonl")
     result.trace.write(out)
@@ -486,7 +494,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--depth", type=_at_least(1), default=4)
     p.add_argument("--runs", type=_at_least(1), default=1000, help="fuzz run count")
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=_at_least(1), default=2_000_000)
     p.add_argument("--restricted", action="store_true")
     p.add_argument("--out", help="violation trace path")
     p.add_argument("--report", help="violation report path")
@@ -522,7 +530,7 @@ EXIT_CODES = (
     (OracleCapExceeded, EXIT_ORACLE_CAP, ""),
     (BudgetExceeded, EXIT_BUDGET, ""),
     (TraceFormatError, EXIT_TRACE, ""),
-    ((AgreementViolation, EmulationLemmaViolation), EXIT_VIOLATION, ""),
+    (EmulationLemmaViolation, EXIT_VIOLATION, ""),
     (AdversimError, EXIT_INTERNAL, "internal error: "),
 )
 
@@ -536,6 +544,9 @@ def main(argv=None) -> int:
         code, prefix = next((c, p) for kind, c, p in EXIT_CODES if isinstance(exc, kind))
         _say(f"adversim: {prefix}{exc}")
         return code
+    except Exception as exc:  # noqa: BLE001 - a bug outside the engines' wrapping
+        _say(f"adversim: internal error: {type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -127,6 +127,11 @@ class RoundFault:
         object.__setattr__(self, "sender", sender)
         object.__setattr__(self, "victims", frozenset(victims) - {sender})
 
+    @property
+    def mapping(self) -> dict[Pid, Pid]:
+        """Receiver -> the sender it misses: every victim misses the sender."""
+        return {q: self.sender for q in self.victims}
+
     def validate(self, n: int) -> None:
         if not 0 <= self.sender < n:
             raise TraceFormatError(f"fault sender {self.sender} out of range for n={n}")

@@ -5,14 +5,16 @@ payloads it received.  The adversary's per-round choice is a RoundFault
 (fail-to-send: one sender, a victim set) or a ReceiveFault (fail-to-receive:
 per receiver, at most one dropped sender).  No process ever crashes, and
 engines always run to the requested horizon: decided processes keep
-participating.
+participating.  ``successors`` is the one round rule: it builds every child
+of a configuration from one broadcast, and ``step_fts``/``step_ftr`` are its
+one-fault case.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import (
     AdversimError,
@@ -33,44 +35,57 @@ from .core import (
 )
 
 
-def _apply_round(
+def successors(
     config: Configuration,
     protocol: RoundProtocol,
-    dropped: Mapping[Pid, Pid],  # receiver -> the one sender it misses
-) -> Configuration:
-    """Every process broadcasts, then transitions on what reached it: every
-    other payload, in ascending sender order, except the one it drops."""
+    drop_maps: Iterable[Mapping[Pid, Pid]],  # each: receiver -> the one sender it misses
+) -> Iterator[Configuration]:
+    """Yield the child of ``config`` under each drop map, in order.
+
+    Every process broadcasts once, then each receiver transitions on every
+    other payload, in ascending sender order, except the one it drops.  A
+    receiver's transition on a given inbox is computed once, when a child
+    first needs it, so all children of a configuration cost at most n*n
+    transitions.  Lazy: an error surfaces at the first child that meets it."""
     round = config.round
-    payloads = []
-    for p, state in enumerate(config.states):
+    states = config.states
+    inbox = {}
+    for p, state in enumerate(states):
         try:
-            payloads.append((p, protocol.message(state.internal, round)))
+            inbox[p] = protocol.message(state.internal, round)
         except Exception as exc:  # noqa: BLE001 - protocol bug surfaced as engine error
             raise EngineError(f"message() failed: {exc}", round=round, pid=p) from exc
-    new_states = []
-    for q, state in enumerate(config.states):
-        miss = dropped.get(q)
-        received = {s: m for s, m in payloads if s != q and s != miss}
-        try:
-            internal, out = protocol.transition(state.internal, round, received)
-        except Exception as exc:  # noqa: BLE001
-            raise EngineError(f"transition() failed: {exc}", round=round, pid=q) from exc
-        new_states.append(LocalState(state.input, internal, state.output).write(out))
-    return Configuration(round=round + 1, states=tuple(new_states))
+    after: dict[tuple[Pid, Optional[Pid]], LocalState] = {}  # (receiver, missed) -> state
+    for dropped in drop_maps:
+        new_states = []
+        for q, state in enumerate(states):
+            miss = dropped.get(q)
+            nxt = after.get((q, miss))
+            if nxt is None:
+                received = inbox.copy()
+                del received[q]
+                received.pop(miss, None)
+                try:
+                    internal, out = protocol.transition(state.internal, round, received)
+                except Exception as exc:  # noqa: BLE001
+                    raise EngineError(f"transition() failed: {exc}", round=round, pid=q) from exc
+                nxt = after[q, miss] = LocalState(state.input, internal, state.output).write(out)
+            new_states.append(nxt)
+        yield Configuration(round=round + 1, states=tuple(new_states))
 
 
 def step_fts(config: Configuration, protocol: RoundProtocol, fault: RoundFault) -> Configuration:
     """One fail-to-send round: every process receives every other payload,
     except that fault.sender's payload is withheld from fault.victims."""
     fault.validate(config.n)
-    return _apply_round(config, protocol, {q: fault.sender for q in fault.victims})
+    return next(successors(config, protocol, (fault.mapping,)))
 
 
 def step_ftr(config: Configuration, protocol: RoundProtocol, fault: ReceiveFault) -> Configuration:
     """One fail-to-receive round: each process receives every other payload
     except the single sender (if any) dropped for it."""
     fault.validate(config.n)
-    return _apply_round(config, protocol, fault.mapping)
+    return next(successors(config, protocol, (fault.mapping,)))
 
 
 # ---------------------------------------------------------------------------

@@ -539,12 +539,14 @@ _PK3 = ["--protocol", "phase-king-lite", "--n", "3"]
          "--horizon"),
         (["attack", *_PK3, "--rounds", "0"], "--rounds"),
         (["attack", *_PK3, "--cap", "0"], "--cap"),
+        (["check", *_PK3, "--budget", "-5"], "--budget"),
         (["run", "--model", "flp", "--protocol", "ftr-over-flp:phase-king-lite", "--n", "3",
           "--inputs", "1,0,1", "--horizon", "10", "--fairness-window", "-1"],
          "--fairness-window"),
     ],
     ids=["fuzz-runs-negative", "fuzz-runs-zero", "fuzz-depth", "exhaustive-depth",
-         "run-horizon", "simulate-horizon", "attack-rounds", "attack-cap", "fairness-window"],
+         "run-horizon", "simulate-horizon", "attack-rounds", "attack-cap", "check-budget",
+         "fairness-window"],
 )
 def test_count_below_minimum_is_usage_error(tmp_path, args, flag):
     proc = run_adversim([*args, "--out", "t.jsonl"], tmp_path)
@@ -562,3 +564,31 @@ def test_check_fuzz_rejects_bad_counts(runs, depth):
 
     with pytest.raises(AdversimError, match="must be >= 1"):
         check_fuzz(phase_king_lite(3), 3, runs=runs, depth=depth, seed=1)
+
+
+def test_unexpected_exception_is_one_line_internal_error(monkeypatch, capsys):
+    from adversim import checking
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(checking, "check_exhaustive", broken)
+    assert run_cli(["check", *_PK3, "--depth", "1"]) == 70
+    assert capsys.readouterr().err.splitlines() == ["adversim: internal error: RuntimeError: boom"]
+
+
+@pytest.mark.parametrize("protocol", ["naive-majority", "flp-over-ftr:phase-king-lite"])
+def test_attack_keeps_disagreeing_probe(tmp_path, protocol):
+    proc = run_adversim(["attack", "--protocol", protocol, "--n", "3", "--rounds", "5"], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    last = proc.stderr.strip().splitlines()[-1]
+    assert "violation.trace.jsonl" in last and "violation.report.jsonl" in last, proc.stderr
+    (record,) = read_jsonl(tmp_path / "violation.report.jsonl")
+    assert record["violation"] == "agreement"
+    assert len(set(record["outputs"].values())) == 2
+    validated = run_adversim(["validate", "violation.trace.jsonl"], tmp_path)
+    assert validated.returncode == 0, validated.stderr
+    outputs = {}
+    for step in read_jsonl(tmp_path / "violation.trace.jsonl")[1:]:
+        outputs.update(step["outputs"])
+    assert len(set(outputs.values())) == 2

@@ -1,10 +1,24 @@
-"""Step semantics, delivery counts, fault enumeration, and policies."""
+"""Step semantics, delivery counts, fault enumeration, policies, and the
+fan-out round primitive against the per-fault round rule it replaced."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adversim.core import AdversimError, NO_DROPS, NO_FAULT, ReceiveFault, RoundFault, initial_configuration
-from adversim.protocols import phase_king_lite
+from adversim.checking import check_exhaustive
+from adversim.core import (
+    AdversimError,
+    Configuration,
+    EngineError,
+    LocalState,
+    NO_DROPS,
+    NO_FAULT,
+    ReceiveFault,
+    RoundFault,
+    initial_configuration,
+)
+from adversim.protocols import get_protocol, phase_king_lite
 from adversim.sync_engine import (
     NoFaultPolicy,
     RandomFaultPolicy,
@@ -15,7 +29,9 @@ from adversim.sync_engine import (
     scripted_policy_from_file,
     step_fts,
     step_ftr,
+    successors,
 )
+from test_checking import reference_check_exhaustive
 
 
 class CountingProtocol:
@@ -229,3 +245,126 @@ def test_run_deterministic_byte_identical():
     a = run(initial_configuration(pk, (1, 0, 1, 0)), pk, SilentPolicy(3, 4), horizon=12)
     b = run(initial_configuration(pk, (1, 0, 1, 0)), pk, SilentPolicy(3, 4), horizon=12)
     assert a.trace.to_jsonl() == b.trace.to_jsonl()
+
+
+# -- fan-out primitive against the per-fault round rule ------------------------
+
+
+def reference_round(config, protocol, dropped):
+    """The round rule before ``successors``: every process broadcasts, then
+    each receiver gets a fresh inbox of every other payload, in ascending
+    sender order, except the one it drops."""
+    round = config.round
+    payloads = []
+    for p, state in enumerate(config.states):
+        try:
+            payloads.append((p, protocol.message(state.internal, round)))
+        except Exception as exc:
+            raise EngineError(f"message() failed: {exc}", round=round, pid=p) from exc
+    new_states = []
+    for q, state in enumerate(config.states):
+        miss = dropped.get(q)
+        received = {s: m for s, m in payloads if s != q and s != miss}
+        try:
+            internal, out = protocol.transition(state.internal, round, received)
+        except Exception as exc:
+            raise EngineError(f"transition() failed: {exc}", round=round, pid=q) from exc
+        new_states.append(LocalState(state.input, internal, state.output).write(out))
+    return Configuration(round=round + 1, states=tuple(new_states))
+
+
+def reference_step(config, protocol, fault):
+    fault.validate(config.n)
+    return reference_round(config, protocol, fault.mapping)
+
+
+class InboxRecorder:
+    """Keeps every inbox it receives, in delivery order."""
+
+    protocol_id = "inbox-recorder"
+    n = None
+
+    def init(self, pid, input):
+        return (pid,)
+
+    def message(self, internal, round):
+        return (internal[0], round)
+
+    def transition(self, internal, round, received):
+        return internal + (tuple(received.items()),), None
+
+
+@pytest.mark.parametrize("protocol_id", ["phase-king-lite", "naive-majority", "inbox-recorder"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_successors_match_per_fault_rounds(protocol_id, n):
+    if protocol_id == "inbox-recorder":
+        protocol = InboxRecorder()
+    else:
+        protocol = get_protocol(protocol_id, n)
+    rng = random.Random(f"successors-{protocol_id}-{n}")
+    inputs = tuple(rng.randrange(2) for _ in range(n))
+    policy = RandomFaultPolicy(n, rng)
+    reached = run(initial_configuration(protocol, inputs), protocol, policy, 3, keep_configs=True)
+    fault_lists = [
+        enumerate_faults("fts", n),
+        enumerate_faults("fts", n, restricted=True),
+        enumerate_faults("ftr", n),
+    ]
+    for config in reached.configs:
+        for faults in fault_lists:
+            children = list(successors(config, protocol, [f.mapping for f in faults]))
+            assert children == [reference_round(config, protocol, f.mapping) for f in faults]
+
+
+class MissRaises:
+    """Fails in transition() exactly when its receiver misses ``sender``.
+    With ``writes_on``, it writes 1 when its receiver misses that sender."""
+
+    protocol_id = "miss-raises"
+    n = None
+
+    def __init__(self, sender, writes_on=None):
+        self.sender = sender
+        self.writes_on = writes_on
+
+    def init(self, pid, input):
+        return pid
+
+    def message(self, internal, round):
+        return internal
+
+    def transition(self, internal, round, received):
+        if internal != self.sender and self.sender not in received:
+            raise ValueError(f"missed process {self.sender}")
+        wrote = self.writes_on is not None and self.writes_on not in received
+        return internal, (1 if wrote and internal != self.writes_on else None)
+
+
+@pytest.mark.parametrize("model", ["fts", "ftr"])
+def test_exhaustive_raises_the_first_per_fault_engine_error(model):
+    # The first failing round is the first fault that drops the sender at
+    # the bottom of the first branch; computing children eagerly would
+    # fail at round 1 instead.
+    protocol = MissRaises(sender=2)
+    errors = []
+    for check, kwargs in (
+        (check_exhaustive, {}),
+        (reference_check_exhaustive, {"step": reference_step}),
+    ):
+        with pytest.raises(EngineError) as info:
+            check(protocol, 3, 3, model=model, **kwargs)
+        errors.append((str(info.value), info.value.round, info.value.pid))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == 3
+
+
+@pytest.mark.parametrize("model", ["fts", "ftr"])
+def test_exhaustive_stops_at_a_violation_before_a_failing_fault(model):
+    # Missing process 0 (a validity violation from all-0 inputs) comes
+    # before missing process 2 in fault order, so no error may surface.
+    protocol = MissRaises(sender=2, writes_on=0)
+    result = check_exhaustive(protocol, 3, 3, model=model)
+    reference = reference_check_exhaustive(protocol, 3, 3, model=model, step=reference_step)
+    assert result.violation.kind == "validity"
+    assert result.violation.record() == reference.violation.record()
+    assert result.violation.trace.to_jsonl() == reference.violation.trace.to_jsonl()
