@@ -4,10 +4,12 @@ Exhaustive mode searches every canonical fault sequence to a depth,
 depth-first, pruning once all processes have decided (output registers are
 frozen from then on).  It expands each configuration once: all its children
 come from one fan-out round, and a configuration whose subtree was already
-searched without a violation is not searched again.  Fuzz mode draws seeded
-random inputs and faults; every run's randomness derives from (seed, run
-index), so a reported counterexample replays in isolation.  Both modes
-return the first violation together with a replayable trace.
+searched without a violation is not searched again.  The budget bounds the
+children built: the search stops with BudgetExceeded as soon as it would
+build one more, or before it starts when one expansion alone would.  Fuzz
+mode draws seeded random inputs and faults; every run's randomness derives
+from (seed, run index), so a reported counterexample replays in isolation.
+Both modes return the first violation together with a replayable trace.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .sync_engine import (
 
 
 class BudgetExceeded(AdversimError):
-    """Projected exploration size is over the configured budget."""
+    """An exhaustive check would build more children than its budget."""
 
 
 @dataclass(frozen=True)
@@ -105,18 +107,19 @@ def check_exhaustive(
 ) -> CheckResult:
     """Explore every canonical fault sequence up to ``depth`` for every input
     vector; return the first violation in depth-first order.  Each distinct
-    configuration is expanded at most once."""
+    configuration is expanded at most once, and the search builds at most
+    ``budget`` children."""
     if depth < 1:
         raise AdversimError("depth must be >= 1")
+    # One expansion builds a child per canonical fault; refuse before listing
+    # the faults when that alone is over the budget.
+    fanout = n**n if model == "ftr" else n * 2 ** (n - 1) - (n if restricted else 0)
+    if fanout > budget:
+        raise BudgetExceeded(f"one expansion builds {fanout} children, over budget {budget}")
     faults = enumerate_faults(model, n, restricted=restricted)
     for fault in faults:
         fault.validate(n)
     drop_maps = [fault.mapping for fault in faults]
-    per_vector = sum(len(faults) ** d for d in range(1, depth + 1))
-    if per_vector * 2**n > budget:
-        raise BudgetExceeded(
-            f"{per_vector * 2 ** n} rounds projected exceeds budget {budget}"
-        )
 
     explored = 0
     # Configurations whose whole subtree was explored without a violation.
@@ -130,6 +133,8 @@ def check_exhaustive(
             return None
         inputs, before = config.inputs(), config.outputs()
         for fault, child in zip(faults, successors(config, protocol, drop_maps)):
+            if explored == budget:
+                raise BudgetExceeded(f"search would build more children than budget {budget}")
             explored += 1
             path.append(fault)
             kind = _violation_kind(inputs, before, child.outputs())

@@ -494,7 +494,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--depth", type=_at_least(1), default=4)
     p.add_argument("--runs", type=_at_least(1), default=1000, help="fuzz run count")
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=_at_least(1), default=2_000_000)
+    p.add_argument(
+        "--budget", type=_at_least(1), default=2_000_000,
+        help="most children an exhaustive check may build",
+    )
     p.add_argument("--restricted", action="store_true")
     p.add_argument("--out", help="violation trace path")
     p.add_argument("--report", help="violation report path")

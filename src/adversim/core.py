@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Iterable, Mapping, Optional
 
 MODELS = ("fts", "ftr", "flp")
 
@@ -504,7 +504,6 @@ class ValidationReport:
 
 def validate_trace(
     trace: ExecutionTrace,
-    resolver: Optional[Callable[[str, int], Any]] = None,
     ignore_outputs: Iterable[Pid] = (),
 ) -> ValidationReport:
     """Replay a trace deterministically and report every divergence.
@@ -517,10 +516,7 @@ def validate_trace(
 
     Raises UnknownProtocolError if the header names an unregistered protocol.
     """
-    if resolver is None:
-        from .protocols import get_protocol
-
-        resolver = get_protocol
+    from .protocols import get_protocol
 
     problems: list[str] = []
     ignore = frozenset(ignore_outputs)
@@ -540,7 +536,7 @@ def validate_trace(
     problems.extend(shape_problems)
 
     try:
-        protocol = resolver(trace.protocol, trace.n)  # may raise UnknownProtocolError
+        protocol = get_protocol(trace.protocol, trace.n)  # may raise UnknownProtocolError
     except ValueError as exc:  # the protocol does not run at the header's n
         problems.append(f"header: {exc}")
         return ValidationReport(valid=False, problems=problems)

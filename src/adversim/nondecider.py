@@ -28,7 +28,7 @@ from .core import (
     RoundProtocol,
     initial_configuration,
 )
-from .sync_engine import NO_FAULT, ScriptedPolicy, run, step_fts
+from .sync_engine import NO_FAULT, ScriptedPolicy, run, step_fts, successors
 
 
 class OracleCapExceeded(AdversimError):
@@ -219,7 +219,7 @@ def is_p_dependent(
 
 def find_dependent_in_chain(
     chain: AdjacentChain, protocol: RoundProtocol, cap: int, *, memo: Optional[OracleMemo] = None
-) -> tuple[int, Pid, DependenceWitness]:
+) -> tuple[int, DependenceWitness]:
     """Locate a dependent configuration on a chain whose failure-free
     decisions flip somewhere.
 
@@ -247,12 +247,12 @@ def find_dependent_in_chain(
         raise InvariantViolation(
             f"chain entry {k} failed re-verification as {p}-dependent"
         )
-    return k, p, witness
+    return k, witness
 
 
 def find_initial_dependent(
     protocol: RoundProtocol, n: int, cap: Optional[int] = None, *, memo: Optional[OracleMemo] = None
-) -> tuple[Configuration, Pid, DependenceWitness]:
+) -> DependenceWitness:
     """Dependent initial configuration, found on the monotone input chain.
 
     The chain runs from the all-0 input vector to the all-1 vector, flipping
@@ -268,28 +268,31 @@ def find_initial_dependent(
         inputs = tuple(1 if j < i else 0 for j in range(n))
         configs.append(initial_configuration(protocol, inputs))
     chain = AdjacentChain(configs=tuple(configs), differing=tuple(range(n)))
-    k, p, witness = find_dependent_in_chain(chain, protocol, cap, memo=memo)
-    return configs[k], p, witness
+    return find_dependent_in_chain(chain, protocol, cap, memo=memo)[1]
 
 
 @dataclass(frozen=True)
-class ExtensionStep:
+class AttackRound:
+    """One round of the attack: the fault it stepped and the witness of the
+    configuration that fault reached.  Round 0 holds the initial witness,
+    reached by no fault."""
+
     fault: RoundFault
-    config: Configuration
-    process: Pid
     witness: DependenceWitness
+
+    @property
+    def round(self) -> int:
+        return self.witness.config.round - 1
 
 
 def extend_dependent(
-    config: Configuration,
-    p: Pid,
     witness: DependenceWitness,
     protocol: RoundProtocol,
     cap: Optional[int] = None,
     restricted: bool = False,
     *,
     memo: Optional[OracleMemo] = None,
-) -> ExtensionStep:
+) -> AttackRound:
     """One attack round: from a p-dependent configuration, pick a fault whose
     successor is again dependent for some process.
 
@@ -301,54 +304,43 @@ def extend_dependent(
     failure-free decisions at the ends are b and (not b), and consecutive
     entries differ only in whether one process heard p, so the chain scan
     lands on a dependent successor and the generating fault is returned.
+    The whole chain comes from one fan-out round, stepped lazily, so c_1 is
+    probed before the rest of the chain is built.
 
     With ``restricted`` set, full-silence faults are forbidden: the chain
     starts at c_2 and is one configuration short, so the scan may find no
     flip; that outcome is reported as ChainExhausted.
     """
+    config, p = witness.config, witness.process
     n = config.n
     cap = default_cap(n) if cap is None else cap
-    if witness.config != config or witness.process != p:
-        raise AdversimError("witness does not match the configuration being extended")
-    b = witness.silent_decision
     others = [q for q in range(n) if q != p]
-
+    start = 2 if restricted else 1
+    # c_i delivers p's payload to exactly the first i-1 of the others.
+    faults = [RoundFault(p, others[i - 1 :]) for i in range(start, n + 1)]
+    chain = successors(config, protocol, [f.mapping for f in faults])
+    configs = []
     if not restricted:
-        full = RoundFault(p, others)
-        c1 = step_fts(config, protocol, full)
-        ff1 = failure_free_decision(c1, protocol, cap, memo=memo)
-        if ff1.decision != b:
+        c1 = next(chain)
+        if failure_free_decision(c1, protocol, cap, memo=memo).decision != witness.silent_decision:
             w = is_p_dependent(c1, p, protocol, cap, memo=memo)
             if w is None:
                 raise InvariantViolation("full-silence successor failed re-verification")
-            return ExtensionStep(fault=full, config=c1, process=p, witness=w)
-        start = 1
-    else:
-        start = 2
-
-    # c_i delivers p's payload to exactly the first i-1 of the others.
-    faults = [RoundFault(p, others[i - 1 :]) for i in range(start, n + 1)]
-    configs = tuple(step_fts(config, protocol, f) for f in faults)
+            return AttackRound(fault=faults[0], witness=w)
+        configs.append(c1)
+    configs.extend(chain)
     differing = tuple(others[start - 1 : n - 1])
-    chain = AdjacentChain(configs=configs, differing=differing)
     try:
-        k, q, w = find_dependent_in_chain(chain, protocol, cap, memo=memo)
+        k, w = find_dependent_in_chain(
+            AdjacentChain(configs=tuple(configs), differing=differing), protocol, cap, memo=memo
+        )
     except NoFlipInChain:
         if restricted:
             raise ChainExhausted() from None
         raise InvariantViolation(
             "progressive delivery chain endpoints failed to flip"
         ) from None
-    return ExtensionStep(fault=faults[k], config=configs[k], process=q, witness=w)
-
-
-@dataclass(frozen=True)
-class AttackRound:
-    round: int
-    fault: RoundFault
-    config: Configuration
-    process: Pid
-    witness: DependenceWitness
+    return AttackRound(fault=faults[k], witness=w)
 
 
 @dataclass
@@ -387,31 +379,28 @@ def build_nondeciding_execution(
         raise AdversimError("rounds must be >= 1")
     cap = default_cap(n) if cap is None else cap
     memo: OracleMemo = {}
-    config, p, witness = find_initial_dependent(protocol, n, cap, memo=memo)
-    records = [AttackRound(round=0, fault=NO_FAULT, config=config, process=p, witness=witness)]
+    witness = find_initial_dependent(protocol, n, cap, memo=memo)
+    records = [AttackRound(fault=NO_FAULT, witness=witness)]
     steps: list[FtsStep] = []
     exhausted_at = None
-    current, cur_p, cur_w = config, p, witness
     for r in range(1, rounds + 1):
         try:
-            ext = extend_dependent(current, cur_p, cur_w, protocol, cap, restricted, memo=memo)
+            ext = extend_dependent(witness, protocol, cap, restricted, memo=memo)
         except ChainExhausted:
             exhausted_at = r
             break
-        if ext.config.outputs():
+        if ext.witness.config.outputs():
             raise InvariantViolation(
                 f"round {r}: output written in supposedly dependent configuration"
             )
-        steps.append(FtsStep(round=current.round, fault=ext.fault, outputs=()))
-        records.append(
-            AttackRound(round=r, fault=ext.fault, config=ext.config, process=ext.process, witness=ext.witness)
-        )
-        current, cur_p, cur_w = ext.config, ext.process, ext.witness
+        steps.append(FtsStep(round=witness.config.round, fault=ext.fault, outputs=()))
+        records.append(ext)
+        witness = ext.witness
     trace = ExecutionTrace(
         model="fts",
         n=n,
         protocol=protocol.protocol_id,
-        inputs=config.inputs(),
+        inputs=records[0].witness.config.inputs(),
         steps=tuple(steps),
     )
     return AttackResult(trace=trace, witnesses=records, exhausted_at=exhausted_at)
@@ -440,12 +429,12 @@ def report_records(result: AttackResult) -> list[dict]:
                 "victims": sorted(entry.fault.victims),
             }
         rec["witness"] = {
-            "pid": entry.process,
+            "pid": entry.witness.process,
             "ff": entry.witness.ff_decision,
             "silent": entry.witness.silent_decision,
         }
         # registers persist, so the current count is the cumulative count
-        rec["outputs_written"] = len(entry.config.outputs())
+        rec["outputs_written"] = len(entry.witness.config.outputs())
         records.append(rec)
     if result.exhausted_at is not None:
         records.append({"round": result.exhausted_at, "chain_exhausted": True})

@@ -16,8 +16,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_adversim(args, cwd):
-    """Run ``python -m adversim *args`` in ``cwd``; returns the CompletedProcess."""
+def run_adversim(args, cwd, preexec_fn=None):
+    """Run ``python -m adversim *args`` in ``cwd``; returns the CompletedProcess.
+    ``preexec_fn`` runs in the child before it starts, e.g. to set a limit."""
     existing = os.environ.get("PYTHONPATH")
     pythonpath = os.pathsep.join([str(SRC), existing] if existing else [str(SRC)])
     return subprocess.run(
@@ -27,4 +28,5 @@ def run_adversim(args, cwd):
         capture_output=True,
         text=True,
         timeout=120,
+        preexec_fn=preexec_fn,
     )

@@ -104,12 +104,13 @@ def test_acceptance_2_initial_dependence_brute_force():
         for p in range(3):
             if is_p_dependent(config, p, pk, cap) is not None:
                 brute.add((inputs, p))
-    config, p, witness = find_initial_dependent(pk, 3)
-    member = (config.inputs(), p) in brute
+    witness = find_initial_dependent(pk, 3)
+    found = (witness.config.inputs(), witness.process)
+    member = found in brute
     _report(
         2,
         member and verify_witness(witness, pk, cap),
-        f"found {(config.inputs(), p)} within brute-force set of {len(brute)} pairs",
+        f"found {found} within brute-force set of {len(brute)} pairs",
     )
 
 
@@ -123,16 +124,16 @@ def test_acceptance_3_extension_brute_force_ten_rounds():
     attack = build_nondeciding_execution(pk, 3, rounds=10)
     checked = 0
     for entry in attack.witnesses[:-1]:
-        ext = extend_dependent(entry.config, entry.process, entry.witness, pk)
+        ext = extend_dependent(entry.witness, pk)
         brute = set()
         for fault in faults:
-            child = step_fts(entry.config, pk, fault)
+            child = step_fts(entry.witness.config, pk, fault)
             if child.outputs():
                 continue
             for q in range(3):
                 if is_p_dependent(child, q, pk, cap) is not None:
                     brute.add((fault, q))
-        assert (ext.fault, ext.process) in brute, f"round {entry.round + 1}"
+        assert (ext.fault, ext.witness.process) in brute, f"round {entry.round + 1}"
         checked += 1
     _report(3, checked == 10, f"{checked}/10 extensions inside their brute-force sets")
 

@@ -3,7 +3,10 @@
 ``check_exhaustive`` expands each configuration once.  The reference below
 is the earlier search: it steps every canonical fault sequence to the depth,
 one fault at a time, with no visited set.  Both must report the same first
-violation, with the same record and the same replayable trace.
+violation, with the same record and the same replayable trace.  The
+reference refuses by the number of fault sequences it projects; where that
+is over the budget but the children the search builds are not, the search is
+compared with outcomes recorded before the budget counted children.
 """
 
 import functools
@@ -11,6 +14,7 @@ from itertools import product
 
 import pytest
 
+from adversim import checking
 from adversim.checking import (
     BudgetExceeded,
     CheckResult,
@@ -89,11 +93,55 @@ SHAPES = [
 ]
 
 
+# On these shapes (ftr, n = 4, depth 3) the reference projects more fault
+# sequences than the default budget and refuses, while the search builds far
+# fewer children.  Outcomes and children built, recorded from
+# check_exhaustive(..., budget=10**12) before the budget counted children.
+RECORDED_FTR_N4_DEPTH3 = {
+    "phase-king-lite": (("ok",), 86016),
+    "naive-majority": (
+        (
+            "agreement",
+            {"violation": "agreement", "inputs": [0, 0, 1, 1], "round": 1,
+             "outputs": {"0": 0, "1": 0, "2": 0, "3": 1}},
+            '{"inputs":[0,0,1,1],"model":"ftr","n":4,"protocol":"naive-majority"}\n'
+            '{"dropped":{"3":0},"outputs":{"0":0,"1":0,"2":0,"3":1},"round":1}\n',
+        ),
+        770,
+    ),
+    "constant-0": (
+        (
+            "validity",
+            {"violation": "validity", "inputs": [1, 1, 1, 1], "round": 1,
+             "outputs": {"0": 0, "1": 0, "2": 0, "3": 0}},
+            '{"inputs":[1,1,1,1],"model":"ftr","n":4,"protocol":"constant-0"}\n'
+            '{"dropped":{},"outputs":{"0":0,"1":0,"2":0,"3":0},"round":1}\n',
+        ),
+        3841,
+    ),
+    "constant-1": (
+        (
+            "validity",
+            {"violation": "validity", "inputs": [0, 0, 0, 0], "round": 1,
+             "outputs": {"0": 1, "1": 1, "2": 1, "3": 1}},
+            '{"inputs":[0,0,0,0],"model":"ftr","n":4,"protocol":"constant-1"}\n'
+            '{"dropped":{},"outputs":{"0":1,"1":1,"2":1,"3":1},"round":1}\n',
+        ),
+        1,
+    ),
+}
+
+
 @pytest.mark.parametrize("protocol_id, model, restricted, n, depth", SHAPES)
 def test_exhaustive_matches_sequence_dfs(protocol_id, model, restricted, n, depth):
     protocol = get_protocol(protocol_id, n)
     args = (protocol, n, depth, model, restricted)
     got, explored = _outcome(check_exhaustive, *args)
+    if (model, n, depth) == ("ftr", 4, 3):
+        want, _ = _outcome(reference_check_exhaustive, *args)
+        assert want[0] == "budget"
+        assert (got, explored) == RECORDED_FTR_N4_DEPTH3[protocol_id]
+        return
     # Stepping is pure, so caching it leaves the reference's walk unchanged
     # and halves its time on the largest shapes.
     step = functools.lru_cache(maxsize=None)(step_fts if model == "fts" else step_ftr)
@@ -134,3 +182,35 @@ def test_visited_set_keys_on_the_round():
     want, _ = _outcome(reference_check_exhaustive, protocol, 3, 3, "fts", False)
     assert want[0] == "validity"
     assert got == want
+
+
+@pytest.mark.parametrize("model, restricted", [("fts", False), ("fts", True), ("ftr", False)])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_budget_refuses_one_expansion_before_listing_faults(model, restricted, n, monkeypatch):
+    # One expansion builds one child per canonical fault: n * 2**(n-1) under
+    # fts (n fewer when restricted) and n**n under ftr.  A budget one short
+    # of that count is refused before the faults are listed; a budget equal
+    # to it gets as far as listing them.
+    count = len(enumerate_faults(model, n, restricted=restricted))
+
+    class Listed(Exception):
+        pass
+
+    def listed(*args, **kwargs):
+        raise Listed
+
+    monkeypatch.setattr(checking, "enumerate_faults", listed)
+    protocol = get_protocol("constant-0", n)
+    with pytest.raises(BudgetExceeded, match=f"builds {count} children"):
+        check_exhaustive(protocol, n, 1, model, restricted, budget=count - 1)
+    with pytest.raises(Listed):
+        check_exhaustive(protocol, n, 1, model, restricted, budget=count)
+
+
+def test_budget_counts_children_built():
+    # Projected fault sequences: 17,318,400.  Children the search builds: 18,144.
+    protocol = get_protocol("phase-king-lite", 4)
+    result = check_exhaustive(protocol, 4, 4, budget=18144)
+    assert result.ok and result.explored == 18144
+    with pytest.raises(BudgetExceeded, match="more children than budget 18143"):
+        check_exhaustive(protocol, 4, 4, budget=18143)

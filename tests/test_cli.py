@@ -2,6 +2,8 @@
 
 import json
 import os
+import resource
+import time
 
 import pytest
 
@@ -125,6 +127,34 @@ def test_check_budget_exit_four(tmp_path):
          "--depth", "9", "--budget", "1000"]
     )
     assert code == 4
+
+
+def test_check_budget_counts_children_not_fault_sequences(tmp_path):
+    # 17,318,400 fault sequences, but the search builds 18,144 children.
+    code = run_cli(["check", "--protocol", "phase-king-lite", "--n", "4", "--depth", "4"])
+    assert code == 0
+
+
+def _limit_address_space():
+    limit = 1536 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_check_budget_refuses_wide_fanout_at_once(tmp_path):
+    # At n = 18 one expansion builds 18 * 2**17 children, over the default
+    # budget; listing those faults alone does not fit in 1.5 GB.
+    start = time.monotonic()
+    proc = run_adversim(
+        ["check", "--protocol", "phase-king-lite", "--n", "18", "--depth", "1"],
+        tmp_path,
+        preexec_fn=_limit_address_space,
+    )
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "adversim: one expansion builds 2359296 children, over budget 2000000"
+    ]
+    assert elapsed < 2
 
 
 def test_check_fuzz_requires_seed():

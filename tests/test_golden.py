@@ -2,16 +2,20 @@
 
 Each command below is copied from the README, or is the README's attack at
 n = 8 and n = 16 over 40 rounds, where decision-oracle probes revisit many
-configurations, or is one of two negative controls whose violation traces the
-checker records: a fuzz run and the exhaustive fail-to-receive check.  The README's flp ``run`` also pins its stderr summary, which
-carries the fairness audit's findings.  Each runs in-process with ``$ADVERSIM_OUTDIR`` pointing at a
-fresh directory, so commands that name no output path write to their
-documented defaults there.  The sha256 of every trace and report is compared
-with a constant recorded from the code before the simulation wrappers stopped
-encoding their payloads (the two larger attacks: before oracle probes were
-memoized; the flp run: before the asynchronous engine kept one queue per
-destination; the two negative controls: before the checker re-ran a
-violation's faults to record its trace); a change to any of these digests is a change to the emitted
+configurations, or is the restricted attack at n = 5 and n = 8, whose
+progressive delivery chain starts at c_2, or is one of two negative controls
+whose violation traces the checker records: a fuzz run and the exhaustive
+fail-to-receive check.  The README's flp ``run`` also pins its stderr
+summary, which carries the fairness audit's findings.  Each runs in-process
+with ``$ADVERSIM_OUTDIR`` pointing at a fresh directory, so commands that
+name no output path write to their documented defaults there.  The sha256 of
+every trace and report is compared with a constant recorded from the code
+before the simulation wrappers stopped encoding their payloads (the two
+larger attacks: before oracle probes were memoized; the flp run: before the
+asynchronous engine kept one queue per destination; the two negative
+controls: before the checker re-ran a violation's faults to record its
+trace; the restricted attacks: before the chain came from one fan-out
+round); a change to any of these digests is a change to the emitted
 artefacts and has to be justified.
 """
 
@@ -35,6 +39,16 @@ README_COMMANDS = {
     "attack-n16": (
         0,
         ["attack", "--protocol", "phase-king-lite", "--n", "16", "--rounds", "40",
+         "--out", "attack.jsonl", "--report", "witnesses.jsonl"],
+    ),
+    "attack-restricted-n5": (
+        0,
+        ["attack", "--restricted", "--protocol", "phase-king-lite", "--n", "5", "--rounds", "40",
+         "--out", "attack.jsonl", "--report", "witnesses.jsonl"],
+    ),
+    "attack-restricted-n8": (
+        0,
+        ["attack", "--restricted", "--protocol", "phase-king-lite", "--n", "8", "--rounds", "40",
          "--out", "attack.jsonl", "--report", "witnesses.jsonl"],
     ),
     "check-naive-majority": (
@@ -87,6 +101,14 @@ GOLDEN_SHA256 = {
     "attack-n16": {
         "attack.jsonl": "434f0db29c460ba5363afae44bb27380d032064b608a30e881590557f00be6c8",
         "witnesses.jsonl": "64a23a49838974df9910a34be3a6b378139a3cf7dd9c68a3ec036e41fc401705",
+    },
+    "attack-restricted-n5": {
+        "attack.jsonl": "987338eb51a9f0536e05069f764d1a77e4826ffcd966498e2b1510fdb8ddaa14",
+        "witnesses.jsonl": "bf1460ac30364db0c1ca846917bfab80129d52b9f18779c7378dd53decee80e3",
+    },
+    "attack-restricted-n8": {
+        "attack.jsonl": "af196a59f609a4db0e1ce4da0ee5bbabac8857ed8bd4f1a590fdb69870bb247f",
+        "witnesses.jsonl": "6d4a254cf159d460d817f1024cd49838aeaf9e5ced9d69443973496a552f59a2",
     },
     "check-naive-majority": {
         "violation.trace.jsonl": "06bcbeb5d60d0b2a0da0532169d6f658228fc22233b9a9d3f51788ce135ed291",

@@ -8,7 +8,9 @@ from adversim.core import initial_configuration
 from adversim.nondecider import (
     AdjacentChain,
     AgreementViolation,
+    AttackRound,
     ChainExhausted,
+    InvariantViolation,
     NoFlipInChain,
     OracleCapExceeded,
     build_nondeciding_execution,
@@ -87,7 +89,7 @@ def test_silent_decision_persists_on_attack_reachable_configs():
     pk = phase_king_lite(3)
     attack = build_nondeciding_execution(pk, 3, rounds=12)
     for entry in attack.witnesses:
-        config = entry.config
+        config = entry.witness.config
         for p in range(3):
             before = silent_decision(config, p, pk, CAP).decision
             stepped = step_fts(config, pk, RoundFault(p, [q for q in range(3) if q != p]))
@@ -133,10 +135,10 @@ def test_all_zero_initial_never_dependent():
 
 def test_dependence_witness_verifies():
     pk = phase_king_lite(3)
-    config, p, witness = find_initial_dependent(pk, 3)
+    witness = find_initial_dependent(pk, 3)
     assert witness.ff_decision != witness.silent_decision
     assert verify_witness(witness, pk, CAP)
-    fresh = is_p_dependent(config, p, pk, CAP)
+    fresh = is_p_dependent(witness.config, witness.process, pk, CAP)
     assert fresh is not None and fresh == witness
 
 
@@ -165,8 +167,8 @@ def test_chain_scan_case_silent_disagrees_with_right_end():
     assert failure_free_decision(a, pk, CAP).decision == 0
     assert failure_free_decision(b, pk, CAP).decision == 1
     assert silent_decision(b, 1, pk, CAP).decision == 0  # case precondition
-    k, p, witness = find_dependent_in_chain(chain, pk, CAP)
-    assert (k, p) == (1, 1)
+    k, witness = find_dependent_in_chain(chain, pk, CAP)
+    assert (k, witness.process) == (1, 1)
     assert witness.ff_decision == 1 and witness.silent_decision == 0
 
 
@@ -187,10 +189,10 @@ def test_chain_scan_case_silent_agrees_with_right_end():
             break
     assert found is not None, "no case-2 pair among initial configurations"
     a, b, p, ffa = found
-    k, q, witness = find_dependent_in_chain(
+    k, witness = find_dependent_in_chain(
         AdjacentChain(configs=(a, b), differing=(p,)), pk, CAP
     )
-    assert (k, q) == (0, p)
+    assert (k, witness.process) == (0, p)
     assert witness.ff_decision == ffa
 
 
@@ -214,7 +216,7 @@ def test_chain_scan_requires_flip():
 
 def test_initial_chain_construction_properties():
     pk = phase_king_lite(3)
-    config, p, witness = find_initial_dependent(pk, 3)
+    config = find_initial_dependent(pk, 3).config
     # endpoints of the monotone chain decide 0 and 1 by validity
     assert failure_free_decision(initial_configuration(pk, (0, 0, 0)), pk, CAP).decision == 0
     assert failure_free_decision(initial_configuration(pk, (1, 1, 1)), pk, CAP).decision == 1
@@ -232,8 +234,8 @@ def test_initial_dependent_matches_brute_force():
             if is_p_dependent(config, p, pk, CAP) is not None:
                 brute.add((inputs, p))
     assert brute, "target must have some dependent initial configuration"
-    config, p, _ = find_initial_dependent(pk, 3)
-    assert (config.inputs(), p) in brute
+    witness = find_initial_dependent(pk, 3)
+    assert (witness.config.inputs(), witness.process) in brute
 
 
 def test_monotone_chain_adjacency():
@@ -251,17 +253,18 @@ def test_monotone_chain_adjacency():
 
 def test_extension_returns_verified_dependent_successor():
     pk = phase_king_lite(3)
-    config, p, witness = find_initial_dependent(pk, 3)
-    ext = extend_dependent(config, p, witness, pk)
-    assert ext.fault.sender == p
-    assert ext.config == step_fts(config, pk, ext.fault)
+    witness = find_initial_dependent(pk, 3)
+    ext = extend_dependent(witness, pk)
+    assert ext.fault.sender == witness.process
+    assert ext.witness.config == step_fts(witness.config, pk, ext.fault)
     assert verify_witness(ext.witness, pk, CAP)
-    assert not ext.config.outputs()
+    assert not ext.witness.config.outputs()
 
 
 def test_extension_chain_is_adjacent():
     pk = phase_king_lite(3)
-    config, p, _w = find_initial_dependent(pk, 3)
+    witness = find_initial_dependent(pk, 3)
+    config, p = witness.config, witness.process
     others = [q for q in range(3) if q != p]
     configs = [
         step_fts(config, pk, RoundFault(p, others[i - 1 :])) for i in range(1, 4)
@@ -275,7 +278,7 @@ def test_extension_endpoint_identities():
     pk = phase_king_lite(3)
     attack = build_nondeciding_execution(pk, 3, rounds=8)
     for entry in attack.witnesses:
-        config, p = entry.config, entry.process
+        config, p = entry.witness.config, entry.witness.process
         b = entry.witness.silent_decision
         others = [q for q in range(3) if q != p]
         c_n = step_fts(config, pk, RoundFault(p, []))
@@ -287,8 +290,8 @@ def test_extension_brute_force_membership_ten_rounds():
     faults = enumerate_faults("fts", 3)
     attack = build_nondeciding_execution(pk, 3, rounds=10)
     for entry in attack.witnesses[:-1]:
-        config, p, w = entry.config, entry.process, entry.witness
-        ext = extend_dependent(config, p, w, pk)
+        config = entry.witness.config
+        ext = extend_dependent(entry.witness, pk)
         brute = set()
         for fault in faults:
             child = step_fts(config, pk, fault)
@@ -297,7 +300,7 @@ def test_extension_brute_force_membership_ten_rounds():
                     continue
                 if is_p_dependent(child, q, pk, CAP) is not None:
                     brute.add((fault, q))
-        assert (ext.fault, ext.process) in brute
+        assert (ext.fault, ext.witness.process) in brute
 
 
 def test_extension_case_full_silence_occurs():
@@ -308,6 +311,66 @@ def test_extension_case_full_silence_occurs():
     partial = [e for e in attack.witnesses[1:] if len(e.fault.victims) < 2]
     assert full, "full-silence branch never taken in 20 rounds"
     assert partial, "chain branch never taken in 20 rounds"
+
+
+def reference_extend(witness, protocol, cap, restricted, memo):
+    """The extension rule before the chain came from one fan-out round:
+    c_1 stepped on its own, then one step_fts per chain entry."""
+    config, p = witness.config, witness.process
+    n = config.n
+    others = [q for q in range(n) if q != p]
+    if not restricted:
+        full = RoundFault(p, others)
+        c1 = step_fts(config, protocol, full)
+        if failure_free_decision(c1, protocol, cap, memo=memo).decision != witness.silent_decision:
+            w = is_p_dependent(c1, p, protocol, cap, memo=memo)
+            if w is None:
+                raise InvariantViolation("full-silence successor failed re-verification")
+            return full, w
+    start = 2 if restricted else 1
+    faults = [RoundFault(p, others[i - 1 :]) for i in range(start, n + 1)]
+    configs = tuple(step_fts(config, protocol, f) for f in faults)
+    chain = AdjacentChain(configs=configs, differing=tuple(others[start - 1 : n - 1]))
+    try:
+        k, w = find_dependent_in_chain(chain, protocol, cap, memo=memo)
+    except NoFlipInChain:
+        if restricted:
+            raise ChainExhausted() from None
+        raise InvariantViolation("progressive delivery chain endpoints failed to flip") from None
+    return faults[k], w
+
+
+def _extension_outcome(extend):
+    try:
+        return extend()
+    except (ChainExhausted, InvariantViolation) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_extension_matches_stepped_chain(n):
+    pk = phase_king_lite(n)
+    cap = default_cap(n)
+    witnesses = dict.fromkeys(
+        entry.witness
+        for restricted in (False, True)
+        for entry in build_nondeciding_execution(pk, n, rounds=10, restricted=restricted).witnesses
+    )
+    memo, reference_memo = {}, {}
+    outcomes = set()
+    for witness in witnesses:
+        for restricted in (False, True):
+            got = _extension_outcome(
+                lambda: extend_dependent(witness, pk, cap, restricted, memo=memo)
+            )
+            want = _extension_outcome(
+                lambda: reference_extend(witness, pk, cap, restricted, reference_memo)
+            )
+            if isinstance(got, AttackRound):
+                got = (got.fault, got.witness)
+            assert got == want, (witness, restricted)
+            outcomes.add(want[0] if want[0] is ChainExhausted else "extended")
+    assert outcomes == {ChainExhausted, "extended"}
 
 
 # -- attack loop ------------------------------------------------------------------
@@ -354,7 +417,7 @@ def test_restricted_extension_raises_chain_exhausted():
     # re-create the failing extension call at the exhaustion point
     entry = result.witnesses[-1]
     with pytest.raises(ChainExhausted):
-        extend_dependent(entry.config, entry.process, entry.witness, pk, restricted=True)
+        extend_dependent(entry.witness, pk, restricted=True)
 
 
 def test_restricted_faults_never_full_silence():
@@ -426,7 +489,7 @@ def test_memo_hit_beyond_cap_raises_like_fresh_probe():
 def test_memoized_oracles_match_fresh_on_attack_configs(n):
     pk = phase_king_lite(n)
     cap = default_cap(n)
-    configs = [entry.config for entry in build_nondeciding_execution(pk, n, rounds=10).witnesses]
+    configs = [e.witness.config for e in build_nondeciding_execution(pk, n, rounds=10).witnesses]
     memo = {}
     for config in configs:
         for p in [None, *range(n)]:
@@ -435,13 +498,13 @@ def test_memoized_oracles_match_fresh_on_attack_configs(n):
             for c in _probe_path(config, p, pk):
                 assert _oracle(c, p, pk, cap, memo=memo) == _oracle(c, p, pk, cap), (c, p)
     # and the attack's own memoized steps agree with unmemoized ones
-    config, p, witness = find_initial_dependent(pk, n)
-    assert find_initial_dependent(pk, n, memo={}) == (config, p, witness)
+    witness = find_initial_dependent(pk, n)
+    assert find_initial_dependent(pk, n, memo={}) == witness
     memo = {}
     for _ in range(10):
-        ext = extend_dependent(config, p, witness, pk)
-        assert extend_dependent(config, p, witness, pk, memo=memo) == ext
-        config, p, witness = ext.config, ext.process, ext.witness
+        ext = extend_dependent(witness, pk)
+        assert extend_dependent(witness, pk, memo=memo) == ext
+        witness = ext.witness
 
 
 @pytest.mark.parametrize("first", ["naive-majority", "phase-king-lite"])
