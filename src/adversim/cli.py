@@ -151,6 +151,13 @@ def _make_policy(spec: str, model: str, n: int, seed: Optional[int], restricted:
     raise UsageError(f"unknown adversary spec {spec!r}")
 
 
+def _check_restricted(args, model: str) -> None:
+    """``--restricted`` forbids full-silence faults, which only the
+    fail-to-send model has."""
+    if args.restricted and model != "fts":
+        raise UsageError(f"--restricted applies to --model fts only, not {model}")
+
+
 def _parse_crash(spec: Optional[str], n: int):
     if not spec:
         return None
@@ -211,6 +218,7 @@ def _protocol(protocol_id: str, n: int, stack: Optional[str] = None):
 
 
 def cmd_run(args) -> int:
+    _check_restricted(args, args.model)
     protocol = _protocol(args.protocol, args.n)
     if args.model == "flp":
         if not isinstance(protocol, AsyncProtocol):
@@ -296,6 +304,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _check_restricted(args, args.model)
     protocol = _protocol(args.protocol, args.n)
     if args.mode == "exhaustive":
         result = checking.check_exhaustive(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
 MODELS = ("fts", "ftr", "flp")
 
@@ -50,9 +50,11 @@ Pid = int
 Payload = Any
 
 
-@dataclass(frozen=True, slots=True)
-class LocalState:
-    """One process: binary input, opaque internal state, write-once output."""
+class LocalState(NamedTuple):
+    """One process: binary input, opaque internal state, write-once output.
+
+    A plain immutable tuple: it compares equal to, and hashes like, the
+    tuple ``(input, internal, output)`` of its fields."""
 
     input: int
     internal: Any
@@ -67,9 +69,12 @@ class LocalState:
         return LocalState(self.input, self.internal, value)
 
 
-@dataclass(frozen=True, slots=True)
-class Configuration:
-    """Snapshot of every process state plus the index of the next round."""
+class Configuration(NamedTuple):
+    """Snapshot of every process state plus the index of the next round.
+
+    A plain immutable tuple: it compares equal to, and hashes like, the
+    tuple ``(round, states)``, and each state like the tuple of its fields,
+    so memo tables and visited sets key on it at tuple cost."""
 
     round: int
     states: tuple[LocalState, ...]

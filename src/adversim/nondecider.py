@@ -15,8 +15,9 @@ delivery chain of its payload until the dependence flips hands.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import (
     AdversimError,
@@ -87,27 +88,6 @@ class DependenceWitness:
     process: Pid
     ff_decision: int
     silent_decision: int
-
-
-@dataclass(frozen=True)
-class AdjacentChain:
-    """Configurations c_0..c_m where consecutive entries differ exactly in
-    the local state of ``differing[i]``."""
-
-    configs: tuple[Configuration, ...]
-    differing: tuple[Pid, ...]
-
-    def __post_init__(self):
-        if len(self.differing) != len(self.configs) - 1:
-            raise AdversimError("chain needs one differing process per adjacent pair")
-
-    def check_adjacency(self) -> None:
-        for i, p in enumerate(self.differing):
-            diff = self.configs[i].differing_processes(self.configs[i + 1])
-            if diff != [p]:
-                raise AdversimError(
-                    f"chain entries {i},{i + 1} differ in {diff}, expected [{p}]"
-                )
 
 
 def default_cap(n: int) -> int:
@@ -201,10 +181,16 @@ def is_p_dependent(
     *,
     memo: Optional[OracleMemo] = None,
 ) -> Optional[DependenceWitness]:
-    """Two-oracle dependence test; the sole constructor of witnesses."""
+    """Two-oracle dependence test."""
     ff = failure_free_decision(config, protocol, cap, memo=memo)
     sil = silent_decision(config, p, protocol, cap, memo=memo)
-    if ff.decision == sil.decision:
+    return _witness(config, p, ff.decision, sil.decision)
+
+
+def _witness(config: Configuration, p: Pid, ff: int, sil: int) -> Optional[DependenceWitness]:
+    """The witness two oracle decisions at ``config`` make, if they differ;
+    the sole constructor of witnesses."""
+    if ff == sil:
         return None
     if config.outputs():
         # Decisions are irrevocable: a configuration with a written output
@@ -212,42 +198,50 @@ def is_p_dependent(
         raise InvariantViolation(
             f"dependent configuration already has outputs {config.outputs()}"
         )
-    return DependenceWitness(
-        config=config, process=p, ff_decision=ff.decision, silent_decision=sil.decision
-    )
+    return DependenceWitness(config=config, process=p, ff_decision=ff, silent_decision=sil)
 
 
 def find_dependent_in_chain(
-    chain: AdjacentChain, protocol: RoundProtocol, cap: int, *, memo: Optional[OracleMemo] = None
+    configs: Iterable[Configuration],
+    differing: Iterable[Pid],
+    protocol: RoundProtocol,
+    cap: int,
+    *,
+    memo: Optional[OracleMemo] = None,
 ) -> tuple[int, DependenceWitness]:
-    """Locate a dependent configuration on a chain whose failure-free
-    decisions flip somewhere.
+    """Locate a dependent configuration on a chain c_0, c_1, ... whose
+    failure-free decisions flip somewhere; c_{i-1} and c_i differ exactly in
+    the local state of the i-th entry of ``differing``.
 
-    Scans for the first adjacent pair (c_{j-1}, c_j) with differing
-    failure-free decisions.  If the silent decision of the differing process
-    at c_j disagrees with c_j's failure-free decision, c_j is dependent.
-    Otherwise c_{j-1} is: silencing the differing process erases the only
-    state distinction between the two, so their silent decisions coincide,
-    and that value disagrees with c_{j-1}'s failure-free decision.  The
-    returned witness is re-established by a two-oracle test either way.
+    Draws and probes one configuration at a time and stops at the first
+    adjacent pair (c_{j-1}, c_j) with differing failure-free decisions, so a
+    lazy chain is built no further than c_j.  If the silent decision of the
+    differing process at c_j disagrees with c_j's failure-free decision,
+    c_j is dependent.  Otherwise c_{j-1} is: silencing the differing process
+    erases the only state distinction between the two, so their silent
+    decisions coincide, and that value disagrees with c_{j-1}'s failure-free
+    decision.  The returned witness holds the two oracle decisions probed
+    at c_k either way.
     """
-    ffs = [failure_free_decision(c, protocol, cap, memo=memo).decision for c in chain.configs]
-    flip = None
-    for j in range(1, len(ffs)):
-        if ffs[j - 1] != ffs[j]:
-            flip = j
+    configs = iter(configs)
+    prev = next(configs)
+    prev_ff = failure_free_decision(prev, protocol, cap, memo=memo).decision
+    # differing first, so zip draws no configuration past the chain's end
+    for j, (p, config) in enumerate(zip(differing, configs), 1):
+        ff = failure_free_decision(config, protocol, cap, memo=memo).decision
+        if ff != prev_ff:
             break
-    if flip is None:
+        prev = config
+    else:
         raise NoFlipInChain("no flip in chain")
-    p = chain.differing[flip - 1]
-    sil = silent_decision(chain.configs[flip], p, protocol, cap, memo=memo)
-    k = flip if sil.decision != ffs[flip] else flip - 1
-    witness = is_p_dependent(chain.configs[k], p, protocol, cap, memo=memo)
+    sil = silent_decision(config, p, protocol, cap, memo=memo).decision
+    if sil != ff:
+        return j, _witness(config, p, ff, sil)
+    sil = silent_decision(prev, p, protocol, cap, memo=memo).decision
+    witness = _witness(prev, p, prev_ff, sil)
     if witness is None:
-        raise InvariantViolation(
-            f"chain entry {k} failed re-verification as {p}-dependent"
-        )
-    return k, witness
+        raise InvariantViolation(f"chain entry {j - 1} failed re-verification as {p}-dependent")
+    return j - 1, witness
 
 
 def find_initial_dependent(
@@ -263,12 +257,11 @@ def find_initial_dependent(
     if n < 2:
         raise AdversimError("need n >= 2")
     cap = default_cap(n) if cap is None else cap
-    configs = []
-    for i in range(n + 1):
-        inputs = tuple(1 if j < i else 0 for j in range(n))
-        configs.append(initial_configuration(protocol, inputs))
-    chain = AdjacentChain(configs=tuple(configs), differing=tuple(range(n)))
-    return find_dependent_in_chain(chain, protocol, cap, memo=memo)[1]
+    configs = (
+        initial_configuration(protocol, tuple(1 if j < i else 0 for j in range(n)))
+        for i in range(n + 1)
+    )
+    return find_dependent_in_chain(configs, range(n), protocol, cap, memo=memo)[1]
 
 
 @dataclass(frozen=True)
@@ -304,8 +297,8 @@ def extend_dependent(
     failure-free decisions at the ends are b and (not b), and consecutive
     entries differ only in whether one process heard p, so the chain scan
     lands on a dependent successor and the generating fault is returned.
-    The whole chain comes from one fan-out round, stepped lazily, so c_1 is
-    probed before the rest of the chain is built.
+    The whole chain comes from one fan-out round, stepped lazily, so no
+    entry past the first flip is built or probed.
 
     With ``restricted`` set, full-silence faults are forbidden: the chain
     starts at c_2 and is one configuration short, so the scan may find no
@@ -319,21 +312,17 @@ def extend_dependent(
     # c_i delivers p's payload to exactly the first i-1 of the others.
     faults = [RoundFault(p, others[i - 1 :]) for i in range(start, n + 1)]
     chain = successors(config, protocol, [f.mapping for f in faults])
-    configs = []
     if not restricted:
         c1 = next(chain)
-        if failure_free_decision(c1, protocol, cap, memo=memo).decision != witness.silent_decision:
-            w = is_p_dependent(c1, p, protocol, cap, memo=memo)
+        ff = failure_free_decision(c1, protocol, cap, memo=memo).decision
+        if ff != witness.silent_decision:
+            w = _witness(c1, p, ff, silent_decision(c1, p, protocol, cap, memo=memo).decision)
             if w is None:
                 raise InvariantViolation("full-silence successor failed re-verification")
             return AttackRound(fault=faults[0], witness=w)
-        configs.append(c1)
-    configs.extend(chain)
-    differing = tuple(others[start - 1 : n - 1])
+        chain = itertools.chain((c1,), chain)
     try:
-        k, w = find_dependent_in_chain(
-            AdjacentChain(configs=tuple(configs), differing=differing), protocol, cap, memo=memo
-        )
+        k, w = find_dependent_in_chain(chain, others[start - 1 :], protocol, cap, memo=memo)
     except NoFlipInChain:
         if restricted:
             raise ChainExhausted() from None

@@ -144,6 +144,8 @@ class RandomFaultPolicy(AdversaryPolicy):
     """Seeded uniform fault draw; each round independent of history."""
 
     def __init__(self, n: int, rng, model: str = "fts", restricted: bool = False):
+        if restricted and model != "fts":
+            raise AdversimError("restricted mode applies to the fail-to-send model only")
         self.model = model
         self.n = n
         self.rng = rng

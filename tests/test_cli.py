@@ -596,6 +596,34 @@ def test_check_fuzz_rejects_bad_counts(runs, depth):
         check_fuzz(phase_king_lite(3), 3, runs=runs, depth=depth, seed=1)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "--mode", "exhaustive", "--model", "ftr", *_PK3],
+        ["check", "--mode", "fuzz", "--seed", "1", "--model", "ftr", *_PK3],
+        ["run", "--model", "ftr", *_PK3, "--inputs", "1,0,0"],
+        ["run", "--model", "flp", "--protocol", "ftr-over-flp:phase-king-lite", "--n", "3",
+         "--inputs", "1,0,1"],
+    ],
+    ids=["check-exhaustive-ftr", "check-fuzz-ftr", "run-ftr", "run-flp"],
+)
+def test_restricted_outside_fts_is_usage_error(tmp_path, args):
+    proc = run_adversim([*args, "--restricted", "--out", "t.jsonl"], tmp_path)
+    assert proc.returncode == 64, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and "--restricted" in lines[0], proc.stderr
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_check_fuzz_rejects_restricted_ftr():
+    from adversim.checking import check_fuzz
+    from adversim.core import AdversimError
+    from adversim.protocols import phase_king_lite
+
+    with pytest.raises(AdversimError, match="fail-to-send model only"):
+        check_fuzz(phase_king_lite(3), 3, runs=10, depth=4, seed=1, model="ftr", restricted=True)
+
+
 def test_unexpected_exception_is_one_line_internal_error(monkeypatch, capsys):
     from adversim import checking
 

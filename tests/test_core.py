@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adversim.core import (
+    AdversimError,
     ExecutionTrace,
     FtsStep,
     LocalState,
@@ -42,6 +43,26 @@ def test_output_register_write_once():
     assert s1.output == 1
     assert s1.write(0).output == 1  # later writes ignored
     assert s1.write(None).output == 1
+
+
+def test_output_register_rejects_non_binary_and_keeps_none():
+    s = LocalState(input=1, internal=None)
+    assert s.write(None) is s
+    with pytest.raises(AdversimError):
+        s.write(2)
+
+
+def test_local_state_and_configuration_are_plain_tuples():
+    pk = phase_king_lite(3)
+    c = run(initial_configuration(pk, (1, 0, 1)), pk, NoFaultPolicy(), horizon=3).final_config
+    assert c.outputs()
+    plain = (c.round, tuple(tuple(s) for s in c.states))
+    assert c == plain and hash(c) == hash(plain)
+    s = c.states[0]
+    assert s == (s.input, s.internal, s.output) and hash(s) == hash(tuple(s))
+    for value, attribute in [(s, "output"), (s, "extra"), (c, "round"), (c, "extra")]:
+        with pytest.raises(AttributeError):
+            setattr(value, attribute, 0)
 
 
 def test_configuration_differing_processes():

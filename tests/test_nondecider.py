@@ -4,9 +4,9 @@ import itertools
 
 import pytest
 
+from adversim import nondecider
 from adversim.core import initial_configuration
 from adversim.nondecider import (
-    AdjacentChain,
     AgreementViolation,
     AttackRound,
     ChainExhausted,
@@ -157,7 +157,7 @@ def test_decided_configuration_never_yields_witness():
 def _two_config_chain(pk, inputs_a, inputs_b, p):
     a = initial_configuration(pk, inputs_a)
     b = initial_configuration(pk, inputs_b)
-    return a, b, AdjacentChain(configs=(a, b), differing=(p,))
+    return a, b, ((a, b), (p,))
 
 
 def test_chain_scan_case_silent_disagrees_with_right_end():
@@ -167,7 +167,7 @@ def test_chain_scan_case_silent_disagrees_with_right_end():
     assert failure_free_decision(a, pk, CAP).decision == 0
     assert failure_free_decision(b, pk, CAP).decision == 1
     assert silent_decision(b, 1, pk, CAP).decision == 0  # case precondition
-    k, witness = find_dependent_in_chain(chain, pk, CAP)
+    k, witness = find_dependent_in_chain(*chain, pk, CAP)
     assert (k, witness.process) == (1, 1)
     assert witness.ff_decision == 1 and witness.silent_decision == 0
 
@@ -189,9 +189,7 @@ def test_chain_scan_case_silent_agrees_with_right_end():
             break
     assert found is not None, "no case-2 pair among initial configurations"
     a, b, p, ffa = found
-    k, witness = find_dependent_in_chain(
-        AdjacentChain(configs=(a, b), differing=(p,)), pk, CAP
-    )
+    k, witness = find_dependent_in_chain((a, b), (p,), pk, CAP)
     assert (k, witness.process) == (0, p)
     assert witness.ff_decision == ffa
 
@@ -203,12 +201,18 @@ def _adjacent_input_pairs(n):
             yield bits, flipped, p
 
 
+def _assert_adjacent(configs, differing):
+    assert len(differing) == len(configs) - 1
+    for i, p in enumerate(differing):
+        assert configs[i].differing_processes(configs[i + 1]) == [p], i
+
+
 def test_chain_scan_requires_flip():
     pk = phase_king_lite(3)
     a = initial_configuration(pk, (0, 0, 0))
     b = initial_configuration(pk, (0, 1, 0))  # both ff-decide 0
     with pytest.raises(NoFlipInChain):
-        find_dependent_in_chain(AdjacentChain(configs=(a, b), differing=(1,)), pk, CAP)
+        find_dependent_in_chain((a, b), (1,), pk, CAP)
 
 
 # -- initial configuration search ------------------------------------------------
@@ -244,8 +248,7 @@ def test_monotone_chain_adjacency():
         initial_configuration(pk, tuple(1 if j < i else 0 for j in range(3)))
         for i in range(4)
     ]
-    chain = AdjacentChain(configs=tuple(configs), differing=(0, 1, 2))
-    chain.check_adjacency()
+    _assert_adjacent(configs, (0, 1, 2))
 
 
 # -- extension ------------------------------------------------------------------
@@ -269,8 +272,7 @@ def test_extension_chain_is_adjacent():
     configs = [
         step_fts(config, pk, RoundFault(p, others[i - 1 :])) for i in range(1, 4)
     ]
-    chain = AdjacentChain(configs=tuple(configs), differing=tuple(others))
-    chain.check_adjacency()  # c_i, c_{i+1} differ only in others[i-1]
+    _assert_adjacent(configs, others)  # c_i, c_{i+1} differ only in others[i-1]
 
 
 def test_extension_endpoint_identities():
@@ -313,6 +315,24 @@ def test_extension_case_full_silence_occurs():
     assert partial, "chain branch never taken in 20 rounds"
 
 
+def reference_scan(configs, differing, protocol, cap, memo):
+    """The chain scan before it stopped at the first flip: every entry is
+    built and probed before the flip is looked for, and the witness is
+    re-established by a fresh two-oracle test."""
+    configs = tuple(configs)
+    ffs = [failure_free_decision(c, protocol, cap, memo=memo).decision for c in configs]
+    flip = next((j for j in range(1, len(ffs)) if ffs[j - 1] != ffs[j]), None)
+    if flip is None:
+        raise NoFlipInChain("no flip in chain")
+    p = differing[flip - 1]
+    sil = silent_decision(configs[flip], p, protocol, cap, memo=memo)
+    k = flip if sil.decision != ffs[flip] else flip - 1
+    witness = is_p_dependent(configs[k], p, protocol, cap, memo=memo)
+    if witness is None:
+        raise InvariantViolation(f"chain entry {k} failed re-verification as {p}-dependent")
+    return k, witness
+
+
 def reference_extend(witness, protocol, cap, restricted, memo):
     """The extension rule before the chain came from one fan-out round:
     c_1 stepped on its own, then one step_fts per chain entry."""
@@ -330,9 +350,8 @@ def reference_extend(witness, protocol, cap, restricted, memo):
     start = 2 if restricted else 1
     faults = [RoundFault(p, others[i - 1 :]) for i in range(start, n + 1)]
     configs = tuple(step_fts(config, protocol, f) for f in faults)
-    chain = AdjacentChain(configs=configs, differing=tuple(others[start - 1 : n - 1]))
     try:
-        k, w = find_dependent_in_chain(chain, protocol, cap, memo=memo)
+        k, w = reference_scan(configs, others[start - 1 :], protocol, cap, memo)
     except NoFlipInChain:
         if restricted:
             raise ChainExhausted() from None
@@ -340,37 +359,91 @@ def reference_extend(witness, protocol, cap, restricted, memo):
     return faults[k], w
 
 
-def _extension_outcome(extend):
+def _outcome(call):
+    """A call's result, or the type and message of the construction error it raised."""
     try:
-        return extend()
-    except (ChainExhausted, InvariantViolation) as exc:
+        return call()
+    except (NoFlipInChain, ChainExhausted, InvariantViolation) as exc:
         return type(exc), str(exc)
+
+
+def _attack_witnesses(pk, n):
+    """Every witness the attacks at n reach in 10 rounds, restricted and not."""
+    return dict.fromkeys(
+        entry.witness
+        for restricted in (False, True)
+        for entry in build_nondeciding_execution(pk, n, rounds=10, restricted=restricted).witnesses
+    )
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_extension_matches_stepped_chain(n):
     pk = phase_king_lite(n)
     cap = default_cap(n)
-    witnesses = dict.fromkeys(
-        entry.witness
-        for restricted in (False, True)
-        for entry in build_nondeciding_execution(pk, n, rounds=10, restricted=restricted).witnesses
-    )
     memo, reference_memo = {}, {}
     outcomes = set()
-    for witness in witnesses:
+    for witness in _attack_witnesses(pk, n):
         for restricted in (False, True):
-            got = _extension_outcome(
-                lambda: extend_dependent(witness, pk, cap, restricted, memo=memo)
-            )
-            want = _extension_outcome(
-                lambda: reference_extend(witness, pk, cap, restricted, reference_memo)
-            )
+            got = _outcome(lambda: extend_dependent(witness, pk, cap, restricted, memo=memo))
+            want = _outcome(lambda: reference_extend(witness, pk, cap, restricted, reference_memo))
             if isinstance(got, AttackRound):
                 got = (got.fault, got.witness)
             assert got == want, (witness, restricted)
             outcomes.add(want[0] if want[0] is ChainExhausted else "extended")
     assert outcomes == {ChainExhausted, "extended"}
+
+
+def _attack_chains(pk, n):
+    """Every chain the attacks at n scan in 10 rounds, each stepped entry by
+    entry: the input chain, and from each witness the progressive delivery
+    chains c_1..c_n and c_2..c_n, with the process each adjacent pair
+    differs in."""
+    inputs = [tuple(1 if j < i else 0 for j in range(n)) for i in range(n + 1)]
+    chains = [(tuple(initial_configuration(pk, b) for b in inputs), tuple(range(n)))]
+    for witness in _attack_witnesses(pk, n):
+        config, p = witness.config, witness.process
+        others = [q for q in range(n) if q != p]
+        for start in (1, 2):
+            faults = [RoundFault(p, others[i - 1 :]) for i in range(start, n + 1)]
+            configs = tuple(step_fts(config, pk, f) for f in faults)
+            chains.append((configs, tuple(others[start - 1 :])))
+    return chains
+
+
+def _drawn(configs, log):
+    for config in configs:
+        log.append(config)
+        yield config
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_chain_scan_matches_eager_scan_and_stops_at_first_flip(n, monkeypatch):
+    pk = phase_king_lite(n)
+    cap = default_cap(n)
+    ff_probes = []
+
+    def counted_failure_free_decision(config, *args, **kwargs):
+        ff_probes.append(config)
+        return failure_free_decision(config, *args, **kwargs)
+
+    monkeypatch.setattr(nondecider, "failure_free_decision", counted_failure_free_decision)
+    memo, reference_memo = {}, {}
+    stopped_early = 0
+    for configs, differing in _attack_chains(pk, n):
+        want = _outcome(lambda: reference_scan(configs, differing, pk, cap, reference_memo))
+        ffs = [failure_free_decision(c, pk, cap).decision for c in configs]
+        last = len(configs) - 1
+        first_flip = next((j for j in range(1, len(ffs)) if ffs[j - 1] != ffs[j]), last)
+        drawn = []
+        ff_probes.clear()
+        got = _outcome(
+            lambda: find_dependent_in_chain(_drawn(configs, drawn), differing, pk, cap, memo=memo)
+        )
+        assert got == want, (configs, differing)
+        assert drawn == list(configs[: first_flip + 1])
+        assert ff_probes == drawn
+        stopped_early += first_flip < last
+    assert stopped_early, "no chain flips before its last entry"
 
 
 # -- attack loop ------------------------------------------------------------------
