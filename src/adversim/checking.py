@@ -9,6 +9,14 @@ children built: the search stops with BudgetExceeded as soon as it would
 build one more, or before it starts when one expansion alone would.  Fuzz
 mode draws seeded random inputs and faults; every run's randomness derives
 from (seed, run index), so a reported counterexample replays in isolation.
+Fuzz runs revisit the same configurations often, so one fuzz call (and one
+liveness check) shares a single expansion table across all its runs: each
+configuration's broadcast and each (receiver, missed sender) transition is
+computed once per call.  That is exact.  Protocols are pure, the key is the
+whole configuration with its round, the table lives for one call with one
+protocol, and a failing ``message()`` or ``transition()`` stores nothing; so
+every run draws the same faults, reaches the same configurations and gives
+the same verdict, count and trace as it would stepping afresh.
 Both modes return the first violation together with a replayable trace.
 """
 
@@ -29,6 +37,7 @@ from .core import (
     initial_configuration,
 )
 from .sync_engine import (
+    ExpansionTable,
     NoFaultPolicy,
     RandomFaultPolicy,
     ScriptedPolicy,
@@ -175,26 +184,32 @@ def check_fuzz(
     restricted: bool = False,
 ) -> CheckResult:
     """Seeded random input vectors and fault schedules.  Runs stop early once
-    every process has decided (registers are frozen after that)."""
+    every process has decided (registers are frozen after that).  All runs
+    share one expansion table and one initial configuration per input
+    vector, so a configuration that several runs reach is stepped once."""
     if runs < 1:
         raise AdversimError("runs must be >= 1")
     if depth < 1:
         raise AdversimError("depth must be >= 1")
     step = step_fts if model == "fts" else step_ftr
+    table: ExpansionTable = {}
+    initial: dict[tuple[int, ...], Configuration] = {}
     explored = 0
     for run_index in range(runs):
         rng_inputs = random.Random(stream_seed(seed, "run", run_index, "inputs"))
         inputs = tuple(rng_inputs.randrange(2) for _ in range(n))
         rng_faults = random.Random(stream_seed(seed, "run", run_index, "faults"))
         policy = RandomFaultPolicy(n, rng_faults, model=model, restricted=restricted)
-        config = initial_configuration(protocol, inputs)
+        config = initial.get(inputs)
+        if config is None:
+            config = initial[inputs] = initial_configuration(protocol, inputs)
         path = []
         for _ in range(depth):
             if config.all_decided():
                 break
             fault = policy.next_fault(config.round, path)
             before = config.outputs()
-            config = step(config, protocol, fault)
+            config = step(config, protocol, fault, table)
             explored += 1
             path.append(fault)
             kind = _violation_kind(inputs, before, config.outputs())
@@ -215,20 +230,23 @@ def check_liveness(
     protocol: RoundProtocol, n: int, deadline: int = 6, model: str = "fts"
 ) -> list[LivenessFailure]:
     """Every failure-free and every single-silenced run, from every input
-    vector, must fully decide within ``deadline`` rounds."""
+    vector, must fully decide within ``deadline`` rounds.  The runs share one
+    expansion table, as in ``check_fuzz``."""
     failures = []
     policies = [("failure-free", NoFaultPolicy(model))] + [
         (f"silent({p})", SilentPolicy(p, n, model)) for p in range(n)
     ]
     step = step_fts if model == "fts" else step_ftr
+    table: ExpansionTable = {}
     for bits in product((0, 1), repeat=n):
+        initial = initial_configuration(protocol, bits)
         for name, policy in policies:
-            config = initial_configuration(protocol, bits)
+            config = initial
             for _ in range(deadline):
                 if config.all_decided():
                     break
                 fault = policy.next_fault(config.round, [])
-                config = step(config, protocol, fault)
+                config = step(config, protocol, fault, table)
             if not config.all_decided():
                 undecided = tuple(
                     q for q in range(n) if config.states[q].output is None

@@ -167,6 +167,8 @@ def _parse_crash(spec: Optional[str], n: int):
         raise UsageError(f"bad --crash {spec!r}, expected PID:STEP") from None
     if not 0 <= pid < n:
         raise UsageError(f"--crash process {pid} out of range")
+    if step < 0:
+        raise UsageError(f"--crash step {step} must be >= 0")
     return (pid, step)
 
 

@@ -344,8 +344,13 @@ def _read_text(path) -> str:
         raise TraceFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
+# One encoder for every record: json.dumps with these arguments builds a new
+# one on each call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def _loads(line: str, lineno: int):

@@ -208,6 +208,7 @@ def find_dependent_in_chain(
     cap: int,
     *,
     memo: Optional[OracleMemo] = None,
+    first_ff: Optional[int] = None,
 ) -> tuple[int, DependenceWitness]:
     """Locate a dependent configuration on a chain c_0, c_1, ... whose
     failure-free decisions flip somewhere; c_{i-1} and c_i differ exactly in
@@ -215,17 +216,20 @@ def find_dependent_in_chain(
 
     Draws and probes one configuration at a time and stops at the first
     adjacent pair (c_{j-1}, c_j) with differing failure-free decisions, so a
-    lazy chain is built no further than c_j.  If the silent decision of the
-    differing process at c_j disagrees with c_j's failure-free decision,
-    c_j is dependent.  Otherwise c_{j-1} is: silencing the differing process
-    erases the only state distinction between the two, so their silent
-    decisions coincide, and that value disagrees with c_{j-1}'s failure-free
-    decision.  The returned witness holds the two oracle decisions probed
+    lazy chain is built no further than c_j.  A caller that has already
+    probed c_0 passes its failure-free decision as ``first_ff``.  If the
+    silent decision of the differing process at c_j disagrees with c_j's
+    failure-free decision, c_j is dependent.  Otherwise c_{j-1} is:
+    silencing the differing process erases the only state distinction
+    between the two, so their silent decisions coincide, and that value
+    disagrees with c_{j-1}'s failure-free decision.  The returned witness holds the two oracle decisions probed
     at c_k either way.
     """
     configs = iter(configs)
     prev = next(configs)
-    prev_ff = failure_free_decision(prev, protocol, cap, memo=memo).decision
+    prev_ff = first_ff
+    if prev_ff is None:
+        prev_ff = failure_free_decision(prev, protocol, cap, memo=memo).decision
     # differing first, so zip draws no configuration past the chain's end
     for j, (p, config) in enumerate(zip(differing, configs), 1):
         ff = failure_free_decision(config, protocol, cap, memo=memo).decision
@@ -298,7 +302,8 @@ def extend_dependent(
     entries differ only in whether one process heard p, so the chain scan
     lands on a dependent successor and the generating fault is returned.
     The whole chain comes from one fan-out round, stepped lazily, so no
-    entry past the first flip is built or probed.
+    entry past the first flip is built or probed, and c_1 is probed once:
+    the scan takes its failure-free decision from the full-silence test.
 
     With ``restricted`` set, full-silence faults are forbidden: the chain
     starts at c_2 and is one configuration short, so the scan may find no
@@ -312,6 +317,7 @@ def extend_dependent(
     # c_i delivers p's payload to exactly the first i-1 of the others.
     faults = [RoundFault(p, others[i - 1 :]) for i in range(start, n + 1)]
     chain = successors(config, protocol, [f.mapping for f in faults])
+    ff = None
     if not restricted:
         c1 = next(chain)
         ff = failure_free_decision(c1, protocol, cap, memo=memo).decision
@@ -322,7 +328,9 @@ def extend_dependent(
             return AttackRound(fault=faults[0], witness=w)
         chain = itertools.chain((c1,), chain)
     try:
-        k, w = find_dependent_in_chain(chain, others[start - 1 :], protocol, cap, memo=memo)
+        k, w = find_dependent_in_chain(
+            chain, others[start - 1 :], protocol, cap, memo=memo, first_ff=ff
+        )
     except NoFlipInChain:
         if restricted:
             raise ChainExhausted() from None

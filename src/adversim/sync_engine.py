@@ -7,14 +7,15 @@ per receiver, at most one dropped sender).  No process ever crashes, and
 engines always run to the requested horizon: decided processes keep
 participating.  ``successors`` is the one round rule: it builds every child
 of a configuration from one broadcast, and ``step_fts``/``step_ftr`` are its
-one-fault case.
+one-fault case.  All three take an optional ExpansionTable, which keeps each
+configuration's broadcast and transitions for a whole search.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import (
     AdversimError,
@@ -35,10 +36,18 @@ from .core import (
 )
 
 
+# Per configuration: its broadcast inbox (sender -> payload), and the state
+# each (receiver, missed sender) transition reached, as far as computed.
+ExpansionTable = dict[
+    Configuration, tuple[dict[Pid, Any], dict[tuple[Pid, Optional[Pid]], LocalState]]
+]
+
+
 def successors(
     config: Configuration,
     protocol: RoundProtocol,
     drop_maps: Iterable[Mapping[Pid, Pid]],  # each: receiver -> the one sender it misses
+    table: Optional[ExpansionTable] = None,
 ) -> Iterator[Configuration]:
     """Yield the child of ``config`` under each drop map, in order.
 
@@ -46,16 +55,29 @@ def successors(
     other payload, in ascending sender order, except the one it drops.  A
     receiver's transition on a given inbox is computed once, when a child
     first needs it, so all children of a configuration cost at most n*n
-    transitions.  Lazy: an error surfaces at the first child that meets it."""
+    transitions.  Lazy: an error surfaces at the first child that meets it.
+
+    With a ``table``, the broadcast and transitions are kept under the
+    configuration (round included) and reused by every later call with the
+    same table, so a search pays them once per distinct configuration.  A
+    table must serve one protocol only; since protocols are pure and a
+    failing ``message()`` or ``transition()`` stores nothing, every call
+    yields and raises exactly what it would without the table."""
     round = config.round
     states = config.states
-    inbox = {}
-    for p, state in enumerate(states):
-        try:
-            inbox[p] = protocol.message(state.internal, round)
-        except Exception as exc:  # noqa: BLE001 - protocol bug surfaced as engine error
-            raise EngineError(f"message() failed: {exc}", round=round, pid=p) from exc
-    after: dict[tuple[Pid, Optional[Pid]], LocalState] = {}  # (receiver, missed) -> state
+    entry = None if table is None else table.get(config)
+    if entry is None:
+        inbox = {}
+        for p, state in enumerate(states):
+            try:
+                inbox[p] = protocol.message(state.internal, round)
+            except Exception as exc:  # noqa: BLE001 - protocol bug surfaced as engine error
+                raise EngineError(f"message() failed: {exc}", round=round, pid=p) from exc
+        after: dict[tuple[Pid, Optional[Pid]], LocalState] = {}  # (receiver, missed) -> state
+        if table is not None:
+            table[config] = (inbox, after)
+    else:
+        inbox, after = entry
     for dropped in drop_maps:
         new_states = []
         for q, state in enumerate(states):
@@ -74,18 +96,28 @@ def successors(
         yield Configuration(round=round + 1, states=tuple(new_states))
 
 
-def step_fts(config: Configuration, protocol: RoundProtocol, fault: RoundFault) -> Configuration:
+def step_fts(
+    config: Configuration,
+    protocol: RoundProtocol,
+    fault: RoundFault,
+    table: Optional[ExpansionTable] = None,
+) -> Configuration:
     """One fail-to-send round: every process receives every other payload,
     except that fault.sender's payload is withheld from fault.victims."""
     fault.validate(config.n)
-    return next(successors(config, protocol, (fault.mapping,)))
+    return next(successors(config, protocol, (fault.mapping,), table))
 
 
-def step_ftr(config: Configuration, protocol: RoundProtocol, fault: ReceiveFault) -> Configuration:
+def step_ftr(
+    config: Configuration,
+    protocol: RoundProtocol,
+    fault: ReceiveFault,
+    table: Optional[ExpansionTable] = None,
+) -> Configuration:
     """One fail-to-receive round: each process receives every other payload
     except the single sender (if any) dropped for it."""
     fault.validate(config.n)
-    return next(successors(config, protocol, (fault.mapping,)))
+    return next(successors(config, protocol, (fault.mapping,), table))
 
 
 # ---------------------------------------------------------------------------

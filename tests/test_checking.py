@@ -1,4 +1,4 @@
-"""Exhaustive checking against the sequence DFS it replaced.
+"""Exhaustive and fuzz checking against the loops they replaced.
 
 ``check_exhaustive`` expands each configuration once.  The reference below
 is the earlier search: it steps every canonical fault sequence to the depth,
@@ -7,9 +7,13 @@ violation, with the same record and the same replayable trace.  The
 reference refuses by the number of fault sequences it projects; where that
 is over the budget but the children the search builds are not, the search is
 compared with outcomes recorded before the budget counted children.
+
+``check_fuzz`` shares one expansion table across its runs; its reference is
+the fuzz loop without one, which builds and steps every run afresh.
 """
 
 import functools
+import random
 from itertools import product
 
 import pytest
@@ -21,10 +25,12 @@ from adversim.checking import (
     _violation,
     _violation_kind,
     check_exhaustive,
+    check_fuzz,
+    stream_seed,
 )
-from adversim.core import AdversimError, initial_configuration
+from adversim.core import AdversimError, EngineError, initial_configuration
 from adversim.protocols import get_protocol
-from adversim.sync_engine import enumerate_faults, step_fts, step_ftr
+from adversim.sync_engine import RandomFaultPolicy, enumerate_faults, step_fts, step_ftr
 
 
 def reference_check_exhaustive(
@@ -214,3 +220,145 @@ def test_budget_counts_children_built():
     assert result.ok and result.explored == 18144
     with pytest.raises(BudgetExceeded, match="more children than budget 18143"):
         check_exhaustive(protocol, 4, 4, budget=18143)
+
+
+def reference_check_fuzz(protocol, n, runs, depth, seed, model="fts", restricted=False):
+    """The fuzz loop with no expansion table: every run builds its initial
+    configuration and steps each of its rounds afresh."""
+    step = step_fts if model == "fts" else step_ftr
+    explored = 0
+    for run_index in range(runs):
+        rng_inputs = random.Random(stream_seed(seed, "run", run_index, "inputs"))
+        inputs = tuple(rng_inputs.randrange(2) for _ in range(n))
+        rng_faults = random.Random(stream_seed(seed, "run", run_index, "faults"))
+        policy = RandomFaultPolicy(n, rng_faults, model=model, restricted=restricted)
+        config = initial_configuration(protocol, inputs)
+        path = []
+        for _ in range(depth):
+            if config.all_decided():
+                break
+            fault = policy.next_fault(config.round, path)
+            before = config.outputs()
+            config = step(config, protocol, fault)
+            explored += 1
+            path.append(fault)
+            kind = _violation_kind(inputs, before, config.outputs())
+            if kind is not None:
+                violation = _violation(kind, protocol, model, inputs, path, run_index)
+                return CheckResult(violation=violation, explored=explored)
+    return CheckResult(violation=None, explored=explored)
+
+
+def _fuzz_outcome(check, protocol, n, model, restricted, runs=300, depth=12, seed=11):
+    """Verdict, report record, trace bytes and rounds stepped of a fuzz call."""
+    result = check(protocol, n, runs, depth, seed, model=model, restricted=restricted)
+    v = result.violation
+    if v is None:
+        return ("ok",), result.explored
+    return (v.kind, v.record(), v.trace.to_jsonl()), result.explored
+
+
+FUZZ_SHAPES = [
+    ("phase-king-lite", model, restricted, n)
+    for model, restricted in (("fts", False), ("fts", True), ("ftr", False))
+    for n in (3, 4, 5)
+] + [
+    (protocol_id, model, False, n)
+    for protocol_id in ("naive-majority", "constant-0", "constant-1")
+    for model in ("fts", "ftr")
+    for n in (3, 4)
+]
+
+
+@pytest.mark.parametrize("protocol_id, model, restricted, n", FUZZ_SHAPES)
+def test_fuzz_matches_table_free_loop(protocol_id, model, restricted, n):
+    protocol = get_protocol(protocol_id, n)
+    got = _fuzz_outcome(check_fuzz, protocol, n, model, restricted)
+    want = _fuzz_outcome(reference_check_fuzz, protocol, n, model, restricted)
+    assert got == want
+    # The negative controls must actually be caught, so that the record and
+    # trace bytes are compared and not just two clean verdicts.
+    if protocol_id != "phase-king-lite":
+        assert got[0][0] != "ok"
+
+
+class CountingProtocol:
+    """Delegates to a protocol and counts its ``transition`` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.protocol_id = inner.protocol_id
+        self.n = inner.n
+        self.transitions = 0
+
+    def init(self, pid, input):
+        return self.inner.init(pid, input)
+
+    def message(self, internal, round):
+        return self.inner.message(internal, round)
+
+    def transition(self, internal, round, received):
+        self.transitions += 1
+        return self.inner.transition(internal, round, received)
+
+
+def test_fuzz_table_saves_transitions():
+    with_table = CountingProtocol(get_protocol("phase-king-lite", 4))
+    reference = CountingProtocol(get_protocol("phase-king-lite", 4))
+    got = check_fuzz(with_table, 4, 200, 10, 3)
+    want = reference_check_fuzz(reference, 4, 200, 10, 3)
+    assert got.ok and want.ok and got.explored == want.explored
+    assert 0 < with_table.transitions < reference.transitions
+
+
+class FailsOnce:
+    """Stub whose local state is its own pid, so the configuration reached
+    after r rounds depends only on the inputs.  Process ``pid`` raises in
+    ``where`` ("message" or "transition") in round ``round``, that is, on
+    exactly the configurations of that round."""
+
+    protocol_id = "fails-once"
+
+    def __init__(self, n, where, round, pid):
+        self.n, self.where, self.round, self.pid = n, where, round, pid
+
+    def _check(self, where, internal, round):
+        if (where, internal, round) == (self.where, self.pid, self.round):
+            raise RuntimeError(f"{where} fails")
+
+    def init(self, pid, input):
+        return pid
+
+    def message(self, internal, round):
+        self._check("message", internal, round)
+        return internal
+
+    def transition(self, internal, round, received):
+        self._check("transition", internal, round)
+        return internal, None
+
+
+@pytest.mark.parametrize("model", ["fts", "ftr"])
+@pytest.mark.parametrize("where", ["message", "transition"])
+def test_failing_step_raises_on_every_reach(where, model):
+    n, round, pid = 3, 3, 1
+    protocol = FailsOnce(n, where, round, pid)
+
+    def error_of(call):
+        with pytest.raises(EngineError) as info:
+            call()
+        return info.value.round, info.value.pid, str(info.value)
+
+    want = error_of(lambda: reference_check_fuzz(protocol, n, 50, 5, 2, model=model))
+    assert want[:2] == (round, pid)
+    assert error_of(lambda: check_fuzz(protocol, n, 50, 5, 2, model=model)) == want
+    # One table, the failing configuration reached again and again, by every
+    # fault: the same error each time, and no entry left that would skip it.
+    step = step_fts if model == "fts" else step_ftr
+    faults = enumerate_faults(model, n)
+    table = {}
+    config = initial_configuration(protocol, (0, 1, 1))
+    for fault in faults[:2]:
+        config = step(config, protocol, fault, table)
+    for fault in faults:
+        assert error_of(lambda: step(config, protocol, fault, table)) == want

@@ -554,6 +554,12 @@ def test_crash_directive_out_of_range_is_usage_error(tmp_path):
     _assert_fails_closed(args, tmp_path, 64)
 
 
+def test_crash_directive_negative_step_is_usage_error(tmp_path):
+    args = ["run", "--model", "flp", "--protocol", "ftr-over-flp:phase-king-lite", "--n", "3",
+            "--inputs", "1,0,1", "--crash", "0:-5", "--out", str(tmp_path / "t.jsonl")]
+    _assert_fails_closed(args, tmp_path, 64)
+
+
 _PK3 = ["--protocol", "phase-king-lite", "--n", "3"]
 
 

@@ -446,6 +446,31 @@ def test_chain_scan_matches_eager_scan_and_stops_at_first_flip(n, monkeypatch):
     assert stopped_early, "no chain flips before its last entry"
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_extension_probes_each_chain_entry_once(n, monkeypatch):
+    # c_1's failure-free decision from the full-silence test is the chain
+    # scan's first entry too: each entry drawn is probed once, in order.
+    pk = phase_king_lite(n)
+    cap = default_cap(n)
+    ff_probes, drawn = [], []
+
+    def counted_failure_free_decision(config, *args, **kwargs):
+        ff_probes.append(config)
+        return failure_free_decision(config, *args, **kwargs)
+
+    successors = nondecider.successors
+    monkeypatch.setattr(nondecider, "failure_free_decision", counted_failure_free_decision)
+    monkeypatch.setattr(nondecider, "successors", lambda *args: _drawn(successors(*args), drawn))
+    scanned = 0
+    for witness in _attack_witnesses(pk, n):
+        ff_probes.clear()
+        drawn.clear()
+        extend_dependent(witness, pk, cap, memo={})
+        assert ff_probes == drawn, witness
+        scanned += len(drawn) > 1
+    assert scanned, "no extension reached the chain scan"
+
+
 # -- attack loop ------------------------------------------------------------------
 
 
