@@ -9,16 +9,21 @@ finite-horizon fairness check can audit on any recorded run.
 
 Messages in flight wait in one queue per destination, in send order, so a
 step only ever looks at the stepping process's own queue.
+
+The records built once per event (``InFlight``, ``AsyncEvent`` and
+``AsyncSystemState``) are plain immutable tuples: each compares equal to,
+and hashes like, the tuple of its fields, and a new one is made with
+``_replace`` or the constructor, never by mutation.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, takewhile
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     AdversimError,
@@ -37,8 +42,7 @@ class ScheduleError(AdversimError):
     """Scheduler produced an event the current state cannot accept."""
 
 
-@dataclass(frozen=True, slots=True)
-class InFlight:
+class InFlight(NamedTuple):
     sender: Pid
     dest: Pid
     payload: Payload
@@ -49,8 +53,7 @@ class InFlight:
 _index = attrgetter("index")
 
 
-@dataclass(frozen=True)
-class AsyncSystemState:
+class AsyncSystemState(NamedTuple):
     states: tuple[LocalState, ...]
     queues: tuple[tuple[InFlight, ...], ...]  # per destination, in send order
     crashed: Optional[Pid]
@@ -76,8 +79,7 @@ class AsyncSystemState:
         return {q: s.output for q, s in enumerate(self.states) if s.output is not None}
 
 
-@dataclass(frozen=True)
-class AsyncEvent:
+class AsyncEvent(NamedTuple):
     pid: Pid
     deliver: Optional[int] = None  # send index of the message to consume
     crash: bool = False
@@ -109,7 +111,7 @@ def step_async(
             raise ScheduleError(f"second crash ({pid}); {state.crashed} already crashed")
         if event.deliver is not None:
             raise ScheduleError("a crash event delivers nothing")
-        return replace(state, crashed=pid, step_count=now + 1), ()
+        return state._replace(crashed=pid, step_count=now + 1), ()
     if pid == state.crashed:
         raise ScheduleError(f"crashed process {pid} cannot step")
 
@@ -143,7 +145,7 @@ def step_async(
             next_index += 1
 
     new_local = LocalState(local.input, internal, local.output).write(out)
-    states = tuple(new_local if q == pid else s for q, s in enumerate(state.states))
+    states = state.states[:pid] + (new_local,) + state.states[pid + 1 :]
     wrote = ()
     if local.output is None and new_local.output is not None:
         wrote = ((pid, new_local.output),)
@@ -305,9 +307,7 @@ def run_async(
     for _ in range(horizon):
         event = scheduler.next_event(state)
         state, wrote = step_async(state, protocol, event)
-        steps.append(
-            FlpStep(pid=event.pid, deliver=event.deliver, crash=event.crash, outputs=wrote)
-        )
+        steps.append(FlpStep(event.pid, event.deliver, event.crash, wrote))
         if not event.crash:
             last_stepped[event.pid] = state.step_count
         if fairness_window is not None:

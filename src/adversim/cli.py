@@ -214,6 +214,14 @@ def _protocol(protocol_id: str, n: int, stack: Optional[str] = None):
         raise UsageError(f"--n {n}: {exc}") from None
 
 
+def _round_protocol(args):
+    """The protocol of a command on the fts/ftr engines, which must be round-based."""
+    protocol = _protocol(args.protocol, args.n)
+    if isinstance(protocol, AsyncProtocol):
+        raise UsageError(f"{args.protocol!r} is asynchronous; run it with run --model flp")
+    return protocol
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -221,8 +229,8 @@ def _protocol(protocol_id: str, n: int, stack: Optional[str] = None):
 
 def cmd_run(args) -> int:
     _check_restricted(args, args.model)
-    protocol = _protocol(args.protocol, args.n)
     if args.model == "flp":
+        protocol = _protocol(args.protocol, args.n)
         if not isinstance(protocol, AsyncProtocol):
             raise UsageError(
                 f"{args.protocol!r} is round-based; run it under fts/ftr or via a stack id"
@@ -237,8 +245,7 @@ def cmd_run(args) -> int:
             for v in (result.fairness.violations or [])[:5]:
                 _say(f"fairness: {v}")
     else:
-        if isinstance(protocol, AsyncProtocol):
-            raise UsageError(f"{args.protocol!r} is asynchronous; use --model flp")
+        protocol = _round_protocol(args)
         if ":" in args.protocol and stack_model(args.protocol.split(":", 1)[0]) != args.model:
             raise UsageError(
                 f"stack {args.protocol!r} runs on model "
@@ -263,7 +270,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    protocol = _protocol(args.protocol, args.n)
+    protocol = _round_protocol(args)
     try:
         result = nondecider.build_nondeciding_execution(
             protocol, args.n, rounds=args.rounds, cap=args.cap, restricted=args.restricted
@@ -307,7 +314,7 @@ def cmd_attack(args) -> int:
 
 def cmd_check(args) -> int:
     _check_restricted(args, args.model)
-    protocol = _protocol(args.protocol, args.n)
+    protocol = _round_protocol(args)
     if args.mode == "exhaustive":
         result = checking.check_exhaustive(
             protocol,

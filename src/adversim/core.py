@@ -233,22 +233,23 @@ class AsyncProtocol:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FtsStep:
+# One step record per round or event, a plain immutable tuple: it compares
+# equal to, and hashes like, the tuple of its fields.
+
+
+class FtsStep(NamedTuple):
     round: int
     fault: RoundFault
     outputs: tuple[tuple[Pid, int], ...]  # outputs written this round, sorted
 
 
-@dataclass(frozen=True)
-class FtrStep:
+class FtrStep(NamedTuple):
     round: int
     fault: ReceiveFault
     outputs: tuple[tuple[Pid, int], ...]
 
 
-@dataclass(frozen=True)
-class FlpStep:
+class FlpStep(NamedTuple):
     pid: Pid
     deliver: Optional[int]  # send index of the delivered message, if any
     crash: bool
@@ -283,19 +284,13 @@ class ExecutionTrace:
     # -- canonical JSON Lines form ------------------------------------------
 
     def to_jsonl(self) -> str:
-        lines = [
-            _dumps(
-                {
-                    "model": self.model,
-                    "n": self.n,
-                    "protocol": self.protocol,
-                    "inputs": list(self.inputs),
-                }
-            )
-        ]
-        for step in self.steps:
-            lines.append(_dumps(_step_record(step)))
-        return "\n".join(lines) + "\n"
+        header = {
+            "model": self.model,
+            "n": self.n,
+            "protocol": self.protocol,
+            "inputs": list(self.inputs),
+        }
+        return "\n".join([_dumps(header), *map(_step_line, self.steps)]) + "\n"
 
     @classmethod
     def from_jsonl(cls, text: str) -> "ExecutionTrace":
@@ -363,31 +358,34 @@ def _loads(line: str, lineno: int):
     return obj
 
 
-def _outputs_record(outputs: tuple[tuple[Pid, int], ...]) -> dict[str, int]:
-    return {str(pid): value for pid, value in outputs}
+def _pid_object(pairs: Iterable[tuple[Pid, int]]) -> str:
+    """``(pid, int)`` pairs as a JSON object in ``sort_keys`` order (pid 10
+    before pid 2): a key's closing quote sorts below every digit and "-"."""
+    return "{" + ",".join(sorted(['"%d":%d' % pair for pair in pairs])) + "}"
 
 
-def _step_record(step: TraceStep) -> dict:
-    if isinstance(step, FtsStep):
-        return {
-            "round": step.round,
-            "sender": step.fault.sender,
-            "victims": sorted(step.fault.victims),
-            "outputs": _outputs_record(step.outputs),
-        }
+def _step_line(step: TraceStep) -> str:
+    """A step's canonical record, formatted directly: byte for byte what
+    ``_dumps`` writes for the step's fields."""
+    if isinstance(step, FlpStep):
+        return '{"crash":%s,"deliver":%s,"event":"step","outputs":%s,"pid":%d}' % (
+            "true" if step.crash else "false",
+            "null" if step.deliver is None else "%d" % step.deliver,
+            _pid_object(step.outputs),
+            step.pid,
+        )
     if isinstance(step, FtrStep):
-        return {
-            "round": step.round,
-            "dropped": {str(r): s for r, s in step.fault.drops},
-            "outputs": _outputs_record(step.outputs),
-        }
-    return {
-        "event": "step",
-        "pid": step.pid,
-        "deliver": step.deliver,
-        "crash": step.crash,
-        "outputs": _outputs_record(step.outputs),
-    }
+        return '{"dropped":%s,"outputs":%s,"round":%d}' % (
+            _pid_object(step.fault.drops),
+            _pid_object(step.outputs),
+            step.round,
+        )
+    return '{"outputs":%s,"round":%d,"sender":%d,"victims":[%s]}' % (
+        _pid_object(step.outputs),
+        step.round,
+        step.fault.sender,
+        ",".join(["%d" % q for q in sorted(step.fault.victims)]),
+    )
 
 
 def _parse_outputs(record: dict, lineno: int) -> tuple[tuple[Pid, int], ...]:

@@ -22,12 +22,17 @@ Wrapper messages are plain payload values (see ``core.Payload``): tuples of
 (sender, payload) pairs, (round, payload) pairs and per-sender send-log
 prefixes that nest the inner protocol's payloads unchanged.  They never
 leave the process and never appear in a trace, so nothing serializes them.
+
+The wrapper states (``GetCoreState``, ``SynchronizerState`` and
+``PiggybackState``), one built per process per round or event, are plain
+immutable tuples: each compares equal to, and hashes like, the tuple of its
+fields, so configurations holding them key memo tables at tuple cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
     AdversimError,
@@ -68,8 +73,7 @@ class ResourceLimitError(AdversimError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GetCoreState:
+class GetCoreState(NamedTuple):
     pid: Pid
     inner: Any
     sim_round: int
@@ -107,17 +111,7 @@ class GetCoreWrapper(RoundProtocol):
         for entries in received.values():
             merged.update(entry for entry in entries if entry[0] != internal.pid)
         if internal.phase < 3:
-            return (
-                GetCoreState(
-                    pid=internal.pid,
-                    inner=internal.inner,
-                    sim_round=internal.sim_round,
-                    phase=internal.phase + 1,
-                    seen=frozenset(merged),
-                    last_delivery=internal.last_delivery,
-                ),
-                None,
-            )
+            return internal._replace(phase=internal.phase + 1, seen=frozenset(merged)), None
         delivered: dict[Pid, Payload] = {}
         for sender, payload in sorted(merged):
             if sender in delivered and delivered[sender] != payload:
@@ -226,8 +220,7 @@ def getcore_rounds(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SynchronizerState:
+class SynchronizerState(NamedTuple):
     pid: Pid
     inner: Any
     round: int
@@ -384,8 +377,7 @@ def project_synchronized_run(final_states, crashed: Optional[Pid], base: RoundPr
 MAX_SIMULATED_MESSAGES = 100_000
 
 
-@dataclass(frozen=True)
-class PiggybackState:
+class PiggybackState(NamedTuple):
     pid: Pid
     inner: Any
     started: bool
@@ -558,14 +550,19 @@ def build_stack(stack: str, base_id: str, n: int):
     native model and the rightmost is the engine the result runs on.  A
     stack starting at ``flp`` takes round-based targets through the
     synchronizer first (the only bridge from round protocols into the
-    asynchronous world).  A malformed descriptor, or one naming a
-    simulation that does not exist, is an unknown protocol."""
+    asynchronous world).  A malformed descriptor, one naming a simulation
+    that does not exist, or an asynchronous base under a stack starting at
+    ``fts`` or ``ftr`` is an unknown protocol."""
     from .protocols import get_protocol
 
     models = _stack_models(stack)
     protocol = get_protocol(base_id, n)
     if models[0] == "flp" and isinstance(protocol, RoundProtocol):
         protocol = synchronizer_wrap(protocol, n)
+    elif models[0] != "flp" and isinstance(protocol, AsyncProtocol):
+        raise UnknownProtocolError(
+            f"{base_id!r} is asynchronous; stack {stack!r} starts at round model {models[0]!r}"
+        )
     for inner_model, outer_model in zip(models, models[1:]):
         try:
             wrap = _WRAPPERS[(inner_model, outer_model)]

@@ -35,6 +35,23 @@ def test_first_step_sends_without_delivery():
     assert all(m.sender == 0 and m.dest != 0 for m in state.in_flight)
 
 
+def test_engine_records_are_plain_tuples():
+    assert AsyncEvent(2) == (2, None, False)
+    proto = _sync()
+    state = initial_async_state(proto, (1, 0, 0))
+    state, _ = step_async(state, proto, AsyncEvent(0))
+    msg = state.queues[1][0]
+    plain_msg = (0, 1, msg.payload, 0, 0)
+    assert msg == plain_msg and hash(msg) == hash(plain_msg)
+    plain = (state.states, state.queues, None, 2, 1)
+    assert state == plain and hash(state) == hash(plain)
+    crashed, _ = step_async(state, proto, AsyncEvent(1, crash=True))
+    assert crashed == state._replace(crashed=1, step_count=2)
+    for value in (msg, state, AsyncEvent(0)):
+        with pytest.raises(AttributeError):
+            value.pid = 1
+
+
 def test_crash_removes_process_from_schedulable_set():
     proto = _sync()
     state = initial_async_state(proto, (1, 0, 0))

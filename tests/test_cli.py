@@ -621,6 +621,27 @@ def test_restricted_outside_fts_is_usage_error(tmp_path, args):
     assert not (tmp_path / "t.jsonl").exists()
 
 
+_SYNC3 = ["--protocol", "ftr-over-flp:phase-king-lite", "--n", "3"]
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["attack", *_SYNC3], 64),
+        (["check", "--mode", "exhaustive", *_SYNC3], 64),
+        (["check", "--mode", "fuzz", "--seed", "1", *_SYNC3], 64),
+        (["simulate", "--stack", "ftr-over-flp", *_SYNC3, "--inputs", "1,0,1"], 3),
+    ],
+    ids=["attack", "check-exhaustive", "check-fuzz", "simulate"],
+)
+def test_protocol_of_the_wrong_kind_fails_closed(tmp_path, args, code):
+    proc = run_adversim([*args, "--out", "t.jsonl"], tmp_path)
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and "is asynchronous" in lines[0], proc.stderr
+    assert not (tmp_path / "t.jsonl").exists()
+
+
 def test_check_fuzz_rejects_restricted_ftr():
     from adversim.checking import check_fuzz
     from adversim.core import AdversimError

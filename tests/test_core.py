@@ -6,12 +6,16 @@ from hypothesis import given, settings, strategies as st
 from adversim.core import (
     AdversimError,
     ExecutionTrace,
+    FlpStep,
+    FtrStep,
     FtsStep,
     LocalState,
     ReceiveFault,
     RoundFault,
     TraceFormatError,
     UnknownProtocolError,
+    _dumps,
+    _step_line,
     check_colorless_outcome,
     initial_configuration,
     validate_trace,
@@ -146,6 +150,66 @@ def test_fts_trace_round_trip_property(inputs, data):
     text = trace.to_jsonl()
     assert ExecutionTrace.from_jsonl(text) == trace
     assert ExecutionTrace.from_jsonl(text).to_jsonl() == text
+
+
+def test_trace_steps_are_plain_tuples():
+    fault, drops = RoundFault(0, [1, 2]), ReceiveFault({1: 0})
+    cases = [
+        (FtsStep(1, fault, ((1, 0),)), (1, fault, ((1, 0),))),
+        (FtrStep(2, drops, ()), (2, drops, ())),
+        (FlpStep(0, None, False, ((0, 1),)), (0, None, False, ((0, 1),))),
+    ]
+    for step, plain in cases:
+        assert step == plain and hash(step) == hash(plain)
+        with pytest.raises(AttributeError):
+            step.outputs = ()
+
+
+def _step_record(step):
+    """A step's trace record as a dict, which ``_step_line`` formats
+    directly: the reference it must match byte for byte."""
+    outputs = {str(pid): value for pid, value in step.outputs}
+    if isinstance(step, FtsStep):
+        return {
+            "round": step.round,
+            "sender": step.fault.sender,
+            "victims": sorted(step.fault.victims),
+            "outputs": outputs,
+        }
+    if isinstance(step, FtrStep):
+        return {
+            "round": step.round,
+            "dropped": {str(r): s for r, s in step.fault.drops},
+            "outputs": outputs,
+        }
+    return {
+        "event": "step",
+        "pid": step.pid,
+        "deliver": step.deliver,
+        "crash": step.crash,
+        "outputs": outputs,
+    }
+
+
+_PIDS = st.integers(0, 15)
+_ROUNDS = st.integers(1, 10**6)
+_OUTPUTS = st.dictionaries(_PIDS, st.integers(0, 1)).map(lambda d: tuple(sorted(d.items())))
+_STEPS = st.one_of(
+    st.builds(FtsStep, _ROUNDS, st.builds(RoundFault, _PIDS, st.sets(_PIDS)), _OUTPUTS),
+    st.builds(FtrStep, _ROUNDS, st.dictionaries(_PIDS, _PIDS).map(ReceiveFault), _OUTPUTS),
+    st.builds(FlpStep, _PIDS, st.none() | st.integers(0, 10**6), st.booleans(), _OUTPUTS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(step=_STEPS)
+def test_step_line_matches_json_record(step):
+    assert _step_line(step) == _dumps(_step_record(step))
+
+
+def test_step_line_orders_pids_as_strings():
+    step = FtrStep(round=5, fault=ReceiveFault({2: 0, 10: 3}), outputs=((2, 1), (10, 1)))
+    assert _step_line(step) == '{"dropped":{"10":3,"2":0},"outputs":{"10":1,"2":1},"round":5}'
 
 
 # -- validation --------------------------------------------------------------

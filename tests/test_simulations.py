@@ -12,6 +12,7 @@ from adversim.core import (
     AdversimError,
     ReceiveFault,
     RoundProtocol,
+    UnknownProtocolError,
     initial_configuration,
     validate_trace,
 )
@@ -19,8 +20,11 @@ from adversim.async_engine import make_scheduler, run_async
 from adversim.protocols import phase_king_lite
 from adversim.simulations import (
     EmulationLemmaViolation,
+    GetCoreState,
     LedgerEntry,
+    PiggybackState,
     ResourceLimitError,
+    SynchronizerState,
     build_stack,
     classify_delivery,
     core_set,
@@ -550,6 +554,27 @@ def test_build_stack_rejects_garbage():
         build_stack("fts-over-flp", "phase-king-lite", 3)
     with pytest.raises(AdversimError):
         build_stack("ftr-over-xyz", "phase-king-lite", 3)
+
+
+@pytest.mark.parametrize("stack", ["fts-over-ftr", "ftr-over-flp"])
+def test_build_stack_rejects_asynchronous_base_under_round_models(stack):
+    with pytest.raises(UnknownProtocolError, match="is asynchronous"):
+        build_stack(stack, "ftr-over-flp:phase-king-lite", 3)
+
+
+@pytest.mark.parametrize(
+    "state, plain",
+    [
+        (GetCoreState(0, "s", 1, 2, frozenset()), (0, "s", 1, 2, frozenset(), None)),
+        (SynchronizerState(1, "s", 3, True, frozenset()), (1, "s", 3, True, frozenset(), ())),
+        (PiggybackState(2, "s", False, ((), (), ())), (2, "s", False, ((), (), ()), (), ())),
+    ],
+    ids=["gather", "synchronizer", "piggyback"],
+)
+def test_wrapper_states_are_plain_tuples(state, plain):
+    assert state == plain and hash(state) == hash(plain)
+    with pytest.raises(AttributeError):
+        state.pid = 5
 
 
 def test_stack_traces_validate():
