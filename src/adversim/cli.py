@@ -16,8 +16,8 @@ derived streams, so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import os
+import random
 import sys
 from typing import Optional
 
@@ -42,21 +42,13 @@ from .core import (
 from .checking import BudgetExceeded
 from .nondecider import AgreementViolation, OracleCapExceeded
 from .protocols import get_protocol
-from .simulations import (
-    EmulationLemmaViolation,
-    build_stack,
-    getcore_rounds,
-    piggyback_ledger,
-    project_synchronized_run,
-    stack_model,
-)
+from .simulations import EmulationLemmaViolation, audit_stack, build_stack, stack_model
 from .sync_engine import (
     NoFaultPolicy,
     RandomFaultPolicy,
     SilentPolicy,
     run,
     scripted_policy_from_file,
-    step_fts,
 )
 
 EXIT_OK = 0
@@ -122,8 +114,6 @@ def _parse_inputs(args, n: int, rng_seed_tag: str = "inputs") -> tuple[int, ...]
         return bits
     if args.seed is None:
         raise UsageError("provide --inputs or --seed for random inputs")
-    import random
-
     rng = random.Random(checking.stream_seed(args.seed, rng_seed_tag))
     return tuple(rng.randrange(2) for _ in range(n))
 
@@ -144,8 +134,6 @@ def _make_policy(spec: str, model: str, n: int, seed: Optional[int], restricted:
     if spec == "random":
         if seed is None:
             raise UsageError("--adversary random requires --seed")
-        import random
-
         rng = random.Random(checking.stream_seed(seed, "adversary"))
         return RandomFaultPolicy(n, rng, model=model, restricted=restricted)
     raise UsageError(f"unknown adversary spec {spec!r}")
@@ -156,6 +144,24 @@ def _check_restricted(args, model: str) -> None:
     fail-to-send model has."""
     if args.restricted and model != "fts":
         raise UsageError(f"--restricted applies to --model fts only, not {model}")
+
+
+# The engine flags each engine reads, with the value an omitted flag takes.
+_ENGINE_FLAGS = {
+    "fts": {"adversary": "none"},
+    "ftr": {"adversary": "none"},
+    "flp": {"scheduler": "round-robin", "crash": None, "fairness_window": None},
+}
+
+
+def _check_engine_flags(args, model: str) -> None:
+    """Refuse an engine flag the chosen engine never reads, and give each
+    flag it does read its default when omitted."""
+    for name in ("adversary", "scheduler", "crash", "fairness_window"):
+        if getattr(args, name, None) is None:
+            setattr(args, name, _ENGINE_FLAGS[model].get(name))
+        elif name not in _ENGINE_FLAGS[model]:
+            raise UsageError(f"--{name.replace('_', '-')} is not read by the {model} engine")
 
 
 def _parse_crash(spec: Optional[str], n: int):
@@ -175,29 +181,25 @@ def _parse_crash(spec: Optional[str], n: int):
 def _run_async(args, protocol, inputs, **kwargs):
     """Run the command's scheduler; an event a scheduler script cannot play
     is an error in that script, not in the engine."""
-    scheduler = _scheduler_for(args, args.n)
+    spec, n = args.scheduler, args.n
+    crash = _parse_crash(args.crash, n)
+    if spec == "round-robin":
+        scheduler = make_scheduler("round-robin", n, crash=crash)
+    elif spec == "random":
+        if args.seed is None:
+            raise UsageError("--scheduler random requires --seed")
+        seed = checking.stream_seed(args.seed, "scheduler")
+        scheduler = make_scheduler("seeded-random-fair", n, seed=seed, crash=crash)
+    elif spec.startswith("script:"):
+        scheduler = scripted_scheduler_from_file(spec.split(":", 1)[1])
+    else:
+        raise UsageError(f"unknown scheduler spec {spec!r}")
     try:
         return run_async(inputs, protocol, scheduler, args.horizon, **kwargs)
     except ScheduleError as exc:
         if isinstance(scheduler, ScriptedScheduler):
-            raise TraceFormatError(f"{args.scheduler}: {exc}") from None
+            raise TraceFormatError(f"{spec}: {exc}") from None
         raise
-
-
-def _scheduler_for(args, n: int):
-    spec = args.scheduler
-    crash = _parse_crash(args.crash, n)
-    if spec == "round-robin":
-        return make_scheduler("round-robin", n, crash=crash)
-    if spec == "random":
-        if args.seed is None:
-            raise UsageError("--scheduler random requires --seed")
-        return make_scheduler(
-            "seeded-random-fair", n, seed=checking.stream_seed(args.seed, "scheduler"), crash=crash
-        )
-    if spec.startswith("script:"):
-        return scripted_scheduler_from_file(spec.split(":", 1)[1])
-    raise UsageError(f"unknown scheduler spec {spec!r}")
 
 
 def _protocol(protocol_id: str, n: int, stack: Optional[str] = None):
@@ -229,6 +231,8 @@ def _round_protocol(args):
 
 def cmd_run(args) -> int:
     _check_restricted(args, args.model)
+    _check_engine_flags(args, args.model)
+    fairness_note = ""
     if args.model == "flp":
         protocol = _protocol(args.protocol, args.n)
         if not isinstance(protocol, AsyncProtocol):
@@ -237,30 +241,23 @@ def cmd_run(args) -> int:
             )
         inputs = _parse_inputs(args, args.n)
         result = _run_async(args, protocol, inputs, fairness_window=args.fairness_window)
-        trace = result.trace
         outputs = result.final_state.outputs()
-        fairness_note = ""
         if result.fairness is not None:
             fairness_note = " fairness=ok" if result.fairness.ok else " fairness=VIOLATED"
             for v in (result.fairness.violations or [])[:5]:
                 _say(f"fairness: {v}")
     else:
         protocol = _round_protocol(args)
-        if ":" in args.protocol and stack_model(args.protocol.split(":", 1)[0]) != args.model:
-            raise UsageError(
-                f"stack {args.protocol!r} runs on model "
-                f"{stack_model(args.protocol.split(':', 1)[0])!r}, not {args.model!r}"
-            )
+        engine = stack_model(args.protocol.split(":", 1)[0]) if ":" in args.protocol else None
+        if engine not in (None, args.model):
+            raise UsageError(f"stack {args.protocol!r} runs on model {engine!r}, not {args.model!r}")
         inputs = _parse_inputs(args, args.n)
         policy = _make_policy(args.adversary, args.model, args.n, args.seed, args.restricted)
-        config = initial_configuration(protocol, inputs)
-        result = run(config, protocol, policy, args.horizon)
-        trace = result.trace
+        result = run(initial_configuration(protocol, inputs), protocol, policy, args.horizon)
         outputs = result.final_config.outputs()
-        fairness_note = ""
 
     out = _outpath(args.out, "run.trace.jsonl")
-    trace.write(out)
+    result.trace.write(out)
     _say(
         f"run: model={args.model} protocol={args.protocol} n={args.n} "
         f"horizon={args.horizon} outputs={outputs}{fairness_note}"
@@ -357,101 +354,23 @@ def cmd_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = stack_model(args.stack)
+    _check_engine_flags(args, model)
     protocol = _protocol(args.protocol, args.n, args.stack)
     inputs = _parse_inputs(args, args.n)
     out = _outpath(args.out, "simulate.trace.jsonl")
     report_path = _outpath(args.report, "simulate.report.jsonl")
-    records = []
-    code = EXIT_OK
-
-    if model in ("fts", "ftr"):
+    if model == "flp":
+        result = _run_async(args, protocol, inputs)
+    else:
         policy = _make_policy(args.adversary, model, args.n, args.seed, False)
         config = initial_configuration(protocol, inputs)
         result = run(config, protocol, policy, args.horizon, keep_configs=True)
-        result.trace.write(out)
-        models = args.stack.split("-over-")
-        if models[-2:] == ["fts", "ftr"]:
-            rounds = getcore_rounds(result.configs, [s.fault for s in result.trace.steps])
-            for rep in rounds:
-                records.append(
-                    {
-                        "sim_round": rep.sim_round,
-                        "core": list(rep.core),
-                        "core_size": len(rep.core),
-                        "fault": {
-                            "sender": rep.fault.sender,
-                            "victims": sorted(rep.fault.victims),
-                        },
-                    }
-                )
-            if args.stack == "fts-over-ftr":
-                ok = _getcore_equivalent(args, result, rounds, inputs)
-                records.append({"equivalent_direct_run": ok})
-                if not ok:
-                    code = EXIT_VIOLATION
-            _say(
-                f"simulate: {len(rounds)} simulated rounds, "
-                f"min core size {min((len(r.core) for r in rounds), default=args.n)}"
-            )
-        if models[-2:] == ["flp", "ftr"]:
-            ledger = piggyback_ledger(result.final_config)
-            undelivered = [e for e in ledger if not e.fully_delivered(args.n)]
-            for e in ledger:
-                records.append(
-                    {
-                        "id": [e.sender, e.seq],
-                        "dest": e.dest,
-                        "sent_round": e.sent_round,
-                        "delivered": {str(q): r for q, r in e.deliveries},
-                        "lag": e.max_lag(),
-                    }
-                )
-            _say(
-                f"simulate: {len(ledger)} simulated messages, "
-                f"{len(undelivered)} not fully delivered"
-            )
-    else:
-        result = _run_async(args, protocol, inputs)
-        result.trace.write(out)
-        final = result.final_state
-        proj = project_synchronized_run(
-            [s.internal for s in final.states], final.crashed, protocol.inner, inputs
-        )
-        records.append(
-            {
-                "crashed": proj.crashed,
-                "min_round": proj.min_round,
-                "completed_rounds": {str(q): r for q, r in proj.completed_rounds.items()},
-                "projection_valid": proj.report.valid,
-                "problems": proj.report.problems,
-            }
-        )
-        if not proj.report.valid:
-            code = EXIT_VIOLATION
-        _say(
-            f"simulate: crashed={proj.crashed} min_round={proj.min_round} "
-            f"projection_valid={proj.report.valid}"
-        )
-
-    _write_jsonl(report_path, records)
+    result.trace.write(out)
+    audit = audit_stack(protocol, result)
+    _say(f"simulate: {audit.summary}")
+    _write_jsonl(report_path, audit.records)
     _say(f"trace written to {out}; report written to {report_path}")
-    return code
-
-
-def _getcore_equivalent(args, result, rounds, inputs) -> bool:
-    """Wrapped run must equal the base protocol run directly under the
-    classified fault sequence, state for state and output for output."""
-    base = get_protocol(args.protocol, args.n)
-    direct = initial_configuration(base, inputs)
-    for rep in rounds:
-        direct = step_fts(direct, base, rep.fault)
-        wrapped = result.configs[3 * rep.sim_round]
-        for q in range(args.n):
-            if wrapped.states[q].internal.inner != direct.states[q].internal:
-                return False
-            if wrapped.states[q].output != direct.states[q].output:
-                return False
-    return True
+    return EXIT_OK if audit.ok else EXIT_VIOLATION
 
 
 def cmd_validate(args) -> int:
@@ -485,9 +404,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("run", help="execute one model directly")
     common(p)
     p.add_argument("--model", choices=("fts", "ftr", "flp"), required=True)
-    p.add_argument("--adversary", default="none", help="none | silent:P | script:PATH | random")
+    p.add_argument("--adversary", help="none (default) | silent:P | script:PATH | random (fts/ftr)")
     p.add_argument("--restricted", action="store_true", help="forbid full-silence faults")
-    p.add_argument("--scheduler", default="round-robin", help="round-robin | random | script:PATH")
+    p.add_argument("--scheduler", help="round-robin (default) | random | script:PATH (flp)")
     p.add_argument("--crash", help="PID:STEP crash directive (flp)")
     p.add_argument(
         "--fairness-window", type=_at_least(1), help="audit fairness with this window (flp)"
@@ -528,8 +447,8 @@ def _build_parser() -> _Parser:
         required=True,
         help="fts-over-ftr | ftr-over-flp | flp-over-ftr | nested (a-over-b-over-c)",
     )
-    p.add_argument("--adversary", default="none")
-    p.add_argument("--scheduler", default="round-robin")
+    p.add_argument("--adversary", help="as for run (fts/ftr engine)")
+    p.add_argument("--scheduler", help="as for run (flp engine)")
     p.add_argument("--crash", help="PID:STEP crash directive (flp engine)")
     p.add_argument("--report", help="faithfulness report path")
     p.set_defaults(func=cmd_simulate)

@@ -48,9 +48,10 @@ from .core import (
     RoundProtocol,
     UnknownProtocolError,
     ValidationReport,
+    initial_configuration,
     validate_trace,
 )
-from .sync_engine import NO_FAULT
+from .sync_engine import NO_FAULT, step_fts
 
 
 class EmulationLemmaViolation(AdversimError):
@@ -171,6 +172,14 @@ class SimulatedRound:
     core: tuple[Pid, ...]
     fault: RoundFault
 
+    def record(self) -> dict:
+        return {
+            "sim_round": self.sim_round,
+            "core": list(self.core),
+            "core_size": len(self.core),
+            "fault": {"sender": self.fault.sender, "victims": sorted(self.fault.victims)},
+        }
+
 
 def getcore_rounds(
     configs: Sequence[Configuration], faults: Optional[Sequence[ReceiveFault]] = None
@@ -213,6 +222,21 @@ def getcore_rounds(
             )
         )
     return reports
+
+
+def getcore_equivalent(
+    base: RoundProtocol, configs: Sequence[Configuration], rounds: Sequence[SimulatedRound]
+) -> bool:
+    """Whether a kept-config gather run equals its base protocol (the
+    wrapper's ``inner``) run directly under the classified faults, state for
+    state and output for output, after every simulated round."""
+    direct = initial_configuration(base, configs[0].inputs())
+    for rep in rounds:
+        direct = step_fts(direct, base, rep.fault)
+        wrapped = [(s.internal.inner, s.output) for s in configs[3 * rep.sim_round].states]
+        if wrapped != [(s.internal, s.output) for s in direct.states]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +337,15 @@ class SynchronizerProjection:
     min_round: int
     completed_rounds: dict[Pid, int]
     report: ValidationReport
+
+    def record(self) -> dict:
+        return {
+            "crashed": self.crashed,
+            "min_round": self.min_round,
+            "completed_rounds": {str(q): r for q, r in self.completed_rounds.items()},
+            "projection_valid": self.report.valid,
+            "problems": self.report.problems,
+        }
 
 
 def project_synchronized_run(final_states, crashed: Optional[Pid], base: RoundProtocol, inputs) -> SynchronizerProjection:
@@ -501,6 +534,15 @@ class LedgerEntry:
             return None
         return max(r for _, r in self.deliveries) - self.sent_round
 
+    def record(self) -> dict:
+        return {
+            "id": [self.sender, self.seq],
+            "dest": self.dest,
+            "sent_round": self.sent_round,
+            "delivered": {str(q): r for q, r in self.deliveries},
+            "lag": self.max_lag(),
+        }
+
 
 def piggyback_ledger(config: Configuration) -> list[LedgerEntry]:
     """Reconstruct the simulated-message delivery ledger from the final
@@ -578,3 +620,42 @@ def build_stack(stack: str, base_id: str, n: int):
 def stack_model(stack: str) -> str:
     """The engine model a stack descriptor runs on."""
     return _stack_models(stack)[-1]
+
+
+# ---------------------------------------------------------------------------
+# Faithfulness audits
+# ---------------------------------------------------------------------------
+
+
+class StackAudit(NamedTuple):
+    """A stack run's audit: its report records, verdict and one-line summary."""
+
+    records: list
+    ok: bool
+    summary: str
+
+
+def audit_stack(protocol, result) -> StackAudit:
+    """Audit one run of a built stack by its outermost simulation: the
+    gather's rounds and equivalence (the run must keep its configurations),
+    the synchronizer's projection (the only audit of a nested stack), or the
+    piggyback ledger, which is never unfaithful.  A gather core below n-1
+    raises ``EmulationLemmaViolation``."""
+    if isinstance(protocol, SynchronizerWrapper):
+        final = result.final_state
+        proj = project_synchronized_run(
+            [s.internal for s in final.states], final.crashed, protocol.inner, result.trace.inputs
+        )
+        valid = proj.report.valid
+        summary = f"crashed={proj.crashed} min_round={proj.min_round} projection_valid={valid}"
+        return StackAudit([proj.record()], valid, summary)
+    if isinstance(protocol, GetCoreWrapper):
+        rounds = getcore_rounds(result.configs, [s.fault for s in result.trace.steps])
+        ok = getcore_equivalent(protocol.inner, result.configs, rounds)
+        min_core = min((len(r.core) for r in rounds), default=protocol.n)
+        records = [r.record() for r in rounds] + [{"equivalent_direct_run": ok}]
+        return StackAudit(records, ok, f"{len(rounds)} simulated rounds, min core size {min_core}")
+    ledger = piggyback_ledger(result.final_config)
+    undelivered = sum(not e.fully_delivered(protocol.n) for e in ledger)
+    summary = f"{len(ledger)} simulated messages, {undelivered} not fully delivered"
+    return StackAudit([e.record() for e in ledger], True, summary)

@@ -321,6 +321,24 @@ def test_simulate_piggyback_ledger(tmp_path):
     assert all(r["lag"] is None or r["lag"] <= 1 for r in records)
 
 
+def test_simulate_unfaithful_audit_exits_one_with_report(tmp_path, monkeypatch, capsys):
+    from adversim import cli
+    from adversim.simulations import StackAudit
+
+    records = [{"equivalent_direct_run": False}]
+    monkeypatch.setattr(cli, "audit_stack", lambda protocol, result: StackAudit(records, False, "x"))
+    rep = tmp_path / "rep.jsonl"
+    code = run_cli(
+        ["simulate", "--stack", "fts-over-ftr", "--protocol", "phase-king-lite", "--n", "3",
+         "--inputs", "1,0,0", "--horizon", "9", "--out", str(tmp_path / "t.jsonl"),
+         "--report", str(rep)]
+    )
+    assert code == 1
+    assert read_jsonl(rep) == records
+    assert (tmp_path / "t.jsonl").exists()
+    assert capsys.readouterr().err.splitlines()[0] == "simulate: x"
+
+
 # -- reproducibility ----------------------------------------------------------------
 
 
@@ -376,6 +394,7 @@ def _assert_fails_closed(args, cwd, code):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    return proc
 
 
 @pytest.mark.parametrize(
@@ -640,6 +659,34 @@ def test_protocol_of_the_wrong_kind_fails_closed(tmp_path, args, code):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and "is asynchronous" in lines[0], proc.stderr
     assert not (tmp_path / "t.jsonl").exists()
+
+
+_OUT = ["--out", "t.jsonl", "--report", "r.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["run", "--model", "fts", *_PK3, "--inputs", "1,0,0", "--crash", "0:1",
+          "--scheduler", "bogus", "--fairness-window", "3", "--out", "t.jsonl"], "--scheduler"),
+        (["simulate", "--stack", "fts-over-ftr", *_PK3, "--inputs", "1,0,0", "--crash", "0:1",
+          "--scheduler", "random", *_OUT], "--scheduler"),
+        (["simulate", "--stack", "ftr-over-flp", "--protocol", "phase-king-lite", "--n", "4",
+          "--inputs", "1,0,1,0", "--adversary", "bogus", *_OUT], "--adversary"),
+        (["run", "--model", "flp", "--protocol", "ftr-over-flp:phase-king-lite", "--n", "3",
+          "--inputs", "1,0,1", "--adversary", "bogus", "--out", "t.jsonl"], "--adversary"),
+        (["simulate", "--stack", "flp-over-ftr", *_PK3, "--inputs", "1,0,0", "--crash", "0:1",
+          *_OUT], "--crash"),
+        (["run", "--model", "ftr", *_PK3, "--inputs", "1,0,0", "--fairness-window", "3",
+          "--out", "t.jsonl"], "--fairness-window"),
+    ],
+    ids=["run-fts", "simulate-fts-over-ftr", "simulate-ftr-over-flp", "run-flp",
+         "simulate-flp-over-ftr-crash", "run-ftr-fairness-window"],
+)
+def test_flag_the_engine_never_reads_fails_closed(tmp_path, args, flag):
+    proc = _assert_fails_closed(args, tmp_path, 64)
+    assert flag in proc.stderr, proc.stderr
+    assert not any(tmp_path.iterdir())
 
 
 def test_check_fuzz_rejects_restricted_ftr():

@@ -5,8 +5,10 @@ n = 8 and n = 16 over 40 rounds, where decision-oracle probes revisit many
 configurations, or is the restricted attack at n = 5 and n = 8, whose
 progressive delivery chain starts at c_2, or is one of two negative controls
 whose violation traces the checker records: a fuzz run and the exhaustive
-fail-to-receive check.  The README's flp ``run`` also pins its stderr
-summary, which carries the fairness audit's findings.  Each runs in-process
+fail-to-receive check, or is the nested ``fts-over-ftr-over-flp`` stack,
+whose audit is the synchronizer's projection alone.  The README's flp
+``run`` and every ``simulate`` command also pin their stderr summary, which
+carries the fairness or faithfulness audit's findings.  Each runs in-process
 with ``$ADVERSIM_OUTDIR`` pointing at a fresh directory, so commands that
 name no output path write to their documented defaults there.  The sha256 of
 every trace and report is compared with a constant recorded from the code
@@ -15,7 +17,8 @@ larger attacks: before oracle probes were memoized; the flp run: before the
 asynchronous engine kept one queue per destination; the two negative
 controls: before the checker re-ran a violation's faults to record its
 trace; the restricted attacks: before the chain came from one fan-out
-round); a change to any of these digests is a change to the emitted
+round; the nested stack and the ``simulate`` summaries: before the
+simulation audits moved out of the command-line front end); a change to any of these digests is a change to the emitted
 artefacts and has to be justified.
 """
 
@@ -87,6 +90,12 @@ README_COMMANDS = {
         ["simulate", "--stack", "flp-over-ftr", "--protocol", "phase-king-lite", "--n", "3",
          "--inputs", "1,1,0", "--adversary", "silent:2", "--horizon", "50"],
     ),
+    "simulate-fts-over-ftr-over-flp": (
+        0,
+        ["simulate", "--stack", "fts-over-ftr-over-flp", "--protocol", "phase-king-lite",
+         "--n", "4", "--inputs", "1,0,1,0", "--scheduler", "random", "--seed", "2",
+         "--crash", "1:30", "--horizon", "1500"],
+    ),
 }
 
 GOLDEN_SHA256 = {
@@ -137,6 +146,10 @@ GOLDEN_SHA256 = {
         "simulate.trace.jsonl": "a6a4627ed99b47d35ed73ecfaf13846c8ffa5359dfb58c22ba9d6c3688d9f952",
         "simulate.report.jsonl": "1f9190c4f9fcac9d8f6162d37aa54247571a2468fdd9a9201cd6d95f233e7bbe",
     },
+    "simulate-fts-over-ftr-over-flp": {
+        "simulate.trace.jsonl": "310cdf9b61764ade8f66b23ca95591bc8a79c6490a37c02ea2d8154600d977ac",
+        "simulate.report.jsonl": "c760920f864d8a054af3fbf8d35c1f86d10747020bf14dd5dc84d6bbc4079620",
+    },
 }
 
 
@@ -150,6 +163,10 @@ GOLDEN_STDERR = {
         "run: model=flp protocol=ftr-over-flp:phase-king-lite n=3 horizon=200 "
         "outputs={0: 0, 1: 0, 2: 0} fairness=VIOLATED",
     ],
+    "simulate-fts-over-ftr": ["simulate: 10 simulated rounds, min core size 3"],
+    "simulate-ftr-over-flp": ["simulate: crashed=2 min_round=112 projection_valid=True"],
+    "simulate-flp-over-ftr": ["simulate: 150 simulated messages, 52 not fully delivered"],
+    "simulate-fts-over-ftr-over-flp": ["simulate: crashed=1 min_round=246 projection_valid=True"],
 }
 
 

@@ -1,5 +1,6 @@
 """Model reductions: gather core, synchronizer projection, piggyback ledger."""
 
+import dataclasses
 import random
 from dataclasses import dataclass
 from typing import Any
@@ -25,10 +26,12 @@ from adversim.simulations import (
     PiggybackState,
     ResourceLimitError,
     SynchronizerState,
+    audit_stack,
     build_stack,
     classify_delivery,
     core_set,
     get_core_wrap,
+    getcore_equivalent,
     getcore_rounds,
     piggyback_ledger,
     piggyback_wrap,
@@ -149,6 +152,107 @@ def test_float_payloads_pass_unchanged_through_nested_stack(float_mean):
     direct = _assert_synchronized_equals_direct(proto, inputs, horizon=1200)
     faults = [step.fault for step in direct.trace.steps]
     _assert_gather_equals_direct(direct.configs, faults, n, inputs)
+
+
+# -- audits, each against its independent reference -------------------------------
+
+
+def _gather_run(n, inputs, seed):
+    proto = build_stack("fts-over-ftr", "float-mean", n)
+    policy = RandomFaultPolicy(n, random.Random(seed), model="ftr")
+    config = initial_configuration(proto, inputs)
+    return proto, run(config, proto, policy, horizon=15, keep_configs=True)
+
+
+def _synchronized_run(proto, inputs, horizon):
+    # the scheduler _assert_synchronized_equals_direct runs
+    sched = make_scheduler("seeded-random-fair", len(inputs), seed=5)
+    return run_async(inputs, proto, sched, horizon=horizon)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gather_audit_matches_reference(float_mean, seed):
+    n, inputs = 4, (1, 0, 0, 1)
+    proto, result = _gather_run(n, inputs, seed)
+    faults = [step.fault for step in result.trace.steps]
+    _assert_gather_equals_direct(result.configs, faults, n, inputs)
+    rounds = getcore_rounds(result.configs, faults)
+    assert getcore_equivalent(proto.inner, result.configs, rounds)
+    audit = audit_stack(proto, result)
+    assert audit.ok
+    assert audit.records == [r.record() for r in rounds] + [{"equivalent_direct_run": True}]
+    min_core = min(len(r.core) for r in rounds)
+    assert audit.summary == f"{len(rounds)} simulated rounds, min core size {min_core}"
+
+
+def test_gather_audit_rejects_tampered_inner_state(float_mean):
+    n, inputs = 4, (1, 0, 0, 1)
+    proto, result = _gather_run(n, inputs, 0)
+    config = result.configs[6]  # after simulated round 2
+    state = config.states[2]
+    nudged = state._replace(internal=state.internal._replace(inner=state.internal.inner + 1.0))
+    configs = list(result.configs)
+    configs[6] = config._replace(states=config.states[:2] + (nudged,) + config.states[3:])
+    tampered = dataclasses.replace(result, configs=tuple(configs))
+    faults = [step.fault for step in result.trace.steps]
+    with pytest.raises(AssertionError):
+        _assert_gather_equals_direct(tampered.configs, faults, n, inputs)
+    assert not getcore_equivalent(proto.inner, tampered.configs, getcore_rounds(tampered.configs))
+    audit = audit_stack(proto, tampered)
+    assert not audit.ok
+    assert audit.records[-1] == {"equivalent_direct_run": False}
+
+
+@pytest.mark.parametrize("stack, horizon", [("ftr-over-flp", 400), ("fts-over-ftr-over-flp", 1200)])
+def test_projection_audit_matches_reference(float_mean, stack, horizon):
+    n, inputs = 4, (1, 0, 0, 1)
+    proto = build_stack(stack, "float-mean", n)
+    direct = _assert_synchronized_equals_direct(proto, inputs, horizon)
+    audit = audit_stack(proto, _synchronized_run(proto, inputs, horizon))
+    (record,) = audit.records  # a nested stack too: the projection alone
+    assert audit.ok
+    assert record["projection_valid"] is True and record["problems"] == []
+    assert record["min_round"] == len(direct.trace.steps)
+    assert audit.summary == f"crashed=None min_round={record['min_round']} projection_valid=True"
+
+
+def test_projection_audit_rejects_tampered_log_output(float_mean):
+    n, inputs = 4, (1, 0, 0, 1)
+    proto = build_stack("ftr-over-flp", "float-mean", n)
+    result = _synchronized_run(proto, inputs, 400)
+    final = result.final_state
+    state = final.states[0]
+    log = list(state.internal.log)
+    r, received, out = log[3]
+    assert r == 4 and out is not None  # float-mean outputs in round 4
+    log[3] = (r, received, 1 - out)
+    internal = state.internal._replace(log=tuple(log))
+    states = (state._replace(internal=internal),) + final.states[1:]
+    tampered = dataclasses.replace(result, final_state=final._replace(states=states))
+    audit = audit_stack(proto, tampered)
+    (record,) = audit.records
+    assert not audit.ok
+    assert record["projection_valid"] is False
+    assert record["problems"]
+    assert audit.summary.endswith("projection_valid=False")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ledger_audit_matches_seen_set_reference(float_mean, seed):
+    n, inputs = 3, (1, 0, 1)
+    proto = build_stack("flp-over-ftr", "float-mean", n)
+    policy = RandomFaultPolicy(n, random.Random(seed), model="ftr")
+    result = run(initial_configuration(proto, inputs), proto, policy, horizon=20)
+    reference = SeenSetPiggyback(proto.inner, n)
+    expected = initial_configuration(reference, inputs)
+    for step in result.trace.steps:
+        expected = step_ftr(expected, reference, step.fault)
+    ledger = _seen_set_ledger(expected)
+    audit = audit_stack(proto, result)
+    assert audit.ok
+    assert audit.records == [entry.record() for entry in ledger]
+    undelivered = sum(not entry.fully_delivered(n) for entry in ledger)
+    assert audit.summary == f"{len(ledger)} simulated messages, {undelivered} not fully delivered"
 
 
 # -- get-core -----------------------------------------------------------------
