@@ -191,6 +191,9 @@ def _run_async(args, protocol, inputs, **kwargs):
         seed = checking.stream_seed(args.seed, "scheduler")
         scheduler = make_scheduler("seeded-random-fair", n, seed=seed, crash=crash)
     elif spec.startswith("script:"):
+        if crash is not None:
+            # a script crashes a process through its own "crash" events
+            raise UsageError("--crash does not apply to --scheduler script:PATH")
         scheduler = scripted_scheduler_from_file(spec.split(":", 1)[1])
     else:
         raise UsageError(f"unknown scheduler spec {spec!r}")
@@ -292,9 +295,15 @@ def cmd_attack(args) -> int:
     _write_jsonl(report, nondecider.report_records(result))
     written = result.outputs_written()
     if result.exhausted_at is not None:
+        limit = (
+            "; this is a limit of the restricted construction, not evidence "
+            f"that {protocol.protocol_id} terminates"
+            if args.restricted
+            else ""
+        )
         _say(
             f"attack: chain exhausted at round {result.exhausted_at} "
-            f"({result.rounds_built} rounds built, {written} outputs written)"
+            f"({result.rounds_built} rounds built, {written} outputs written){limit}"
         )
         if not args.restricted:
             # Unrestricted extension is total on live targets; only the

@@ -189,10 +189,18 @@ class RoundProtocol:
     values: immutable, hashable and orderable, so wrappers can keep them in
     sets and sort them.  Internal states are immutable and hashable too:
     the decision oracles memoize their results by configuration.
+
+    ``period`` is an optional round period.  A protocol that declares one
+    promises that ``message`` and ``transition`` return equal results at
+    rounds r and r + period, for every state and every inbox.  The attack
+    then treats two configurations whose rounds agree modulo the period,
+    and whose states are equal, as one.  ``None`` (the default) promises
+    nothing, and the round is taken as it is.
     """
 
     protocol_id: str = "?"
     n: Optional[int] = None
+    period: Optional[int] = None
 
     def init(self, pid: Pid, input: int) -> Any:
         raise NotImplementedError

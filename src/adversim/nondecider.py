@@ -16,7 +16,7 @@ delivery chain of its payload until the dependence flips hands.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .core import (
@@ -98,9 +98,17 @@ def default_cap(n: int) -> int:
 
 
 # Probe results recorded along whole probe paths, one table per (protocol,
-# fault): configuration -> (decision, rounds the probe still needs from it).
-# A memo belongs to one attack; nothing outlives it.
-OracleMemo = dict[tuple[RoundProtocol, RoundFault], dict[Configuration, tuple[int, int]]]
+# fault): configuration key (see _key) -> (decision, rounds the probe still
+# needs from it).  A memo belongs to one attack; nothing outlives it.
+OracleMemo = dict[tuple[RoundProtocol, RoundFault], dict[tuple, tuple[int, int]]]
+
+
+def _key(config: Configuration, period: Optional[int]) -> tuple:
+    """What a protocol with this round ``period`` can tell apart about
+    ``config``: its states and its round modulo the period, or the whole
+    configuration when the protocol declares no period.  The oracle memo
+    and the attack's lasso both key on it."""
+    return config if period is None else (config.round % period, config.states)
 
 
 def _probe(
@@ -119,19 +127,23 @@ def _probe(
     configuration after k rounds needs k + rounds_left in all and exceeds
     the cap exactly when stepping on would.  Only probes that end in
     agreement are recorded, so a disagreeing path is always stepped in full.
+    Entries are keyed on ``_key``: under a declared period, a probe also
+    stops where a probe one or more periods earlier passed.
     """
     if cap < 1:
         raise AdversimError("oracle cap must be >= 1")
     table = None if memo is None else memo.setdefault((protocol, fault), {})
-    path: list[Configuration] = []
+    period = getattr(protocol, "period", None)  # duck-typed protocols declare none
+    path: list[tuple] = []
     current = config
     hit = None
     while not current.all_decided():
-        if table is not None and (hit := table.get(current)) is not None:
+        key = _key(current, period)
+        if table is not None and (hit := table.get(key)) is not None:
             break
         if len(path) >= cap:
             raise OracleCapExceeded(kind, cap)
-        path.append(current)
+        path.append(key)
         current = step_fts(current, protocol, fault)
     if hit is not None:
         decision, left = hit
@@ -345,11 +357,16 @@ class AttackResult:
     """A synthesized non-deciding execution prefix plus its dependence
     witnesses: entry 0 certifies the initial configuration, entry r the
     configuration after round r.  ``exhausted_at`` is set when the
-    restricted adversary could not extend (and the trace stops short)."""
+    restricted adversary could not extend (and the trace stops short).
+    ``lasso`` is (stem, loop) once the witnesses repeat modulo the
+    protocol's period: the witness after round stem + loop equals the one
+    after round stem, so the execution goes on forever by repeating rounds
+    stem + 1 .. stem + loop."""
 
     trace: ExecutionTrace
     witnesses: list[AttackRound]
     exhausted_at: Optional[int] = None
+    lasso: Optional[tuple[int, int]] = None
 
     @property
     def rounds_built(self) -> int:
@@ -371,25 +388,47 @@ def build_nondeciding_execution(
 
     All oracle probes of the attack share one memo, so a probe that reaches
     a configuration an earlier probe passed through under the same fault
-    stops there."""
+    stops there.
+
+    Under a declared period, an extension depends only on the witness's
+    pivot, decisions and configuration key (``_key``): its probes, its
+    chain and every error it can raise.  So once a witness repeats one
+    recorded ``loop`` rounds earlier, every later round copies the fault
+    and witness of the round ``loop`` before it, with the round advanced,
+    and makes no probe."""
     if rounds < 1:
         raise AdversimError("rounds must be >= 1")
     cap = default_cap(n) if cap is None else cap
+    period = getattr(protocol, "period", None)  # duck-typed protocols declare none
     memo: OracleMemo = {}
     witness = find_initial_dependent(protocol, n, cap, memo=memo)
     records = [AttackRound(fault=NO_FAULT, witness=witness)]
     steps: list[FtsStep] = []
     exhausted_at = None
+    lasso = None
+    # lasso key -> the round of the witness it was first seen at (under a
+    # declared period only: without one, the round makes every key new)
+    seen = {} if period is None else {_lasso_key(witness, period): 0}
     for r in range(1, rounds + 1):
-        try:
-            ext = extend_dependent(witness, protocol, cap, restricted, memo=memo)
-        except ChainExhausted:
-            exhausted_at = r
-            break
-        if ext.witness.config.outputs():
-            raise InvariantViolation(
-                f"round {r}: output written in supposedly dependent configuration"
-            )
+        if lasso is not None:
+            earlier = records[r - lasso[1]]
+            config = earlier.witness.config
+            config = config._replace(round=config.round + lasso[1])
+            ext = AttackRound(fault=earlier.fault, witness=replace(earlier.witness, config=config))
+        else:
+            try:
+                ext = extend_dependent(witness, protocol, cap, restricted, memo=memo)
+            except ChainExhausted:
+                exhausted_at = r
+                break
+            if ext.witness.config.outputs():
+                raise InvariantViolation(
+                    f"round {r}: output written in supposedly dependent configuration"
+                )
+            if period is not None:
+                r0 = seen.setdefault(_lasso_key(ext.witness, period), r)
+                if r0 != r:
+                    lasso = (r0, r - r0)
         steps.append(FtsStep(round=witness.config.round, fault=ext.fault, outputs=()))
         records.append(ext)
         witness = ext.witness
@@ -400,7 +439,12 @@ def build_nondeciding_execution(
         inputs=records[0].witness.config.inputs(),
         steps=tuple(steps),
     )
-    return AttackResult(trace=trace, witnesses=records, exhausted_at=exhausted_at)
+    return AttackResult(trace=trace, witnesses=records, exhausted_at=exhausted_at, lasso=lasso)
+
+
+def _lasso_key(witness: DependenceWitness, period: int) -> tuple:
+    return (_key(witness.config, period), witness.process, witness.ff_decision,
+            witness.silent_decision)
 
 
 def verify_witness(witness: DependenceWitness, protocol: RoundProtocol, cap: int) -> bool:

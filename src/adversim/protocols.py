@@ -36,6 +36,9 @@ class PhaseKingLite(RoundProtocol):
     Even round (king round): broadcast v; every non-king that hears the
     king adopts the king's value.  Kings rotate forever, so the protocol
     keeps converging from any reachable configuration.
+
+    The round enters only through its parity and the king, so the protocol
+    repeats with period 2n.
     """
 
     def __init__(self, n: int):
@@ -43,6 +46,7 @@ class PhaseKingLite(RoundProtocol):
             raise ValueError("phase-king-lite needs n >= 3")
         self.n = n
         self.protocol_id = "phase-king-lite"
+        self.period = 2 * n
 
     def init(self, pid: Pid, input: int) -> Any:
         return (input, False)  # (preference, decided)

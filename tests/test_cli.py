@@ -62,6 +62,7 @@ def test_attack_restricted_reports_exhaustion_exit_zero(tmp_path, capsys):
     assert code == 0
     err = capsys.readouterr().err
     assert "chain exhausted at round" in err
+    assert "limit of the restricted construction, not evidence" in err
     records = read_jsonl(tmp_path / "r.jsonl")
     assert records[-1].get("chain_exhausted") is True
 
@@ -577,6 +578,25 @@ def test_crash_directive_negative_step_is_usage_error(tmp_path):
     args = ["run", "--model", "flp", "--protocol", "ftr-over-flp:phase-king-lite", "--n", "3",
             "--inputs", "1,0,1", "--crash", "0:-5", "--out", str(tmp_path / "t.jsonl")]
     _assert_fails_closed(args, tmp_path, 64)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--model", "flp", "--protocol", "ftr-over-flp:phase-king-lite"],
+        ["simulate", "--stack", "ftr-over-flp", "--protocol", "phase-king-lite"],
+    ],
+    ids=["run", "simulate"],
+)
+def test_crash_directive_with_scheduler_script_is_usage_error(tmp_path, args):
+    # A script crashes a process through its own "crash" events; a --crash
+    # directive next to it would be ignored.
+    (tmp_path / "S.jsonl").write_text(_flp_step(0) + "\n" + _flp_step(1) + "\n")
+    args = [*args, "--n", "3", "--inputs", "1,0,1", "--scheduler", "script:S.jsonl",
+            "--crash", "0:0", "--horizon", "2", "--out", "t.jsonl"]
+    proc = _assert_fails_closed(args, tmp_path, 64)
+    assert "--crash" in proc.stderr, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["S.jsonl"]
 
 
 _PK3 = ["--protocol", "phase-king-lite", "--n", "3"]

@@ -2,7 +2,10 @@
 
 Each command below is copied from the README, or is the README's attack at
 n = 8 and n = 16 over 40 rounds, where decision-oracle probes revisit many
-configurations, or is the restricted attack at n = 5 and n = 8, whose
+configurations, or is the attack at n = 5 over 100 rounds and at n = 7 over
+60 rounds, odd sizes whose witnesses repeat modulo the period 2n only after
+a stem of n + 2 rounds, so that most of each trace is the replayed loop,
+or is the restricted attack at n = 5 and n = 8, whose
 progressive delivery chain starts at c_2, or is one of two negative controls
 whose violation traces the checker records: a fuzz run and the exhaustive
 fail-to-receive check, or is the nested ``fts-over-ftr-over-flp`` stack,
@@ -12,8 +15,9 @@ carries the fairness or faithfulness audit's findings.  Each runs in-process
 with ``$ADVERSIM_OUTDIR`` pointing at a fresh directory, so commands that
 name no output path write to their documented defaults there.  The sha256 of
 every trace and report is compared with a constant recorded from the code
-before the simulation wrappers stopped encoding their payloads (the two
-larger attacks: before oracle probes were memoized; the flp run: before the
+before the simulation wrappers stopped encoding their payloads (the attacks at
+n = 8 and n = 16: before oracle probes were memoized; the attacks at n = 5
+and n = 7: before the attack replayed its loop; the flp run: before the
 asynchronous engine kept one queue per destination; the two negative
 controls: before the checker re-ran a violation's faults to record its
 trace; the restricted attacks: before the chain came from one fan-out
@@ -42,6 +46,16 @@ README_COMMANDS = {
     "attack-n16": (
         0,
         ["attack", "--protocol", "phase-king-lite", "--n", "16", "--rounds", "40",
+         "--out", "attack.jsonl", "--report", "witnesses.jsonl"],
+    ),
+    "attack-n5-100": (
+        0,
+        ["attack", "--protocol", "phase-king-lite", "--n", "5", "--rounds", "100",
+         "--out", "attack.jsonl", "--report", "witnesses.jsonl"],
+    ),
+    "attack-n7-60": (
+        0,
+        ["attack", "--protocol", "phase-king-lite", "--n", "7", "--rounds", "60",
          "--out", "attack.jsonl", "--report", "witnesses.jsonl"],
     ),
     "attack-restricted-n5": (
@@ -110,6 +124,14 @@ GOLDEN_SHA256 = {
     "attack-n16": {
         "attack.jsonl": "434f0db29c460ba5363afae44bb27380d032064b608a30e881590557f00be6c8",
         "witnesses.jsonl": "64a23a49838974df9910a34be3a6b378139a3cf7dd9c68a3ec036e41fc401705",
+    },
+    "attack-n5-100": {
+        "attack.jsonl": "aa5a662aad88c260d7a88bc01db8b992074d516fa51978c8cc697e205e89a98b",
+        "witnesses.jsonl": "0aed39132c819cb6cd2e0675a1b29830c00c8b08b308399686bcbb11b0d1ffc1",
+    },
+    "attack-n7-60": {
+        "attack.jsonl": "a915b7605098cca5b0357b4f83a62c861d2f91a1591ff72da10b4db0b7de2600",
+        "witnesses.jsonl": "fb3370772b5e1594be1948dc8500beae4b7ebf6089a3da983e87accb6625ad4f",
     },
     "attack-restricted-n5": {
         "attack.jsonl": "987338eb51a9f0536e05069f764d1a77e4826ffcd966498e2b1510fdb8ddaa14",

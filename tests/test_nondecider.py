@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from adversim import nondecider
-from adversim.core import initial_configuration
+from adversim.core import AdversimError, initial_configuration
 from adversim.nondecider import (
     AgreementViolation,
     AttackRound,
@@ -633,3 +633,72 @@ def test_memoized_agreement_violation_carries_the_fresh_trace():
             failure_free_decision(config, nm, CAP, memo=memo)
         assert memoized.value.outputs == fresh.value.outputs
         assert memoized.value.trace == fresh.value.trace
+
+
+# -- declared period: the lasso ---------------------------------------------------
+
+
+def _unperiodic(n):
+    """Phase-king-lite declaring no period: the attack probes every round."""
+    pk = phase_king_lite(n)
+    pk.period = None
+    return pk
+
+
+def _attack_outcome(protocol, n, rounds, restricted=False):
+    """An attack's trace bytes, report and witnesses, or the type and message
+    of the error it raised."""
+    try:
+        result = build_nondeciding_execution(protocol, n, rounds, restricted=restricted)
+    except AdversimError as exc:
+        return type(exc), str(exc)
+    return result.trace.to_jsonl(), report_records(result), result.witnesses, result.exhausted_at
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_lasso_attack_matches_unperiodic_attack_over_three_loops(n):
+    pk = phase_king_lite(n)
+    lasso = build_nondeciding_execution(pk, n, rounds=4 * pk.period).lasso
+    assert lasso is not None
+    stem, loop = lasso
+    assert loop % pk.period == 0
+    rounds = stem + 3 * loop
+    assert _attack_outcome(pk, n, rounds) == _attack_outcome(_unperiodic(n), n, rounds)
+    assert build_nondeciding_execution(_unperiodic(n), n, rounds).lasso is None
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_restricted_lasso_attack_matches_unperiodic_attack(n):
+    rounds = 8 * n
+    got = _attack_outcome(phase_king_lite(n), n, rounds, restricted=True)
+    assert got == _attack_outcome(_unperiodic(n), n, rounds, restricted=True)
+
+
+def test_wrong_period_fails_the_differential():
+    # Negative control: n is not a period of phase-king-lite at n = 5 (the
+    # parity of the round changes), so keying on it must change the attack.
+    n = 5
+    wrong = phase_king_lite(n)
+    wrong.period = n
+    stem, loop = build_nondeciding_execution(phase_king_lite(n), n, rounds=40).lasso
+    rounds = stem + 3 * loop
+    assert _attack_outcome(wrong, n, rounds) != _attack_outcome(_unperiodic(n), n, rounds)
+
+
+def test_rounds_past_the_loop_make_no_extension(monkeypatch):
+    calls = []
+    real = nondecider.extend_dependent
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nondecider, "extend_dependent", counted)
+    pk = phase_king_lite(16)
+    counts = []
+    for rounds in (35, 400):
+        calls.clear()
+        result = build_nondeciding_execution(pk, 16, rounds)
+        assert result.lasso == (3, 32) and result.rounds_built == rounds
+        counts.append(len(calls))
+    assert counts == [35, 35]

@@ -153,3 +153,40 @@ def test_constant_never_dependent():
         config = initial_configuration(c0, inputs)
         for p in range(3):
             assert is_p_dependent(config, p, c0, cap=5) is None
+
+
+# -- declared period ---------------------------------------------------------------
+
+
+def _inboxes(n):
+    """Every inbox any receiver can get: any subset of the other processes,
+    each sending either payload, in ascending sender order."""
+    return {
+        tuple(zip(senders, payloads))
+        for q in range(n)
+        for k in range(n)
+        for senders in itertools.combinations([s for s in range(n) if s != q], k)
+        for payloads in itertools.product((b"0", b"1"), repeat=k)
+    }
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_phase_king_lite_repeats_with_its_declared_period(n):
+    pk = phase_king_lite(n)
+    assert pk.period == 2 * n
+    inboxes = [dict(items) for items in _inboxes(n)]
+    for internal in itertools.product((0, 1), (False, True)):
+        for r in range(1, 4 * n + 1):
+            later = r + pk.period
+            assert pk.message(internal, r) == pk.message(internal, later)
+            for inbox in inboxes:
+                assert pk.transition(internal, r, inbox) == pk.transition(internal, later, inbox)
+
+
+@pytest.mark.parametrize(
+    "protocol_id",
+    ["naive-majority", "constant-0", "constant-1", "fts-over-ftr:phase-king-lite",
+     "flp-over-ftr:phase-king-lite"],
+)
+def test_other_protocols_and_wrappers_declare_no_period(protocol_id):
+    assert get_protocol(protocol_id, 3).period is None
