@@ -135,13 +135,14 @@ class RoundFault:
     @property
     def mapping(self) -> dict[Pid, Pid]:
         """Receiver -> the sender it misses: every victim misses the sender."""
-        return {q: self.sender for q in self.victims}
+        return dict.fromkeys(self.victims, self.sender)
 
     def validate(self, n: int) -> None:
         if not 0 <= self.sender < n:
             raise TraceFormatError(f"fault sender {self.sender} out of range for n={n}")
-        bad = [q for q in self.victims if not 0 <= q < n]
-        if bad:
+        victims = self.victims
+        if victims and (min(victims) < 0 or max(victims) >= n):
+            bad = [q for q in victims if not 0 <= q < n]
             raise TraceFormatError(f"fault victims {bad} out of range for n={n}")
 
 
@@ -196,6 +197,12 @@ class RoundProtocol:
     then treats two configurations whose rounds agree modulo the period,
     and whose states are equal, as one.  ``None`` (the default) promises
     nothing, and the round is taken as it is.
+
+    The synchronous kernel (``sync_engine.successors``) calls ``transition``
+    at most once per (receiver, missed sender) of a configuration it
+    expands, and builds the next state once from the result.  It calls
+    ``LocalState.write`` only for an output other than ``None``, so an
+    output register stays write-once: the first output sticks.
     """
 
     protocol_id: str = "?"

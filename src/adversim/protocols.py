@@ -30,8 +30,10 @@ class PhaseKingLite(RoundProtocol):
     Rounds pair into phases; phase k's king is process (k-1) mod n.
 
     Odd round (value exchange): broadcast the preference v.  Let V be the
-    received values plus v.  If all of V equals b and |V| >= n-1, adopt b
-    and decide b; otherwise adopt the majority of V (ties to 0).
+    received values plus v, where a payload other than b"1" counts as a 0
+    vote.  If all of V equals b and |V| >= n-1, adopt b and decide b;
+    otherwise adopt the majority of V (ties to 0).  A decided process
+    writes no output again.
 
     Even round (king round): broadcast v; every non-king that hears the
     king adopts the king's value.  Kings rotate forever, so the protocol
@@ -59,12 +61,14 @@ class PhaseKingLite(RoundProtocol):
     ) -> tuple[Any, Optional[int]]:
         v, decided = internal
         if round % 2 == 1:
-            values = [v] + [1 if m == b"1" else 0 for m in received.values()]
-            if len(values) >= self.n - 1 and len(set(values)) == 1:
+            votes = list(received.values())
+            ones = votes.count(b"1") + v
+            size = len(votes) + 1
+            if size >= self.n - 1 and (ones == size or not ones):
                 if not decided:
-                    return (values[0], True), values[0]
-                return (values[0], True), None
-            return (_majority(values), decided), None
+                    return (v, True), v
+                return (v, True), None
+            return (1 if 2 * ones > size else 0, decided), None
         phase = round // 2
         king = (phase - 1) % self.n
         if king in received:

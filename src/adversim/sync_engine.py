@@ -57,6 +57,12 @@ def successors(
     first needs it, so all children of a configuration cost at most n*n
     transitions.  Lazy: an error surfaces at the first child that meets it.
 
+    The next state is built once per (receiver, missed sender), as one
+    tuple.  ``LocalState.write`` runs on it only when the protocol returned
+    an output other than ``None``, so the register stays write-once: the
+    first output sticks, a later one is ignored, and an invalid one raises
+    unless an output is already written.
+
     With a ``table``, the broadcast and transitions are kept under the
     configuration (round included) and reused by every later call with the
     same table, so a search pays them once per distinct configuration.  A
@@ -78,22 +84,28 @@ def successors(
             table[config] = (inbox, after)
     else:
         inbox, after = entry
+    transition = protocol.transition
+    computed = after.get
+    new = tuple.__new__  # builds a LocalState or Configuration from a field tuple, in C
     for dropped in drop_maps:
         new_states = []
         for q, state in enumerate(states):
             miss = dropped.get(q)
-            nxt = after.get((q, miss))
+            nxt = computed((q, miss))
             if nxt is None:
                 received = inbox.copy()
                 del received[q]
                 received.pop(miss, None)
                 try:
-                    internal, out = protocol.transition(state.internal, round, received)
+                    internal, out = transition(state.internal, round, received)
                 except Exception as exc:  # noqa: BLE001
                     raise EngineError(f"transition() failed: {exc}", round=round, pid=q) from exc
-                nxt = after[q, miss] = LocalState(state.input, internal, state.output).write(out)
+                nxt = new(LocalState, (state.input, internal, state.output))
+                if out is not None:
+                    nxt = nxt.write(out)
+                after[q, miss] = nxt
             new_states.append(nxt)
-        yield Configuration(round=round + 1, states=tuple(new_states))
+        yield new(Configuration, (round + 1, tuple(new_states)))
 
 
 def step_fts(

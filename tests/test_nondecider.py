@@ -523,6 +523,21 @@ def test_restricted_faults_never_full_silence():
     result = build_nondeciding_execution(pk, 5, rounds=40, restricted=True)
     for step in result.trace.steps:
         assert len(step.fault.victims) <= 3  # n-2
+    # The restricted attack exhausts its chain at round 1, so the loop above
+    # sees no step.  Extending every witness the attacks reach supplies
+    # restricted rounds that do return.
+    extended = 0
+    for n in range(3, 9):
+        pk = phase_king_lite(n)
+        memo = {}
+        for witness in _attack_witnesses(pk, n):
+            try:
+                step = extend_dependent(witness, pk, default_cap(n), restricted=True, memo=memo)
+            except ChainExhausted:
+                continue
+            assert len(step.fault.victims) <= n - 2, (witness, step.fault)
+            extended += 1
+    assert extended, "no restricted extension returned"
 
 
 def test_report_records_shape():

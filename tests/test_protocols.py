@@ -5,7 +5,14 @@ import itertools
 import pytest
 
 from adversim.core import UnknownProtocolError, initial_configuration
-from adversim.protocols import constant, get_protocol, naive_majority, phase_king_lite, registered_protocols
+from adversim.protocols import (
+    PhaseKingLite,
+    constant,
+    get_protocol,
+    naive_majority,
+    phase_king_lite,
+    registered_protocols,
+)
 from adversim.sync_engine import (
     NoFaultPolicy,
     ScriptedPolicy,
@@ -158,15 +165,15 @@ def test_constant_never_dependent():
 # -- declared period ---------------------------------------------------------------
 
 
-def _inboxes(n):
+def _inboxes(n, payloads=(b"0", b"1")):
     """Every inbox any receiver can get: any subset of the other processes,
-    each sending either payload, in ascending sender order."""
+    each sending any of ``payloads``, in ascending sender order."""
     return {
-        tuple(zip(senders, payloads))
+        tuple(zip(senders, sent))
         for q in range(n)
         for k in range(n)
         for senders in itertools.combinations([s for s in range(n) if s != q], k)
-        for payloads in itertools.product((b"0", b"1"), repeat=k)
+        for sent in itertools.product(payloads, repeat=k)
     }
 
 
@@ -190,3 +197,79 @@ def test_phase_king_lite_repeats_with_its_declared_period(n):
 )
 def test_other_protocols_and_wrappers_declare_no_period(protocol_id):
     assert get_protocol(protocol_id, 3).period is None
+
+
+# -- value-round tally against the list/set/majority rule -----------------------
+
+
+def _majority(values):
+    ones = sum(values)
+    zeros = len(values) - ones
+    return 1 if ones > zeros else 0  # ties break to 0
+
+
+def reference_transition(n, internal, round, received):
+    """Phase-king-lite's transition as first written: the value round builds
+    a 0/1 list, tests unanimity with a set and takes the majority by sum."""
+    v, decided = internal
+    if round % 2 == 1:
+        values = [v] + [1 if m == b"1" else 0 for m in received.values()]
+        if len(values) >= n - 1 and len(set(values)) == 1:
+            if not decided:
+                return (values[0], True), values[0]
+            return (values[0], True), None
+        return (_majority(values), decided), None
+    phase = round // 2
+    king = (phase - 1) % n
+    if king in received:
+        v = 1 if received[king] == b"1" else 0
+    return (v, decided), None
+
+
+class TallyMutant(PhaseKingLite):
+    """Phase-king-lite's tally with one deliberate mistake in the value round."""
+
+    def __init__(self, n, mistake):
+        super().__init__(n)
+        self.mistake = mistake
+
+    def transition(self, internal, round, received):
+        if round % 2 == 0:
+            return super().transition(internal, round, received)
+        v, decided = internal
+        votes = list(received.values())
+        ones = votes.count(b"1") + v
+        size = len(votes) + 1
+        quorum = self.n if self.mistake == "unanimity-needs-n" else self.n - 1
+        if size >= quorum and (ones == size or not ones):
+            if not decided or self.mistake == "decided-writes-again":
+                return (v, True), v
+            return (v, True), None
+        tie = 1 if self.mistake == "ties-to-one" else 0
+        return (1 if 2 * ones > size else tie if 2 * ones == size else 0, decided), None
+
+
+def _tally_mismatch(protocol, n):
+    """The first (internal, round, inbox) on which ``protocol`` and the
+    reference rule differ, over every internal state, every round 1..4n and
+    every inbox of payloads b"0", b"1" and b"x"; None if they never do."""
+    inboxes = [dict(items) for items in sorted(_inboxes(n, (b"0", b"1", b"x")))]
+    for internal in itertools.product((0, 1), (False, True)):
+        for r in range(1, 4 * n + 1):
+            for inbox in inboxes:
+                got = protocol.transition(internal, r, inbox)
+                if got != reference_transition(n, internal, r, inbox):
+                    return internal, r, inbox
+    return None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_phase_king_lite_tally_matches_reference_rule(n):
+    assert _tally_mismatch(phase_king_lite(n), n) is None
+
+
+@pytest.mark.parametrize("mistake", ["ties-to-one", "unanimity-needs-n", "decided-writes-again"])
+def test_tally_reference_catches_mutants(mistake):
+    assert all(_tally_mismatch(TallyMutant(n, mistake), n) is not None for n in (3, 4, 5))
+    # The mutant class is the real tally when it makes no mistake.
+    assert all(_tally_mismatch(TallyMutant(n, None), n) is None for n in (3, 4, 5))

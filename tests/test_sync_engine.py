@@ -368,3 +368,88 @@ def test_exhaustive_stops_at_a_violation_before_a_failing_fault(model):
     assert result.violation.kind == "validity"
     assert result.violation.record() == reference.violation.record()
     assert result.violation.trace.to_jsonl() == reference.violation.trace.to_jsonl()
+
+
+# -- write-once register through the kernel -------------------------------------
+
+
+class AlternatingOutput:
+    """Outputs the parity of the round plus the inbox size, every round, so a
+    process's output flips from round to round and between children."""
+
+    protocol_id = "alternating-output"
+    n = None
+
+    def init(self, pid, input):
+        return pid
+
+    def message(self, internal, round):
+        return internal
+
+    def transition(self, internal, round, received):
+        return internal, (round + len(received)) % 2
+
+
+class InvalidFromRoundTwo:
+    """Outputs 1 at round 1 when its receiver misses a payload, and the
+    invalid 2 from round 2 on when it does: only a receiver whose register
+    is still empty then raises."""
+
+    protocol_id = "invalid-from-round-two"
+
+    def __init__(self, n):
+        self.n = n
+
+    def init(self, pid, input):
+        return pid
+
+    def message(self, internal, round):
+        return internal
+
+    def transition(self, internal, round, received):
+        if len(received) == self.n - 1:
+            return internal, None
+        return internal, (1 if round == 1 else 2)
+
+
+def _children_until_error(children):
+    """The children yielded before the first AdversimError, and that error."""
+    built = []
+    try:
+        for child in children:
+            built.append(child)
+    except AdversimError as exc:
+        return built, (type(exc), str(exc))
+    return built, None
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_successors_keep_the_first_output_of_an_alternating_protocol(n):
+    protocol = AlternatingOutput()
+    maps = [f.mapping for f in enumerate_faults("fts", n) + enumerate_faults("ftr", n)]
+    configs = [initial_configuration(protocol, (0,) * n)]
+    for _ in range(3):
+        config = configs[-1]
+        children = list(successors(config, protocol, maps))
+        assert children == [reference_round(config, protocol, m) for m in maps]
+        configs.append(children[-1])
+    outputs = [c.outputs() for c in configs[1:]]
+    assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_successors_raise_an_invalid_output_at_the_reference_child(n):
+    protocol = InvalidFromRoundTwo(n)
+    maps = [f.mapping for f in enumerate_faults("fts", n) + enumerate_faults("ftr", n)]
+    start = initial_configuration(protocol, (0,) * n)
+    raised = clean = 0
+    for config in successors(start, protocol, maps):
+        got = _children_until_error(successors(config, protocol, maps))
+        want = _children_until_error(reference_round(config, protocol, m) for m in maps)
+        assert got == want
+        if want[1] is None:
+            clean += 1
+        else:
+            assert want[1] == (AdversimError, "output must be 0 or 1, got 2")
+            raised += len(want[0]) > 0
+    assert raised and clean
