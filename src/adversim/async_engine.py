@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import chain, takewhile
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -71,9 +70,6 @@ class AsyncSystemState(NamedTuple):
 
     def live(self) -> list[Pid]:
         return [q for q in range(self.n) if q != self.crashed]
-
-    def addressed_to(self, pid: Pid) -> tuple[InFlight, ...]:
-        return self.queues[pid]
 
     def outputs(self) -> dict[Pid, int]:
         return {q: s.output for q, s in enumerate(self.states) if s.output is not None}
@@ -228,34 +224,8 @@ class ScriptedScheduler(Scheduler):
         return event
 
 
-def make_scheduler(
-    kind: str,
-    n: int,
-    seed: Optional[int] = None,
-    script: Optional[Sequence[AsyncEvent]] = None,
-    crash: Optional[tuple[Pid, int]] = None,
-) -> Scheduler:
-    if kind == "round-robin":
-        return RoundRobinScheduler(n, crash=crash)
-    if kind == "seeded-random-fair":
-        if seed is None:
-            raise AdversimError("seeded-random-fair scheduler requires a seed")
-        return SeededFairScheduler(n, seed, crash=crash)
-    if kind == "scripted":
-        if script is None:
-            raise AdversimError("scripted scheduler requires a script")
-        return ScriptedScheduler(script)
-    raise AdversimError(f"unknown scheduler kind {kind!r}")
-
-
 def _event(step: FlpStep) -> AsyncEvent:
     return AsyncEvent(pid=step.pid, deliver=step.deliver, crash=step.crash)
-
-
-def scheduler_events_from_trace(trace: ExecutionTrace) -> list[AsyncEvent]:
-    if trace.model != "flp":
-        raise AdversimError("only flp traces script a scheduler")
-    return [_event(s) for s in trace.steps]
 
 
 def scripted_scheduler_from_file(path) -> ScriptedScheduler:
@@ -268,14 +238,12 @@ def scripted_scheduler_from_file(path) -> ScriptedScheduler:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FairnessReport:
+class FairnessReport(NamedTuple):
     ok: bool
     violations: list[str]
 
 
-@dataclass
-class AsyncRunResult:
+class AsyncRunResult(NamedTuple):
     trace: ExecutionTrace
     final_state: AsyncSystemState
     fairness: Optional[FairnessReport] = None

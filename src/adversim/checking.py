@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from itertools import product
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     AdversimError,
@@ -54,8 +53,7 @@ class BudgetExceeded(AdversimError):
     """An exhaustive check would build more children than its budget."""
 
 
-@dataclass(frozen=True)
-class CheckViolation:
+class CheckViolation(NamedTuple):
     kind: str  # "agreement" | "validity" | "write-once"
     inputs: tuple[int, ...]
     round: int
@@ -73,8 +71,7 @@ class CheckViolation:
         }
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     violation: Optional[CheckViolation]
     # rounds stepped: children built (exhaustive, each configuration expanded
     # once); total rounds (fuzz)
@@ -219,8 +216,7 @@ def check_fuzz(
     return CheckResult(violation=None, explored=explored)
 
 
-@dataclass(frozen=True)
-class LivenessFailure:
+class LivenessFailure(NamedTuple):
     inputs: tuple[int, ...]
     policy: str
     undecided: tuple[int, ...]

@@ -5,7 +5,8 @@ non-deciding execution), ``check`` (exhaustive or fuzz property checking),
 ``simulate`` (composed model stacks with faithfulness reports), ``validate``
 (replay a trace file).
 
-Exit codes: 0 ok, 1 property violation, 2 oracle cap exceeded, 3 unknown
+Exit codes: 0 ok, 1 property violation, 2 oracle precondition failed (the
+cap exceeded, or a restricted attack probed a fault the model forbids), 3 unknown
 protocol, 4 budget exceeded, 5 trace error, 64 usage error, 70 internal error
 (a protocol or engine bug, or any other unexpected exception).  Reports
 are machine-readable JSON Lines; the human-readable summary goes to stderr.
@@ -23,9 +24,10 @@ from typing import Optional
 
 from . import checking, nondecider
 from .async_engine import (
+    RoundRobinScheduler,
     ScheduleError,
     ScriptedScheduler,
-    make_scheduler,
+    SeededFairScheduler,
     run_async,
     scripted_scheduler_from_file,
 )
@@ -184,12 +186,12 @@ def _run_async(args, protocol, inputs, **kwargs):
     spec, n = args.scheduler, args.n
     crash = _parse_crash(args.crash, n)
     if spec == "round-robin":
-        scheduler = make_scheduler("round-robin", n, crash=crash)
+        scheduler = RoundRobinScheduler(n, crash=crash)
     elif spec == "random":
         if args.seed is None:
             raise UsageError("--scheduler random requires --seed")
         seed = checking.stream_seed(args.seed, "scheduler")
-        scheduler = make_scheduler("seeded-random-fair", n, seed=seed, crash=crash)
+        scheduler = SeededFairScheduler(n, seed, crash=crash)
     elif spec.startswith("script:"):
         if crash is not None:
             # a script crashes a process through its own "crash" events
@@ -282,6 +284,19 @@ def cmd_attack(args) -> int:
         )
         return EXIT_VIOLATION
     except AgreementViolation as exc:
+        steps = exc.trace.steps  # every step of a probe repeats its fault
+        if args.restricted and steps and len(steps[0].fault.victims) == args.n - 1:
+            # The probe silenced a process completely, which the restricted
+            # model forbids: the oracle's precondition failed, not the target.
+            out = _outpath(None, "probe.trace.jsonl")
+            exc.trace.write(out)
+            fault = steps[0].fault
+            _say(
+                f"attack: oracle precondition fails: a probe under fault (sender "
+                f"{fault.sender}, victims {sorted(fault.victims)}), which --restricted "
+                f"forbids, disagrees; probe trace written to {out}"
+            )
+            return EXIT_ORACLE_CAP
         out = _outpath(None, "violation.trace.jsonl")
         report = _outpath(None, "violation.report.jsonl")
         exc.trace.write(out)

@@ -11,7 +11,6 @@ bit-exact round trip) and trace validation by deterministic replay.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
 MODELS = ("fts", "ftr", "flp")
@@ -93,12 +92,6 @@ class Configuration(NamedTuple):
     def all_decided(self) -> bool:
         return all(s.output is not None for s in self.states)
 
-    def differing_processes(self, other: "Configuration") -> list[Pid]:
-        """Process ids whose local state differs between two configurations."""
-        if self.n != other.n:
-            raise AdversimError("configurations have different sizes")
-        return [q for q in range(self.n) if self.states[q] != other.states[q]]
-
 
 def initial_configuration(protocol: "RoundProtocol", inputs: Iterable[int]) -> Configuration:
     """Round-1 configuration: fresh internal states, empty output registers."""
@@ -117,20 +110,19 @@ def initial_configuration(protocol: "RoundProtocol", inputs: Iterable[int]) -> C
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RoundFault:
+class RoundFault(NamedTuple("RoundFault", [("sender", Pid), ("victims", frozenset[Pid])])):
     """One round's fault in the fail-to-send model: a single sender whose
     broadcast is withheld from a set of victims.
 
     Canonical form never lists the sender among its victims (a process does
-    not message itself, so membership would be meaningless)."""
+    not message itself, so membership would be meaningless).  A plain
+    immutable tuple, like the trace steps: it compares equal to, and hashes
+    like, the tuple ``(sender, victims)`` of its canonical fields."""
 
-    sender: Pid
-    victims: frozenset[Pid]
+    __slots__ = ()
 
-    def __init__(self, sender: Pid, victims: Iterable[Pid]):
-        object.__setattr__(self, "sender", sender)
-        object.__setattr__(self, "victims", frozenset(victims) - {sender})
+    def __new__(cls, sender: Pid, victims: Iterable[Pid]):
+        return tuple.__new__(cls, (sender, frozenset(victims) - {sender}))
 
     @property
     def mapping(self) -> dict[Pid, Pid]:
@@ -149,16 +141,16 @@ class RoundFault:
 NO_FAULT = RoundFault(0, frozenset())
 
 
-@dataclass(frozen=True)
-class ReceiveFault:
+class ReceiveFault(NamedTuple("ReceiveFault", [("drops", tuple[tuple[Pid, Pid], ...])])):
     """One round's fault in the fail-to-receive model: per receiver, at most
-    one sender whose message that receiver misses."""
+    one sender whose message that receiver misses.  ``drops`` holds the
+    (receiver, dropped sender) pairs, sorted.  A plain immutable tuple, like
+    ``RoundFault``."""
 
-    drops: tuple[tuple[Pid, Pid], ...]  # (receiver, dropped sender), sorted
+    __slots__ = ()
 
-    def __init__(self, dropped: Mapping[Pid, Pid] | Iterable[tuple[Pid, Pid]]):
-        items = dict(dropped)
-        object.__setattr__(self, "drops", tuple(sorted(items.items())))
+    def __new__(cls, dropped: Mapping[Pid, Pid] | Iterable[tuple[Pid, Pid]]):
+        return tuple.__new__(cls, (tuple(sorted(dict(dropped).items())),))
 
     @property
     def mapping(self) -> dict[Pid, Pid]:
@@ -274,8 +266,7 @@ class FlpStep(NamedTuple):
 TraceStep = FtsStep | FtrStep | FlpStep
 
 
-@dataclass(frozen=True)
-class ExecutionTrace:
+class ExecutionTrace(NamedTuple):
     """Finite prefix of an execution: header plus one record per step.
 
     Replaying the steps from the inputs under the named protocol must
@@ -484,8 +475,7 @@ def read_step_script(path, model: str) -> list[TraceStep]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConsensusCheck:
+class ConsensusCheck(NamedTuple):
     ok: bool
     violation: Optional[str] = None  # "agreement" | "validity"
 
@@ -516,8 +506,7 @@ def check_colorless_outcome(inputs: Iterable[int], outputs: Iterable[int]) -> Co
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     problems: list[str]
 

@@ -16,8 +16,7 @@ delivery chain of its payload until the dependence flips hands.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import (
     AdversimError,
@@ -72,14 +71,12 @@ class InvariantViolation(AdversimError):
     deterministic pseudo-consensus machine (or there is an engine bug)."""
 
 
-@dataclass(frozen=True)
-class DecisionOracleResult:
+class DecisionOracleResult(NamedTuple):
     decision: int
     rounds_used: int
 
 
-@dataclass(frozen=True)
-class DependenceWitness:
+class DependenceWitness(NamedTuple):
     """Proof that a configuration's decision hangs on one process: the
     failure-free continuation and the continuation silencing that process
     decide differently."""
@@ -280,8 +277,7 @@ def find_initial_dependent(
     return find_dependent_in_chain(configs, range(n), protocol, cap, memo=memo)[1]
 
 
-@dataclass(frozen=True)
-class AttackRound:
+class AttackRound(NamedTuple):
     """One round of the attack: the fault it stepped and the witness of the
     configuration that fault reached.  Round 0 holds the initial witness,
     reached by no fault."""
@@ -352,8 +348,7 @@ def extend_dependent(
     return AttackRound(fault=faults[k], witness=w)
 
 
-@dataclass
-class AttackResult:
+class AttackResult(NamedTuple):
     """A synthesized non-deciding execution prefix plus its dependence
     witnesses: entry 0 certifies the initial configuration, entry r the
     configuration after round r.  ``exhausted_at`` is set when the
@@ -414,7 +409,7 @@ def build_nondeciding_execution(
             earlier = records[r - lasso[1]]
             config = earlier.witness.config
             config = config._replace(round=config.round + lasso[1])
-            ext = AttackRound(fault=earlier.fault, witness=replace(earlier.witness, config=config))
+            ext = AttackRound(fault=earlier.fault, witness=earlier.witness._replace(config=config))
         else:
             try:
                 ext = extend_dependent(witness, protocol, cap, restricted, memo=memo)
@@ -445,17 +440,6 @@ def build_nondeciding_execution(
 def _lasso_key(witness: DependenceWitness, period: int) -> tuple:
     return (_key(witness.config, period), witness.process, witness.ff_decision,
             witness.silent_decision)
-
-
-def verify_witness(witness: DependenceWitness, protocol: RoundProtocol, cap: int) -> bool:
-    """Re-establish a witness with two fresh oracle calls."""
-    ff = failure_free_decision(witness.config, protocol, cap)
-    sil = silent_decision(witness.config, witness.process, protocol, cap)
-    return (
-        ff.decision == witness.ff_decision
-        and sil.decision == witness.silent_decision
-        and ff.decision != sil.decision
-    )
 
 
 def report_records(result: AttackResult) -> list[dict]:

@@ -15,9 +15,6 @@ Three directions, each usable on its host engine and composable:
   seen; a process delivers any simulated message addressed to itself the
   moment it first sees it.
 
-The trivial fourth direction (a fail-to-send fault as a fail-to-receive
-fault) is the one-line translator ``sync_engine.receive_fault_for``.
-
 Wrapper messages are plain payload values (see ``core.Payload``): tuples of
 (sender, payload) pairs, (round, payload) pairs and per-sender send-log
 prefixes that nest the inner protocol's payloads unchanged.  They never
@@ -31,7 +28,6 @@ fields, so configurations holding them key memo tables at tuple cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -165,8 +161,7 @@ def classify_delivery(delivery: Mapping[Pid, Iterable[Pid]], n: int) -> RoundFau
     return RoundFault(sender, victims)
 
 
-@dataclass(frozen=True)
-class SimulatedRound:
+class SimulatedRound(NamedTuple):
     sim_round: int
     delivery: dict[Pid, tuple[Pid, ...]]
     core: tuple[Pid, ...]
@@ -324,8 +319,7 @@ def synchronizer_wrap(inner: RoundProtocol, n: int) -> AsyncProtocol:
     return SynchronizerWrapper(inner, n)
 
 
-@dataclass
-class SynchronizerProjection:
+class SynchronizerProjection(NamedTuple):
     """A synchronized run re-expressed as a fail-to-receive trace over all n
     simulated processes, truncated at the last round every live process
     completed.  A crashed process stops being simulated faithfully at its
@@ -512,8 +506,7 @@ def piggyback_wrap(inner: AsyncProtocol, n: int) -> RoundProtocol:
     return PiggybackWrapper(inner, n)
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     sender: Pid
     seq: int
     dest: Optional[Pid]  # None = broadcast

@@ -14,8 +14,7 @@ configuration's broadcast and transitions for a whole search.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
     AdversimError,
@@ -221,8 +220,7 @@ def scripted_policy_from_file(path, model: str) -> ScriptedPolicy:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     trace: ExecutionTrace
     final_config: Configuration
     configs: Optional[tuple[Configuration, ...]] = None  # incl. initial, when kept
@@ -308,9 +306,3 @@ def enumerate_faults(model: str, n: int, restricted: bool = False) -> list:
             faults.append(ReceiveFault(dropped))
         return faults
     raise AdversimError(f"unknown synchronous model {model!r}")
-
-
-def receive_fault_for(fault: RoundFault) -> ReceiveFault:
-    """Embed a fail-to-send fault into the fail-to-receive model: every
-    victim drops the faulty sender."""
-    return ReceiveFault({q: fault.sender for q in fault.victims})

@@ -1,4 +1,5 @@
-"""Shared test helpers: launch the CLI in a fresh interpreter.
+"""Shared test helpers: launch the CLI in a fresh interpreter, and
+re-establish an attack witness.
 
 Subprocess tests run ``python -m adversim`` with ``cwd`` set to a temporary
 directory, so a relative ``PYTHONPATH`` entry such as ``src`` would resolve
@@ -12,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from adversim.nondecider import failure_free_decision, silent_decision
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -29,4 +32,15 @@ def run_adversim(args, cwd, preexec_fn=None):
         text=True,
         timeout=120,
         preexec_fn=preexec_fn,
+    )
+
+
+def verify_witness(witness, protocol, cap):
+    """Re-establish a dependence witness with two fresh oracle calls."""
+    ff = failure_free_decision(witness.config, protocol, cap)
+    sil = silent_decision(witness.config, witness.process, protocol, cap)
+    return (
+        ff.decision == witness.ff_decision
+        and sil.decision == witness.silent_decision
+        and ff.decision != sil.decision
     )

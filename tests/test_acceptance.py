@@ -11,10 +11,10 @@ import random
 import time
 
 import pytest
-from conftest import run_adversim
+from conftest import run_adversim, verify_witness
 
 from adversim import checking
-from adversim.async_engine import make_scheduler, run_async
+from adversim.async_engine import SeededFairScheduler, run_async
 from adversim.core import ExecutionTrace, ReceiveFault, initial_configuration, validate_trace
 from adversim.nondecider import (
     build_nondeciding_execution,
@@ -22,7 +22,6 @@ from adversim.nondecider import (
     extend_dependent,
     find_initial_dependent,
     is_p_dependent,
-    verify_witness,
 )
 from adversim.protocols import get_protocol, phase_king_lite
 from adversim.simulations import (
@@ -273,9 +272,7 @@ def test_acceptance_8_synchronizer_faithfulness():
         if rng.random() < 0.5:
             crash = (rng.randrange(n), rng.randrange(350))
         proto = synchronizer_wrap(base, n)
-        sched = make_scheduler(
-            "seeded-random-fair", n, seed=checking.stream_seed(8_800, "seed", i), crash=crash
-        )
+        sched = SeededFairScheduler(n, checking.stream_seed(8_800, "seed", i), crash=crash)
         inputs = tuple(rng.randrange(2) for _ in range(n))
         result = run_async(inputs, proto, sched, horizon=horizon)
         final = result.final_state

@@ -8,16 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from adversim.async_engine import (
     AsyncEvent,
+    RoundRobinScheduler,
     ScheduleError,
     Scheduler,
+    ScriptedScheduler,
+    SeededFairScheduler,
     initial_async_state,
-    make_scheduler,
     replay_flp_steps,
     run_async,
-    scheduler_events_from_trace,
     step_async,
 )
-from adversim.core import AdversimError, AsyncProtocol, LocalState
+from adversim.core import AsyncProtocol, LocalState
 from adversim.protocols import phase_king_lite
 from adversim.simulations import synchronizer_wrap
 
@@ -78,7 +79,7 @@ def test_delivery_validation():
 
 def test_message_conservation():
     proto = _sync()
-    result = run_async((1, 0, 0), proto, make_scheduler("round-robin", 3), horizon=200)
+    result = run_async((1, 0, 0), proto, RoundRobinScheduler(3), horizon=200)
     delivered = [s.deliver for s in result.trace.steps if s.deliver is not None]
     assert len(delivered) == len(set(delivered)), "a message was delivered twice"
     still_in_flight = {m.index for m in result.final_state.in_flight}
@@ -89,10 +90,10 @@ def test_message_conservation():
 
 def test_deliver_then_step_replay_equality():
     proto = _sync()
-    sched = make_scheduler("seeded-random-fair", 3, seed=5)
+    sched = SeededFairScheduler(3, 5)
     first = run_async((1, 0, 0), proto, sched, horizon=150)
-    events = scheduler_events_from_trace(first.trace)
-    second = run_async((1, 0, 0), proto, make_scheduler("scripted", 3, script=events), horizon=150)
+    events = [AsyncEvent(s.pid, s.deliver, s.crash) for s in first.trace.steps]
+    second = run_async((1, 0, 0), proto, ScriptedScheduler(events), horizon=150)
     assert second.trace == first.trace
     assert second.final_state == first.final_state
 
@@ -100,7 +101,7 @@ def test_deliver_then_step_replay_equality():
 def test_round_robin_fairness_passes():
     proto = _sync()
     result = run_async(
-        (1, 0, 0), proto, make_scheduler("round-robin", 3), horizon=300, fairness_window=12
+        (1, 0, 0), proto, RoundRobinScheduler(3), horizon=300, fairness_window=12
     )
     assert result.fairness.ok, result.fairness.violations
 
@@ -113,7 +114,7 @@ def test_starving_scheduler_flagged():
         def next_event(self, state):
             self._flip = 1 - self._flip  # steps only processes 0 and 1
             pid = self._flip
-            msgs = [m.index for m in state.addressed_to(pid)]
+            msgs = [m.index for m in state.queues[pid]]
             return AsyncEvent(pid=pid, deliver=min(msgs) if msgs else None)
 
     proto = _sync()
@@ -124,7 +125,7 @@ def test_starving_scheduler_flagged():
 
 def test_messages_to_crashed_process_exempt_from_fairness():
     proto = _sync()
-    sched = make_scheduler("round-robin", 3, crash=(2, 9))
+    sched = RoundRobinScheduler(3, crash=(2, 9))
     result = run_async((1, 0, 0), proto, sched, horizon=300, fairness_window=15)
     assert result.final_state.crashed == 2
     assert result.fairness.ok, result.fairness.violations
@@ -132,21 +133,21 @@ def test_messages_to_crashed_process_exempt_from_fairness():
 
 def test_same_seed_identical_traces_long_horizon():
     proto = _sync()
-    a = run_async((1, 0, 0), proto, make_scheduler("seeded-random-fair", 3, seed=77), horizon=2000)
-    b = run_async((1, 0, 0), proto, make_scheduler("seeded-random-fair", 3, seed=77), horizon=2000)
+    a = run_async((1, 0, 0), proto, SeededFairScheduler(3, 77), horizon=2000)
+    b = run_async((1, 0, 0), proto, SeededFairScheduler(3, 77), horizon=2000)
     assert a.trace.to_jsonl() == b.trace.to_jsonl()
 
 
 def test_different_seed_differs():
     proto = _sync()
-    a = run_async((1, 0, 0), proto, make_scheduler("seeded-random-fair", 3, seed=1), horizon=200)
-    b = run_async((1, 0, 0), proto, make_scheduler("seeded-random-fair", 3, seed=2), horizon=200)
+    a = run_async((1, 0, 0), proto, SeededFairScheduler(3, 1), horizon=200)
+    b = run_async((1, 0, 0), proto, SeededFairScheduler(3, 2), horizon=200)
     assert a.trace != b.trace
 
 
 def test_replay_flp_steps_matches_recorded_outputs():
     proto = _sync()
-    result = run_async((1, 1, 0), proto, make_scheduler("round-robin", 3), horizon=120)
+    result = run_async((1, 1, 0), proto, RoundRobinScheduler(3), horizon=120)
     per_step = replay_flp_steps(result.trace, _sync())
     assert [s.outputs for s in result.trace.steps] == per_step
 
@@ -155,18 +156,13 @@ def test_crashed_trace_validates_and_single_crash_enforced():
     from adversim.core import validate_trace
 
     proto = _sync()
-    sched = make_scheduler("round-robin", 3, crash=(1, 20))
+    sched = RoundRobinScheduler(3, crash=(1, 20))
     result = run_async((1, 0, 0), proto, sched, horizon=150)
     report = validate_trace(result.trace)
     assert report.valid, report.problems
     crashes = [s for s in result.trace.steps if s.crash]
     assert len(crashes) == 1 and crashes[0].pid == 1
     assert all(s.pid != 1 for s in result.trace.steps[21:])
-
-
-def test_bad_scheduler_kind():
-    with pytest.raises(AdversimError):
-        make_scheduler("zigzag", 3)
 
 
 # -- differential test against the flat-tuple delivery rules -------------------
@@ -281,9 +277,9 @@ CRASHED_RUN_VIOLATIONS = {
 @pytest.mark.parametrize("name", sorted(CRASHED_RUN_VIOLATIONS))
 def test_crashed_run_fairness_violations_in_send_order(name):
     if name == "synchronizer":
-        args = ((1, 0, 0), _sync(), make_scheduler("round-robin", 3, crash=(2, 9)), 80)
+        args = ((1, 0, 0), _sync(), RoundRobinScheduler(3, crash=(2, 9)), 80)
     else:
-        args = ((1, 0, 0, 1), Relay(4), make_scheduler("round-robin", 4, crash=(3, 7)), 24)
+        args = ((1, 0, 0, 1), Relay(4), RoundRobinScheduler(4, crash=(3, 7)), 24)
     result = run_async(*args, fairness_window=5)
     assert result.fairness.violations == CRASHED_RUN_VIOLATIONS[name]
 
@@ -329,6 +325,6 @@ def test_queue_engine_matches_flat_delivery_rules(n, relay, length, data):
         assert _view(state) == list(flat.in_flight)
         assert state.states == flat.states and state.crashed == flat.crashed
         for q in range(n):
-            assert [m.index for m in state.addressed_to(q)] == [
+            assert [m.index for m in state.queues[q]] == [
                 m[0] for m in flat.in_flight if m[2] == q
             ]

@@ -7,7 +7,9 @@ import time
 
 import pytest
 
+from adversim import protocols
 from adversim.cli import main
+from adversim.core import RoundProtocol
 from conftest import run_adversim
 
 
@@ -744,3 +746,80 @@ def test_attack_keeps_disagreeing_probe(tmp_path, protocol):
     for step in read_jsonl(tmp_path / "violation.trace.jsonl")[1:]:
         outputs.update(step["outputs"])
     assert len(set(outputs.values())) == 2
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["run", "--model", "flp", "--protocol", "ftr-over-flp:phase-king-lite", "--n", "3",
+          "--inputs", "1,0,1", "--scheduler", "zigzag"], "--scheduler"),
+        (["run", "--model", "fts", *_PK3, "--inputs", "1,0,0", "--adversary", "zigzag"],
+         "--adversary"),
+    ],
+    ids=["scheduler", "adversary"],
+)
+def test_unknown_engine_spec_fails_closed(tmp_path, args, flag):
+    proc = _assert_fails_closed([*args, "--out", "t.jsonl"], tmp_path, 64)
+    assert "zigzag" in proc.stderr, proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
+# -- the restricted attack stays inside its model -------------------------------
+
+
+class FloodMin(RoundProtocol):
+    """Round 1: broadcast your input.  Round 2: broadcast every input you
+    know, then decide the least input known.  With at most n-2 victims an
+    input reaches a second holder in round 1, and a holder other than the
+    round-2 sender reaches everyone, so flooding is safe exactly in the
+    restricted fail-to-send model: a complete silence can hide an input."""
+
+    protocol_id = "flood-min"
+
+    def __init__(self, n):
+        self.n = n
+
+    def init(self, pid, input):
+        return frozenset({input})
+
+    def message(self, internal, round):
+        return tuple(sorted(internal))
+
+    def transition(self, internal, round, received):
+        if round > 2:
+            return internal, None
+        known = internal.union(*received.values())
+        return known, min(known) if round == 2 else None
+
+
+@pytest.fixture
+def flood_min(monkeypatch):
+    monkeypatch.setitem(protocols._REGISTRY, "flood-min", FloodMin)
+    return ["--protocol", "flood-min"]
+
+
+def test_restricted_attack_refuses_out_of_model_probe(tmp_path, capsys, flood_min):
+    code = run_cli(["attack", *flood_min, "--n", "4", "--rounds", "5", "--restricted"],
+                   env_extra={"ADVERSIM_OUTDIR": str(tmp_path)})
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "fault (sender 3, victims [0, 1, 2])" in line and "--restricted" in line, line
+    assert "probe.trace.jsonl" in line, line
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["probe.trace.jsonl"]
+    steps = read_jsonl(tmp_path / "probe.trace.jsonl")[1:]
+    assert steps and all((s["sender"], s["victims"]) == (3, [0, 1, 2]) for s in steps)
+
+
+def test_unrestricted_attack_keeps_flooding_violation(tmp_path, flood_min):
+    code = run_cli(["attack", *flood_min, "--n", "4", "--rounds", "5"],
+                   env_extra={"ADVERSIM_OUTDIR": str(tmp_path)})
+    assert code == 1
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["violation.report.jsonl", "violation.trace.jsonl"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_restricted_check_passes_flooding(tmp_path, flood_min, n):
+    args = ["check", *flood_min, "--n", str(n), "--depth", "3", "--restricted"]
+    assert run_cli(args, env_extra={"ADVERSIM_OUTDIR": str(tmp_path)}) == 0
+    assert not any(tmp_path.iterdir())

@@ -1,7 +1,14 @@
 """Core types, trace round trips, validation, and the consensus relation."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+from conftest import SRC
 from hypothesis import given, settings, strategies as st
+
+from adversim.checking import CheckResult
 
 from adversim.core import (
     AdversimError,
@@ -20,6 +27,7 @@ from adversim.core import (
     initial_configuration,
     validate_trace,
 )
+from adversim.nondecider import DependenceWitness
 from adversim.protocols import phase_king_lite
 from adversim.sync_engine import NoFaultPolicy, SilentPolicy, run
 
@@ -67,14 +75,6 @@ def test_local_state_and_configuration_are_plain_tuples():
     for value, attribute in [(s, "output"), (s, "extra"), (c, "round"), (c, "extra")]:
         with pytest.raises(AttributeError):
             setattr(value, attribute, 0)
-
-
-def test_configuration_differing_processes():
-    pk = phase_king_lite(3)
-    a = initial_configuration(pk, (0, 0, 0))
-    b = initial_configuration(pk, (0, 1, 0))
-    assert a.differing_processes(b) == [1]
-    assert a.differing_processes(a) == []
 
 
 # -- consensus relation ------------------------------------------------------
@@ -154,15 +154,40 @@ def test_fts_trace_round_trip_property(inputs, data):
 
 def test_trace_steps_are_plain_tuples():
     fault, drops = RoundFault(0, [1, 2]), ReceiveFault({1: 0})
+    step = FtsStep(1, fault, ((1, 0),))
+    trace = ExecutionTrace("fts", 3, "phase-king-lite", (1, 0, 1), (step,))
+    config = initial_configuration(phase_king_lite(3), (1, 0, 1))
     cases = [
-        (FtsStep(1, fault, ((1, 0),)), (1, fault, ((1, 0),))),
+        (step, (1, fault, ((1, 0),))),
         (FtrStep(2, drops, ()), (2, drops, ())),
         (FlpStep(0, None, False, ((0, 1),)), (0, None, False, ((0, 1),))),
+        # the fault records canonicalise their arguments on construction
+        (RoundFault(1, [1, 2]), (1, frozenset({2}))),
+        (ReceiveFault({2: 0, 1: 0}), (((1, 0), (2, 0)),)),
+        (trace, ("fts", 3, "phase-king-lite", (1, 0, 1), (step,))),
+        (DependenceWitness(config, 0, 1, 0), (config, 0, 1, 0)),
+        (CheckResult(None, 7), (None, 7)),
     ]
-    for step, plain in cases:
-        assert step == plain and hash(step) == hash(plain)
-        with pytest.raises(AttributeError):
-            step.outputs = ()
+    for record, plain in cases:
+        assert record == plain and hash(record) == hash(plain)
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """The records are tuples, so importing the command line pulls in
+    neither ``dataclasses`` nor the ``inspect`` it imports."""
+    code = "import adversim.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _step_record(step):

@@ -1,6 +1,5 @@
 """Model reductions: gather core, synchronizer projection, piggyback ledger."""
 
-import dataclasses
 import random
 from dataclasses import dataclass
 from typing import Any
@@ -17,7 +16,7 @@ from adversim.core import (
     initial_configuration,
     validate_trace,
 )
-from adversim.async_engine import make_scheduler, run_async
+from adversim.async_engine import RoundRobinScheduler, SeededFairScheduler, run_async
 from adversim.protocols import phase_king_lite
 from adversim.simulations import (
     EmulationLemmaViolation,
@@ -105,7 +104,7 @@ def _assert_synchronized_equals_direct(protocol, inputs, horizon):
     """A synchronized asynchronous run projects onto a valid fail-to-receive
     trace, and the slowest live processes hold exactly the state that the
     direct run of the inner protocol under that trace reaches."""
-    sched = make_scheduler("seeded-random-fair", len(inputs), seed=5)
+    sched = SeededFairScheduler(len(inputs), 5)
     final = run_async(inputs, protocol, sched, horizon=horizon).final_state
     states = [s.internal for s in final.states]
     proj = project_synchronized_run(states, final.crashed, protocol.inner, inputs)
@@ -166,7 +165,7 @@ def _gather_run(n, inputs, seed):
 
 def _synchronized_run(proto, inputs, horizon):
     # the scheduler _assert_synchronized_equals_direct runs
-    sched = make_scheduler("seeded-random-fair", len(inputs), seed=5)
+    sched = SeededFairScheduler(len(inputs), 5)
     return run_async(inputs, proto, sched, horizon=horizon)
 
 
@@ -193,7 +192,7 @@ def test_gather_audit_rejects_tampered_inner_state(float_mean):
     nudged = state._replace(internal=state.internal._replace(inner=state.internal.inner + 1.0))
     configs = list(result.configs)
     configs[6] = config._replace(states=config.states[:2] + (nudged,) + config.states[3:])
-    tampered = dataclasses.replace(result, configs=tuple(configs))
+    tampered = result._replace(configs=tuple(configs))
     faults = [step.fault for step in result.trace.steps]
     with pytest.raises(AssertionError):
         _assert_gather_equals_direct(tampered.configs, faults, n, inputs)
@@ -228,7 +227,7 @@ def test_projection_audit_rejects_tampered_log_output(float_mean):
     log[3] = (r, received, 1 - out)
     internal = state.internal._replace(log=tuple(log))
     states = (state._replace(internal=internal),) + final.states[1:]
-    tampered = dataclasses.replace(result, final_state=final._replace(states=states))
+    tampered = result._replace(final_state=final._replace(states=states))
     audit = audit_stack(proto, tampered)
     (record,) = audit.records
     assert not audit.ok
@@ -345,7 +344,7 @@ def test_rounds_advance_unboundedly_with_horizon():
     proto = synchronizer_wrap(phase_king_lite(3), 3)
     lows = []
     for horizon in (60, 120, 240):
-        result = run_async((1, 0, 0), proto, make_scheduler("round-robin", 3), horizon=horizon)
+        result = run_async((1, 0, 0), proto, RoundRobinScheduler(3), horizon=horizon)
         lows.append(min(s.internal.round for s in result.final_state.states))
     assert lows[0] < lows[1] < lows[2]
 
@@ -365,7 +364,7 @@ def test_advance_needs_single_message_at_n3():
 def test_projection_no_crash_validates():
     base = phase_king_lite(3)
     proto = synchronizer_wrap(base, 3)
-    result = run_async((1, 1, 0), proto, make_scheduler("round-robin", 3), horizon=300)
+    result = run_async((1, 1, 0), proto, RoundRobinScheduler(3), horizon=300)
     final = result.final_state
     proj = project_synchronized_run(
         [s.internal for s in final.states], final.crashed, base, (1, 1, 0)
@@ -378,7 +377,7 @@ def test_projection_no_crash_validates():
 def test_projection_with_crash_validates():
     base = phase_king_lite(4)
     proto = synchronizer_wrap(base, 4)
-    sched = make_scheduler("seeded-random-fair", 4, seed=3, crash=(1, 33))
+    sched = SeededFairScheduler(4, 3, crash=(1, 33))
     result = run_async((1, 0, 1, 0), proto, sched, horizon=600)
     final = result.final_state
     assert final.crashed == 1
@@ -393,7 +392,7 @@ def test_projection_with_crash_validates():
 def test_projection_trace_is_plain_ftr():
     base = phase_king_lite(3)
     proto = synchronizer_wrap(base, 3)
-    result = run_async((1, 0, 0), proto, make_scheduler("round-robin", 3), horizon=200)
+    result = run_async((1, 0, 0), proto, RoundRobinScheduler(3), horizon=200)
     final = result.final_state
     proj = project_synchronized_run(
         [s.internal for s in final.states], final.crashed, base, (1, 0, 0)
@@ -636,7 +635,7 @@ def test_build_stack_two_level():
 
 def test_build_stack_three_level_runs_async():
     proto = build_stack("fts-over-ftr-over-flp", "phase-king-lite", 3)
-    result = run_async((1, 1, 0), proto, make_scheduler("round-robin", 3), horizon=500)
+    result = run_async((1, 1, 0), proto, RoundRobinScheduler(3), horizon=500)
     assert result.final_state.outputs() == {0: 1, 1: 1, 2: 1}
 
 

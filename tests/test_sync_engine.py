@@ -24,7 +24,6 @@ from adversim.sync_engine import (
     RandomFaultPolicy,
     SilentPolicy,
     enumerate_faults,
-    receive_fault_for,
     run,
     scripted_policy_from_file,
     step_fts,
@@ -120,7 +119,7 @@ def test_fts_embeds_in_ftr(data):
     victims = data.draw(st.sets(st.integers(0, n - 1)))
     fault = RoundFault(sender, victims)
     config = initial_configuration(pk, inputs)
-    assert step_ftr(config, pk, receive_fault_for(fault)) == step_fts(config, pk, fault)
+    assert step_ftr(config, pk, ReceiveFault({q: fault.sender for q in fault.victims})) == step_fts(config, pk, fault)
 
 
 def test_step_functions_pure():
