@@ -7,8 +7,8 @@ shared machine affects them alike.  The script prints, per case, the median
 wall time over the passes and the spread between its quartiles, and exits 1
 if any run fails.
 
-    python scripts/startup_time.py                 # this checkout, 15 passes
-    python scripts/startup_time.py --src OTHER/src --repeat 15
+    python scripts/startup_time.py                 # this checkout
+    python scripts/startup_time.py --src OTHER/src # another checkout
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import tempfile
 import time
 from pathlib import Path
 
+REPEAT = 15  # passes over the cases
 _PKL = ["--protocol", "phase-king-lite"]
 CASES = (
     ("python -c pass", ["-c", "pass"]),
@@ -35,7 +36,6 @@ CASES = (
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeat", type=int, default=15, help="passes over the cases")
     parser.add_argument(
         "--src", default=str(Path(__file__).resolve().parent.parent / "src"),
         help="the src directory of the checkout to time",
@@ -44,7 +44,7 @@ def main(argv=None) -> int:
     times: dict[str, list[float]] = {label: [] for label, _ in CASES}
     with tempfile.TemporaryDirectory() as outdir:
         env = {**os.environ, "PYTHONPATH": os.path.abspath(args.src), "ADVERSIM_OUTDIR": outdir}
-        for _ in range(args.repeat):
+        for _ in range(REPEAT):
             for label, case in CASES:
                 start = time.perf_counter()
                 proc = subprocess.run([sys.executable, *case], cwd=outdir, env=env,
@@ -54,7 +54,7 @@ def main(argv=None) -> int:
                     print(f"{label}: exit {proc.returncode}: {proc.stderr.strip()}",
                           file=sys.stderr)
                     return 1
-    print(f"median wall time over {args.repeat} fresh interpreters, python "
+    print(f"median wall time over {REPEAT} fresh interpreters, python "
           f"{sys.version.split()[0]}, src {args.src}")
     for label, samples in times.items():
         q1, median, q3 = statistics.quantiles(samples, n=4)

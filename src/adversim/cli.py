@@ -283,20 +283,12 @@ def cmd_attack(args) -> int:
             "never flip across the input chain; target is not pseudo-consensus)"
         )
         return EXIT_VIOLATION
+    except nondecider.OutOfModelProbe as exc:
+        out = _outpath(None, "probe.trace.jsonl")
+        exc.trace.write(out)
+        _say(f"attack: oracle precondition fails under --restricted: {exc}; probe trace written to {out}")
+        return EXIT_ORACLE_CAP
     except AgreementViolation as exc:
-        steps = exc.trace.steps  # every step of a probe repeats its fault
-        if args.restricted and steps and len(steps[0].fault.victims) == args.n - 1:
-            # The probe silenced a process completely, which the restricted
-            # model forbids: the oracle's precondition failed, not the target.
-            out = _outpath(None, "probe.trace.jsonl")
-            exc.trace.write(out)
-            fault = steps[0].fault
-            _say(
-                f"attack: oracle precondition fails: a probe under fault (sender "
-                f"{fault.sender}, victims {sorted(fault.victims)}), which --restricted "
-                f"forbids, disagrees; probe trace written to {out}"
-            )
-            return EXIT_ORACLE_CAP
         out = _outpath(None, "violation.trace.jsonl")
         report = _outpath(None, "violation.report.jsonl")
         exc.trace.write(out)

@@ -124,6 +124,11 @@ class RoundFault(NamedTuple("RoundFault", [("sender", Pid), ("victims", frozense
     def __new__(cls, sender: Pid, victims: Iterable[Pid]):
         return tuple.__new__(cls, (sender, frozenset(victims) - {sender}))
 
+    @classmethod
+    def _make(cls, fields):
+        """Build through ``__new__``, so ``_replace`` canonicalises too."""
+        return cls(*fields)
+
     @property
     def mapping(self) -> dict[Pid, Pid]:
         """Receiver -> the sender it misses: every victim misses the sender."""
@@ -151,6 +156,11 @@ class ReceiveFault(NamedTuple("ReceiveFault", [("drops", tuple[tuple[Pid, Pid], 
 
     def __new__(cls, dropped: Mapping[Pid, Pid] | Iterable[tuple[Pid, Pid]]):
         return tuple.__new__(cls, (tuple(sorted(dict(dropped).items())),))
+
+    @classmethod
+    def _make(cls, fields):
+        """Build through ``__new__``, so ``_replace`` canonicalises too."""
+        return cls(*fields)
 
     @property
     def mapping(self) -> dict[Pid, Pid]:

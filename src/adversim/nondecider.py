@@ -42,11 +42,27 @@ class OracleCapExceeded(AdversimError):
 
 
 class AgreementViolation(AdversimError):
-    """A probed continuation produced two different outputs."""
+    """A probed continuation, run under ``fault`` every round, produced two
+    different outputs."""
 
-    def __init__(self, outputs: dict[Pid, int], trace: ExecutionTrace):
+    def __init__(self, outputs: dict[Pid, int], trace: ExecutionTrace, fault: RoundFault):
         super().__init__(f"agreement violation in probed continuation: {outputs}")
         self.outputs = outputs
+        self.trace = trace
+        self.fault = fault
+
+
+class OutOfModelProbe(AdversimError):
+    """Under the restricted model, a probe that silences a process
+    completely disagrees.  The model forbids that fault, so this shows that
+    the oracle's precondition fails, not that the target violates agreement."""
+
+    def __init__(self, fault: RoundFault, trace: ExecutionTrace):
+        super().__init__(
+            f"a probe under fault (sender {fault.sender}, victims {sorted(fault.victims)}), "
+            "which the restricted model forbids, disagrees"
+        )
+        self.fault = fault
         self.trace = trace
 
 
@@ -152,7 +168,7 @@ def _probe(
         values = set(outputs.values())
         if len(values) != 1:
             probe = run(config, protocol, ScriptedPolicy([fault] * len(path)), len(path))
-            raise AgreementViolation(outputs, probe.trace)
+            raise AgreementViolation(outputs, probe.trace, fault)
         decision, rounds = values.pop(), len(path)
     if table is not None:
         for i, c in enumerate(path):
@@ -167,6 +183,11 @@ def failure_free_decision(
     return _probe(config, protocol, NO_FAULT, cap, "failure-free", memo)
 
 
+def _silence(p: Pid, n: int) -> RoundFault:
+    """The fault that silences p completely: (p, everyone else)."""
+    return RoundFault(p, range(n))
+
+
 def silent_decision(
     config: Configuration,
     p: Pid,
@@ -178,8 +199,7 @@ def silent_decision(
     """Decision of the continuation in which p is silenced every round
     (fault (p, everyone else)); p still hears the others and must also
     output for the probe to complete."""
-    fault = RoundFault(p, [q for q in range(config.n) if q != p])
-    return _probe(config, protocol, fault, cap, f"{p}-silent", memo)
+    return _probe(config, protocol, _silence(p, config.n), cap, f"{p}-silent", memo)
 
 
 def is_p_dependent(
@@ -390,10 +410,22 @@ def build_nondeciding_execution(
     chain and every error it can raise.  So once a witness repeats one
     recorded ``loop`` rounds earlier, every later round copies the fault
     and witness of the round ``loop`` before it, with the round advanced,
-    and makes no probe."""
+    and makes no probe.
+
+    With ``restricted`` set, a disagreeing probe that silences a process
+    completely raises ``OutOfModelProbe`` instead of ``AgreementViolation``."""
     if rounds < 1:
         raise AdversimError("rounds must be >= 1")
     cap = default_cap(n) if cap is None else cap
+    try:
+        return _build(protocol, n, rounds, cap, restricted)
+    except AgreementViolation as exc:
+        if restricted and exc.fault == _silence(exc.fault.sender, n):
+            raise OutOfModelProbe(exc.fault, exc.trace) from exc
+        raise
+
+
+def _build(protocol: RoundProtocol, n: int, rounds: int, cap: int, restricted: bool) -> AttackResult:
     period = getattr(protocol, "period", None)  # duck-typed protocols declare none
     memo: OracleMemo = {}
     witness = find_initial_dependent(protocol, n, cap, memo=memo)

@@ -1,5 +1,6 @@
-"""Shared test helpers: launch the CLI in a fresh interpreter, and
-re-establish an attack witness.
+"""Shared test helpers: launch the CLI in a fresh interpreter,
+re-establish an attack witness, and a flooding protocol that is safe only in
+the restricted fail-to-send model.
 
 Subprocess tests run ``python -m adversim`` with ``cwd`` set to a temporary
 directory, so a relative ``PYTHONPATH`` entry such as ``src`` would resolve
@@ -14,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from adversim.core import RoundProtocol
 from adversim.nondecider import failure_free_decision, silent_decision
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -44,3 +46,28 @@ def verify_witness(witness, protocol, cap):
         and sil.decision == witness.silent_decision
         and ff.decision != sil.decision
     )
+
+
+class FloodMin(RoundProtocol):
+    """Round 1: broadcast your input.  Round 2: broadcast every input you
+    know, then decide the least input known.  With at most n-2 victims an
+    input reaches a second holder in round 1, and a holder other than the
+    round-2 sender reaches everyone, so flooding is safe exactly in the
+    restricted fail-to-send model: a complete silence can hide an input."""
+
+    protocol_id = "flood-min"
+
+    def __init__(self, n):
+        self.n = n
+
+    def init(self, pid, input):
+        return frozenset({input})
+
+    def message(self, internal, round):
+        return tuple(sorted(internal))
+
+    def transition(self, internal, round, received):
+        if round > 2:
+            return internal, None
+        known = internal.union(*received.values())
+        return known, min(known) if round == 2 else None

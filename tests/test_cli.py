@@ -9,8 +9,7 @@ import pytest
 
 from adversim import protocols
 from adversim.cli import main
-from adversim.core import RoundProtocol
-from conftest import run_adversim
+from conftest import FloodMin, run_adversim
 
 
 def run_cli(args, cwd=None, env_extra=None):
@@ -765,31 +764,6 @@ def test_unknown_engine_spec_fails_closed(tmp_path, args, flag):
 
 
 # -- the restricted attack stays inside its model -------------------------------
-
-
-class FloodMin(RoundProtocol):
-    """Round 1: broadcast your input.  Round 2: broadcast every input you
-    know, then decide the least input known.  With at most n-2 victims an
-    input reaches a second holder in round 1, and a holder other than the
-    round-2 sender reaches everyone, so flooding is safe exactly in the
-    restricted fail-to-send model: a complete silence can hide an input."""
-
-    protocol_id = "flood-min"
-
-    def __init__(self, n):
-        self.n = n
-
-    def init(self, pid, input):
-        return frozenset({input})
-
-    def message(self, internal, round):
-        return tuple(sorted(internal))
-
-    def transition(self, internal, round, received):
-        if round > 2:
-            return internal, None
-        known = internal.union(*received.values())
-        return known, min(known) if round == 2 else None
 
 
 @pytest.fixture

@@ -174,6 +174,11 @@ def test_trace_steps_are_plain_tuples():
             with pytest.raises(AttributeError):
                 setattr(record, field, None)
 
+    # ``_make`` and ``_replace`` go through the same canonicalisation
+    assert RoundFault(1, [2])._replace(victims=[1, 2]) == RoundFault._make((1, [2, 1]))
+    assert RoundFault(1, [2])._replace(victims=[1, 2]) == (1, frozenset({2}))
+    assert ReceiveFault({})._replace(drops={2: 0, 1: 0}) == (((1, 0), (2, 0)),)
+
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
     """The records are tuples, so importing the command line pulls in

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from conftest import verify_witness
+from conftest import FloodMin, verify_witness
 
 from adversim import nondecider
 from adversim.core import AdversimError, initial_configuration
@@ -14,6 +14,7 @@ from adversim.nondecider import (
     InvariantViolation,
     NoFlipInChain,
     OracleCapExceeded,
+    OutOfModelProbe,
     build_nondeciding_execution,
     default_cap,
     extend_dependent,
@@ -25,7 +26,7 @@ from adversim.nondecider import (
     silent_decision,
 )
 from adversim.protocols import naive_majority, phase_king_lite
-from adversim.sync_engine import NoFaultPolicy, RoundFault, enumerate_faults, run, step_fts
+from adversim.sync_engine import NO_FAULT, NoFaultPolicy, RoundFault, enumerate_faults, run, step_fts
 
 CAP = default_cap(3)
 
@@ -121,6 +122,21 @@ def test_oracle_agreement_violation_carries_trace():
     with pytest.raises(AgreementViolation) as info:
         failure_free_decision(config, nm, CAP)
     assert set(info.value.outputs.values()) == {0, 1}
+    assert info.value.fault == NO_FAULT
+
+
+def test_restricted_attack_raises_out_of_model_probe():
+    """Flooding is safe in the restricted model, so a disagreeing probe under
+    full silence is no violation there; unrestricted, it still is one."""
+    flood = FloodMin(4)
+    with pytest.raises(OutOfModelProbe) as info:
+        build_nondeciding_execution(flood, 4, rounds=5, restricted=True)
+    assert info.value.fault == RoundFault(3, [0, 1, 2])
+    steps = info.value.trace.steps
+    assert steps and all(s.fault == info.value.fault for s in steps)
+    with pytest.raises(AgreementViolation) as info:
+        build_nondeciding_execution(flood, 4, rounds=5)
+    assert not isinstance(info.value, OutOfModelProbe)
 
 
 # -- dependence ----------------------------------------------------------------
