@@ -31,7 +31,7 @@ from .nondecider import (
     silent_decision,
 )
 from .protocols import get_protocol, registered_protocols
-from .sync_engine import enumerate_faults, run, step_fts, step_ftr
+from .sync_engine import enumerate_faults, run, silence, step_fts, step_ftr
 
 __all__ = [
     "AdversimError",
@@ -55,6 +55,7 @@ __all__ = [
     "is_p_dependent",
     "registered_protocols",
     "run",
+    "silence",
     "silent_decision",
     "step_fts",
     "step_ftr",

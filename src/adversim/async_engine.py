@@ -33,6 +33,7 @@ from .core import (
     LocalState,
     Payload,
     Pid,
+    initial_configuration,
     read_step_script,
 )
 
@@ -82,15 +83,9 @@ class AsyncEvent(NamedTuple):
 
 
 def initial_async_state(protocol: AsyncProtocol, inputs: Iterable[int]) -> AsyncSystemState:
-    states = []
-    for pid, b in enumerate(inputs):
-        if b not in (0, 1):
-            raise AdversimError(f"inputs must be binary, got {b!r}")
-        states.append(LocalState(input=b, internal=protocol.init(pid, b)))
-    if len(states) < 2:
-        raise AdversimError("need at least 2 processes")
+    states = initial_configuration(protocol, inputs).states
     return AsyncSystemState(
-        states=tuple(states), queues=((),) * len(states), crashed=None, next_index=0, step_count=0
+        states=states, queues=((),) * len(states), crashed=None, next_index=0, step_count=0
     )
 
 

@@ -31,18 +31,18 @@ from .core import (
     AdversimError,
     Configuration,
     ExecutionTrace,
+    NO_DROPS,
+    NO_FAULT,
     RoundProtocol,
     check_colorless_outcome,
     initial_configuration,
 )
 from .sync_engine import (
     ExpansionTable,
-    NoFaultPolicy,
-    RandomFaultPolicy,
-    ScriptedPolicy,
-    SilentPolicy,
     enumerate_faults,
+    random_faults,
     run,
+    silence,
     step_fts,
     step_ftr,
     successors,
@@ -91,8 +91,7 @@ def _violation_kind(inputs, before: dict, after: dict) -> Optional[str]:
 def _violation(kind, protocol, model, inputs, faults, run_index=None) -> CheckViolation:
     """Report a violation reached by ``faults``, re-running them to record
     the replayable trace."""
-    policy = ScriptedPolicy(faults, model)
-    result = run(initial_configuration(protocol, inputs), protocol, policy, len(faults))
+    result = run(initial_configuration(protocol, inputs), protocol, model, faults, len(faults))
     return CheckViolation(
         kind=kind,
         inputs=inputs,
@@ -196,7 +195,7 @@ def check_fuzz(
         rng_inputs = random.Random(stream_seed(seed, "run", run_index, "inputs"))
         inputs = tuple(rng_inputs.randrange(2) for _ in range(n))
         rng_faults = random.Random(stream_seed(seed, "run", run_index, "faults"))
-        policy = RandomFaultPolicy(n, rng_faults, model=model, restricted=restricted)
+        faults = random_faults(n, rng_faults, model, restricted)
         config = initial.get(inputs)
         if config is None:
             config = initial[inputs] = initial_configuration(protocol, inputs)
@@ -204,7 +203,7 @@ def check_fuzz(
         for _ in range(depth):
             if config.all_decided():
                 break
-            fault = policy.next_fault(config.round, path)
+            fault = next(faults)
             before = config.outputs()
             config = step(config, protocol, fault, table)
             explored += 1
@@ -229,19 +228,18 @@ def check_liveness(
     vector, must fully decide within ``deadline`` rounds.  The runs share one
     expansion table, as in ``check_fuzz``."""
     failures = []
-    policies = [("failure-free", NoFaultPolicy(model))] + [
-        (f"silent({p})", SilentPolicy(p, n, model)) for p in range(n)
+    adversaries = [("failure-free", NO_FAULT if model == "fts" else NO_DROPS)] + [
+        (f"silent({p})", silence(p, n, model)) for p in range(n)
     ]
     step = step_fts if model == "fts" else step_ftr
     table: ExpansionTable = {}
     for bits in product((0, 1), repeat=n):
         initial = initial_configuration(protocol, bits)
-        for name, policy in policies:
+        for name, fault in adversaries:
             config = initial
             for _ in range(deadline):
                 if config.all_decided():
                     break
-                fault = policy.next_fault(config.round, [])
                 config = step(config, protocol, fault, table)
             if not config.all_decided():
                 undecided = tuple(

@@ -17,6 +17,7 @@ derived streams, so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import random
 import sys
@@ -38,6 +39,7 @@ from .core import (
     TraceFormatError,
     UnknownProtocolError,
     initial_configuration,
+    read_step_script,
     validate_trace,
     _dumps,
 )
@@ -45,13 +47,7 @@ from .checking import BudgetExceeded
 from .nondecider import AgreementViolation, OracleCapExceeded
 from .protocols import get_protocol
 from .simulations import EmulationLemmaViolation, audit_stack, build_stack, stack_model
-from .sync_engine import (
-    NoFaultPolicy,
-    RandomFaultPolicy,
-    SilentPolicy,
-    run,
-    scripted_policy_from_file,
-)
+from .sync_engine import random_faults, run, silence
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -120,9 +116,10 @@ def _parse_inputs(args, n: int, rng_seed_tag: str = "inputs") -> tuple[int, ...]
     return tuple(rng.randrange(2) for _ in range(n))
 
 
-def _make_policy(spec: str, model: str, n: int, seed: Optional[int], restricted: bool):
+def _faults(spec: str, model: str, n: int, seed: Optional[int], restricted: bool):
+    """The fault sequence an ``--adversary`` spec names."""
     if spec == "none":
-        return NoFaultPolicy(model)
+        return ()
     if spec.startswith("silent:"):
         try:
             p = int(spec.split(":", 1)[1])
@@ -130,14 +127,14 @@ def _make_policy(spec: str, model: str, n: int, seed: Optional[int], restricted:
             raise UsageError(f"bad adversary spec {spec!r}") from None
         if not 0 <= p < n:
             raise UsageError(f"silent process {p} out of range")
-        return SilentPolicy(p, n, model)
+        return itertools.repeat(silence(p, n, model))
     if spec.startswith("script:"):
-        return scripted_policy_from_file(spec.split(":", 1)[1], model)
+        return [step.fault for step in read_step_script(spec.split(":", 1)[1], model)]
     if spec == "random":
         if seed is None:
             raise UsageError("--adversary random requires --seed")
         rng = random.Random(checking.stream_seed(seed, "adversary"))
-        return RandomFaultPolicy(n, rng, model=model, restricted=restricted)
+        return random_faults(n, rng, model, restricted)
     raise UsageError(f"unknown adversary spec {spec!r}")
 
 
@@ -257,8 +254,9 @@ def cmd_run(args) -> int:
         if engine not in (None, args.model):
             raise UsageError(f"stack {args.protocol!r} runs on model {engine!r}, not {args.model!r}")
         inputs = _parse_inputs(args, args.n)
-        policy = _make_policy(args.adversary, args.model, args.n, args.seed, args.restricted)
-        result = run(initial_configuration(protocol, inputs), protocol, policy, args.horizon)
+        faults = _faults(args.adversary, args.model, args.n, args.seed, args.restricted)
+        config = initial_configuration(protocol, inputs)
+        result = run(config, protocol, args.model, faults, args.horizon)
         outputs = result.final_config.outputs()
 
     out = _outpath(args.out, "run.trace.jsonl")
@@ -378,9 +376,9 @@ def cmd_simulate(args) -> int:
     if model == "flp":
         result = _run_async(args, protocol, inputs)
     else:
-        policy = _make_policy(args.adversary, model, args.n, args.seed, False)
+        faults = _faults(args.adversary, model, args.n, args.seed, False)
         config = initial_configuration(protocol, inputs)
-        result = run(config, protocol, policy, args.horizon, keep_configs=True)
+        result = run(config, protocol, model, faults, args.horizon, keep_configs=True)
     result.trace.write(out)
     audit = audit_stack(protocol, result)
     _say(f"simulate: {audit.summary}")

@@ -628,11 +628,11 @@ def _replay_outputs(trace: ExecutionTrace, protocol) -> list[tuple[tuple[Pid, in
 
         return replay_flp_steps(trace, protocol)
 
-    from .sync_engine import ScriptedPolicy, run
+    from .sync_engine import run
 
     faults = [step.fault for step in trace.steps]
-    policy = ScriptedPolicy(faults, trace.model)
-    result = run(initial_configuration(protocol, trace.inputs), protocol, policy, len(faults))
+    config = initial_configuration(protocol, trace.inputs)
+    result = run(config, protocol, trace.model, faults, len(faults))
     return [step.outputs for step in result.trace.steps]
 
 

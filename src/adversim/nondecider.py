@@ -28,7 +28,7 @@ from .core import (
     RoundProtocol,
     initial_configuration,
 )
-from .sync_engine import NO_FAULT, ScriptedPolicy, run, step_fts, successors
+from .sync_engine import NO_FAULT, run, silence, step_fts, successors
 
 
 class OracleCapExceeded(AdversimError):
@@ -167,7 +167,7 @@ def _probe(
         outputs = current.outputs()
         values = set(outputs.values())
         if len(values) != 1:
-            probe = run(config, protocol, ScriptedPolicy([fault] * len(path)), len(path))
+            probe = run(config, protocol, "fts", itertools.repeat(fault), len(path))
             raise AgreementViolation(outputs, probe.trace, fault)
         decision, rounds = values.pop(), len(path)
     if table is not None:
@@ -183,11 +183,6 @@ def failure_free_decision(
     return _probe(config, protocol, NO_FAULT, cap, "failure-free", memo)
 
 
-def _silence(p: Pid, n: int) -> RoundFault:
-    """The fault that silences p completely: (p, everyone else)."""
-    return RoundFault(p, range(n))
-
-
 def silent_decision(
     config: Configuration,
     p: Pid,
@@ -199,7 +194,7 @@ def silent_decision(
     """Decision of the continuation in which p is silenced every round
     (fault (p, everyone else)); p still hears the others and must also
     output for the probe to complete."""
-    return _probe(config, protocol, _silence(p, config.n), cap, f"{p}-silent", memo)
+    return _probe(config, protocol, silence(p, config.n), cap, f"{p}-silent", memo)
 
 
 def is_p_dependent(
@@ -420,7 +415,7 @@ def build_nondeciding_execution(
     try:
         return _build(protocol, n, rounds, cap, restricted)
     except AgreementViolation as exc:
-        if restricted and exc.fault == _silence(exc.fault.sender, n):
+        if restricted and exc.fault == silence(exc.fault.sender, n):
             raise OutOfModelProbe(exc.fault, exc.trace) from exc
         raise
 

@@ -3,18 +3,21 @@
 Every round each process broadcasts one payload, then transitions on the
 payloads it received.  The adversary's per-round choice is a RoundFault
 (fail-to-send: one sender, a victim set) or a ReceiveFault (fail-to-receive:
-per receiver, at most one dropped sender).  No process ever crashes, and
-engines always run to the requested horizon: decided processes keep
-participating.  ``successors`` is the one round rule: it builds every child
-of a configuration from one broadcast, and ``step_fts``/``step_ftr`` are its
-one-fault case.  All three take an optional ExpansionTable, which keeps each
-configuration's broadcast and transitions for a whole search.
+per receiver, at most one dropped sender).  An adversary is the sequence of
+these faults, fixed before the run and blind to it: ``run`` takes any
+iterable of them, one per round, and once it runs out every later round
+drops nothing.  No process ever crashes, and engines always run to the
+requested horizon: decided processes keep participating.  ``successors`` is
+the one round rule: it builds every child of a configuration from one
+broadcast, and ``step_fts``/``step_ftr`` are its one-fault case.  All
+three take an optional ExpansionTable, which keeps each configuration's
+broadcast and transitions for a whole search.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .core import (
     AdversimError,
@@ -31,7 +34,6 @@ from .core import (
     RoundFault,
     RoundProtocol,
     TraceStep,
-    read_step_script,
 )
 
 
@@ -132,87 +134,44 @@ def step_ftr(
 
 
 # ---------------------------------------------------------------------------
-# Adversary policies
+# Adversaries: fault sequences
 # ---------------------------------------------------------------------------
 
 
-class AdversaryPolicy:
-    """Per-round fault chooser.  Sees only public history: the steps
-    (faults and outputs) recorded so far, never internal states."""
-
-    model: str = "fts"
-
-    def next_fault(self, round: int, history: Sequence[TraceStep]):
-        raise NotImplementedError
+def silence(p: Pid, n: int, model: str = "fts"):
+    """The fault that silences p completely: every other process misses p's
+    payload (fts: (p, everyone else); ftr: each other receiver drops p)."""
+    if model == "fts":
+        return RoundFault(p, range(n))
+    return ReceiveFault({q: p for q in range(n) if q != p})
 
 
-class NoFaultPolicy(AdversaryPolicy):
-    def __init__(self, model: str = "fts"):
-        self.model = model
+def random_faults(n: int, rng, model: str, restricted: bool) -> Iterator:
+    """Endless seeded uniform fault draws, each round independent of the
+    others.  fts: a uniform sender, then each other process a victim with
+    probability 1/2; ``restricted`` redraws the victims (not the sender)
+    while they would silence the sender completely.  ftr: each receiver
+    keeps all payloads or drops one sender, n choices uniformly."""
+    if restricted and model != "fts":
+        raise AdversimError("restricted mode applies to the fail-to-send model only")
 
-    def next_fault(self, round, history):
-        return NO_FAULT if self.model == "fts" else NO_DROPS
+    def draw_fts():
+        sender = rng.randrange(n)
+        others = [q for q in range(n) if q != sender]
+        while True:
+            victims = [q for q in others if rng.random() < 0.5]
+            if not (restricted and len(victims) == n - 1):
+                return RoundFault(sender, victims)
 
-
-class SilentPolicy(AdversaryPolicy):
-    """Silences one process forever: fault (p, everyone else) each round."""
-
-    def __init__(self, p: Pid, n: int, model: str = "fts"):
-        self.model = model
-        self.p = p
-        if model == "fts":
-            self._fault = RoundFault(p, [q for q in range(n) if q != p])
-        else:
-            self._fault = ReceiveFault({q: p for q in range(n) if q != p})
-
-    def next_fault(self, round, history):
-        return self._fault
-
-
-class ScriptedPolicy(AdversaryPolicy):
-    """Plays back a fixed fault sequence; no-fault once the script runs out."""
-
-    def __init__(self, faults: Sequence, model: str = "fts"):
-        self.model = model
-        self.faults = list(faults)
-
-    def next_fault(self, round, history):
-        i = len(history)
-        if i < len(self.faults):
-            return self.faults[i]
-        return NO_FAULT if self.model == "fts" else NO_DROPS
-
-
-class RandomFaultPolicy(AdversaryPolicy):
-    """Seeded uniform fault draw; each round independent of history."""
-
-    def __init__(self, n: int, rng, model: str = "fts", restricted: bool = False):
-        if restricted and model != "fts":
-            raise AdversimError("restricted mode applies to the fail-to-send model only")
-        self.model = model
-        self.n = n
-        self.rng = rng
-        self.restricted = restricted
-
-    def next_fault(self, round, history):
-        if self.model == "fts":
-            sender = self.rng.randrange(self.n)
-            others = [q for q in range(self.n) if q != sender]
-            while True:
-                victims = [q for q in others if self.rng.random() < 0.5]
-                if not (self.restricted and len(victims) == self.n - 1):
-                    return RoundFault(sender, victims)
+    def draw_ftr():
         dropped = {}
-        for q in range(self.n):
-            k = self.rng.randrange(self.n)  # n choices: keep all, or drop one sender
+        for q in range(n):
+            k = rng.randrange(n)  # n choices: keep all, or drop one sender
             if k != q:
                 dropped[q] = k
         return ReceiveFault(dropped)
 
-
-def scripted_policy_from_file(path, model: str) -> ScriptedPolicy:
-    """Read a JSONL fault script (same record schema as trace steps)."""
-    return ScriptedPolicy([step.fault for step in read_step_script(path, model)], model=model)
+    return iter(draw_fts if model == "fts" else draw_ftr, None)  # a draw is never None
 
 
 # ---------------------------------------------------------------------------
@@ -229,32 +188,32 @@ class RunResult(NamedTuple):
 def run(
     config: Configuration,
     protocol: RoundProtocol,
-    policy: AdversaryPolicy,
+    model: str,
+    faults: Iterable,
     horizon: int,
     keep_configs: bool = False,
 ) -> RunResult:
-    """Execute ``horizon`` rounds under the policy, recording faults and the
-    outputs written each round.  Never stops early: the models' executions
+    """Execute ``horizon`` rounds of ``model``, one fault per round taken from
+    ``faults`` and no fault once it runs out, recording each fault and the
+    outputs written that round.  Never stops early: the models' executions
     are infinite, so decided processes keep participating to the horizon."""
     if horizon < 0:
         raise AdversimError("horizon must be >= 0")
-    model = policy.model
+    if model == "fts":
+        kind, step, step_cls, pad = RoundFault, step_fts, FtsStep, NO_FAULT
+    elif model == "ftr":
+        kind, step, step_cls, pad = ReceiveFault, step_ftr, FtrStep, NO_DROPS
+    else:
+        raise AdversimError(f"unknown synchronous model {model!r}")
     steps: list[TraceStep] = []
     configs = [config] if keep_configs else None
     current = config
-    for _ in range(horizon):
-        fault = policy.next_fault(current.round, steps)
+    for fault in itertools.islice(itertools.chain(faults, itertools.repeat(pad)), horizon):
+        if not isinstance(fault, kind):
+            raise AdversimError(f"{model} runs take {kind.__name__} faults, got {fault!r}")
         before = current.outputs()
-        if model == "fts":
-            if not isinstance(fault, RoundFault):
-                raise AdversimError("fts policy must return RoundFault")
-            nxt = step_fts(current, protocol, fault)
-        else:
-            if not isinstance(fault, ReceiveFault):
-                raise AdversimError("ftr policy must return ReceiveFault")
-            nxt = step_ftr(current, protocol, fault)
+        nxt = step(current, protocol, fault)
         wrote = tuple(sorted((q, v) for q, v in nxt.outputs().items() if q not in before))
-        step_cls = FtsStep if model == "fts" else FtrStep
         steps.append(step_cls(round=current.round, fault=fault, outputs=wrote))
         current = nxt
         if configs is not None:

@@ -32,13 +32,7 @@ from adversim.simulations import (
     project_synchronized_run,
     synchronizer_wrap,
 )
-from adversim.sync_engine import (
-    ScriptedPolicy,
-    SilentPolicy,
-    enumerate_faults,
-    run,
-    step_fts,
-)
+from adversim.sync_engine import enumerate_faults, run, silence, step_fts
 
 
 def _report(criterion, ok, detail):
@@ -230,7 +224,7 @@ def test_acceptance_7_core_lemma():
     worst = n
     combos = 0
     for combo in itertools.product(faults, repeat=3):
-        result = run(base_config, wrapped, ScriptedPolicy(list(combo), "ftr"), horizon=3, keep_configs=True)
+        result = run(base_config, wrapped, "ftr", list(combo), horizon=3, keep_configs=True)
         rep = getcore_rounds(result.configs)[0]
         worst = min(worst, len(rep.core))
         combos += 1
@@ -244,7 +238,7 @@ def test_acceptance_7_core_lemma():
         rng = random.Random(520 + nn)
         for _ in range(10_000):
             combo = [rng.choice(fs) for _ in range(3)]
-            result = run(cfg, w, ScriptedPolicy(combo, "ftr"), horizon=3, keep_configs=True)
+            result = run(cfg, w, "ftr", combo, horizon=3, keep_configs=True)
             rep = getcore_rounds(result.configs)[0]
             if len(rep.core) < nn - 1:
                 fuzz_ok = False
@@ -314,7 +308,7 @@ def test_acceptance_9_piggyback_liveness():
     for name, faults in scripts.items():
         proto = fresh()
         result = run(
-            initial_configuration(proto, (1, 0, 0)), proto, ScriptedPolicy(faults, "ftr"), horizon=horizon
+            initial_configuration(proto, (1, 0, 0)), proto, "ftr", faults, horizon=horizon
         )
         for entry in piggyback_ledger(result.final_config):
             if entry.sent_round > horizon - 2:
@@ -328,9 +322,8 @@ def test_acceptance_9_piggyback_liveness():
     silent_ok = True
     p = 1
     proto = fresh()
-    result = run(
-        initial_configuration(proto, (1, 0, 0)), proto, SilentPolicy(p, n, "ftr"), horizon=horizon
-    )
+    silenced = itertools.repeat(silence(p, n, "ftr"))
+    result = run(initial_configuration(proto, (1, 0, 0)), proto, "ftr", silenced, horizon=horizon)
     for entry in piggyback_ledger(result.final_config):
         if entry.sender == p or entry.sent_round > horizon - 2:
             continue

@@ -18,7 +18,7 @@ from adversim.async_engine import (
     run_async,
     step_async,
 )
-from adversim.core import AsyncProtocol, LocalState
+from adversim.core import AdversimError, AsyncProtocol, LocalState
 from adversim.protocols import phase_king_lite
 from adversim.simulations import synchronizer_wrap
 
@@ -34,6 +34,14 @@ def test_first_step_sends_without_delivery():
     assert wrote == ()
     assert len(state.in_flight) == 2  # round-1 broadcast to the two others
     assert all(m.sender == 0 and m.dest != 0 for m in state.in_flight)
+
+
+def test_initial_state_rejects_bad_inputs():
+    proto = _sync()
+    with pytest.raises(AdversimError, match="inputs must be binary, got 2"):
+        initial_async_state(proto, (1, 2, 0))
+    with pytest.raises(AdversimError, match="need at least 2 processes"):
+        initial_async_state(proto, (1,))
 
 
 def test_engine_records_are_plain_tuples():

@@ -30,7 +30,7 @@ from adversim.checking import (
 )
 from adversim.core import AdversimError, EngineError, initial_configuration
 from adversim.protocols import get_protocol
-from adversim.sync_engine import RandomFaultPolicy, enumerate_faults, step_fts, step_ftr
+from adversim.sync_engine import enumerate_faults, random_faults, step_fts, step_ftr
 
 
 def reference_check_exhaustive(
@@ -231,13 +231,13 @@ def reference_check_fuzz(protocol, n, runs, depth, seed, model="fts", restricted
         rng_inputs = random.Random(stream_seed(seed, "run", run_index, "inputs"))
         inputs = tuple(rng_inputs.randrange(2) for _ in range(n))
         rng_faults = random.Random(stream_seed(seed, "run", run_index, "faults"))
-        policy = RandomFaultPolicy(n, rng_faults, model=model, restricted=restricted)
+        faults = random_faults(n, rng_faults, model, restricted)
         config = initial_configuration(protocol, inputs)
         path = []
         for _ in range(depth):
             if config.all_decided():
                 break
-            fault = policy.next_fault(config.round, path)
+            fault = next(faults)
             before = config.outputs()
             config = step(config, protocol, fault)
             explored += 1

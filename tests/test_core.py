@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from itertools import repeat
 
 import pytest
 from conftest import SRC
@@ -29,7 +30,7 @@ from adversim.core import (
 )
 from adversim.nondecider import DependenceWitness
 from adversim.protocols import phase_king_lite
-from adversim.sync_engine import NoFaultPolicy, SilentPolicy, run
+from adversim.sync_engine import run, silence
 
 
 def test_round_fault_canonical_excludes_sender():
@@ -66,7 +67,7 @@ def test_output_register_rejects_non_binary_and_keeps_none():
 
 def test_local_state_and_configuration_are_plain_tuples():
     pk = phase_king_lite(3)
-    c = run(initial_configuration(pk, (1, 0, 1)), pk, NoFaultPolicy(), horizon=3).final_config
+    c = run(initial_configuration(pk, (1, 0, 1)), pk, "fts", (), horizon=3).final_config
     assert c.outputs()
     plain = (c.round, tuple(tuple(s) for s in c.states))
     assert c == plain and hash(c) == hash(plain)
@@ -113,7 +114,7 @@ def test_empty_trace_round_trip_and_valid():
 def test_engine_trace_round_trips_bit_exact(tmp_path):
     pk = phase_king_lite(3)
     config = initial_configuration(pk, (1, 0, 0))
-    trace = run(config, pk, SilentPolicy(2, 3), horizon=6).trace
+    trace = run(config, pk, "fts", repeat(silence(2, 3)), horizon=6).trace
     path = tmp_path / "t.jsonl"
     trace.write(path)
     text = path.read_text()
@@ -124,7 +125,7 @@ def test_engine_trace_round_trips_bit_exact(tmp_path):
 def test_engine_trace_validates():
     pk = phase_king_lite(3)
     config = initial_configuration(pk, (1, 0, 0))
-    trace = run(config, pk, NoFaultPolicy(), horizon=6).trace
+    trace = run(config, pk, "fts", (), horizon=6).trace
     report = validate_trace(trace)
     assert report.valid, report.problems
 
@@ -262,7 +263,7 @@ def test_validator_flags_duplicate_round_as_multiple_senders():
 def test_validator_flags_output_divergence():
     pk = phase_king_lite(3)
     config = initial_configuration(pk, (1, 1, 1))
-    trace = run(config, pk, NoFaultPolicy(), horizon=2).trace
+    trace = run(config, pk, "fts", (), horizon=2).trace
     # flip one recorded output bit
     step0 = trace.steps[0]
     corrupted = step0.outputs[:-1] + ((step0.outputs[-1][0], 1 - step0.outputs[-1][1]),)

@@ -9,7 +9,9 @@ or is the restricted attack at n = 5 and n = 8, whose
 progressive delivery chain starts at c_2, or is one of two negative controls
 whose violation traces the checker records: a fuzz run and the exhaustive
 fail-to-receive check, or is the nested ``fts-over-ftr-over-flp`` stack,
-whose audit is the synchronizer's projection alone.  The README's flp
+whose audit is the synchronizer's projection alone, or is a seeded random
+adversary under ``run``: fail-to-receive, and restricted fail-to-send,
+whose draw is redone whenever it would silence its sender completely.  The README's flp
 ``run`` and every ``simulate`` command also pin their stderr summary, which
 carries the fairness or faithfulness audit's findings.  Each runs in-process
 with ``$ADVERSIM_OUTDIR`` pointing at a fresh directory, so commands that
@@ -20,7 +22,8 @@ n = 8 and n = 16: before oracle probes were memoized; the attacks at n = 5
 and n = 7: before the attack replayed its loop; the flp run: before the
 asynchronous engine kept one queue per destination; the two negative
 controls: before the checker re-ran a violation's faults to record its
-trace; the restricted attacks: before the chain came from one fan-out
+trace; the three fts/ftr ``run`` commands: before adversaries became plain
+fault sequences; the restricted attacks: before the chain came from one fan-out
 round; the nested stack and the ``simulate`` summaries: before the
 simulation audits moved out of the command-line front end); a change to any of these digests is a change to the emitted
 artefacts and has to be justified.
@@ -81,6 +84,21 @@ README_COMMANDS = {
     "check-ftr-phase-king-lite": (
         1,
         ["check", "--protocol", "phase-king-lite", "--n", "3", "--model", "ftr", "--depth", "3"],
+    ),
+    "run-fts-silent": (
+        0,
+        ["run", "--model", "fts", "--protocol", "phase-king-lite", "--n", "3", "--inputs", "1,0,0",
+         "--adversary", "silent:1", "--horizon", "6", "--out", "run.jsonl"],
+    ),
+    "run-ftr-random": (
+        0,
+        ["run", "--model", "ftr", "--protocol", "phase-king-lite", "--n", "3", "--inputs", "1,0,0",
+         "--adversary", "random", "--seed", "5", "--horizon", "12"],
+    ),
+    "run-fts-restricted-random": (
+        0,
+        ["run", "--model", "fts", "--restricted", "--protocol", "phase-king-lite", "--n", "4",
+         "--inputs", "1,0,1,0", "--adversary", "random", "--seed", "5", "--horizon", "12"],
     ),
     "run-flp": (
         0,
@@ -152,6 +170,15 @@ GOLDEN_SHA256 = {
     "check-ftr-phase-king-lite": {
         "violation.trace.jsonl": "15c3212d0e4684550f0adc070c037e158e2d31277fb9d5ed50a1f266832048d2",
         "violation.report.jsonl": "401d919fd6f9235f80322314c9c12c2c7b8b7149a53e318a0fced26df2f80920",
+    },
+    "run-fts-silent": {
+        "run.jsonl": "d15c65b8d9f396919136ed60808a2498cfcc4781d50d28f5a144fb4d57a2864a",
+    },
+    "run-ftr-random": {
+        "run.trace.jsonl": "5eb5bc3940cb54beae7a040898b2f0020cbe8591681a2d936f871697e0762b8d",
+    },
+    "run-fts-restricted-random": {
+        "run.trace.jsonl": "73b4a8a4ce202e8b749d8ec6cc7972b9d7b600a74c9238e586b1188cd82ac27c",
     },
     "run-flp": {
         "run.trace.jsonl": "d46657ff5908d471cfef7d04aed3c794faa6b8b0d2df9e82b503bb18dcdb118d",

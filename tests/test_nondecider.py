@@ -26,7 +26,7 @@ from adversim.nondecider import (
     silent_decision,
 )
 from adversim.protocols import naive_majority, phase_king_lite
-from adversim.sync_engine import NO_FAULT, NoFaultPolicy, RoundFault, enumerate_faults, run, step_fts
+from adversim.sync_engine import NO_FAULT, RoundFault, enumerate_faults, run, step_fts
 
 CAP = default_cap(3)
 
@@ -67,7 +67,7 @@ def test_silent_decision_after_unanimity_converges():
     # two fault-free rounds from unanimous inputs leave all preferences at b
     pk = phase_king_lite(3)
     for b in (0, 1):
-        result = run(initial_configuration(pk, (b, b, b)), pk, NoFaultPolicy(), horizon=2)
+        result = run(initial_configuration(pk, (b, b, b)), pk, "fts", (), horizon=2)
         config = result.final_config
         for p in range(3):
             assert silent_decision(config, p, pk, CAP).decision == b
@@ -160,7 +160,7 @@ def test_dependence_witness_verifies():
 
 def test_decided_configuration_never_yields_witness():
     pk = phase_king_lite(3)
-    result = run(initial_configuration(pk, (1, 1, 1)), pk, NoFaultPolicy(), horizon=2)
+    result = run(initial_configuration(pk, (1, 1, 1)), pk, "fts", (), horizon=2)
     config = result.final_config
     assert config.all_decided()
     for p in range(3):

@@ -13,14 +13,7 @@ from adversim.protocols import (
     phase_king_lite,
     registered_protocols,
 )
-from adversim.sync_engine import (
-    NoFaultPolicy,
-    ScriptedPolicy,
-    SilentPolicy,
-    enumerate_faults,
-    run,
-    step_fts,
-)
+from adversim.sync_engine import enumerate_faults, run, silence, step_fts
 
 
 def _all_inputs(n):
@@ -52,7 +45,7 @@ def test_unanimous_inputs_decide_under_any_round1_fault():
     for b in (0, 1):
         for fault in enumerate_faults("fts", 3):
             result = run(
-                initial_configuration(pk, (b, b, b)), pk, ScriptedPolicy([fault]), horizon=2
+                initial_configuration(pk, (b, b, b)), pk, "fts", [fault], horizon=2
             )
             assert result.final_config.outputs() == {0: b, 1: b, 2: b}
 
@@ -62,7 +55,7 @@ def test_failure_free_mixed_decides_round_three():
     for inputs in _all_inputs(3):
         if len(set(inputs)) == 1:
             continue
-        result = run(initial_configuration(pk, inputs), pk, NoFaultPolicy(), horizon=6)
+        result = run(initial_configuration(pk, inputs), pk, "fts", (), horizon=6)
         decide_rounds = [s.round for s in result.trace.steps if s.outputs]
         assert decide_rounds == [3], (inputs, decide_rounds)
         values = set(result.final_config.outputs().values())
@@ -73,7 +66,8 @@ def test_silent_runs_decide_within_six_rounds():
     pk = phase_king_lite(3)
     for inputs in _all_inputs(3):
         for p in range(3):
-            result = run(initial_configuration(pk, inputs), pk, SilentPolicy(p, 3), horizon=6)
+            silenced = itertools.repeat(silence(p, 3))
+            result = run(initial_configuration(pk, inputs), pk, "fts", silenced, horizon=6)
             config = result.final_config
             assert config.all_decided(), (inputs, p)
             assert len(set(config.outputs().values())) == 1
@@ -111,7 +105,7 @@ def test_unanimity_is_preserved_by_every_fault():
 
 def test_naive_majority_failure_free():
     nm = naive_majority(3)
-    result = run(initial_configuration(nm, (1, 1, 0)), nm, NoFaultPolicy(), horizon=2)
+    result = run(initial_configuration(nm, (1, 1, 0)), nm, "fts", (), horizon=2)
     assert result.final_config.outputs() == {0: 1, 1: 1, 2: 1}
 
 
@@ -139,7 +133,7 @@ def test_naive_majority_unanimous_is_safe():
 
 def test_constant_outputs_its_value():
     c1 = constant(1)
-    result = run(initial_configuration(c1, (0, 0, 0)), c1, NoFaultPolicy(), horizon=2)
+    result = run(initial_configuration(c1, (0, 0, 0)), c1, "fts", (), horizon=2)
     assert result.final_config.outputs() == {0: 1, 1: 1, 2: 1}
 
 
@@ -147,7 +141,7 @@ def test_constant_violates_validity_on_opposite_unanimity():
     from adversim.core import check_colorless_outcome
 
     c0 = constant(0)
-    result = run(initial_configuration(c0, (1, 1, 1)), c0, NoFaultPolicy(), horizon=1)
+    result = run(initial_configuration(c0, (1, 1, 1)), c0, "fts", (), horizon=1)
     outcome = check_colorless_outcome({1}, set(result.final_config.outputs().values()))
     assert not outcome.ok and outcome.violation == "validity"
 

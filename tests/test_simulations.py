@@ -1,6 +1,7 @@
 """Model reductions: gather core, synchronizer projection, piggyback ledger."""
 
 import random
+from itertools import repeat
 from dataclasses import dataclass
 from typing import Any
 
@@ -40,13 +41,11 @@ from adversim.simulations import (
 )
 from adversim.sync_engine import (
     NO_FAULT,
-    NoFaultPolicy,
-    RandomFaultPolicy,
     RoundFault,
-    ScriptedPolicy,
-    SilentPolicy,
     enumerate_faults,
+    random_faults,
     run,
+    silence,
     step_fts,
     step_ftr,
 )
@@ -113,7 +112,8 @@ def _assert_synchronized_equals_direct(protocol, inputs, horizon):
     direct = run(
         initial_configuration(protocol.inner, inputs),
         protocol.inner,
-        ScriptedPolicy(faults, "ftr"),
+        "ftr",
+        faults,
         horizon=proj.min_round,
         keep_configs=True,
     )
@@ -130,7 +130,8 @@ def test_float_payloads_pass_unchanged_through_gather(float_mean):
     result = run(
         initial_configuration(proto, inputs),
         proto,
-        RandomFaultPolicy(n, rng, model="ftr"),
+        "ftr",
+        random_faults(n, rng, "ftr", False),
         horizon=15,
         keep_configs=True,
     )
@@ -158,9 +159,9 @@ def test_float_payloads_pass_unchanged_through_nested_stack(float_mean):
 
 def _gather_run(n, inputs, seed):
     proto = build_stack("fts-over-ftr", "float-mean", n)
-    policy = RandomFaultPolicy(n, random.Random(seed), model="ftr")
+    faults = random_faults(n, random.Random(seed), "ftr", False)
     config = initial_configuration(proto, inputs)
-    return proto, run(config, proto, policy, horizon=15, keep_configs=True)
+    return proto, run(config, proto, "ftr", faults, horizon=15, keep_configs=True)
 
 
 def _synchronized_run(proto, inputs, horizon):
@@ -240,8 +241,8 @@ def test_projection_audit_rejects_tampered_log_output(float_mean):
 def test_ledger_audit_matches_seen_set_reference(float_mean, seed):
     n, inputs = 3, (1, 0, 1)
     proto = build_stack("flp-over-ftr", "float-mean", n)
-    policy = RandomFaultPolicy(n, random.Random(seed), model="ftr")
-    result = run(initial_configuration(proto, inputs), proto, policy, horizon=20)
+    faults = random_faults(n, random.Random(seed), "ftr", False)
+    result = run(initial_configuration(proto, inputs), proto, "ftr", faults, horizon=20)
     reference = SeenSetPiggyback(proto.inner, n)
     expected = initial_configuration(reference, inputs)
     for step in result.trace.steps:
@@ -261,7 +262,7 @@ def _wrapped_run(n, inputs, faults, rounds=1):
     base = phase_king_lite(n)
     wrapped = get_core_wrap(base, n)
     config = initial_configuration(wrapped, inputs)
-    result = run(config, wrapped, ScriptedPolicy(faults, "ftr"), horizon=3 * rounds, keep_configs=True)
+    result = run(config, wrapped, "ftr", faults, horizon=3 * rounds, keep_configs=True)
     return base, result
 
 
@@ -414,7 +415,7 @@ def _piggy(n=3):
 def test_no_drops_delivers_within_one_round():
     n = 3
     proto = _piggy(n)
-    result = run(initial_configuration(proto, (1, 0, 0)), proto, NoFaultPolicy("ftr"), horizon=20)
+    result = run(initial_configuration(proto, (1, 0, 0)), proto, "ftr", (), horizon=20)
     ledger = piggyback_ledger(result.final_config)
     assert ledger
     for entry in ledger:
@@ -427,9 +428,8 @@ def test_silent_sender_everyone_else_delivered():
     n = 3
     p = 2
     proto = _piggy(n)
-    result = run(
-        initial_configuration(proto, (1, 1, 0)), proto, SilentPolicy(p, n, "ftr"), horizon=30
-    )
+    silenced = repeat(silence(p, n, "ftr"))
+    result = run(initial_configuration(proto, (1, 1, 0)), proto, "ftr", silenced, horizon=30)
     ledger = piggyback_ledger(result.final_config)
     others = [e for e in ledger if e.sender != p and e.sent_round <= 27]
     assert others
@@ -448,7 +448,7 @@ def test_drop_then_relent_delivers_via_piggyback():
     # simulated sends enter seen-sets during round 1; real round 2 carries
     # them; make process 1 miss process 0's round-2 broadcast, then relent
     faults = [ReceiveFault({}), ReceiveFault({1: 0}), ReceiveFault({})]
-    result = run(config, proto, ScriptedPolicy(faults, "ftr"), horizon=4)
+    result = run(config, proto, "ftr", faults, horizon=4)
     ledger = piggyback_ledger(result.final_config)
     lagged = [
         e
@@ -463,7 +463,7 @@ def test_seen_cap_enforced(monkeypatch):
     proto = _piggy(3)
     config = initial_configuration(proto, (1, 0, 0))
     with pytest.raises(Exception) as info:
-        run(config, proto, NoFaultPolicy("ftr"), horizon=20)
+        run(config, proto, "ftr", (), horizon=20)
     assert isinstance(info.value.__cause__, ResourceLimitError) or isinstance(
         info.value, ResourceLimitError
     )
@@ -610,7 +610,7 @@ def test_relay_traffic_reaches_message_cap():
     proto = piggyback_wrap(Relay(3), 3)
     config = initial_configuration(proto, (0, 1, 0))
     with pytest.raises(AdversimError) as info:
-        run(config, proto, NoFaultPolicy("ftr"), horizon=30)
+        run(config, proto, "ftr", (), horizon=30)
     assert isinstance(info.value.__cause__, ResourceLimitError)
 
 
@@ -628,7 +628,7 @@ def test_build_stack_two_level():
     proto = build_stack("fts-over-ftr", "phase-king-lite", 3)
     assert proto.protocol_id == "fts-over-ftr:phase-king-lite"
     result = run(
-        initial_configuration(proto, (1, 1, 0)), proto, NoFaultPolicy("ftr"), horizon=12
+        initial_configuration(proto, (1, 1, 0)), proto, "ftr", (), horizon=12
     )
     assert result.final_config.outputs() == {0: 1, 1: 1, 2: 1}
 
@@ -643,7 +643,7 @@ def test_build_stack_flp_over_ftr_bridges_round_protocols():
     proto = build_stack("flp-over-ftr", "phase-king-lite", 3)
     assert proto.protocol_id == "flp-over-ftr:phase-king-lite"
     result = run(
-        initial_configuration(proto, (1, 1, 0)), proto, NoFaultPolicy("ftr"), horizon=25
+        initial_configuration(proto, (1, 1, 0)), proto, "ftr", (), horizon=25
     )
     assert result.final_config.outputs() == {0: 1, 1: 1, 2: 1}
 
@@ -682,8 +682,7 @@ def test_wrapper_states_are_plain_tuples(state, plain):
 
 def test_stack_traces_validate():
     proto = build_stack("fts-over-ftr", "phase-king-lite", 3)
-    result = run(
-        initial_configuration(proto, (1, 0, 0)), proto, SilentPolicy(0, 3, "ftr"), horizon=9
-    )
+    silenced = repeat(silence(0, 3, "ftr"))
+    result = run(initial_configuration(proto, (1, 0, 0)), proto, "ftr", silenced, horizon=9)
     report = validate_trace(result.trace)
     assert report.valid, report.problems

@@ -1,7 +1,8 @@
-"""Step semantics, delivery counts, fault enumeration, policies, and the
+"""Step semantics, delivery counts, fault enumeration, adversaries, and the
 fan-out round primitive against the per-fault round rule it replaced."""
 
 import random
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,15 +18,14 @@ from adversim.core import (
     ReceiveFault,
     RoundFault,
     initial_configuration,
+    read_step_script,
 )
 from adversim.protocols import get_protocol, phase_king_lite
 from adversim.sync_engine import (
-    NoFaultPolicy,
-    RandomFaultPolicy,
-    SilentPolicy,
     enumerate_faults,
+    random_faults,
     run,
-    scripted_policy_from_file,
+    silence,
     step_fts,
     step_ftr,
     successors,
@@ -134,28 +134,28 @@ def test_step_functions_pure():
 
 def test_run_horizon_zero_header_only():
     pk = phase_king_lite(3)
-    result = run(initial_configuration(pk, (0, 1, 0)), pk, NoFaultPolicy(), horizon=0)
+    result = run(initial_configuration(pk, (0, 1, 0)), pk, "fts", (), horizon=0)
     assert result.trace.steps == ()
     assert result.trace.to_jsonl().count("\n") == 1
 
 
 def test_run_unanimous_zero_decides_fast():
     pk = phase_king_lite(3)
-    result = run(initial_configuration(pk, (0, 0, 0)), pk, NoFaultPolicy(), horizon=4)
+    result = run(initial_configuration(pk, (0, 0, 0)), pk, "fts", (), horizon=4)
     outs = result.final_config.outputs()
     assert outs == {0: 0, 1: 0, 2: 0}
 
 
 def test_run_silent_policy_every_fault_full_silence():
     pk = phase_king_lite(3)
-    result = run(initial_configuration(pk, (1, 0, 0)), pk, SilentPolicy(1, 3), horizon=8)
+    result = run(initial_configuration(pk, (1, 0, 0)), pk, "fts", repeat(silence(1, 3)), horizon=8)
     for step in result.trace.steps:
         assert step.fault == RoundFault(1, [0, 2])
 
 
 def test_run_never_stops_early():
     pk = phase_king_lite(3)
-    result = run(initial_configuration(pk, (0, 0, 0)), pk, NoFaultPolicy(), horizon=10)
+    result = run(initial_configuration(pk, (0, 0, 0)), pk, "fts", (), horizon=10)
     assert len(result.trace.steps) == 10  # decided at round 1, still runs on
 
 
@@ -168,13 +168,31 @@ def test_scripted_policy_file_round_trip(tmp_path):
         {"round": 2, "sender": 2, "victims": [0, 1], "outputs": {}},
     ]
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
-    policy = scripted_policy_from_file(path, "fts")
+    script = [step.fault for step in read_step_script(path, "fts")]
     pk = phase_king_lite(3)
-    result = run(initial_configuration(pk, (1, 0, 0)), pk, policy, horizon=3)
+    result = run(initial_configuration(pk, (1, 0, 0)), pk, "fts", script, horizon=3)
     faults = [s.fault for s in result.trace.steps]
     assert faults[0] == RoundFault(0, [1])
     assert faults[1] == RoundFault(2, [0, 1])
     assert faults[2] == NO_FAULT  # script exhausted
+
+
+def test_run_takes_only_its_models_fault_kind():
+    pk = phase_king_lite(3)
+    config = initial_configuration(pk, (1, 0, 0))
+    with pytest.raises(AdversimError, match="fts runs take RoundFault faults"):
+        run(config, pk, "fts", [ReceiveFault({0: 1})], horizon=1)
+    with pytest.raises(AdversimError, match="ftr runs take ReceiveFault faults"):
+        run(config, pk, "ftr", [RoundFault(0, [1])], horizon=1)
+    with pytest.raises(AdversimError, match="unknown synchronous model 'flp'"):
+        run(config, pk, "flp", (), horizon=1)
+    result = run(config, pk, "ftr", [ReceiveFault({0: 1})], horizon=3)
+    assert [s.fault for s in result.trace.steps] == [ReceiveFault({0: 1}), NO_DROPS, NO_DROPS]
+
+
+def test_random_faults_fail_closed_when_called():
+    with pytest.raises(AdversimError, match="restricted mode"):
+        random_faults(3, random.Random(0), "ftr", True)
 
 
 # -- enumeration --------------------------------------------------------------
@@ -209,11 +227,9 @@ def test_enumerate_fts_general_count():
 
 
 def test_random_policy_restricted_never_full_silence():
-    import random
-
-    policy = RandomFaultPolicy(3, random.Random(9), restricted=True)
-    for r in range(200):
-        fault = policy.next_fault(r, [])
+    faults = random_faults(3, random.Random(9), "fts", True)
+    for _ in range(200):
+        fault = next(faults)
         assert len(fault.victims) <= 1
 
 
@@ -241,8 +257,8 @@ def test_protocol_failure_becomes_engine_error():
 
 def test_run_deterministic_byte_identical():
     pk = phase_king_lite(4)
-    a = run(initial_configuration(pk, (1, 0, 1, 0)), pk, SilentPolicy(3, 4), horizon=12)
-    b = run(initial_configuration(pk, (1, 0, 1, 0)), pk, SilentPolicy(3, 4), horizon=12)
+    a = run(initial_configuration(pk, (1, 0, 1, 0)), pk, "fts", repeat(silence(3, 4)), horizon=12)
+    b = run(initial_configuration(pk, (1, 0, 1, 0)), pk, "fts", repeat(silence(3, 4)), horizon=12)
     assert a.trace.to_jsonl() == b.trace.to_jsonl()
 
 
@@ -302,8 +318,8 @@ def test_successors_match_per_fault_rounds(protocol_id, n):
         protocol = get_protocol(protocol_id, n)
     rng = random.Random(f"successors-{protocol_id}-{n}")
     inputs = tuple(rng.randrange(2) for _ in range(n))
-    policy = RandomFaultPolicy(n, rng)
-    reached = run(initial_configuration(protocol, inputs), protocol, policy, 3, keep_configs=True)
+    drawn = random_faults(n, rng, "fts", False)
+    reached = run(initial_configuration(protocol, inputs), protocol, "fts", drawn, 3, keep_configs=True)
     fault_lists = [
         enumerate_faults("fts", n),
         enumerate_faults("fts", n, restricted=True),
