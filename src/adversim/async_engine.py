@@ -10,7 +10,8 @@ finite-horizon fairness check can audit on any recorded run.
 Messages in flight wait in one queue per destination, in send order, so a
 step only ever looks at the stepping process's own queue.
 
-The records built once per event (``InFlight``, ``AsyncEvent`` and
+A scheduler's event is a ``core.FlpStep`` whose outputs the engine fills in.
+The records built once per event (``InFlight``, ``FlpStep`` and
 ``AsyncSystemState``) are plain immutable tuples: each compares equal to,
 and hashes like, the tuple of its fields, and a new one is made with
 ``_replace`` or the constructor, never by mutation.
@@ -34,7 +35,6 @@ from .core import (
     Payload,
     Pid,
     initial_configuration,
-    read_step_script,
 )
 
 
@@ -76,12 +76,6 @@ class AsyncSystemState(NamedTuple):
         return {q: s.output for q, s in enumerate(self.states) if s.output is not None}
 
 
-class AsyncEvent(NamedTuple):
-    pid: Pid
-    deliver: Optional[int] = None  # send index of the message to consume
-    crash: bool = False
-
-
 def initial_async_state(protocol: AsyncProtocol, inputs: Iterable[int]) -> AsyncSystemState:
     states = initial_configuration(protocol, inputs).states
     return AsyncSystemState(
@@ -90,10 +84,10 @@ def initial_async_state(protocol: AsyncProtocol, inputs: Iterable[int]) -> Async
 
 
 def step_async(
-    state: AsyncSystemState, protocol: AsyncProtocol, event: AsyncEvent
+    state: AsyncSystemState, protocol: AsyncProtocol, event: FlpStep
 ) -> tuple[AsyncSystemState, tuple[tuple[Pid, int], ...]]:
-    """Apply one scheduler event; returns the new state and the outputs
-    written during the step."""
+    """Apply one scheduler event, ignoring its ``outputs``; returns the new
+    state and the outputs written during the step."""
     n, pid, now = state.n, event.pid, state.step_count
     if not 0 <= pid < n:
         raise ScheduleError(f"pid {pid} out of range")
@@ -152,7 +146,7 @@ class Scheduler:
     """Chooses the next event.  Only ever delivers in-flight messages
     addressed to the process it steps."""
 
-    def next_event(self, state: AsyncSystemState) -> AsyncEvent:
+    def next_event(self, state: AsyncSystemState) -> FlpStep:
         raise NotImplementedError
 
 
@@ -170,14 +164,14 @@ class RoundRobinScheduler(Scheduler):
         self.crash = crash
         self._pos = 0
 
-    def next_event(self, state: AsyncSystemState) -> AsyncEvent:
+    def next_event(self, state: AsyncSystemState) -> FlpStep:
         if self.crash is not None and state.crashed is None and state.step_count >= self.crash[1]:
-            return AsyncEvent(pid=self.crash[0], crash=True)
+            return FlpStep(self.crash[0], crash=True)
         for _ in range(self.n):
             pid = self._pos % self.n
             self._pos += 1
             if pid != state.crashed:
-                return AsyncEvent(pid=pid, deliver=_oldest_addressed(state, pid))
+                return FlpStep(pid, _oldest_addressed(state, pid))
         raise ScheduleError("no live process to step")
 
 
@@ -192,40 +186,31 @@ class SeededFairScheduler(Scheduler):
         self.crash = crash
         self._batch: list[Pid] = []
 
-    def next_event(self, state: AsyncSystemState) -> AsyncEvent:
+    def next_event(self, state: AsyncSystemState) -> FlpStep:
         if self.crash is not None and state.crashed is None and state.step_count >= self.crash[1]:
-            return AsyncEvent(pid=self.crash[0], crash=True)
+            return FlpStep(self.crash[0], crash=True)
         while True:
             if not self._batch:
                 self._batch = state.live()
                 self.rng.shuffle(self._batch)
             pid = self._batch.pop()
             if pid != state.crashed:
-                return AsyncEvent(pid=pid, deliver=_oldest_addressed(state, pid))
+                return FlpStep(pid, _oldest_addressed(state, pid))
 
 
 class ScriptedScheduler(Scheduler):
     """Plays back a fixed event sequence (e.g. from a recorded trace)."""
 
-    def __init__(self, events: Sequence[AsyncEvent]):
+    def __init__(self, events: Sequence[FlpStep]):
         self.events = list(events)
         self._pos = 0
 
-    def next_event(self, state: AsyncSystemState) -> AsyncEvent:
+    def next_event(self, state: AsyncSystemState) -> FlpStep:
         if self._pos >= len(self.events):
             raise ScheduleError("scheduler script exhausted")
         event = self.events[self._pos]
         self._pos += 1
         return event
-
-
-def _event(step: FlpStep) -> AsyncEvent:
-    return AsyncEvent(pid=step.pid, deliver=step.deliver, crash=step.crash)
-
-
-def scripted_scheduler_from_file(path) -> ScriptedScheduler:
-    """Read a JSONL event script (same record schema as flp trace steps)."""
-    return ScriptedScheduler([_event(s) for s in read_step_script(path, "flp")])
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +255,7 @@ def run_async(
     for _ in range(horizon):
         event = scheduler.next_event(state)
         state, wrote = step_async(state, protocol, event)
+        # a fresh record: a replayed step must not carry its recorded outputs
         steps.append(FlpStep(event.pid, event.deliver, event.crash, wrote))
         if not event.crash:
             last_stepped[event.pid] = state.step_count
@@ -308,13 +294,3 @@ def run_async(
     if fairness_window is not None:
         fairness = FairnessReport(ok=not violations, violations=violations)
     return AsyncRunResult(trace=trace, final_state=state, fairness=fairness)
-
-
-def replay_flp_steps(trace: ExecutionTrace, protocol: AsyncProtocol):
-    """Re-execute a recorded event sequence; outputs written per step."""
-    state = initial_async_state(protocol, trace.inputs)
-    per_step = []
-    for step in trace.steps:
-        state, wrote = step_async(state, protocol, _event(step))
-        per_step.append(wrote)
-    return per_step

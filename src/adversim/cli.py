@@ -30,7 +30,6 @@ from .async_engine import (
     ScriptedScheduler,
     SeededFairScheduler,
     run_async,
-    scripted_scheduler_from_file,
 )
 from .core import (
     AdversimError,
@@ -193,7 +192,7 @@ def _run_async(args, protocol, inputs, **kwargs):
         if crash is not None:
             # a script crashes a process through its own "crash" events
             raise UsageError("--crash does not apply to --scheduler script:PATH")
-        scheduler = scripted_scheduler_from_file(spec.split(":", 1)[1])
+        scheduler = ScriptedScheduler(read_step_script(spec.split(":", 1)[1], "flp"))
     else:
         raise UsageError(f"unknown scheduler spec {spec!r}")
     try:

@@ -254,26 +254,20 @@ class AsyncProtocol:
 # equal to, and hashes like, the tuple of its fields.
 
 
-class FtsStep(NamedTuple):
+class RoundStep(NamedTuple):
     round: int
-    fault: RoundFault
+    fault: RoundFault | ReceiveFault  # its type names the model, fts or ftr
     outputs: tuple[tuple[Pid, int], ...]  # outputs written this round, sorted
-
-
-class FtrStep(NamedTuple):
-    round: int
-    fault: ReceiveFault
-    outputs: tuple[tuple[Pid, int], ...]
 
 
 class FlpStep(NamedTuple):
     pid: Pid
-    deliver: Optional[int]  # send index of the delivered message, if any
-    crash: bool
-    outputs: tuple[tuple[Pid, int], ...]
+    deliver: Optional[int] = None  # send index of the delivered message, if any
+    crash: bool = False
+    outputs: tuple[tuple[Pid, int], ...] = ()  # a scheduler's event has none
 
 
-TraceStep = FtsStep | FtrStep | FlpStep
+TraceStep = RoundStep | FlpStep
 
 
 class ExecutionTrace(NamedTuple):
@@ -310,10 +304,10 @@ class ExecutionTrace(NamedTuple):
 
     @classmethod
     def from_jsonl(cls, text: str) -> "ExecutionTrace":
-        lines = [line for line in text.splitlines() if line.strip()]
+        lines = _numbered_lines(text)
         if not lines:
             raise TraceFormatError("empty trace file")
-        header = _loads(lines[0], 1)
+        header = _loads(lines[0][1], lines[0][0])
         for key in ("model", "n", "protocol", "inputs"):
             if key not in header:
                 raise TraceFormatError(f"header missing {key!r}")
@@ -329,9 +323,7 @@ class ExecutionTrace(NamedTuple):
         if not isinstance(inputs, list) or len(inputs) != n or not all(map(_is_bit, inputs)):
             raise TraceFormatError("inputs must be a binary array of length n")
         inputs = tuple(inputs)
-        steps = tuple(
-            _parse_step(model, _loads(line, i + 2), i + 2) for i, line in enumerate(lines[1:])
-        )
+        steps = tuple(_parse_step(model, _loads(line, i), i) for i, line in lines[1:])
         return cls(model=model, n=n, protocol=header["protocol"], inputs=inputs, steps=steps)
 
     def write(self, path) -> None:
@@ -341,6 +333,11 @@ class ExecutionTrace(NamedTuple):
     @classmethod
     def read(cls, path) -> "ExecutionTrace":
         return cls.from_jsonl(_read_text(path))
+
+
+def _numbered_lines(text: str) -> list[tuple[int, str]]:
+    """Each non-blank line of a trace or script with its physical number."""
+    return [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
 
 
 def _read_text(path) -> str:
@@ -390,7 +387,7 @@ def _step_line(step: TraceStep) -> str:
             _pid_object(step.outputs),
             step.pid,
         )
-    if isinstance(step, FtrStep):
+    if isinstance(step.fault, ReceiveFault):
         return '{"dropped":%s,"outputs":%s,"round":%d}' % (
             _pid_object(step.fault.drops),
             _pid_object(step.outputs),
@@ -454,7 +451,7 @@ def _parse_step(model: str, record: dict, lineno: int) -> TraceStep:
 
     if model == "fts":
         fault = RoundFault(field("sender"), field("victims"))
-        return FtsStep(round=field("round"), fault=fault, outputs=outputs)
+        return RoundStep(round=field("round"), fault=fault, outputs=outputs)
     if model == "ftr":
         try:
             dropped = {int(k): v for k, v in field("dropped").items()}
@@ -462,7 +459,7 @@ def _parse_step(model: str, record: dict, lineno: int) -> TraceStep:
             raise TraceFormatError(f"line {lineno}: bad dropped map") from None
         if not all(map(_is_int, dropped.values())):
             raise TraceFormatError(f"line {lineno}: dropped senders must be integers")
-        return FtrStep(round=field("round"), fault=ReceiveFault(dropped), outputs=outputs)
+        return RoundStep(round=field("round"), fault=ReceiveFault(dropped), outputs=outputs)
     if record.get("event") != "step":
         raise TraceFormatError(f"line {lineno}: flp step must have event='step'")
     return FlpStep(
@@ -475,8 +472,7 @@ def read_step_script(path, model: str) -> list[TraceStep]:
     schema of the model's trace steps."""
     return [
         _parse_step(model, _loads(line, lineno), lineno)
-        for lineno, line in enumerate(_read_text(path).split("\n"), start=1)
-        if line.strip()
+        for lineno, line in _numbered_lines(_read_text(path))
     ]
 
 
@@ -582,11 +578,12 @@ def validate_trace(
 def _check_shape(trace: ExecutionTrace) -> list[str]:
     problems: list[str] = []
     if trace.model in ("fts", "ftr"):
+        kind = RoundFault if trace.model == "fts" else ReceiveFault
         expected_round = 1
         seen_rounds: set[int] = set()
         for i, step in enumerate(trace.steps):
             where = f"step {i + 1}"
-            if not isinstance(step, (FtsStep, FtrStep)):
+            if not isinstance(step, RoundStep) or not isinstance(step.fault, kind):
                 problems.append(f"{where}: wrong step kind for model {trace.model}")
                 continue
             if step.round in seen_rounds:
@@ -624,15 +621,16 @@ def _check_shape(trace: ExecutionTrace) -> list[str]:
 def _replay_outputs(trace: ExecutionTrace, protocol) -> list[tuple[tuple[Pid, int], ...]]:
     """Outputs written per step when the trace is replayed from its header."""
     if trace.model == "flp":
-        from .async_engine import replay_flp_steps
+        from .async_engine import ScriptedScheduler, run_async
 
-        return replay_flp_steps(trace, protocol)
+        scheduler = ScriptedScheduler(trace.steps)
+        result = run_async(trace.inputs, protocol, scheduler, len(trace.steps))
+    else:
+        from .sync_engine import run
 
-    from .sync_engine import run
-
-    faults = [step.fault for step in trace.steps]
-    config = initial_configuration(protocol, trace.inputs)
-    result = run(config, protocol, trace.model, faults, len(faults))
+        faults = [step.fault for step in trace.steps]
+        config = initial_configuration(protocol, trace.inputs)
+        result = run(config, protocol, trace.model, faults, len(faults))
     return [step.outputs for step in result.trace.steps]
 
 

@@ -22,10 +22,10 @@ from .core import (
     AdversimError,
     Configuration,
     ExecutionTrace,
-    FtsStep,
     Pid,
     RoundFault,
     RoundProtocol,
+    RoundStep,
     initial_configuration,
 )
 from .sync_engine import NO_FAULT, run, silence, step_fts, successors
@@ -425,7 +425,7 @@ def _build(protocol: RoundProtocol, n: int, rounds: int, cap: int, restricted: b
     memo: OracleMemo = {}
     witness = find_initial_dependent(protocol, n, cap, memo=memo)
     records = [AttackRound(fault=NO_FAULT, witness=witness)]
-    steps: list[FtsStep] = []
+    steps: list[RoundStep] = []
     exhausted_at = None
     lasso = None
     # lasso key -> the round of the witness it was first seen at (under a
@@ -451,7 +451,7 @@ def _build(protocol: RoundProtocol, n: int, rounds: int, cap: int, restricted: b
                 r0 = seen.setdefault(_lasso_key(ext.witness, period), r)
                 if r0 != r:
                     lasso = (r0, r - r0)
-        steps.append(FtsStep(round=witness.config.round, fault=ext.fault, outputs=()))
+        steps.append(RoundStep(round=witness.config.round, fault=ext.fault, outputs=()))
         records.append(ext)
         witness = ext.witness
     trace = ExecutionTrace(

@@ -28,6 +28,7 @@ fields, so configurations holding them key memo tables at tuple cost.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -35,13 +36,13 @@ from .core import (
     AsyncProtocol,
     Configuration,
     ExecutionTrace,
-    FtrStep,
     MODELS,
     Payload,
     Pid,
     ReceiveFault,
     RoundFault,
     RoundProtocol,
+    RoundStep,
     UnknownProtocolError,
     ValidationReport,
     initial_configuration,
@@ -244,7 +245,7 @@ class SynchronizerState(NamedTuple):
     inner: Any
     round: int
     started: bool
-    buffer: frozenset  # (round, sender, payload) with round >= current
+    buffer: tuple  # sorted (round, sender, payload), every round >= current
     # Completed rounds, for projection back onto the synchronous model:
     # (round, delivered (sender, payload) pairs, output emitted then).
     log: tuple = ()
@@ -269,17 +270,19 @@ class SynchronizerWrapper(AsyncProtocol):
             inner=self.inner.init(pid, input),
             round=1,
             started=False,
-            buffer=frozenset(),
+            buffer=(),
         )
 
     def step(
         self, internal: SynchronizerState, incoming: Optional[tuple[Pid, Payload]]
     ) -> tuple[SynchronizerState, list, Optional[int]]:
-        buffer = set(internal.buffer)
+        buffer = internal.buffer
         if incoming is not None:
             sender, (r, payload) = incoming
-            if r >= internal.round:
-                buffer.add((r, sender, payload))
+            entry = (r, sender, payload)
+            at = bisect_left(buffer, entry)
+            if r >= internal.round and buffer[at : at + 1] != (entry,):
+                buffer = buffer[:at] + (entry,) + buffer[at:]
         inner = internal.inner
         round = internal.round
         log = internal.log
@@ -288,17 +291,18 @@ class SynchronizerWrapper(AsyncProtocol):
         if not internal.started:
             sends.append((None, (round, self.inner.message(inner, round))))
         while True:
-            current = sorted(
-                (sender, payload) for (r, sender, payload) in buffer if r == round
-            )
-            if len(current) < self.n - 2:
+            # every buffered round is >= round, so this round's entries are
+            # the buffer's prefix, already in (sender, payload) order
+            end = bisect_left(buffer, (round + 1,))
+            if end < self.n - 2:
                 break
+            current = [(sender, payload) for _, sender, payload in buffer[:end]]
             received = dict(current)
             inner, out = self.inner.transition(inner, round, received)
             if output is None:
                 output = out
             log = log + ((round, tuple(current), out),)
-            buffer = {e for e in buffer if e[0] != round}
+            buffer = buffer[end:]
             round += 1
             sends.append((None, (round, self.inner.message(inner, round))))
         return (
@@ -307,7 +311,7 @@ class SynchronizerWrapper(AsyncProtocol):
                 inner=inner,
                 round=round,
                 started=True,
-                buffer=frozenset(buffer),
+                buffer=buffer,
                 log=log,
             ),
             sends,
@@ -372,7 +376,7 @@ def project_synchronized_run(final_states, crashed: Optional[Pid], base: RoundPr
             if out is not None:
                 outputs.append((q, out))
         steps.append(
-            FtrStep(round=r, fault=ReceiveFault(dropped), outputs=tuple(sorted(outputs)))
+            RoundStep(round=r, fault=ReceiveFault(dropped), outputs=tuple(sorted(outputs)))
         )
 
     trace = ExecutionTrace(

@@ -24,8 +24,6 @@ from .core import (
     Configuration,
     EngineError,
     ExecutionTrace,
-    FtrStep,
-    FtsStep,
     LocalState,
     NO_DROPS,
     NO_FAULT,
@@ -33,7 +31,7 @@ from .core import (
     ReceiveFault,
     RoundFault,
     RoundProtocol,
-    TraceStep,
+    RoundStep,
 )
 
 
@@ -200,12 +198,12 @@ def run(
     if horizon < 0:
         raise AdversimError("horizon must be >= 0")
     if model == "fts":
-        kind, step, step_cls, pad = RoundFault, step_fts, FtsStep, NO_FAULT
+        kind, step, pad = RoundFault, step_fts, NO_FAULT
     elif model == "ftr":
-        kind, step, step_cls, pad = ReceiveFault, step_ftr, FtrStep, NO_DROPS
+        kind, step, pad = ReceiveFault, step_ftr, NO_DROPS
     else:
         raise AdversimError(f"unknown synchronous model {model!r}")
-    steps: list[TraceStep] = []
+    steps: list[RoundStep] = []
     configs = [config] if keep_configs else None
     current = config
     for fault in itertools.islice(itertools.chain(faults, itertools.repeat(pad)), horizon):
@@ -214,7 +212,7 @@ def run(
         before = current.outputs()
         nxt = step(current, protocol, fault)
         wrote = tuple(sorted((q, v) for q, v in nxt.outputs().items() if q not in before))
-        steps.append(step_cls(round=current.round, fault=fault, outputs=wrote))
+        steps.append(RoundStep(round=current.round, fault=fault, outputs=wrote))
         current = nxt
         if configs is not None:
             configs.append(current)

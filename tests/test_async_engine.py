@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adversim.async_engine import (
-    AsyncEvent,
     RoundRobinScheduler,
     ScheduleError,
     Scheduler,
     ScriptedScheduler,
     SeededFairScheduler,
     initial_async_state,
-    replay_flp_steps,
     run_async,
     step_async,
 )
-from adversim.core import AdversimError, AsyncProtocol, LocalState
+from adversim.core import AdversimError, AsyncProtocol, FlpStep, LocalState
 from adversim.protocols import phase_king_lite
 from adversim.simulations import synchronizer_wrap
 
@@ -30,7 +28,7 @@ def _sync(n=3):
 def test_first_step_sends_without_delivery():
     proto = _sync()
     state = initial_async_state(proto, (1, 0, 0))
-    state, wrote = step_async(state, proto, AsyncEvent(pid=0))
+    state, wrote = step_async(state, proto, FlpStep(pid=0))
     assert wrote == ()
     assert len(state.in_flight) == 2  # round-1 broadcast to the two others
     assert all(m.sender == 0 and m.dest != 0 for m in state.in_flight)
@@ -45,18 +43,18 @@ def test_initial_state_rejects_bad_inputs():
 
 
 def test_engine_records_are_plain_tuples():
-    assert AsyncEvent(2) == (2, None, False)
+    assert FlpStep(2) == (2, None, False, ())
     proto = _sync()
     state = initial_async_state(proto, (1, 0, 0))
-    state, _ = step_async(state, proto, AsyncEvent(0))
+    state, _ = step_async(state, proto, FlpStep(0))
     msg = state.queues[1][0]
     plain_msg = (0, 1, msg.payload, 0, 0)
     assert msg == plain_msg and hash(msg) == hash(plain_msg)
     plain = (state.states, state.queues, None, 2, 1)
     assert state == plain and hash(state) == hash(plain)
-    crashed, _ = step_async(state, proto, AsyncEvent(1, crash=True))
+    crashed, _ = step_async(state, proto, FlpStep(1, crash=True))
     assert crashed == state._replace(crashed=1, step_count=2)
-    for value in (msg, state, AsyncEvent(0)):
+    for value in (msg, state, FlpStep(0)):
         with pytest.raises(AttributeError):
             value.pid = 1
 
@@ -64,25 +62,25 @@ def test_engine_records_are_plain_tuples():
 def test_crash_removes_process_from_schedulable_set():
     proto = _sync()
     state = initial_async_state(proto, (1, 0, 0))
-    state, _ = step_async(state, proto, AsyncEvent(pid=1, crash=True))
+    state, _ = step_async(state, proto, FlpStep(pid=1, crash=True))
     assert state.crashed == 1
     assert state.live() == [0, 2]
     with pytest.raises(ScheduleError):
-        step_async(state, proto, AsyncEvent(pid=1))
+        step_async(state, proto, FlpStep(pid=1))
     with pytest.raises(ScheduleError):
-        step_async(state, proto, AsyncEvent(pid=2, crash=True))  # at most one crash
+        step_async(state, proto, FlpStep(pid=2, crash=True))  # at most one crash
 
 
 def test_delivery_validation():
     proto = _sync()
     state = initial_async_state(proto, (1, 0, 0))
     with pytest.raises(ScheduleError):
-        step_async(state, proto, AsyncEvent(pid=0, deliver=0))  # nothing in flight
-    state, _ = step_async(state, proto, AsyncEvent(pid=0))
+        step_async(state, proto, FlpStep(pid=0, deliver=0))  # nothing in flight
+    state, _ = step_async(state, proto, FlpStep(pid=0))
     msg = state.in_flight[0]
     wrong = [q for q in range(3) if q not in (msg.dest, 0)][0]
     with pytest.raises(ScheduleError):
-        step_async(state, proto, AsyncEvent(pid=wrong, deliver=msg.index))
+        step_async(state, proto, FlpStep(pid=wrong, deliver=msg.index))
 
 
 def test_message_conservation():
@@ -100,8 +98,7 @@ def test_deliver_then_step_replay_equality():
     proto = _sync()
     sched = SeededFairScheduler(3, 5)
     first = run_async((1, 0, 0), proto, sched, horizon=150)
-    events = [AsyncEvent(s.pid, s.deliver, s.crash) for s in first.trace.steps]
-    second = run_async((1, 0, 0), proto, ScriptedScheduler(events), horizon=150)
+    second = run_async((1, 0, 0), proto, ScriptedScheduler(first.trace.steps), horizon=150)
     assert second.trace == first.trace
     assert second.final_state == first.final_state
 
@@ -123,7 +120,7 @@ def test_starving_scheduler_flagged():
             self._flip = 1 - self._flip  # steps only processes 0 and 1
             pid = self._flip
             msgs = [m.index for m in state.queues[pid]]
-            return AsyncEvent(pid=pid, deliver=min(msgs) if msgs else None)
+            return FlpStep(pid=pid, deliver=min(msgs) if msgs else None)
 
     proto = _sync()
     result = run_async((1, 0, 0), proto, Starver(), horizon=60, fairness_window=10)
@@ -153,11 +150,11 @@ def test_different_seed_differs():
     assert a.trace != b.trace
 
 
-def test_replay_flp_steps_matches_recorded_outputs():
+def test_flp_trace_replays_through_scripted_scheduler():
     proto = _sync()
     result = run_async((1, 1, 0), proto, RoundRobinScheduler(3), horizon=120)
-    per_step = replay_flp_steps(result.trace, _sync())
-    assert [s.outputs for s in result.trace.steps] == per_step
+    replay = run_async((1, 1, 0), _sync(), ScriptedScheduler(result.trace.steps), horizon=120)
+    assert replay.trace == result.trace
 
 
 def test_crashed_trace_validates_and_single_crash_enforced():
@@ -320,7 +317,7 @@ def test_queue_engine_matches_flat_delivery_rules(n, relay, length, data):
             deliver = data.draw(st.sampled_from(mine))
         elif kind in ("index", "crash"):
             deliver = data.draw(st.none() | st.integers(-1, flat.next_index + 2))
-        event = AsyncEvent(pid=pid, deliver=deliver, crash=kind == "crash")
+        event = FlpStep(pid=pid, deliver=deliver, crash=kind == "crash")
         try:
             flat, flat_wrote = flat_step(flat, proto, event)
         except ScheduleError as exc:

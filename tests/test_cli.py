@@ -269,6 +269,36 @@ def test_validate_corrupted_trace_exit_five(tmp_path, capsys):
     assert "diverge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tamper", ["flip-output", "not-in-flight", "crash-delivers"])
+def test_validate_tampered_flp_trace_exit_five(tmp_path, capsys, tamper):
+    out = tmp_path / "flp.jsonl"
+    assert run_cli(
+        ["run", "--model", "flp", "--protocol", "ftr-over-flp:phase-king-lite",
+         "--scheduler", "round-robin", "--n", "3", "--inputs", "1,0,1", "--horizon", "20",
+         "--out", str(out)]
+    ) == 0
+    header, *steps = read_jsonl(out)
+    if tamper == "flip-output":
+        i = next(i for i, step in enumerate(steps) if step["outputs"])
+        ((pid, value),) = steps[i]["outputs"].items()
+        steps[i]["outputs"][pid] = 1 - value
+        problem = (
+            f"step {i + 1}: recorded outputs {{{pid}: {1 - value}}} "
+            f"diverge from replayed {{{pid}: {value}}}"
+        )
+    elif tamper == "not-in-flight":
+        steps[0]["deliver"] = 999
+        problem = "replay failed: message 999 is not in flight"
+    else:
+        assert steps[-1]["deliver"] is not None
+        steps[-1]["crash"] = True  # the last step, so the crashed process steps no more
+        problem = "replay failed: a crash event delivers nothing"
+    out.write_text("".join(json.dumps(record) + "\n" for record in [header, *steps]))
+    capsys.readouterr()
+    assert run_cli(["validate", str(out)]) == 5
+    assert capsys.readouterr().err == f"validate: {problem}\n"
+
+
 def test_validate_garbage_file_exit_five(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("this is not a trace\n")

@@ -15,17 +15,17 @@ from adversim.core import (
     AdversimError,
     ExecutionTrace,
     FlpStep,
-    FtrStep,
-    FtsStep,
     LocalState,
     ReceiveFault,
     RoundFault,
+    RoundStep,
     TraceFormatError,
     UnknownProtocolError,
     _dumps,
     _step_line,
     check_colorless_outcome,
     initial_configuration,
+    read_step_script,
     validate_trace,
 )
 from adversim.nondecider import DependenceWitness
@@ -143,7 +143,7 @@ def test_fts_trace_round_trip_property(inputs, data):
         victims = data.draw(st.sets(st.integers(0, n - 1)))
         outs = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 1), max_size=2))
         steps.append(
-            FtsStep(round=r + 1, fault=RoundFault(sender, victims), outputs=tuple(sorted(outs.items())))
+            RoundStep(round=r + 1, fault=RoundFault(sender, victims), outputs=tuple(sorted(outs.items())))
         )
     trace = ExecutionTrace(
         model="fts", n=n, protocol="phase-king-lite", inputs=tuple(inputs), steps=tuple(steps)
@@ -155,12 +155,12 @@ def test_fts_trace_round_trip_property(inputs, data):
 
 def test_trace_steps_are_plain_tuples():
     fault, drops = RoundFault(0, [1, 2]), ReceiveFault({1: 0})
-    step = FtsStep(1, fault, ((1, 0),))
+    step = RoundStep(1, fault, ((1, 0),))
     trace = ExecutionTrace("fts", 3, "phase-king-lite", (1, 0, 1), (step,))
     config = initial_configuration(phase_king_lite(3), (1, 0, 1))
     cases = [
         (step, (1, fault, ((1, 0),))),
-        (FtrStep(2, drops, ()), (2, drops, ())),
+        (RoundStep(2, drops, ()), (2, drops, ())),
         (FlpStep(0, None, False, ((0, 1),)), (0, None, False, ((0, 1),))),
         # the fault records canonicalise their arguments on construction
         (RoundFault(1, [1, 2]), (1, frozenset({2}))),
@@ -200,14 +200,15 @@ def _step_record(step):
     """A step's trace record as a dict, which ``_step_line`` formats
     directly: the reference it must match byte for byte."""
     outputs = {str(pid): value for pid, value in step.outputs}
-    if isinstance(step, FtsStep):
+    fault = getattr(step, "fault", None)  # flp steps have none
+    if isinstance(fault, RoundFault):
         return {
             "round": step.round,
             "sender": step.fault.sender,
             "victims": sorted(step.fault.victims),
             "outputs": outputs,
         }
-    if isinstance(step, FtrStep):
+    if isinstance(fault, ReceiveFault):
         return {
             "round": step.round,
             "dropped": {str(r): s for r, s in step.fault.drops},
@@ -226,8 +227,8 @@ _PIDS = st.integers(0, 15)
 _ROUNDS = st.integers(1, 10**6)
 _OUTPUTS = st.dictionaries(_PIDS, st.integers(0, 1)).map(lambda d: tuple(sorted(d.items())))
 _STEPS = st.one_of(
-    st.builds(FtsStep, _ROUNDS, st.builds(RoundFault, _PIDS, st.sets(_PIDS)), _OUTPUTS),
-    st.builds(FtrStep, _ROUNDS, st.dictionaries(_PIDS, _PIDS).map(ReceiveFault), _OUTPUTS),
+    st.builds(RoundStep, _ROUNDS, st.builds(RoundFault, _PIDS, st.sets(_PIDS)), _OUTPUTS),
+    st.builds(RoundStep, _ROUNDS, st.dictionaries(_PIDS, _PIDS).map(ReceiveFault), _OUTPUTS),
     st.builds(FlpStep, _PIDS, st.none() | st.integers(0, 10**6), st.booleans(), _OUTPUTS),
 )
 
@@ -239,7 +240,7 @@ def test_step_line_matches_json_record(step):
 
 
 def test_step_line_orders_pids_as_strings():
-    step = FtrStep(round=5, fault=ReceiveFault({2: 0, 10: 3}), outputs=((2, 1), (10, 1)))
+    step = RoundStep(round=5, fault=ReceiveFault({2: 0, 10: 3}), outputs=((2, 1), (10, 1)))
     assert _step_line(step) == '{"dropped":{"10":3,"2":0},"outputs":{"10":1,"2":1},"round":5}'
 
 
@@ -247,7 +248,7 @@ def test_step_line_orders_pids_as_strings():
 
 
 def test_validator_flags_duplicate_round_as_multiple_senders():
-    step = lambda r, sender: FtsStep(round=r, fault=RoundFault(sender, [0]), outputs=())  # noqa: E731
+    step = lambda r, sender: RoundStep(round=r, fault=RoundFault(sender, [0]), outputs=())  # noqa: E731
     trace = ExecutionTrace(
         model="fts",
         n=3,
@@ -272,7 +273,7 @@ def test_validator_flags_output_divergence():
         n=trace.n,
         protocol=trace.protocol,
         inputs=trace.inputs,
-        steps=(FtsStep(round=1, fault=step0.fault, outputs=corrupted),) + trace.steps[1:],
+        steps=(RoundStep(round=1, fault=step0.fault, outputs=corrupted),) + trace.steps[1:],
     )
     report = validate_trace(bad)
     assert not report.valid
@@ -281,8 +282,8 @@ def test_validator_flags_output_divergence():
 
 def test_validator_flags_write_once_violation():
     steps = (
-        FtsStep(round=1, fault=RoundFault(0, ()), outputs=((0, 1),)),
-        FtsStep(round=2, fault=RoundFault(0, ()), outputs=((0, 0),)),
+        RoundStep(round=1, fault=RoundFault(0, ()), outputs=((0, 1),)),
+        RoundStep(round=2, fault=RoundFault(0, ()), outputs=((0, 0),)),
     )
     trace = ExecutionTrace(model="fts", n=3, protocol="constant-1", inputs=(1, 1, 1), steps=steps)
     report = validate_trace(trace)
@@ -302,6 +303,17 @@ def test_parse_rejects_garbage():
         ExecutionTrace.from_jsonl('{"model":"xxx","n":3,"protocol":"p","inputs":[0,0,0]}\n')
     with pytest.raises(TraceFormatError):
         ExecutionTrace.from_jsonl('{"model":"fts","n":3,"protocol":"p","inputs":[0,0]}\n')
+
+
+@pytest.mark.parametrize("kind", ["trace", "script"])
+def test_parse_errors_name_the_physical_line(tmp_path, kind):
+    lines = ['{"outputs":{},"round":1,"sender":0,"victims":[]}', "", "  ", '{"round":2,"sender":0}']
+    if kind == "trace":
+        lines.insert(0, '{"inputs":[1,0,0],"model":"fts","n":3,"protocol":"phase-king-lite"}')
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError, match=f"^line {len(lines)}: fts step missing 'victims'$"):
+        ExecutionTrace.read(path) if kind == "trace" else read_step_script(path, "fts")
 
 
 # -- self-communication absence ---------------------------------------------

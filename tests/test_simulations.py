@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from adversim import protocols, simulations
 from adversim.core import (
     AdversimError,
+    FlpStep,
     ReceiveFault,
     RoundProtocol,
     UnknownProtocolError,
@@ -353,12 +354,12 @@ def test_rounds_advance_unboundedly_with_horizon():
 def test_advance_needs_single_message_at_n3():
     # n-2 = 1: a process moves to round 2 after hearing one round-1 message
     proto = synchronizer_wrap(phase_king_lite(3), 3)
-    from adversim.async_engine import AsyncEvent, initial_async_state, step_async
+    from adversim.async_engine import initial_async_state, step_async
 
     state = initial_async_state(proto, (1, 0, 0))
-    state, _ = step_async(state, proto, AsyncEvent(pid=0))  # broadcasts round 1
+    state, _ = step_async(state, proto, FlpStep(pid=0))  # broadcasts round 1
     msg = [m for m in state.in_flight if m.dest == 1][0]
-    state, _ = step_async(state, proto, AsyncEvent(pid=1, deliver=msg.index))
+    state, _ = step_async(state, proto, FlpStep(pid=1, deliver=msg.index))
     assert state.states[1].internal.round == 2
 
 
@@ -669,7 +670,7 @@ def test_build_stack_rejects_asynchronous_base_under_round_models(stack):
     "state, plain",
     [
         (GetCoreState(0, "s", 1, 2, frozenset()), (0, "s", 1, 2, frozenset(), None)),
-        (SynchronizerState(1, "s", 3, True, frozenset()), (1, "s", 3, True, frozenset(), ())),
+        (SynchronizerState(1, "s", 3, True, ()), (1, "s", 3, True, (), ())),
         (PiggybackState(2, "s", False, ((), (), ())), (2, "s", False, ((), (), ()), (), ())),
     ],
     ids=["gather", "synchronizer", "piggyback"],
