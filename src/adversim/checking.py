@@ -7,8 +7,11 @@ come from one fan-out round, and a configuration whose subtree was already
 searched without a violation is not searched again.  The budget bounds the
 children built: the search stops with BudgetExceeded as soon as it would
 build one more, or before it starts when one expansion alone would.  Fuzz
-mode draws seeded random inputs and faults; every run's randomness derives
-from (seed, run index), so a reported counterexample replays in isolation.
+mode draws seeded random inputs and faults; each run draws its inputs, then
+its faults, from one stream seeded by (seed, run index) alone, so a reported
+counterexample replays in isolation.  A fuzz round is checked only when it
+writes an output: the check reads only inputs and outputs, and an unchanged
+output set passed when it was written.
 Fuzz runs revisit the same configurations often, so one fuzz call (and one
 liveness check) shares a single expansion table across all its runs: each
 configuration's broadcast and each (receiver, missed sender) transition is
@@ -164,7 +167,7 @@ def stream_seed(seed: int, *parts) -> int:
     """Derive an independent, platform-stable RNG seed for a named stream.
 
     All randomness in a command flows from one user seed through streams
-    named like ("run", 17, "faults"), so any single run replays in isolation.
+    named like ("run", 17), so any single run replays in isolation.
     """
     text = "|".join(str(p) for p in (seed, *parts))
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
@@ -192,26 +195,29 @@ def check_fuzz(
     initial: dict[tuple[int, ...], Configuration] = {}
     explored = 0
     for run_index in range(runs):
-        rng_inputs = random.Random(stream_seed(seed, "run", run_index, "inputs"))
-        inputs = tuple(rng_inputs.randrange(2) for _ in range(n))
-        rng_faults = random.Random(stream_seed(seed, "run", run_index, "faults"))
-        faults = random_faults(n, rng_faults, model, restricted)
+        rng = random.Random(stream_seed(seed, "run", run_index))
+        inputs = tuple(rng.randrange(2) for _ in range(n))
+        faults = random_faults(n, rng, model, restricted)
         config = initial.get(inputs)
         if config is None:
             config = initial[inputs] = initial_configuration(protocol, inputs)
         path = []
+        before = config.outputs()
         for _ in range(depth):
-            if config.all_decided():
+            if len(before) == n:
                 break
             fault = next(faults)
-            before = config.outputs()
             config = step(config, protocol, fault, table)
             explored += 1
             path.append(fault)
-            kind = _violation_kind(inputs, before, config.outputs())
+            after = config.outputs()
+            if after == before:
+                continue  # an unchanged output set passed when it was written
+            kind = _violation_kind(inputs, before, after)
             if kind is not None:
                 violation = _violation(kind, protocol, model, inputs, path, run_index)
                 return CheckResult(violation=violation, explored=explored)
+            before = after
     return CheckResult(violation=None, explored=explored)
 
 

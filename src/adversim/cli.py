@@ -144,22 +144,24 @@ def _check_restricted(args, model: str) -> None:
         raise UsageError(f"--restricted applies to --model fts only, not {model}")
 
 
-# The engine flags each engine reads, with the value an omitted flag takes.
+# The engine flags each engine reads, and the flags each check mode reads,
+# with the value an omitted flag takes.
 _ENGINE_FLAGS = {
     "fts": {"adversary": "none"},
     "ftr": {"adversary": "none"},
     "flp": {"scheduler": "round-robin", "crash": None, "fairness_window": None},
 }
+_CHECK_FLAGS = {"exhaustive": {"budget": 2_000_000}, "fuzz": {"runs": 1000, "seed": None}}
 
 
-def _check_engine_flags(args, model: str) -> None:
-    """Refuse an engine flag the chosen engine never reads, and give each
-    flag it does read its default when omitted."""
-    for name in ("adversary", "scheduler", "crash", "fairness_window"):
+def _check_flags(args, flags: dict, chosen: str, kind: str) -> None:
+    """Refuse a flag the chosen engine or check mode never reads, and give
+    each flag it does read its default when omitted."""
+    for name in dict.fromkeys(flag for reads in flags.values() for flag in reads):
         if getattr(args, name, None) is None:
-            setattr(args, name, _ENGINE_FLAGS[model].get(name))
-        elif name not in _ENGINE_FLAGS[model]:
-            raise UsageError(f"--{name.replace('_', '-')} is not read by the {model} engine")
+            setattr(args, name, flags[chosen].get(name))
+        elif name not in flags[chosen]:
+            raise UsageError(f"--{name.replace('_', '-')} is not read by the {chosen} {kind}")
 
 
 def _parse_crash(spec: Optional[str], n: int):
@@ -232,7 +234,7 @@ def _round_protocol(args):
 
 def cmd_run(args) -> int:
     _check_restricted(args, args.model)
-    _check_engine_flags(args, args.model)
+    _check_flags(args, _ENGINE_FLAGS, args.model, "engine")
     fairness_note = ""
     if args.model == "flp":
         protocol = _protocol(args.protocol, args.n)
@@ -324,6 +326,7 @@ def cmd_attack(args) -> int:
 
 def cmd_check(args) -> int:
     _check_restricted(args, args.model)
+    _check_flags(args, _CHECK_FLAGS, args.mode, "check")
     protocol = _round_protocol(args)
     if args.mode == "exhaustive":
         result = checking.check_exhaustive(
@@ -367,7 +370,7 @@ def cmd_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = stack_model(args.stack)
-    _check_engine_flags(args, model)
+    _check_flags(args, _ENGINE_FLAGS, model, "engine")
     protocol = _protocol(args.protocol, args.n, args.stack)
     inputs = _parse_inputs(args, args.n)
     out = _outpath(args.out, "simulate.trace.jsonl")
@@ -442,11 +445,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=("exhaustive", "fuzz"), default="exhaustive")
     p.add_argument("--model", choices=("fts", "ftr"), default="fts")
     p.add_argument("--depth", type=_at_least(1), default=4)
-    p.add_argument("--runs", type=_at_least(1), default=1000, help="fuzz run count")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--runs", type=_at_least(1), help="fuzz run count (default 1000)")
+    p.add_argument("--seed", type=int, help="fuzz seed")
     p.add_argument(
-        "--budget", type=_at_least(1), default=2_000_000,
-        help="most children an exhaustive check may build",
+        "--budget", type=_at_least(1),
+        help="most children an exhaustive check may build (default 2000000)",
     )
     p.add_argument("--restricted", action="store_true")
     p.add_argument("--out", help="violation trace path")

@@ -9,7 +9,7 @@ iterable of them, one per round, and once it runs out every later round
 drops nothing.  No process ever crashes, and engines always run to the
 requested horizon: decided processes keep participating.  ``successors`` is
 the one round rule: it builds every child of a configuration from one
-broadcast, and ``step_fts``/``step_ftr`` are its one-fault case.  All
+broadcast, and ``step_fts``/``step_ftr`` build its one-fault case.  All
 three take an optional ExpansionTable, which keeps each configuration's
 broadcast and transitions for a whole search.
 """
@@ -42,6 +42,51 @@ ExpansionTable = dict[
 ]
 
 
+def _expansion(config: Configuration, protocol: RoundProtocol, table) -> tuple[dict, dict]:
+    """``config``'s broadcast inbox (sender -> payload) and its transitions
+    computed so far, read from ``table`` or computed and stored there."""
+    entry = None if table is None else table.get(config)
+    if entry is not None:
+        return entry
+    round = config.round
+    inbox = {}
+    for p, state in enumerate(config.states):
+        try:
+            inbox[p] = protocol.message(state.internal, round)
+        except Exception as exc:  # noqa: BLE001 - protocol bug surfaced as engine error
+            raise EngineError(f"message() failed: {exc}", round=round, pid=p) from exc
+    after: dict[tuple[Pid, Optional[Pid]], LocalState] = {}  # (receiver, missed) -> state
+    if table is not None:
+        table[config] = (inbox, after)
+    return inbox, after
+
+
+def _child(config, protocol, inbox, after, dropped: Mapping[Pid, Pid]) -> Configuration:
+    """The child of ``config`` under one drop map, computing and storing in
+    ``after`` each transition it is the first to need."""
+    round = config.round
+    computed = after.get
+    new = tuple.__new__  # builds a LocalState or Configuration from a field tuple, in C
+    new_states = []
+    for q, state in enumerate(config.states):
+        miss = dropped.get(q)
+        nxt = computed((q, miss))
+        if nxt is None:
+            received = inbox.copy()
+            del received[q]
+            received.pop(miss, None)
+            try:
+                internal, out = protocol.transition(state.internal, round, received)
+            except Exception as exc:  # noqa: BLE001
+                raise EngineError(f"transition() failed: {exc}", round=round, pid=q) from exc
+            nxt = new(LocalState, (state.input, internal, state.output))
+            if out is not None:
+                nxt = nxt.write(out)
+            after[q, miss] = nxt
+        new_states.append(nxt)
+    return new(Configuration, (round + 1, tuple(new_states)))
+
+
 def successors(
     config: Configuration,
     protocol: RoundProtocol,
@@ -68,43 +113,9 @@ def successors(
     table must serve one protocol only; since protocols are pure and a
     failing ``message()`` or ``transition()`` stores nothing, every call
     yields and raises exactly what it would without the table."""
-    round = config.round
-    states = config.states
-    entry = None if table is None else table.get(config)
-    if entry is None:
-        inbox = {}
-        for p, state in enumerate(states):
-            try:
-                inbox[p] = protocol.message(state.internal, round)
-            except Exception as exc:  # noqa: BLE001 - protocol bug surfaced as engine error
-                raise EngineError(f"message() failed: {exc}", round=round, pid=p) from exc
-        after: dict[tuple[Pid, Optional[Pid]], LocalState] = {}  # (receiver, missed) -> state
-        if table is not None:
-            table[config] = (inbox, after)
-    else:
-        inbox, after = entry
-    transition = protocol.transition
-    computed = after.get
-    new = tuple.__new__  # builds a LocalState or Configuration from a field tuple, in C
+    inbox, after = _expansion(config, protocol, table)
     for dropped in drop_maps:
-        new_states = []
-        for q, state in enumerate(states):
-            miss = dropped.get(q)
-            nxt = computed((q, miss))
-            if nxt is None:
-                received = inbox.copy()
-                del received[q]
-                received.pop(miss, None)
-                try:
-                    internal, out = transition(state.internal, round, received)
-                except Exception as exc:  # noqa: BLE001
-                    raise EngineError(f"transition() failed: {exc}", round=round, pid=q) from exc
-                nxt = new(LocalState, (state.input, internal, state.output))
-                if out is not None:
-                    nxt = nxt.write(out)
-                after[q, miss] = nxt
-            new_states.append(nxt)
-        yield new(Configuration, (round + 1, tuple(new_states)))
+        yield _child(config, protocol, inbox, after, dropped)
 
 
 def step_fts(
@@ -116,7 +127,7 @@ def step_fts(
     """One fail-to-send round: every process receives every other payload,
     except that fault.sender's payload is withheld from fault.victims."""
     fault.validate(config.n)
-    return next(successors(config, protocol, (fault.mapping,), table))
+    return _child(config, protocol, *_expansion(config, protocol, table), fault.mapping)
 
 
 def step_ftr(
@@ -128,7 +139,7 @@ def step_ftr(
     """One fail-to-receive round: each process receives every other payload
     except the single sender (if any) dropped for it."""
     fault.validate(config.n)
-    return next(successors(config, protocol, (fault.mapping,), table))
+    return _child(config, protocol, *_expansion(config, protocol, table), fault.mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +166,8 @@ def random_faults(n: int, rng, model: str, restricted: bool) -> Iterator:
 
     def draw_fts():
         sender = rng.randrange(n)
-        others = [q for q in range(n) if q != sender]
         while True:
-            victims = [q for q in others if rng.random() < 0.5]
+            victims = [q for q in range(n) if q != sender and rng.random() < 0.5]
             if not (restricted and len(victims) == n - 1):
                 return RoundFault(sender, victims)
 

@@ -30,7 +30,7 @@ from adversim.checking import (
 )
 from adversim.core import AdversimError, EngineError, initial_configuration
 from adversim.protocols import get_protocol
-from adversim.sync_engine import enumerate_faults, random_faults, step_fts, step_ftr
+from adversim.sync_engine import enumerate_faults, random_faults, run, step_fts, step_ftr
 
 
 def reference_check_exhaustive(
@@ -224,14 +224,14 @@ def test_budget_counts_children_built():
 
 def reference_check_fuzz(protocol, n, runs, depth, seed, model="fts", restricted=False):
     """The fuzz loop with no expansion table: every run builds its initial
-    configuration and steps each of its rounds afresh."""
+    configuration and steps each of its rounds afresh, and checks every
+    round, whether or not it wrote an output."""
     step = step_fts if model == "fts" else step_ftr
     explored = 0
     for run_index in range(runs):
-        rng_inputs = random.Random(stream_seed(seed, "run", run_index, "inputs"))
-        inputs = tuple(rng_inputs.randrange(2) for _ in range(n))
-        rng_faults = random.Random(stream_seed(seed, "run", run_index, "faults"))
-        faults = random_faults(n, rng_faults, model, restricted)
+        rng = random.Random(stream_seed(seed, "run", run_index))
+        inputs = tuple(rng.randrange(2) for _ in range(n))
+        faults = random_faults(n, rng, model, restricted)
         config = initial_configuration(protocol, inputs)
         path = []
         for _ in range(depth):
@@ -280,6 +280,21 @@ def test_fuzz_matches_table_free_loop(protocol_id, model, restricted, n):
     # trace bytes are compared and not just two clean verdicts.
     if protocol_id != "phase-king-lite":
         assert got[0][0] != "ok"
+
+
+def test_fuzz_run_replays_from_its_own_stream():
+    # Run k draws its inputs, then its faults, from the one stream seeded by
+    # (seed, k); nothing drawn for runs 0..k-1 reaches it.
+    protocol = get_protocol("naive-majority", 4)
+    violation = check_fuzz(protocol, 4, runs=50, depth=4, seed=7).violation
+    k = violation.run_index
+    assert k >= 1
+    rng = random.Random(stream_seed(7, "run", k))
+    inputs = tuple(rng.randrange(2) for _ in range(4))
+    faults = random_faults(4, rng, "fts", False)
+    rebuilt = run(initial_configuration(protocol, inputs), protocol, "fts", faults,
+                  len(violation.trace.steps))
+    assert rebuilt.trace.to_jsonl() == violation.trace.to_jsonl()
 
 
 class CountingProtocol:

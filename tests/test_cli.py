@@ -730,9 +730,17 @@ _OUT = ["--out", "t.jsonl", "--report", "r.jsonl"]
           *_OUT], "--crash"),
         (["run", "--model", "ftr", *_PK3, "--inputs", "1,0,0", "--fairness-window", "3",
           "--out", "t.jsonl"], "--fairness-window"),
+        # a check mode's flags: --seed and --runs are fuzz only, --budget exhaustive only
+        (["check", *_PK3, "--mode", "exhaustive", "--depth", "2", "--seed", "4", *_OUT],
+         "--seed"),
+        (["check", *_PK3, "--mode", "exhaustive", "--depth", "2", "--runs", "7", *_OUT],
+         "--runs"),
+        (["check", *_PK3, "--mode", "fuzz", "--runs", "10", "--seed", "1", "--budget", "5",
+          *_OUT], "--budget"),
     ],
     ids=["run-fts", "simulate-fts-over-ftr", "simulate-ftr-over-flp", "run-flp",
-         "simulate-flp-over-ftr-crash", "run-ftr-fairness-window"],
+         "simulate-flp-over-ftr-crash", "run-ftr-fairness-window", "check-exhaustive-seed",
+         "check-exhaustive-runs", "check-fuzz-budget"],
 )
 def test_flag_the_engine_never_reads_fails_closed(tmp_path, args, flag):
     proc = _assert_fails_closed(args, tmp_path, 64)

@@ -20,12 +20,14 @@ every trace and report is compared with a constant recorded from the code
 before the simulation wrappers stopped encoding their payloads (the attacks at
 n = 8 and n = 16: before oracle probes were memoized; the attacks at n = 5
 and n = 7: before the attack replayed its loop; the flp run: before the
-asynchronous engine kept one queue per destination; the two negative
-controls: before the checker re-ran a violation's faults to record its
-trace; the three fts/ftr ``run`` commands: before adversaries became plain
+asynchronous engine kept one queue per destination; the fail-to-receive
+negative control: before the checker re-ran a violation's faults to record
+its trace; the three fts/ftr ``run`` commands: before adversaries became plain
 fault sequences; the restricted attacks: before the chain came from one fan-out
 round; the nested stack and the ``simulate`` summaries: before the
-simulation audits moved out of the command-line front end); a change to any of these digests is a change to the emitted
+simulation audits moved out of the command-line front end; the fuzz
+negative control: after each fuzz run drew its inputs and its faults from
+one stream); a change to any of these digests is a change to the emitted
 artefacts and has to be justified.
 """
 
@@ -164,8 +166,8 @@ GOLDEN_SHA256 = {
         "violation.report.jsonl": "65728e46fc5bd26fadeea77b73f7719ed648d1e93d0400d6d5cf613483e612cb",
     },
     "check-fuzz-naive-majority": {
-        "violation.trace.jsonl": "2908ea80e10bf844de648ccf074ef4334aa41ada51dbd5ce4eb0065e58c89877",
-        "violation.report.jsonl": "008857cc3f2113dadd664b5741c73c34eeca8ab545f751ffaaed0c713cd75f9b",
+        "violation.trace.jsonl": "8eb9022a27836ec938a41783a97de1a0dd91cc208669a1e32a7cc8ceb3fa6c33",
+        "violation.report.jsonl": "32d132fb54950972a6ef55f5223645c3b942829815f40ef6cfa477e14f3d44c9",
     },
     "check-ftr-phase-king-lite": {
         "violation.trace.jsonl": "15c3212d0e4684550f0adc070c037e158e2d31277fb9d5ed50a1f266832048d2",

@@ -331,6 +331,31 @@ def test_successors_match_per_fault_rounds(protocol_id, n):
             assert children == [reference_round(config, protocol, f.mapping) for f in faults]
 
 
+@pytest.mark.parametrize("protocol_id", ["phase-king-lite", "naive-majority", "constant-0",
+                                         "constant-1"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_step_is_the_one_fault_successor(protocol_id, n):
+    protocol = get_protocol(protocol_id, n)
+    rng = random.Random(f"one-fault-{protocol_id}-{n}")
+    configs = []
+    for _ in range(2):
+        inputs = tuple(rng.randrange(2) for _ in range(n))
+        drawn = random_faults(n, rng, "fts", False)
+        start = initial_configuration(protocol, inputs)
+        configs += run(start, protocol, "fts", drawn, 3, keep_configs=True).configs
+    for model, step in (("fts", step_fts), ("ftr", step_ftr)):
+        # no table; a table for each side; one table for both sides
+        own, other, both = {}, {}, {}
+        for config in configs:
+            for fault in enumerate_faults(model, n):
+                want = next(successors(config, protocol, (fault.mapping,)))
+                assert step(config, protocol, fault) == want
+                assert step(config, protocol, fault, own) == want
+                assert next(successors(config, protocol, (fault.mapping,), other)) == want
+                assert step(config, protocol, fault, both) == want
+                assert next(successors(config, protocol, (fault.mapping,), both)) == want
+
+
 class MissRaises:
     """Fails in transition() exactly when its receiver misses ``sender``.
     With ``writes_on``, it writes 1 when its receiver misses that sender."""
