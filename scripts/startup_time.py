@@ -29,6 +29,9 @@ CASES = (
     ("import adversim.cli", ["-c", "import adversim.cli"]),
     ("adversim attack --n 5 --rounds 40", ["-m", "adversim", "attack", *_PKL, "--n", "5",
                                            "--rounds", "40"]),
+    # replays the trace the attack case just wrote into the output directory
+    ("adversim validate attack.trace.jsonl", ["-m", "adversim", "validate",
+                                              "attack.trace.jsonl"]),
     ("adversim check --n 3 --depth 4", ["-m", "adversim", "check", *_PKL, "--n", "3",
                                         "--depth", "4"]),
 )

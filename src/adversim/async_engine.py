@@ -210,6 +210,8 @@ class ScriptedScheduler(Scheduler):
             raise ScheduleError("scheduler script exhausted")
         event = self.events[self._pos]
         self._pos += 1
+        if not isinstance(event, FlpStep):
+            raise ScheduleError(f"flp runs take FlpStep events, got {event!r}")
         return event
 
 

@@ -164,6 +164,13 @@ def _check_flags(args, flags: dict, chosen: str, kind: str) -> None:
             raise UsageError(f"--{name.replace('_', '-')} is not read by the {chosen} {kind}")
 
 
+def _check_seed(args) -> None:
+    """Refuse a ``--seed`` that nothing reads: with ``--inputs`` given, only a
+    random adversary or scheduler draws from it."""
+    if args.seed is not None and args.inputs and "random" not in (args.adversary, args.scheduler):
+        raise UsageError("--seed is not read with --inputs and no random adversary or scheduler")
+
+
 def _parse_crash(spec: Optional[str], n: int):
     if not spec:
         return None
@@ -235,6 +242,7 @@ def _round_protocol(args):
 def cmd_run(args) -> int:
     _check_restricted(args, args.model)
     _check_flags(args, _ENGINE_FLAGS, args.model, "engine")
+    _check_seed(args)
     fairness_note = ""
     if args.model == "flp":
         protocol = _protocol(args.protocol, args.n)
@@ -371,6 +379,7 @@ def cmd_check(args) -> int:
 def cmd_simulate(args) -> int:
     model = stack_model(args.stack)
     _check_flags(args, _ENGINE_FLAGS, model, "engine")
+    _check_seed(args)
     protocol = _protocol(args.protocol, args.n, args.stack)
     inputs = _parse_inputs(args, args.n)
     out = _outpath(args.out, "simulate.trace.jsonl")

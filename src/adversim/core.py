@@ -122,7 +122,8 @@ class RoundFault(NamedTuple("RoundFault", [("sender", Pid), ("victims", frozense
     __slots__ = ()
 
     def __new__(cls, sender: Pid, victims: Iterable[Pid]):
-        return tuple.__new__(cls, (sender, frozenset(victims) - {sender}))
+        victims = frozenset(victims)
+        return tuple.__new__(cls, (sender, victims - {sender} if sender in victims else victims))
 
     @classmethod
     def _make(cls, fields):
@@ -524,127 +525,59 @@ def validate_trace(
     trace: ExecutionTrace,
     ignore_outputs: Iterable[Pid] = (),
 ) -> ValidationReport:
-    """Replay a trace deterministically and report every divergence.
+    """Check a trace by replaying it through its model's engine.
 
-    Checks, in order: fault/event shape for the declared model, write-once
-    discipline of the recorded outputs, and exact agreement between recorded
-    and replayed outputs.  ``ignore_outputs`` exempts the named processes
-    from the output comparison (used when a projected trace intentionally
-    omits part of a process's behaviour).
+    The engines are the one definition of a legal step: the trace's faults
+    (fts/ftr) or events (flp) are replayed from its inputs through
+    ``sync_engine.run`` or ``async_engine.run_async``.  An engine refusal is
+    the only problem reported, as ``replay failed: <message>``.  Otherwise
+    each recorded step is compared with its replayed step, one problem per
+    mismatch: its round (fts/ftr), the write-once discipline of its outputs,
+    and the outputs themselves.  ``ignore_outputs`` exempts the named
+    processes from the output comparison (used when a projected trace
+    intentionally omits part of a process's behaviour).
 
     Raises UnknownProtocolError if the header names an unregistered protocol.
     """
     from .protocols import get_protocol
 
-    problems: list[str] = []
-    ignore = frozenset(ignore_outputs)
-
-    written: dict[Pid, int] = {}
-    for i, step in enumerate(trace.steps):
-        where = f"step {i + 1}"
-        for pid, value in step.outputs:
-            if not 0 <= pid < trace.n:
-                problems.append(f"{where}: output pid {pid} out of range")
-            elif pid in written:
-                problems.append(f"{where}: write-once violation for process {pid}")
-            else:
-                written[pid] = value
-
-    shape_problems = _check_shape(trace)
-    problems.extend(shape_problems)
-
     try:
         protocol = get_protocol(trace.protocol, trace.n)  # may raise UnknownProtocolError
     except ValueError as exc:  # the protocol does not run at the header's n
-        problems.append(f"header: {exc}")
-        return ValidationReport(valid=False, problems=problems)
+        return ValidationReport(valid=False, problems=[f"header: {exc}"])
+    if isinstance(protocol, AsyncProtocol) != (trace.model == "flp"):
+        problem = f"protocol {trace.protocol!r} does not run on the {trace.model} model"
+        return ValidationReport(valid=False, problems=[problem])
+    try:
+        if trace.model == "flp":
+            from .async_engine import ScriptedScheduler, run_async
 
-    want_async = trace.model == "flp"
-    if isinstance(protocol, AsyncProtocol) != want_async:
-        problems.append(
-            f"protocol {trace.protocol!r} does not run on the {trace.model} model"
-        )
-    elif not shape_problems:
-        try:
-            replayed = _replay_outputs(trace, protocol)
-        except Exception as exc:  # noqa: BLE001 - any replay failure invalidates
-            problems.append(f"replay failed: {exc}")
-        else:
-            problems.extend(_compare_outputs(trace, replayed, ignore))
+            scheduler = ScriptedScheduler(trace.steps)
+            result = run_async(trace.inputs, protocol, scheduler, len(trace.steps))
+        else:  # a step of the other model's kind goes in as it is, and run refuses it
+            from .sync_engine import run
 
-    return ValidationReport(valid=not problems, problems=problems)
+            faults = [step.fault if isinstance(step, RoundStep) else step for step in trace.steps]
+            config = initial_configuration(protocol, trace.inputs)
+            result = run(config, protocol, trace.model, faults, len(faults))
+    except Exception as exc:  # noqa: BLE001 - any replay failure invalidates
+        return ValidationReport(valid=False, problems=[f"replay failed: {exc}"])
 
-
-def _check_shape(trace: ExecutionTrace) -> list[str]:
     problems: list[str] = []
-    if trace.model in ("fts", "ftr"):
-        kind = RoundFault if trace.model == "fts" else ReceiveFault
-        expected_round = 1
-        seen_rounds: set[int] = set()
-        for i, step in enumerate(trace.steps):
-            where = f"step {i + 1}"
-            if not isinstance(step, RoundStep) or not isinstance(step.fault, kind):
-                problems.append(f"{where}: wrong step kind for model {trace.model}")
-                continue
-            if step.round in seen_rounds:
-                problems.append(f"{where}: multiple faulty senders in round {step.round}")
-                continue
-            if step.round != expected_round:
-                problems.append(
-                    f"{where}: expected round {expected_round}, found {step.round}"
-                )
-            seen_rounds.add(step.round)
-            expected_round = step.round + 1
-            try:
-                step.fault.validate(trace.n)
-            except TraceFormatError as exc:
-                problems.append(f"{where}: {exc}")
-    else:
-        crashed: Optional[Pid] = None
-        for i, step in enumerate(trace.steps):
-            where = f"step {i + 1}"
-            if not isinstance(step, FlpStep):
-                problems.append(f"{where}: wrong step kind for model flp")
-                continue
-            if not 0 <= step.pid < trace.n:
-                problems.append(f"{where}: pid {step.pid} out of range")
-            if step.pid == crashed:
-                problems.append(f"{where}: crashed process {step.pid} takes a step")
-            if step.crash:
-                if crashed is not None:
-                    problems.append(f"{where}: second crash (already crashed {crashed})")
-                else:
-                    crashed = step.pid
-    return problems
-
-
-def _replay_outputs(trace: ExecutionTrace, protocol) -> list[tuple[tuple[Pid, int], ...]]:
-    """Outputs written per step when the trace is replayed from its header."""
-    if trace.model == "flp":
-        from .async_engine import ScriptedScheduler, run_async
-
-        scheduler = ScriptedScheduler(trace.steps)
-        result = run_async(trace.inputs, protocol, scheduler, len(trace.steps))
-    else:
-        from .sync_engine import run
-
-        faults = [step.fault for step in trace.steps]
-        config = initial_configuration(protocol, trace.inputs)
-        result = run(config, protocol, trace.model, faults, len(faults))
-    return [step.outputs for step in result.trace.steps]
-
-
-def _compare_outputs(
-    trace: ExecutionTrace,
-    replayed: list[tuple[tuple[Pid, int], ...]],
-    ignore: frozenset[Pid],
-) -> list[str]:
-    problems = []
-    for i, (step, rep) in enumerate(zip(trace.steps, replayed)):
+    ignore, rounds, written = frozenset(ignore_outputs), set(), set()
+    for i, (step, rep) in enumerate(zip(trace.steps, result.trace.steps), start=1):
+        if isinstance(step, RoundStep):
+            if step.round in rounds:
+                problems.append(f"step {i}: multiple faulty senders in round {step.round}")
+            elif step.round != rep.round:
+                problems.append(f"step {i}: expected round {rep.round}, found {step.round}")
+            rounds.add(step.round)
+        for pid, _ in step.outputs:
+            if pid in written:
+                problems.append(f"step {i}: write-once violation for process {pid}")
+            written.add(pid)
         rec = {pid: v for pid, v in step.outputs if pid not in ignore}
-        exp = {pid: v for pid, v in rep if pid not in ignore}
+        exp = {pid: v for pid, v in rep.outputs if pid not in ignore}
         if rec != exp:
-            problems.append(
-                f"step {i + 1}: recorded outputs {rec} diverge from replayed {exp}"
-            )
-    return problems
+            problems.append(f"step {i}: recorded outputs {rec} diverge from replayed {exp}")
+    return ValidationReport(valid=not problems, problems=problems)

@@ -269,7 +269,11 @@ def test_validate_corrupted_trace_exit_five(tmp_path, capsys):
     assert "diverge" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tamper", ["flip-output", "not-in-flight", "crash-delivers"])
+@pytest.mark.parametrize(
+    "tamper",
+    ["flip-output", "not-in-flight", "crash-delivers", "pid-out-of-range", "crashed-steps",
+     "second-crash", "output-pid-out-of-range"],
+)
 def test_validate_tampered_flp_trace_exit_five(tmp_path, capsys, tamper):
     out = tmp_path / "flp.jsonl"
     assert run_cli(
@@ -289,10 +293,44 @@ def test_validate_tampered_flp_trace_exit_five(tmp_path, capsys, tamper):
     elif tamper == "not-in-flight":
         steps[0]["deliver"] = 999
         problem = "replay failed: message 999 is not in flight"
-    else:
+    elif tamper == "crash-delivers":
         assert steps[-1]["deliver"] is not None
         steps[-1]["crash"] = True  # the last step, so the crashed process steps no more
         problem = "replay failed: a crash event delivers nothing"
+    elif tamper == "pid-out-of-range":
+        steps[0]["pid"] = 7
+        problem = "replay failed: pid 7 out of range"
+    elif tamper == "crashed-steps":
+        pid = steps[-1]["pid"]
+        crash = {"event": "step", "pid": pid, "crash": True, "deliver": None, "outputs": {}}
+        steps.insert(-1, crash)  # so the last step is a crashed process's
+        problem = f"replay failed: crashed process {pid} cannot step"
+    elif tamper == "second-crash":
+        steps[0]["crash"] = True
+        steps[1].update(crash=True, deliver=None)
+        problem = "replay failed: second crash (1); 0 already crashed"
+    else:
+        assert not steps[0]["outputs"]
+        steps[0]["outputs"] = {"7": 1}  # no such process: the replay writes nothing for it
+        problem = "step 1: recorded outputs {7: 1} diverge from replayed {}"
+    out.write_text("".join(json.dumps(record) + "\n" for record in [header, *steps]))
+    capsys.readouterr()
+    assert run_cli(["validate", str(out)]) == 5
+    assert capsys.readouterr().err == f"validate: {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "model, tamper, problem",
+    [
+        ("fts", {"victims": [0, 7]}, "replay failed: fault victims [7] out of range for n=3"),
+        ("ftr", {"dropped": {"2": 2}}, "replay failed: process 2 cannot drop its own message"),
+    ],
+    ids=["fts-victim-out-of-range", "ftr-self-drop"],
+)
+def test_validate_tampered_round_trace_exit_five(tmp_path, capsys, model, tamper, problem):
+    out = _recorded_trace(tmp_path, model)
+    header, *steps = read_jsonl(out)
+    steps[1].update(tamper)
     out.write_text("".join(json.dumps(record) + "\n" for record in [header, *steps]))
     capsys.readouterr()
     assert run_cli(["validate", str(out)]) == 5
@@ -737,10 +775,16 @@ _OUT = ["--out", "t.jsonl", "--report", "r.jsonl"]
          "--runs"),
         (["check", *_PK3, "--mode", "fuzz", "--runs", "10", "--seed", "1", "--budget", "5",
           *_OUT], "--budget"),
+        # with --inputs given, only a random adversary or scheduler reads --seed
+        (["run", "--model", "fts", *_PK3, "--inputs", "1,0,0", "--seed", "4",
+          "--out", "t.jsonl"], "--seed"),
+        (["simulate", "--stack", "fts-over-ftr", *_PK3, "--inputs", "1,0,0", "--seed", "4",
+          *_OUT], "--seed"),
     ],
     ids=["run-fts", "simulate-fts-over-ftr", "simulate-ftr-over-flp", "run-flp",
          "simulate-flp-over-ftr-crash", "run-ftr-fairness-window", "check-exhaustive-seed",
-         "check-exhaustive-runs", "check-fuzz-budget"],
+         "check-exhaustive-runs", "check-fuzz-budget", "run-inputs-seed",
+         "simulate-inputs-seed"],
 )
 def test_flag_the_engine_never_reads_fails_closed(tmp_path, args, flag):
     proc = _assert_fails_closed(args, tmp_path, 64)

@@ -290,6 +290,22 @@ def test_validator_flags_write_once_violation():
     assert any("write-once" in p for p in report.problems)
 
 
+@pytest.mark.parametrize(
+    "model, protocol, step",
+    [
+        ("fts", "phase-king-lite", FlpStep(0)),
+        ("ftr", "phase-king-lite", RoundStep(1, RoundFault(0, [1]), ())),
+        ("flp", "ftr-over-flp:phase-king-lite", RoundStep(1, RoundFault(0, [1]), ())),
+    ],
+    ids=["flp-step-in-fts", "fts-step-in-ftr", "round-step-in-flp"],
+)
+def test_validator_reports_step_of_the_wrong_kind(model, protocol, step):
+    trace = ExecutionTrace(model=model, n=3, protocol=protocol, inputs=(1, 0, 0), steps=(step,))
+    report = validate_trace(trace)
+    assert not report.valid
+    assert len(report.problems) == 1 and report.problems[0].startswith("replay failed: ")
+
+
 def test_validator_rejects_unknown_protocol():
     trace = ExecutionTrace(model="fts", n=3, protocol="no-such", inputs=(0, 0, 0), steps=())
     with pytest.raises(UnknownProtocolError):
