@@ -34,6 +34,11 @@ CASES = (
                                               "attack.trace.jsonl"]),
     ("adversim check --n 3 --depth 4", ["-m", "adversim", "check", *_PKL, "--n", "3",
                                         "--depth", "4"]),
+    ("adversim run --model fts --n 5", ["-m", "adversim", "run", "--model", "fts", *_PKL,
+                                        "--n", "5", "--inputs", "1,0,0,1,0"]),
+    ("adversim simulate --stack fts-over-ftr --n 4", ["-m", "adversim", "simulate", "--stack",
+                                                      "fts-over-ftr", *_PKL, "--n", "4",
+                                                      "--inputs", "1,0,0,1"]),
 )
 
 
@@ -61,7 +66,7 @@ def main(argv=None) -> int:
           f"{sys.version.split()[0]}, src {args.src}")
     for label, samples in times.items():
         q1, median, q3 = statistics.quantiles(samples, n=4)
-        print(f"  {label:<36} {1000 * median:7.1f} ms  (quartiles {1000 * q1:.1f}-{1000 * q3:.1f})")
+        print(f"  {label:<46} {1000 * median:7.1f} ms  (quartiles {1000 * q1:.1f}-{1000 * q3:.1f})")
     return 0
 
 

@@ -32,6 +32,7 @@ from typing import NamedTuple, Optional
 
 from .core import (
     AdversimError,
+    BudgetExceeded,
     Configuration,
     ExecutionTrace,
     NO_DROPS,
@@ -50,10 +51,6 @@ from .sync_engine import (
     step_ftr,
     successors,
 )
-
-
-class BudgetExceeded(AdversimError):
-    """An exhaustive check would build more children than its budget."""
 
 
 class CheckViolation(NamedTuple):

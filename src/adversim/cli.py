@@ -23,18 +23,13 @@ import random
 import sys
 from typing import Optional
 
-from . import checking, nondecider
-from .async_engine import (
-    RoundRobinScheduler,
-    ScheduleError,
-    ScriptedScheduler,
-    SeededFairScheduler,
-    run_async,
-)
 from .core import (
     AdversimError,
     AsyncProtocol,
+    BudgetExceeded,
+    EmulationLemmaViolation,
     ExecutionTrace,
+    OracleCapExceeded,
     TraceFormatError,
     UnknownProtocolError,
     initial_configuration,
@@ -42,11 +37,9 @@ from .core import (
     validate_trace,
     _dumps,
 )
-from .checking import BudgetExceeded
-from .nondecider import AgreementViolation, OracleCapExceeded
-from .protocols import get_protocol
-from .simulations import EmulationLemmaViolation, audit_stack, build_stack, stack_model
-from .sync_engine import random_faults, run, silence
+
+# Only the standard library and core load with this module: each command
+# imports the engines it runs, so a launch compiles no module it does not use.
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -111,12 +104,16 @@ def _parse_inputs(args, n: int, rng_seed_tag: str = "inputs") -> tuple[int, ...]
         return bits
     if args.seed is None:
         raise UsageError("provide --inputs or --seed for random inputs")
-    rng = random.Random(checking.stream_seed(args.seed, rng_seed_tag))
+    from .checking import stream_seed
+
+    rng = random.Random(stream_seed(args.seed, rng_seed_tag))
     return tuple(rng.randrange(2) for _ in range(n))
 
 
 def _faults(spec: str, model: str, n: int, seed: Optional[int], restricted: bool):
     """The fault sequence an ``--adversary`` spec names."""
+    from .sync_engine import random_faults, silence
+
     if spec == "none":
         return ()
     if spec.startswith("silent:"):
@@ -132,7 +129,9 @@ def _faults(spec: str, model: str, n: int, seed: Optional[int], restricted: bool
     if spec == "random":
         if seed is None:
             raise UsageError("--adversary random requires --seed")
-        rng = random.Random(checking.stream_seed(seed, "adversary"))
+        from .checking import stream_seed
+
+        rng = random.Random(stream_seed(seed, "adversary"))
         return random_faults(n, rng, model, restricted)
     raise UsageError(f"unknown adversary spec {spec!r}")
 
@@ -188,6 +187,14 @@ def _parse_crash(spec: Optional[str], n: int):
 def _run_async(args, protocol, inputs, **kwargs):
     """Run the command's scheduler; an event a scheduler script cannot play
     is an error in that script, not in the engine."""
+    from .async_engine import (
+        RoundRobinScheduler,
+        ScheduleError,
+        ScriptedScheduler,
+        SeededFairScheduler,
+        run_async,
+    )
+
     spec, n = args.scheduler, args.n
     crash = _parse_crash(args.crash, n)
     if spec == "round-robin":
@@ -195,7 +202,9 @@ def _run_async(args, protocol, inputs, **kwargs):
     elif spec == "random":
         if args.seed is None:
             raise UsageError("--scheduler random requires --seed")
-        seed = checking.stream_seed(args.seed, "scheduler")
+        from .checking import stream_seed
+
+        seed = stream_seed(args.seed, "scheduler")
         scheduler = SeededFairScheduler(n, seed, crash=crash)
     elif spec.startswith("script:"):
         if crash is not None:
@@ -220,17 +229,32 @@ def _protocol(protocol_id: str, n: int, stack: Optional[str] = None):
         raise UsageError(f"--n {n}: need at least 2 processes")
     try:
         if stack is None:
+            from .protocols import get_protocol
+
             return get_protocol(protocol_id, n)
+        from .simulations import build_stack
+
         return build_stack(stack, protocol_id, n)
     except ValueError as exc:
         raise UsageError(f"--n {n}: {exc}") from None
 
 
-def _round_protocol(args):
-    """The protocol of a command on the fts/ftr engines, which must be round-based."""
+def _model_protocol(args, model: str):
+    """The protocol that ``run``, ``attack`` or ``check`` runs under ``model``.
+
+    One rule for plain protocols and stacks: a protocol runs under a model
+    whose faults are a subset of its engine's, the engine's own model or fts
+    on an ftr engine (every fts fault is an ftr fault).  A stack's engine is
+    its outermost model, and every round-based stack ends in ftr, so the rule
+    reads off the protocol's kind: round-based under fts or ftr, asynchronous
+    under flp."""
     protocol = _protocol(args.protocol, args.n)
-    if isinstance(protocol, AsyncProtocol):
+    if isinstance(protocol, AsyncProtocol) and model != "flp":
         raise UsageError(f"{args.protocol!r} is asynchronous; run it with run --model flp")
+    if not isinstance(protocol, AsyncProtocol) and model == "flp":
+        raise UsageError(
+            f"{args.protocol!r} is round-based; run it under fts/ftr or via a stack id"
+        )
     return protocol
 
 
@@ -244,12 +268,8 @@ def cmd_run(args) -> int:
     _check_flags(args, _ENGINE_FLAGS, args.model, "engine")
     _check_seed(args)
     fairness_note = ""
+    protocol = _model_protocol(args, args.model)
     if args.model == "flp":
-        protocol = _protocol(args.protocol, args.n)
-        if not isinstance(protocol, AsyncProtocol):
-            raise UsageError(
-                f"{args.protocol!r} is round-based; run it under fts/ftr or via a stack id"
-            )
         inputs = _parse_inputs(args, args.n)
         result = _run_async(args, protocol, inputs, fairness_window=args.fairness_window)
         outputs = result.final_state.outputs()
@@ -258,10 +278,8 @@ def cmd_run(args) -> int:
             for v in (result.fairness.violations or [])[:5]:
                 _say(f"fairness: {v}")
     else:
-        protocol = _round_protocol(args)
-        engine = stack_model(args.protocol.split(":", 1)[0]) if ":" in args.protocol else None
-        if engine not in (None, args.model):
-            raise UsageError(f"stack {args.protocol!r} runs on model {engine!r}, not {args.model!r}")
+        from .sync_engine import run
+
         inputs = _parse_inputs(args, args.n)
         faults = _faults(args.adversary, args.model, args.n, args.seed, args.restricted)
         config = initial_configuration(protocol, inputs)
@@ -279,7 +297,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    protocol = _round_protocol(args)
+    from . import nondecider
+
+    protocol = _model_protocol(args, "fts")
     try:
         result = nondecider.build_nondeciding_execution(
             protocol, args.n, rounds=args.rounds, cap=args.cap, restricted=args.restricted
@@ -295,7 +315,7 @@ def cmd_attack(args) -> int:
         exc.trace.write(out)
         _say(f"attack: oracle precondition fails under --restricted: {exc}; probe trace written to {out}")
         return EXIT_ORACLE_CAP
-    except AgreementViolation as exc:
+    except nondecider.AgreementViolation as exc:
         out = _outpath(None, "violation.trace.jsonl")
         report = _outpath(None, "violation.report.jsonl")
         exc.trace.write(out)
@@ -309,20 +329,14 @@ def cmd_attack(args) -> int:
     _write_jsonl(report, nondecider.report_records(result))
     written = result.outputs_written()
     if result.exhausted_at is not None:
-        limit = (
-            "; this is a limit of the restricted construction, not evidence "
-            f"that {protocol.protocol_id} terminates"
-            if args.restricted
-            else ""
-        )
+        # only the restricted adversary runs out of chain: unrestricted
+        # extension raises InvariantViolation instead
         _say(
             f"attack: chain exhausted at round {result.exhausted_at} "
-            f"({result.rounds_built} rounds built, {written} outputs written){limit}"
+            f"({result.rounds_built} rounds built, {written} outputs written); "
+            "this is a limit of the restricted construction, not evidence "
+            f"that {protocol.protocol_id} terminates"
         )
-        if not args.restricted:
-            # Unrestricted extension is total on live targets; only the
-            # restricted adversary may legitimately run out of chain.
-            return EXIT_VIOLATION
     else:
         _say(
             f"attack: built {result.rounds_built} non-deciding rounds, "
@@ -335,7 +349,9 @@ def cmd_attack(args) -> int:
 def cmd_check(args) -> int:
     _check_restricted(args, args.model)
     _check_flags(args, _CHECK_FLAGS, args.mode, "check")
-    protocol = _round_protocol(args)
+    from . import checking
+
+    protocol = _model_protocol(args, args.model)
     if args.mode == "exhaustive":
         result = checking.check_exhaustive(
             protocol,
@@ -377,6 +393,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulations import audit_stack, stack_model
+
     model = stack_model(args.stack)
     _check_flags(args, _ENGINE_FLAGS, model, "engine")
     _check_seed(args)
@@ -387,6 +405,8 @@ def cmd_simulate(args) -> int:
     if model == "flp":
         result = _run_async(args, protocol, inputs)
     else:
+        from .sync_engine import run
+
         faults = _faults(args.adversary, model, args.n, args.seed, False)
         config = initial_configuration(protocol, inputs)
         result = run(config, protocol, model, faults, args.horizon, keep_configs=True)

@@ -37,6 +37,36 @@ class EngineError(AdversimError):
         self.pid = pid
 
 
+# Raised by checking, nondecider and simulations, which re-export them; they
+# live here so that the command line maps them to exit codes without
+# importing those modules.
+
+
+class BudgetExceeded(AdversimError):
+    """An exhaustive check would build more children than its budget."""
+
+
+class OracleCapExceeded(AdversimError):
+    """The probed continuation did not fully decide within the round cap:
+    the target is not live in the probed benign execution class."""
+
+    def __init__(self, kind: str, cap: int):
+        super().__init__(f"{kind} oracle exceeded cap of {cap} rounds")
+        self.kind = kind
+        self.cap = cap
+
+
+class EmulationLemmaViolation(AdversimError):
+    """A simulated round left fewer than n-1 senders commonly delivered.
+    Carries the three-phase fault script as a counterexample when known."""
+
+    def __init__(self, message: str, script=None):
+        if script is not None:
+            message += f"; fault script: {[f.mapping for f in script]}"
+        super().__init__(message)
+        self.script = script
+
+
 # ---------------------------------------------------------------------------
 # Process-local state and configurations
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .core import (
     AdversimError,
     Configuration,
     ExecutionTrace,
+    OracleCapExceeded,
     Pid,
     RoundFault,
     RoundProtocol,
@@ -29,16 +30,6 @@ from .core import (
     initial_configuration,
 )
 from .sync_engine import NO_FAULT, run, silence, step_fts, successors
-
-
-class OracleCapExceeded(AdversimError):
-    """The probed continuation did not fully decide within the round cap:
-    the target is not live in the probed benign execution class."""
-
-    def __init__(self, kind: str, cap: int):
-        super().__init__(f"{kind} oracle exceeded cap of {cap} rounds")
-        self.kind = kind
-        self.cap = cap
 
 
 class AgreementViolation(AdversimError):

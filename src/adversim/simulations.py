@@ -35,6 +35,7 @@ from .core import (
     AdversimError,
     AsyncProtocol,
     Configuration,
+    EmulationLemmaViolation,
     ExecutionTrace,
     MODELS,
     Payload,
@@ -49,17 +50,6 @@ from .core import (
     validate_trace,
 )
 from .sync_engine import NO_FAULT, step_fts
-
-
-class EmulationLemmaViolation(AdversimError):
-    """A simulated round left fewer than n-1 senders commonly delivered.
-    Carries the three-phase fault script as a counterexample when known."""
-
-    def __init__(self, message: str, script=None):
-        if script is not None:
-            message += f"; fault script: {[f.mapping for f in script]}"
-        super().__init__(message)
-        self.script = script
 
 
 class ResourceLimitError(AdversimError):

@@ -201,6 +201,19 @@ def test_run_flp_model_with_stack_protocol(tmp_path):
     assert run_cli(["validate", str(out)]) == 0
 
 
+def test_run_fts_on_an_ftr_stack(tmp_path):
+    """Every fts fault is an ftr fault, so a stack whose outermost engine is
+    ftr also runs under fts."""
+    out = tmp_path / "t.jsonl"
+    code = run_cli(
+        ["run", "--model", "fts", "--protocol", "flp-over-ftr:phase-king-lite", "--n", "4",
+         "--inputs", "1,0,0,1", "--adversary", "silent:1", "--horizon", "12", "--out", str(out)]
+    )
+    assert code == 0
+    assert read_jsonl(out)[0]["model"] == "fts"
+    assert run_cli(["validate", str(out)]) == 0
+
+
 def test_run_round_protocol_under_flp_is_usage_error(tmp_path):
     code = run_cli(
         ["run", "--model", "flp", "--protocol", "phase-king-lite", "--n", "3",
@@ -337,6 +350,19 @@ def test_validate_tampered_round_trace_exit_five(tmp_path, capsys, model, tamper
     assert capsys.readouterr().err == f"validate: {problem}\n"
 
 
+def test_validate_renumbered_rounds_exit_five(tmp_path, capsys):
+    out = _recorded_trace(tmp_path, "fts")
+    header, *steps = read_jsonl(out)
+    for step in steps[1:]:
+        step["round"] += 1  # rounds 1, 3, 4, 5, ...
+    out.write_text("".join(json.dumps(record) + "\n" for record in [header, *steps]))
+    capsys.readouterr()
+    assert run_cli(["validate", str(out)]) == 5
+    assert capsys.readouterr().err.splitlines() == [
+        f"validate: step {i}: expected round {i}, found {i + 1}" for i in range(2, len(steps) + 1)
+    ]
+
+
 def test_validate_garbage_file_exit_five(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("this is not a trace\n")
@@ -392,11 +418,14 @@ def test_simulate_piggyback_ledger(tmp_path):
 
 
 def test_simulate_unfaithful_audit_exits_one_with_report(tmp_path, monkeypatch, capsys):
-    from adversim import cli
-    from adversim.simulations import StackAudit
+    from adversim import simulations
 
     records = [{"equivalent_direct_run": False}]
-    monkeypatch.setattr(cli, "audit_stack", lambda protocol, result: StackAudit(records, False, "x"))
+    # simulate looks audit_stack up in simulations when it runs
+    monkeypatch.setattr(
+        simulations, "audit_stack",
+        lambda protocol, result: simulations.StackAudit(records, False, "x"),
+    )
     rep = tmp_path / "rep.jsonl"
     code = run_cli(
         ["simulate", "--stack", "fts-over-ftr", "--protocol", "phase-king-lite", "--n", "3",

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 from itertools import repeat
 
 import pytest
@@ -181,19 +182,41 @@ def test_trace_steps_are_plain_tuples():
     assert ReceiveFault({})._replace(drops={2: 0, 1: 0}) == (((1, 0), (2, 0)),)
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
+def test_cli_import_loads_no_dataclasses_or_inspect(tmp_path):
     """The records are tuples, so importing the command line pulls in
-    neither ``dataclasses`` nor the ``inspect`` it imports."""
-    code = "import adversim.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    neither ``dataclasses`` nor the ``inspect`` it imports.  Each command
+    imports the engines it runs: the command line alone loads no adversim
+    module but ``core`` and no ``hashlib``, and validating an fts trace of a
+    plain protocol loads no simulation, checker, adversary or asynchronous
+    engine.  Every public name of the package still resolves."""
+    trace = tmp_path / "fts.jsonl"
+    config = initial_configuration(phase_king_lite(3), (1, 0, 0))
+    run(config, phase_king_lite(3), "fts", repeat(silence(1, 3)), 6).trace.write(trace)
+    code = textwrap.dedent(
+        """
+        import sys
+        import adversim.cli
+        print(sorted({"dataclasses", "inspect", "hashlib"} & set(sys.modules)))
+        print(sorted(m for m in sys.modules if m.startswith("adversim")))
+        code = adversim.cli.main(["validate", sys.argv[1]])
+        engines = ("simulations", "checking", "nondecider", "async_engine")
+        print(code, sorted({f"adversim.{m}" for m in engines} & set(sys.modules)))
+        [getattr(adversim, name) for name in adversim.__all__]  # AttributeError if one is missing
+        """
+    )
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code],
+        [sys.executable, "-S", "-c", code, str(trace)],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == [
+        "[]",
+        "['adversim', 'adversim.cli', 'adversim.core']",
+        "0 []",
+    ]
 
 
 def _step_record(step):

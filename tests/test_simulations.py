@@ -391,6 +391,17 @@ def test_projection_with_crash_validates():
     assert proj.completed_rounds[1] < proj.min_round  # the crashed one lags
 
 
+def test_projection_rejects_a_receiver_that_missed_two_senders():
+    base = phase_king_lite(3)
+    proto = synchronizer_wrap(base, 3)
+    result = run_async((1, 0, 0), proto, RoundRobinScheduler(3), horizon=200)
+    states = [s.internal for s in result.final_state.states]
+    (_, _, out), *later = states[1].log
+    states[1] = states[1]._replace(log=((1, (), out), *later))  # round 1 delivers nothing
+    with pytest.raises(AdversimError, match="process 1 missed 2 senders in round 1"):
+        project_synchronized_run(states, None, base, (1, 0, 0))
+
+
 def test_projection_trace_is_plain_ftr():
     base = phase_king_lite(3)
     proto = synchronizer_wrap(base, 3)
