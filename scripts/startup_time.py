@@ -7,6 +7,11 @@ shared machine affects them alike.  The script prints, per case, the median
 wall time over the passes and the spread between its quartiles, and exits 1
 if any run fails.
 
+One case times ``main`` inside a single fresh interpreter instead: after a
+first call, it calls ``main(["validate", "attack.trace.jsonl"])`` 20 more times
+and reports the median of those calls, which is what an in-process caller
+pays per command once its imports and parser are in place.
+
     python scripts/startup_time.py                 # this checkout
     python scripts/startup_time.py --src OTHER/src # another checkout
 """
@@ -23,7 +28,20 @@ import time
 from pathlib import Path
 
 REPEAT = 15  # passes over the cases
+CALLS = 20  # in-process calls timed after the first
 _PKL = ["--protocol", "phase-king-lite"]
+# times repeated main calls in one interpreter and prints their median
+_PER_CALL = f"""
+import statistics, sys, time
+from adversim.cli import main
+main(sys.argv[1:])
+times = []
+for _ in range({CALLS}):
+    start = time.perf_counter()
+    main(sys.argv[1:])
+    times.append(time.perf_counter() - start)
+print(statistics.median(times))
+"""
 CASES = (
     ("python -c pass", ["-c", "pass"]),
     ("import adversim.cli", ["-c", "import adversim.cli"]),
@@ -32,6 +50,8 @@ CASES = (
     # replays the trace the attack case just wrote into the output directory
     ("adversim validate attack.trace.jsonl", ["-m", "adversim", "validate",
                                               "attack.trace.jsonl"]),
+    ("in-process validate, per call after the first", ["-c", _PER_CALL, "validate",
+                                                       "attack.trace.jsonl"]),
     ("adversim check --n 3 --depth 4", ["-m", "adversim", "check", *_PKL, "--n", "3",
                                         "--depth", "4"]),
     ("adversim run --model fts --n 5", ["-m", "adversim", "run", "--model", "fts", *_PKL,
@@ -57,12 +77,13 @@ def main(argv=None) -> int:
                 start = time.perf_counter()
                 proc = subprocess.run([sys.executable, *case], cwd=outdir, env=env,
                                       capture_output=True, text=True)
-                times[label].append(time.perf_counter() - start)
+                wall = time.perf_counter() - start
                 if proc.returncode != 0:
                     print(f"{label}: exit {proc.returncode}: {proc.stderr.strip()}",
                           file=sys.stderr)
                     return 1
-    print(f"median wall time over {REPEAT} fresh interpreters, python "
+                times[label].append(float(proc.stdout) if _PER_CALL in case else wall)
+    print(f"median wall time over {REPEAT} fresh interpreters (one per case and pass), python "
           f"{sys.version.split()[0]}, src {args.src}")
     for label, samples in times.items():
         q1, median, q3 = statistics.quantiles(samples, n=4)

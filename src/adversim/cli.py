@@ -17,6 +17,7 @@ derived streams, so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import random
@@ -434,7 +435,13 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command grammar, built on first use and shared by every later
+    ``main`` call in the process: ``parse_args`` returns a fresh namespace
+    and leaves the parser as it was.  So each subcommand's ``func`` is the
+    ``cmd_*`` bound at that first build; the engines a command calls are
+    still looked up when it runs."""
     parser = _Parser(prog="adversim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -132,10 +132,13 @@ def core_set(delivery: Mapping[Pid, Iterable[Pid]], n: int) -> set[Pid]:
     }
 
 
-def classify_delivery(delivery: Mapping[Pid, Iterable[Pid]], n: int) -> RoundFault:
+def classify_delivery(
+    delivery: Mapping[Pid, Iterable[Pid]], n: int, script: Optional[Sequence[ReceiveFault]] = None
+) -> RoundFault:
     """Express one simulated round's delivery pattern as a fail-to-send
     fault, or fail if the pattern is outside the model (two distinct senders
-    missed, i.e. the common core fell below n-1)."""
+    missed, i.e. the common core fell below n-1), attaching ``script``, the
+    round's three-phase fault script, to the error when given."""
     missing: dict[Pid, list[Pid]] = {}
     for q in range(n):
         got = set(delivery[q])
@@ -146,7 +149,7 @@ def classify_delivery(delivery: Mapping[Pid, Iterable[Pid]], n: int) -> RoundFau
         return NO_FAULT
     if len(missing) > 1:
         raise EmulationLemmaViolation(
-            f"multiple senders missed in one simulated round: {sorted(missing)}"
+            f"multiple senders missed in one simulated round: {sorted(missing)}", script=script
         )
     ((sender, victims),) = missing.items()
     return RoundFault(sender, victims)
@@ -193,18 +196,12 @@ def getcore_rounds(
             if r != sim_round:
                 raise AdversimError("wrapped run out of lockstep across processes")
             delivery[q] = tuple(s for s in senders if s != q)
-        core = tuple(sorted(core_set(delivery, n)))
-        if len(core) < n - 1:
-            raise EmulationLemmaViolation(
-                f"simulated round {sim_round}: core {core} smaller than n-1",
-                script=script,
-            )
         reports.append(
             SimulatedRound(
                 sim_round=sim_round,
                 delivery=delivery,
-                core=core,
-                fault=classify_delivery(delivery, n),
+                core=tuple(sorted(core_set(delivery, n))),
+                fault=classify_delivery(delivery, n, script),
             )
         )
     return reports

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from adversim import protocols
+from adversim import cli, protocols
 from adversim.cli import main
 from conftest import FloodMin, run_adversim
 
@@ -465,6 +465,39 @@ def test_seeded_commands_byte_identical_across_processes(tmp_path):
     a = (tmp_path / "a" / "trace.jsonl").read_bytes()
     b = (tmp_path / "b" / "trace.jsonl").read_bytes()
     assert a == b
+
+
+def test_parser_built_once_and_calls_share_no_state(tmp_path, monkeypatch, capsys):
+    """After its first call, ``main`` reuses one parser, and each later call
+    exits and reports as the same command does in a fresh process: a flag of
+    one call is never a default of the next."""
+    run_cli(["validate", "missing.jsonl"], cwd=tmp_path)
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    check = ["check", *_PK3, "--depth", "2"]
+    run = ["run", "--model", "fts", *_PK3, "--inputs", "1,0,0", "--adversary", "random",
+           "--seed", "1", "--horizon", "4", "--out", "t.jsonl"]
+    codes, traces = [], []
+    for args in ([*check, "--mode", "fuzz", "--seed", "3", "--runs", "5"],
+                 [*check, "--mode", "exhaustive"], [*run, "--restricted"], run):
+        capsys.readouterr()
+        codes.append(run_cli(args, cwd=tmp_path))
+        err = capsys.readouterr().err
+        trace = (tmp_path / "t.jsonl").read_bytes() if args[0] == "run" else None
+        fresh = run_adversim(args, tmp_path)
+        assert (codes[-1], err) == (fresh.returncode, fresh.stderr), args
+        if trace is not None:
+            assert trace == (tmp_path / "t.jsonl").read_bytes(), args
+            traces.append(trace)
+    assert built == []
+    assert codes == [0, 0, 0, 0]
+    assert traces[0] != traces[1]  # the restricted run drew other faults
 
 
 # -- bad input fails closed ---------------------------------------------------------

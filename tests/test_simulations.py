@@ -323,6 +323,28 @@ def test_core_set_and_classify_hand_cases():
         classify_delivery(broken, 3)
 
 
+def test_gather_refuses_two_payloads_for_one_sender():
+    wrapper = get_core_wrap(phase_king_lite(3), 3)
+    state = wrapper.init(0, 1)._replace(phase=3, seen=frozenset({(1, b"0"), (1, b"1")}))
+    with pytest.raises(AdversimError) as exc:
+        wrapper.transition(state, 3, {})
+    assert str(exc.value) == "two payloads for sender 1 in one simulated round"
+
+
+def test_getcore_rounds_attaches_script_when_two_senders_missed():
+    faults = enumerate_faults("ftr", 3)[:3]
+    _, result = _wrapped_run(3, (1, 0, 0), faults)
+    config = result.configs[3]
+    deaf = config.states[0]._replace(
+        internal=config.states[0].internal._replace(last_delivery=(1, (0,)))
+    )
+    configs = [*result.configs[:3], config._replace(states=(deaf, *config.states[1:]))]
+    with pytest.raises(EmulationLemmaViolation) as exc:
+        getcore_rounds(configs, faults)
+    assert str(exc.value).startswith("multiple senders missed in one simulated round: [1, 2]")
+    assert exc.value.script == faults[0:3]
+
+
 def test_lemma_violation_carries_script():
     err = EmulationLemmaViolation("core too small", script=[ReceiveFault({0: 1})])
     assert err.script is not None
