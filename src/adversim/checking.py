@@ -12,14 +12,14 @@ its faults, from one stream seeded by (seed, run index) alone, so a reported
 counterexample replays in isolation.  A fuzz round is checked only when it
 writes an output: the check reads only inputs and outputs, and an unchanged
 output set passed when it was written.
-Fuzz runs revisit the same configurations often, so one fuzz call (and one
-liveness check) shares a single expansion table across all its runs: each
-configuration's broadcast and each (receiver, missed sender) transition is
-computed once per call.  That is exact.  Protocols are pure, the key is the
-whole configuration with its round, the table lives for one call with one
-protocol, and a failing ``message()`` or ``transition()`` stores nothing; so
-every run draws the same faults, reaches the same configurations and gives
-the same verdict, count and trace as it would stepping afresh.
+Fuzz runs revisit the same configurations often, so one fuzz call shares a
+single expansion table across all its runs: each configuration's broadcast
+and each (receiver, missed sender) transition is computed once per call.
+That is exact.  Protocols are pure, the key is the whole configuration with
+its round, the table lives for one call with one protocol, and a failing
+``message()`` or ``transition()`` stores nothing; so every run draws the same
+faults, reaches the same configurations and gives the same verdict, count and
+trace as it would stepping afresh.
 Both modes return the first violation together with a replayable trace.
 """
 
@@ -35,8 +35,6 @@ from .core import (
     BudgetExceeded,
     Configuration,
     ExecutionTrace,
-    NO_DROPS,
-    NO_FAULT,
     RoundProtocol,
     check_colorless_outcome,
     initial_configuration,
@@ -46,7 +44,6 @@ from .sync_engine import (
     enumerate_faults,
     random_faults,
     run,
-    silence,
     step_fts,
     step_ftr,
     successors,
@@ -217,38 +214,3 @@ def check_fuzz(
             before = after
     return CheckResult(violation=None, explored=explored)
 
-
-class LivenessFailure(NamedTuple):
-    inputs: tuple[int, ...]
-    policy: str
-    undecided: tuple[int, ...]
-
-
-def check_liveness(
-    protocol: RoundProtocol, n: int, deadline: int = 6, model: str = "fts"
-) -> list[LivenessFailure]:
-    """Every failure-free and every single-silenced run, from every input
-    vector, must fully decide within ``deadline`` rounds.  The runs share one
-    expansion table, as in ``check_fuzz``."""
-    failures = []
-    adversaries = [("failure-free", NO_FAULT if model == "fts" else NO_DROPS)] + [
-        (f"silent({p})", silence(p, n, model)) for p in range(n)
-    ]
-    step = step_fts if model == "fts" else step_ftr
-    table: ExpansionTable = {}
-    for bits in product((0, 1), repeat=n):
-        initial = initial_configuration(protocol, bits)
-        for name, fault in adversaries:
-            config = initial
-            for _ in range(deadline):
-                if config.all_decided():
-                    break
-                config = step(config, protocol, fault, table)
-            if not config.all_decided():
-                undecided = tuple(
-                    q for q in range(n) if config.states[q].output is None
-                )
-                failures.append(
-                    LivenessFailure(inputs=bits, policy=name, undecided=undecided)
-                )
-    return failures

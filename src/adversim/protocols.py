@@ -126,23 +126,11 @@ class Constant(RoundProtocol):
         return internal, self.b if round == 1 else None
 
 
-def phase_king_lite(n: int) -> RoundProtocol:
-    return PhaseKingLite(n)
-
-
-def naive_majority(n: int) -> RoundProtocol:
-    return NaiveMajority(n)
-
-
-def constant(b: int) -> RoundProtocol:
-    return Constant(b)
-
-
 _REGISTRY = {
-    "phase-king-lite": phase_king_lite,
-    "naive-majority": naive_majority,
-    "constant-0": lambda n: constant(0),
-    "constant-1": lambda n: constant(1),
+    "phase-king-lite": PhaseKingLite,
+    "naive-majority": NaiveMajority,
+    "constant-0": lambda n: Constant(0),
+    "constant-1": lambda n: Constant(1),
 }
 
 

@@ -66,7 +66,7 @@ class GetCoreState(NamedTuple):
     inner: Any
     sim_round: int
     phase: int  # 1..3 within the current simulated round
-    seen: frozenset  # (sender, payload) pairs gathered this simulated round
+    seen: frozenset  # (sender, payload) pairs gathered this simulated round, own included
     last_delivery: Optional[tuple[int, tuple[Pid, ...]]] = None  # analysis aid
 
 
@@ -74,7 +74,9 @@ class GetCoreWrapper(RoundProtocol):
     """Runs a fail-to-send protocol on the fail-to-receive engine, three real
     rounds per simulated round.  Broadcasts accumulate: each phase a process
     sends everything it has gathered, own message included, which is what
-    guarantees the common core of n-1 senders."""
+    guarantees the common core of n-1 senders.  Each simulated round starts
+    with the process's own entry in its gathered set, so an echo of that
+    entry changes no state."""
 
     def __init__(self, inner: RoundProtocol, n: int):
         if n < 3:
@@ -84,52 +86,39 @@ class GetCoreWrapper(RoundProtocol):
         self.protocol_id = f"fts-over-ftr:{inner.protocol_id}"
 
     def init(self, pid: Pid, input: int) -> GetCoreState:
-        return GetCoreState(
-            pid=pid, inner=self.inner.init(pid, input), sim_round=1, phase=1, seen=frozenset()
-        )
+        inner = self.inner.init(pid, input)
+        own = frozenset({(pid, self.inner.message(inner, 1))})
+        return GetCoreState(pid=pid, inner=inner, sim_round=1, phase=1, seen=own)
 
     def message(self, internal: GetCoreState, round: int) -> Payload:
-        own = (internal.pid, self.inner.message(internal.inner, internal.sim_round))
-        return tuple(sorted(internal.seen | {own}))
+        return tuple(sorted(internal.seen))
 
     def transition(
         self, internal: GetCoreState, round: int, received: Mapping[Pid, Payload]
     ) -> tuple[GetCoreState, Optional[int]]:
-        merged = set(internal.seen)
-        for entries in received.values():
-            merged.update(entry for entry in entries if entry[0] != internal.pid)
+        merged = internal.seen.union(*received.values())
         if internal.phase < 3:
-            return internal._replace(phase=internal.phase + 1, seen=frozenset(merged)), None
+            return internal._replace(phase=internal.phase + 1, seen=merged), None
         delivered: dict[Pid, Payload] = {}
         for sender, payload in sorted(merged):
+            if sender == internal.pid:
+                continue  # a process does not deliver its own message
             if sender in delivered and delivered[sender] != payload:
                 raise AdversimError(f"two payloads for sender {sender} in one simulated round")
             delivered[sender] = payload
         inner, out = self.inner.transition(internal.inner, internal.sim_round, delivered)
+        sim_round = internal.sim_round + 1
         return (
             GetCoreState(
                 pid=internal.pid,
                 inner=inner,
-                sim_round=internal.sim_round + 1,
+                sim_round=sim_round,
                 phase=1,
-                seen=frozenset(),
+                seen=frozenset({(internal.pid, self.inner.message(inner, sim_round))}),
                 last_delivery=(internal.sim_round, tuple(sorted(delivered))),
             ),
             out,
         )
-
-
-def get_core_wrap(inner: RoundProtocol, n: int) -> RoundProtocol:
-    return GetCoreWrapper(inner, n)
-
-
-def core_set(delivery: Mapping[Pid, Iterable[Pid]], n: int) -> set[Pid]:
-    """Senders whose simulated message every other process delivered."""
-    return {
-        s
-        for s in range(n)
-        if all(s in set(delivery[q]) for q in range(n) if q != s)
-    }
 
 
 def classify_delivery(
@@ -196,13 +185,11 @@ def getcore_rounds(
             if r != sim_round:
                 raise AdversimError("wrapped run out of lockstep across processes")
             delivery[q] = tuple(s for s in senders if s != q)
+        fault = classify_delivery(delivery, n, script)
+        # a legal round misses at most one sender: the core is everyone else
+        core = tuple(s for s in range(n) if s != fault.sender or not fault.victims)
         reports.append(
-            SimulatedRound(
-                sim_round=sim_round,
-                delivery=delivery,
-                core=tuple(sorted(core_set(delivery, n))),
-                fault=classify_delivery(delivery, n, script),
-            )
+            SimulatedRound(sim_round=sim_round, delivery=delivery, core=core, fault=fault)
         )
     return reports
 
@@ -304,10 +291,6 @@ class SynchronizerWrapper(AsyncProtocol):
             sends,
             output,
         )
-
-
-def synchronizer_wrap(inner: RoundProtocol, n: int) -> AsyncProtocol:
-    return SynchronizerWrapper(inner, n)
 
 
 class SynchronizerProjection(NamedTuple):
@@ -493,10 +476,6 @@ class PiggybackWrapper(RoundProtocol):
         )
 
 
-def piggyback_wrap(inner: AsyncProtocol, n: int) -> RoundProtocol:
-    return PiggybackWrapper(inner, n)
-
-
 class LedgerEntry(NamedTuple):
     sender: Pid
     seq: int
@@ -557,9 +536,9 @@ def piggyback_ledger(config: Configuration) -> list[LedgerEntry]:
 # ---------------------------------------------------------------------------
 
 _WRAPPERS = {
-    ("fts", "ftr"): get_core_wrap,
-    ("ftr", "flp"): synchronizer_wrap,
-    ("flp", "ftr"): piggyback_wrap,
+    ("fts", "ftr"): GetCoreWrapper,
+    ("ftr", "flp"): SynchronizerWrapper,
+    ("flp", "ftr"): PiggybackWrapper,
 }
 
 
@@ -584,7 +563,7 @@ def build_stack(stack: str, base_id: str, n: int):
     models = _stack_models(stack)
     protocol = get_protocol(base_id, n)
     if models[0] == "flp" and isinstance(protocol, RoundProtocol):
-        protocol = synchronizer_wrap(protocol, n)
+        protocol = SynchronizerWrapper(protocol, n)
     elif models[0] != "flp" and isinstance(protocol, AsyncProtocol):
         raise UnknownProtocolError(
             f"{base_id!r} is asynchronous; stack {stack!r} starts at round model {models[0]!r}"

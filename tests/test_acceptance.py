@@ -9,28 +9,37 @@ import itertools
 import json
 import random
 import time
+from functools import partial
 
 import pytest
 from conftest import run_adversim, verify_witness
 
 from adversim import checking
 from adversim.async_engine import SeededFairScheduler, run_async
-from adversim.core import ExecutionTrace, ReceiveFault, initial_configuration, validate_trace
+from adversim.core import (
+    ExecutionTrace,
+    OracleCapExceeded,
+    ReceiveFault,
+    initial_configuration,
+    validate_trace,
+)
 from adversim.nondecider import (
     build_nondeciding_execution,
     default_cap,
     extend_dependent,
+    failure_free_decision,
     find_initial_dependent,
     is_p_dependent,
+    silent_decision,
 )
-from adversim.protocols import get_protocol, phase_king_lite
+from adversim.protocols import PhaseKingLite, get_protocol
 from adversim.simulations import (
-    get_core_wrap,
+    GetCoreWrapper,
+    PiggybackWrapper,
+    SynchronizerWrapper,
     getcore_rounds,
     piggyback_ledger,
-    piggyback_wrap,
     project_synchronized_run,
-    synchronizer_wrap,
 )
 from adversim.sync_engine import enumerate_faults, run, silence, step_fts
 
@@ -63,9 +72,9 @@ def test_acceptance_1_attack_demo(n, tmp_path):
     trace = ExecutionTrace.read(tmp_path / "t.jsonl")
 
     # fresh re-verification of every witness against the deterministic rebuild
-    result = build_nondeciding_execution(phase_king_lite(n), n, rounds=30)
+    result = build_nondeciding_execution(PhaseKingLite(n), n, rounds=30)
     cap = default_cap(n)
-    verified = all(verify_witness(e.witness, phase_king_lite(n), cap) for e in result.witnesses)
+    verified = all(verify_witness(e.witness, PhaseKingLite(n), cap) for e in result.witnesses)
 
     ok = (
         proc.returncode == 0
@@ -89,7 +98,7 @@ def test_acceptance_1_attack_demo(n, tmp_path):
 
 
 def test_acceptance_2_initial_dependence_brute_force():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     cap = default_cap(3)
     brute = set()
     for inputs in itertools.product((0, 1), repeat=3):
@@ -111,7 +120,7 @@ def test_acceptance_2_initial_dependence_brute_force():
 
 
 def test_acceptance_3_extension_brute_force_ten_rounds():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     cap = default_cap(3)
     faults = enumerate_faults("fts", 3)
     attack = build_nondeciding_execution(pk, 3, rounds=10)
@@ -140,8 +149,8 @@ def test_acceptance_4_restricted_negative(tmp_path):
          "--rounds", "30", "--out", "t.jsonl", "--report", "r.jsonl"],
         cwd=tmp_path,
     )
-    restricted = build_nondeciding_execution(phase_king_lite(3), 3, rounds=30, restricted=True)
-    unrestricted = build_nondeciding_execution(phase_king_lite(3), 3, rounds=30)
+    restricted = build_nondeciding_execution(PhaseKingLite(3), 3, rounds=30, restricted=True)
+    unrestricted = build_nondeciding_execution(PhaseKingLite(3), 3, rounds=30)
     r = restricted.exhausted_at
     ok = (
         proc.returncode == 0
@@ -164,7 +173,7 @@ def test_acceptance_4_restricted_negative(tmp_path):
 
 def test_acceptance_5_target_correctness():
     start = time.time()
-    pk3 = phase_king_lite(3)
+    pk3 = PhaseKingLite(3)
     exhaustive = checking.check_exhaustive(pk3, 3, depth=4, model="fts")
     fuzz_ok = True
     fuzz_counts = []
@@ -174,18 +183,28 @@ def test_acceptance_5_target_correctness():
         )
         fuzz_ok = fuzz_ok and result.ok
         fuzz_counts.append(result.explored)
+    # every failure-free and single-silenced fts run, from every input vector,
+    # decides within 6 rounds: the decision oracles with cap 6, one memo per n
     liveness_failures = []
     for n in (3, 4, 5, 6):
-        liveness_failures.extend(
-            checking.check_liveness(get_protocol("phase-king-lite", n), n, deadline=6)
-        )
+        pk, memo = get_protocol("phase-king-lite", n), {}
+        for bits in itertools.product((0, 1), repeat=n):
+            config = initial_configuration(pk, bits)
+            probes = [partial(failure_free_decision, config, pk, 6)]
+            probes += [partial(silent_decision, config, p, pk, 6) for p in range(n)]
+            for probe in probes:
+                try:
+                    probe(memo=memo)
+                except OracleCapExceeded as exc:
+                    liveness_failures.append((bits, str(exc)))
     elapsed = time.time() - start
     ok = exhaustive.ok and fuzz_ok and not liveness_failures and elapsed < 300
     _report(
         5,
         ok,
         f"exhaustive d4 clean ({exhaustive.explored} rounds), fuzz 3x100k clean, "
-        f"liveness by round 6 clean, {elapsed:.0f}s < 300s",
+        f"{len(liveness_failures)} benign runs undecided by round 6 {liveness_failures[:2]}, "
+        f"{elapsed:.0f}s < 300s",
     )
 
 
@@ -218,7 +237,7 @@ def test_acceptance_6_negative_controls():
 def test_acceptance_7_core_lemma():
     start = time.time()
     n = 3
-    wrapped = get_core_wrap(phase_king_lite(n), n)
+    wrapped = GetCoreWrapper(PhaseKingLite(n), n)
     base_config = initial_configuration(wrapped, (1, 0, 0))
     faults = enumerate_faults("ftr", n)
     worst = n
@@ -232,7 +251,7 @@ def test_acceptance_7_core_lemma():
 
     fuzz_ok = True
     for nn in (4, 5):
-        w = get_core_wrap(phase_king_lite(nn), nn)
+        w = GetCoreWrapper(PhaseKingLite(nn), nn)
         cfg = initial_configuration(w, tuple((i * 7 + 1) % 2 for i in range(nn)))
         fs = enumerate_faults("ftr", nn)
         rng = random.Random(520 + nn)
@@ -257,7 +276,7 @@ def test_acceptance_7_core_lemma():
 
 def test_acceptance_8_synchronizer_faithfulness():
     n = 4
-    base = phase_king_lite(n)
+    base = PhaseKingLite(n)
     horizon = 500
     bad = []
     for i in range(1_000):
@@ -265,7 +284,7 @@ def test_acceptance_8_synchronizer_faithfulness():
         crash = None
         if rng.random() < 0.5:
             crash = (rng.randrange(n), rng.randrange(350))
-        proto = synchronizer_wrap(base, n)
+        proto = SynchronizerWrapper(base, n)
         sched = SeededFairScheduler(n, checking.stream_seed(8_800, "seed", i), crash=crash)
         inputs = tuple(rng.randrange(2) for _ in range(n))
         result = run_async(inputs, proto, sched, horizon=horizon)
@@ -290,7 +309,7 @@ def test_acceptance_9_piggyback_liveness():
     horizon = 50
 
     def fresh():
-        return piggyback_wrap(synchronizer_wrap(phase_king_lite(n), n), n)
+        return PiggybackWrapper(SynchronizerWrapper(PhaseKingLite(n), n), n)
 
     # scripted adversaries: one rotating drop per round; nobody silenced for long
     scripts = {

@@ -17,12 +17,12 @@ from adversim.async_engine import (
     step_async,
 )
 from adversim.core import AdversimError, AsyncProtocol, FlpStep, LocalState
-from adversim.protocols import phase_king_lite
-from adversim.simulations import synchronizer_wrap
+from adversim.protocols import PhaseKingLite
+from adversim.simulations import SynchronizerWrapper
 
 
 def _sync(n=3):
-    return synchronizer_wrap(phase_king_lite(n), n)
+    return SynchronizerWrapper(PhaseKingLite(n), n)
 
 
 def test_first_step_sends_without_delivery():

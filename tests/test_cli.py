@@ -766,10 +766,10 @@ def test_count_below_minimum_is_usage_error(tmp_path, args, flag):
 def test_check_fuzz_rejects_bad_counts(runs, depth):
     from adversim.checking import check_fuzz
     from adversim.core import AdversimError
-    from adversim.protocols import phase_king_lite
+    from adversim.protocols import PhaseKingLite
 
     with pytest.raises(AdversimError, match="must be >= 1"):
-        check_fuzz(phase_king_lite(3), 3, runs=runs, depth=depth, seed=1)
+        check_fuzz(PhaseKingLite(3), 3, runs=runs, depth=depth, seed=1)
 
 
 @pytest.mark.parametrize(
@@ -857,10 +857,10 @@ def test_flag_the_engine_never_reads_fails_closed(tmp_path, args, flag):
 def test_check_fuzz_rejects_restricted_ftr():
     from adversim.checking import check_fuzz
     from adversim.core import AdversimError
-    from adversim.protocols import phase_king_lite
+    from adversim.protocols import PhaseKingLite
 
     with pytest.raises(AdversimError, match="fail-to-send model only"):
-        check_fuzz(phase_king_lite(3), 3, runs=10, depth=4, seed=1, model="ftr", restricted=True)
+        check_fuzz(PhaseKingLite(3), 3, runs=10, depth=4, seed=1, model="ftr", restricted=True)
 
 
 def test_unexpected_exception_is_one_line_internal_error(monkeypatch, capsys):

@@ -30,7 +30,7 @@ from adversim.core import (
     validate_trace,
 )
 from adversim.nondecider import DependenceWitness
-from adversim.protocols import phase_king_lite
+from adversim.protocols import PhaseKingLite
 from adversim.sync_engine import run, silence
 
 
@@ -67,7 +67,7 @@ def test_output_register_rejects_non_binary_and_keeps_none():
 
 
 def test_local_state_and_configuration_are_plain_tuples():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     c = run(initial_configuration(pk, (1, 0, 1)), pk, "fts", (), horizon=3).final_config
     assert c.outputs()
     plain = (c.round, tuple(tuple(s) for s in c.states))
@@ -113,7 +113,7 @@ def test_empty_trace_round_trip_and_valid():
 
 
 def test_engine_trace_round_trips_bit_exact(tmp_path):
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     config = initial_configuration(pk, (1, 0, 0))
     trace = run(config, pk, "fts", repeat(silence(2, 3)), horizon=6).trace
     path = tmp_path / "t.jsonl"
@@ -124,7 +124,7 @@ def test_engine_trace_round_trips_bit_exact(tmp_path):
 
 
 def test_engine_trace_validates():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     config = initial_configuration(pk, (1, 0, 0))
     trace = run(config, pk, "fts", (), horizon=6).trace
     report = validate_trace(trace)
@@ -158,7 +158,7 @@ def test_trace_steps_are_plain_tuples():
     fault, drops = RoundFault(0, [1, 2]), ReceiveFault({1: 0})
     step = RoundStep(1, fault, ((1, 0),))
     trace = ExecutionTrace("fts", 3, "phase-king-lite", (1, 0, 1), (step,))
-    config = initial_configuration(phase_king_lite(3), (1, 0, 1))
+    config = initial_configuration(PhaseKingLite(3), (1, 0, 1))
     cases = [
         (step, (1, fault, ((1, 0),))),
         (RoundStep(2, drops, ()), (2, drops, ())),
@@ -190,8 +190,8 @@ def test_cli_import_loads_no_dataclasses_or_inspect(tmp_path):
     plain protocol loads no simulation, checker, adversary or asynchronous
     engine.  Every public name of the package still resolves."""
     trace = tmp_path / "fts.jsonl"
-    config = initial_configuration(phase_king_lite(3), (1, 0, 0))
-    run(config, phase_king_lite(3), "fts", repeat(silence(1, 3)), 6).trace.write(trace)
+    config = initial_configuration(PhaseKingLite(3), (1, 0, 0))
+    run(config, PhaseKingLite(3), "fts", repeat(silence(1, 3)), 6).trace.write(trace)
     code = textwrap.dedent(
         """
         import sys
@@ -285,7 +285,7 @@ def test_validator_flags_duplicate_round_as_multiple_senders():
 
 
 def test_validator_flags_output_divergence():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     config = initial_configuration(pk, (1, 1, 1))
     trace = run(config, pk, "fts", (), horizon=2).trace
     # flip one recorded output bit

@@ -25,7 +25,7 @@ from adversim.nondecider import (
     report_records,
     silent_decision,
 )
-from adversim.protocols import naive_majority, phase_king_lite
+from adversim.protocols import NaiveMajority, PhaseKingLite
 from adversim.sync_engine import NO_FAULT, RoundFault, enumerate_faults, run, step_fts
 
 CAP = default_cap(3)
@@ -39,7 +39,7 @@ def _all_inputs(n):
 
 
 def test_failure_free_decision_unanimous():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     assert failure_free_decision(initial_configuration(pk, (0, 0, 0)), pk, CAP).decision == 0
     assert failure_free_decision(initial_configuration(pk, (1, 1, 1)), pk, CAP).decision == 1
 
@@ -47,7 +47,7 @@ def test_failure_free_decision_unanimous():
 def test_failure_free_decision_is_input_majority():
     # Independent oracle: failure-free phase 1 gives every process the full
     # input multiset, so the phase-1 majority is the decision.
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     for inputs in _all_inputs(3):
         majority = 1 if sum(inputs) > 3 - sum(inputs) else 0
         result = failure_free_decision(initial_configuration(pk, inputs), pk, CAP)
@@ -56,7 +56,7 @@ def test_failure_free_decision_is_input_majority():
 
 
 def test_silent_decision_unanimous_validity():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     for b in (0, 1):
         config = initial_configuration(pk, (b, b, b))
         for p in range(3):
@@ -65,7 +65,7 @@ def test_silent_decision_unanimous_validity():
 
 def test_silent_decision_after_unanimity_converges():
     # two fault-free rounds from unanimous inputs leave all preferences at b
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     for b in (0, 1):
         result = run(initial_configuration(pk, (b, b, b)), pk, "fts", (), horizon=2)
         config = result.final_config
@@ -75,7 +75,7 @@ def test_silent_decision_after_unanimity_converges():
 
 def test_silent_decision_persists_through_full_silence_step():
     # silencing p for one round does not change the p-silent decision
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     for inputs in _all_inputs(3):
         for p in range(3):
             config = initial_configuration(pk, inputs)
@@ -87,7 +87,7 @@ def test_silent_decision_persists_through_full_silence_step():
 
 def test_silent_decision_persists_on_attack_reachable_configs():
     # the same suffix-closure property, probed deep inside an attack
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     attack = build_nondeciding_execution(pk, 3, rounds=12)
     for entry in attack.witnesses:
         config = entry.witness.config
@@ -117,7 +117,7 @@ def test_oracle_cap_exceeded_on_non_deciding_target():
 
 
 def test_oracle_agreement_violation_carries_trace():
-    nm = naive_majority(3)
+    nm = NaiveMajority(3)
     config = step_fts(initial_configuration(nm, (0, 1, 1)), nm, RoundFault(1, [0]))
     with pytest.raises(AgreementViolation) as info:
         failure_free_decision(config, nm, CAP)
@@ -143,14 +143,14 @@ def test_restricted_attack_raises_out_of_model_probe():
 
 
 def test_all_zero_initial_never_dependent():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     config = initial_configuration(pk, (0, 0, 0))
     for p in range(3):
         assert is_p_dependent(config, p, pk, CAP) is None
 
 
 def test_dependence_witness_verifies():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     witness = find_initial_dependent(pk, 3)
     assert witness.ff_decision != witness.silent_decision
     assert verify_witness(witness, pk, CAP)
@@ -159,7 +159,7 @@ def test_dependence_witness_verifies():
 
 
 def test_decided_configuration_never_yields_witness():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     result = run(initial_configuration(pk, (1, 1, 1)), pk, "fts", (), horizon=2)
     config = result.final_config
     assert config.all_decided()
@@ -178,7 +178,7 @@ def _two_config_chain(pk, inputs_a, inputs_b, p):
 
 def test_chain_scan_case_silent_disagrees_with_right_end():
     # silent decision at c_1 differs from ff(c_1): c_1 itself is dependent
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     a, b, chain = _two_config_chain(pk, (1, 0, 0), (1, 1, 0), 1)
     assert failure_free_decision(a, pk, CAP).decision == 0
     assert failure_free_decision(b, pk, CAP).decision == 1
@@ -191,7 +191,7 @@ def test_chain_scan_case_silent_disagrees_with_right_end():
 def test_chain_scan_case_silent_agrees_with_right_end():
     # silent decision at c_1 equals ff(c_1): dependence falls back to c_0,
     # because the silent runs from both ends coincide
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     found = None
     for inputs_a, inputs_b, p in _adjacent_input_pairs(3):
         a = initial_configuration(pk, inputs_a)
@@ -225,7 +225,7 @@ def _assert_adjacent(configs, differing):
 
 
 def test_chain_scan_requires_flip():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     a = initial_configuration(pk, (0, 0, 0))
     b = initial_configuration(pk, (0, 1, 0))  # both ff-decide 0
     with pytest.raises(NoFlipInChain):
@@ -236,7 +236,7 @@ def test_chain_scan_requires_flip():
 
 
 def test_initial_chain_construction_properties():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     config = find_initial_dependent(pk, 3).config
     # endpoints of the monotone chain decide 0 and 1 by validity
     assert failure_free_decision(initial_configuration(pk, (0, 0, 0)), pk, CAP).decision == 0
@@ -247,7 +247,7 @@ def test_initial_chain_construction_properties():
 
 
 def test_initial_dependent_matches_brute_force():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     brute = set()
     for inputs in _all_inputs(3):
         config = initial_configuration(pk, inputs)
@@ -260,7 +260,7 @@ def test_initial_dependent_matches_brute_force():
 
 
 def test_monotone_chain_adjacency():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     configs = [
         initial_configuration(pk, tuple(1 if j < i else 0 for j in range(3)))
         for i in range(4)
@@ -272,7 +272,7 @@ def test_monotone_chain_adjacency():
 
 
 def test_extension_returns_verified_dependent_successor():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     witness = find_initial_dependent(pk, 3)
     ext = extend_dependent(witness, pk)
     assert ext.fault.sender == witness.process
@@ -282,7 +282,7 @@ def test_extension_returns_verified_dependent_successor():
 
 
 def test_extension_chain_is_adjacent():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     witness = find_initial_dependent(pk, 3)
     config, p = witness.config, witness.process
     others = [q for q in range(3) if q != p]
@@ -294,7 +294,7 @@ def test_extension_chain_is_adjacent():
 
 def test_extension_endpoint_identities():
     # ff(c_n) is the opposite of the silent decision; ff(c_1) splits the cases
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     attack = build_nondeciding_execution(pk, 3, rounds=8)
     for entry in attack.witnesses:
         config, p = entry.witness.config, entry.witness.process
@@ -305,7 +305,7 @@ def test_extension_endpoint_identities():
 
 
 def test_extension_brute_force_membership_ten_rounds():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     faults = enumerate_faults("fts", 3)
     attack = build_nondeciding_execution(pk, 3, rounds=10)
     for entry in attack.witnesses[:-1]:
@@ -324,7 +324,7 @@ def test_extension_brute_force_membership_ten_rounds():
 
 def test_extension_case_full_silence_occurs():
     # the attack must exercise the branch where full silence itself flips
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     attack = build_nondeciding_execution(pk, 3, rounds=20)
     full = [e for e in attack.witnesses[1:] if len(e.fault.victims) == 2]
     partial = [e for e in attack.witnesses[1:] if len(e.fault.victims) < 2]
@@ -395,7 +395,7 @@ def _attack_witnesses(pk, n):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_extension_matches_stepped_chain(n):
-    pk = phase_king_lite(n)
+    pk = PhaseKingLite(n)
     cap = default_cap(n)
     memo, reference_memo = {}, {}
     outcomes = set()
@@ -435,7 +435,7 @@ def _drawn(configs, log):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_chain_scan_matches_eager_scan_and_stops_at_first_flip(n, monkeypatch):
-    pk = phase_king_lite(n)
+    pk = PhaseKingLite(n)
     cap = default_cap(n)
     ff_probes = []
 
@@ -467,7 +467,7 @@ def test_chain_scan_matches_eager_scan_and_stops_at_first_flip(n, monkeypatch):
 def test_extension_probes_each_chain_entry_once(n, monkeypatch):
     # c_1's failure-free decision from the full-silence test is the chain
     # scan's first entry too: each entry drawn is probed once, in order.
-    pk = phase_king_lite(n)
+    pk = PhaseKingLite(n)
     cap = default_cap(n)
     ff_probes, drawn = [], []
 
@@ -492,7 +492,7 @@ def test_extension_probes_each_chain_entry_once(n, monkeypatch):
 
 
 def test_attack_single_round():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     result = build_nondeciding_execution(pk, 3, rounds=1)
     assert result.rounds_built == 1
     assert result.outputs_written() == 0
@@ -502,7 +502,7 @@ def test_attack_single_round():
 
 
 def test_attack_thirty_rounds_no_outputs():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     result = build_nondeciding_execution(pk, 3, rounds=30)
     assert result.rounds_built == 30
     assert result.outputs_written() == 0
@@ -513,21 +513,21 @@ def test_attack_thirty_rounds_no_outputs():
 def test_attack_trace_replays_clean():
     from adversim.core import validate_trace
 
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     result = build_nondeciding_execution(pk, 3, rounds=15)
     report = validate_trace(result.trace)
     assert report.valid, report.problems
 
 
 def test_restricted_attack_exhausts():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     result = build_nondeciding_execution(pk, 3, rounds=50, restricted=True)
     assert result.exhausted_at is not None
     assert result.outputs_written() == 0
 
 
 def test_restricted_extension_raises_chain_exhausted():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     result = build_nondeciding_execution(pk, 3, rounds=50, restricted=True)
     # re-create the failing extension call at the exhaustion point
     entry = result.witnesses[-1]
@@ -536,7 +536,7 @@ def test_restricted_extension_raises_chain_exhausted():
 
 
 def test_restricted_faults_never_full_silence():
-    pk = phase_king_lite(5)
+    pk = PhaseKingLite(5)
     result = build_nondeciding_execution(pk, 5, rounds=40, restricted=True)
     for step in result.trace.steps:
         assert len(step.fault.victims) <= 3  # n-2
@@ -545,7 +545,7 @@ def test_restricted_faults_never_full_silence():
     # restricted rounds that do return.
     extended = 0
     for n in range(3, 9):
-        pk = phase_king_lite(n)
+        pk = PhaseKingLite(n)
         memo = {}
         for witness in _attack_witnesses(pk, n):
             try:
@@ -558,7 +558,7 @@ def test_restricted_faults_never_full_silence():
 
 
 def test_report_records_shape():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     result = build_nondeciding_execution(pk, 3, rounds=5)
     records = report_records(result)
     assert len(records) == 6
@@ -594,7 +594,7 @@ def test_memo_hit_beyond_cap_raises_like_fresh_probe():
     # The 0-silent probe from (1,1,0) needs 5 rounds.  Recording the probe
     # from two rounds in lets the full probe hit after k = 2 stepped rounds
     # with 3 rounds left: 5 in all.
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     start = initial_configuration(pk, (1, 1, 0))
     total = silent_decision(start, 0, pk, CAP).rounds_used
     assert total == 5
@@ -617,7 +617,7 @@ def test_memo_hit_beyond_cap_raises_like_fresh_probe():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_memoized_oracles_match_fresh_on_attack_configs(n):
-    pk = phase_king_lite(n)
+    pk = PhaseKingLite(n)
     cap = default_cap(n)
     configs = [e.witness.config for e in build_nondeciding_execution(pk, n, rounds=10).witnesses]
     memo = {}
@@ -641,7 +641,7 @@ def test_memoized_oracles_match_fresh_on_attack_configs(n):
 def test_memo_entries_never_cross_protocols(first):
     # Both protocols start from (input, False), so their initial
     # configurations are equal; one memo must still keep them apart.
-    nm, pk = naive_majority(3), phase_king_lite(3)
+    nm, pk = NaiveMajority(3), PhaseKingLite(3)
     protocols = [nm, pk] if first == "naive-majority" else [pk, nm]
     inputs = (1, 1, 0)
     assert initial_configuration(nm, inputs) == initial_configuration(pk, inputs)
@@ -655,7 +655,7 @@ def test_memo_entries_never_cross_protocols(first):
 
 
 def test_memoized_agreement_violation_carries_the_fresh_trace():
-    nm = naive_majority(3)
+    nm = NaiveMajority(3)
     config = step_fts(initial_configuration(nm, (0, 1, 1)), nm, RoundFault(1, [0]))
     memo = {}
     with pytest.raises(AgreementViolation) as fresh:
@@ -672,7 +672,7 @@ def test_memoized_agreement_violation_carries_the_fresh_trace():
 
 def _unperiodic(n):
     """Phase-king-lite declaring no period: the attack probes every round."""
-    pk = phase_king_lite(n)
+    pk = PhaseKingLite(n)
     pk.period = None
     return pk
 
@@ -689,7 +689,7 @@ def _attack_outcome(protocol, n, rounds, restricted=False):
 
 @pytest.mark.parametrize("n", range(3, 17))
 def test_lasso_attack_matches_unperiodic_attack_over_three_loops(n):
-    pk = phase_king_lite(n)
+    pk = PhaseKingLite(n)
     lasso = build_nondeciding_execution(pk, n, rounds=4 * pk.period).lasso
     assert lasso is not None
     stem, loop = lasso
@@ -702,7 +702,7 @@ def test_lasso_attack_matches_unperiodic_attack_over_three_loops(n):
 @pytest.mark.parametrize("n", range(3, 13))
 def test_restricted_lasso_attack_matches_unperiodic_attack(n):
     rounds = 8 * n
-    got = _attack_outcome(phase_king_lite(n), n, rounds, restricted=True)
+    got = _attack_outcome(PhaseKingLite(n), n, rounds, restricted=True)
     assert got == _attack_outcome(_unperiodic(n), n, rounds, restricted=True)
 
 
@@ -710,9 +710,9 @@ def test_wrong_period_fails_the_differential():
     # Negative control: n is not a period of phase-king-lite at n = 5 (the
     # parity of the round changes), so keying on it must change the attack.
     n = 5
-    wrong = phase_king_lite(n)
+    wrong = PhaseKingLite(n)
     wrong.period = n
-    stem, loop = build_nondeciding_execution(phase_king_lite(n), n, rounds=40).lasso
+    stem, loop = build_nondeciding_execution(PhaseKingLite(n), n, rounds=40).lasso
     rounds = stem + 3 * loop
     assert _attack_outcome(wrong, n, rounds) != _attack_outcome(_unperiodic(n), n, rounds)
 
@@ -726,7 +726,7 @@ def test_rounds_past_the_loop_make_no_extension(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(nondecider, "extend_dependent", counted)
-    pk = phase_king_lite(16)
+    pk = PhaseKingLite(16)
     counts = []
     for rounds in (35, 400):
         calls.clear()

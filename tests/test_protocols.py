@@ -6,11 +6,10 @@ import pytest
 
 from adversim.core import UnknownProtocolError, initial_configuration
 from adversim.protocols import (
+    Constant,
+    NaiveMajority,
     PhaseKingLite,
-    constant,
     get_protocol,
-    naive_majority,
-    phase_king_lite,
     registered_protocols,
 )
 from adversim.sync_engine import enumerate_faults, run, silence, step_fts
@@ -34,14 +33,14 @@ def test_registry_contents():
 
 def test_phase_king_requires_three_processes():
     with pytest.raises(ValueError):
-        phase_king_lite(2)
+        PhaseKingLite(2)
 
 
 # -- phase-king-lite ----------------------------------------------------------
 
 
 def test_unanimous_inputs_decide_under_any_round1_fault():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     for b in (0, 1):
         for fault in enumerate_faults("fts", 3):
             result = run(
@@ -51,7 +50,7 @@ def test_unanimous_inputs_decide_under_any_round1_fault():
 
 
 def test_failure_free_mixed_decides_round_three():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     for inputs in _all_inputs(3):
         if len(set(inputs)) == 1:
             continue
@@ -63,7 +62,7 @@ def test_failure_free_mixed_decides_round_three():
 
 
 def test_silent_runs_decide_within_six_rounds():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     for inputs in _all_inputs(3):
         for p in range(3):
             silenced = itertools.repeat(silence(p, 3))
@@ -76,7 +75,7 @@ def test_silent_runs_decide_within_six_rounds():
 def test_decision_forces_unanimous_preferences_same_round():
     """If anyone outputs b in round r, every preference is b at end of r, and
     stays b under every subsequent fault."""
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     faults = enumerate_faults("fts", 3)
     for inputs in _all_inputs(3):
         for f1, f2 in itertools.product(faults, repeat=2):
@@ -92,7 +91,7 @@ def test_decision_forces_unanimous_preferences_same_round():
 
 
 def test_unanimity_is_preserved_by_every_fault():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     for b in (0, 1):
         config = initial_configuration(pk, (b, b, b))
         for fault in enumerate_faults("fts", 3):
@@ -104,13 +103,13 @@ def test_unanimity_is_preserved_by_every_fault():
 
 
 def test_naive_majority_failure_free():
-    nm = naive_majority(3)
+    nm = NaiveMajority(3)
     result = run(initial_configuration(nm, (1, 1, 0)), nm, "fts", (), horizon=2)
     assert result.final_config.outputs() == {0: 1, 1: 1, 2: 1}
 
 
 def test_naive_majority_round1_fault_scan_finds_disagreement():
-    nm = naive_majority(3)
+    nm = NaiveMajority(3)
     violations = []
     for inputs in _all_inputs(3):
         for fault in enumerate_faults("fts", 3):
@@ -121,7 +120,7 @@ def test_naive_majority_round1_fault_scan_finds_disagreement():
 
 
 def test_naive_majority_unanimous_is_safe():
-    nm = naive_majority(3)
+    nm = NaiveMajority(3)
     for b in (0, 1):
         for fault in enumerate_faults("fts", 3):
             config = step_fts(initial_configuration(nm, (b, b, b)), nm, fault)
@@ -132,7 +131,7 @@ def test_naive_majority_unanimous_is_safe():
 
 
 def test_constant_outputs_its_value():
-    c1 = constant(1)
+    c1 = Constant(1)
     result = run(initial_configuration(c1, (0, 0, 0)), c1, "fts", (), horizon=2)
     assert result.final_config.outputs() == {0: 1, 1: 1, 2: 1}
 
@@ -140,7 +139,7 @@ def test_constant_outputs_its_value():
 def test_constant_violates_validity_on_opposite_unanimity():
     from adversim.core import check_colorless_outcome
 
-    c0 = constant(0)
+    c0 = Constant(0)
     result = run(initial_configuration(c0, (1, 1, 1)), c0, "fts", (), horizon=1)
     outcome = check_colorless_outcome({1}, set(result.final_config.outputs().values()))
     assert not outcome.ok and outcome.violation == "validity"
@@ -149,7 +148,7 @@ def test_constant_violates_validity_on_opposite_unanimity():
 def test_constant_never_dependent():
     from adversim.nondecider import is_p_dependent
 
-    c0 = constant(0)
+    c0 = Constant(0)
     for inputs in _all_inputs(3):
         config = initial_configuration(c0, inputs)
         for p in range(3):
@@ -173,7 +172,7 @@ def _inboxes(n, payloads=(b"0", b"1")):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_phase_king_lite_repeats_with_its_declared_period(n):
-    pk = phase_king_lite(n)
+    pk = PhaseKingLite(n)
     assert pk.period == 2 * n
     inboxes = [dict(items) for items in _inboxes(n)]
     for internal in itertools.product((0, 1), (False, True)):
@@ -259,7 +258,7 @@ def _tally_mismatch(protocol, n):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_phase_king_lite_tally_matches_reference_rule(n):
-    assert _tally_mismatch(phase_king_lite(n), n) is None
+    assert _tally_mismatch(PhaseKingLite(n), n) is None
 
 
 @pytest.mark.parametrize("mistake", ["ties-to-one", "unanimity-needs-n", "decided-writes-again"])

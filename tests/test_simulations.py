@@ -1,7 +1,7 @@
 """Model reductions: gather core, synchronizer projection, piggyback ledger."""
 
 import random
-from itertools import repeat
+from itertools import islice, repeat
 from dataclasses import dataclass
 from typing import Any
 
@@ -19,26 +19,25 @@ from adversim.core import (
     validate_trace,
 )
 from adversim.async_engine import RoundRobinScheduler, SeededFairScheduler, run_async
-from adversim.protocols import phase_king_lite
+from adversim.protocols import PhaseKingLite
 from adversim.simulations import (
     EmulationLemmaViolation,
     GetCoreState,
+    GetCoreWrapper,
     LedgerEntry,
     PiggybackState,
+    PiggybackWrapper,
     ResourceLimitError,
     SynchronizerState,
+    SynchronizerWrapper,
     audit_stack,
     build_stack,
     classify_delivery,
-    core_set,
-    get_core_wrap,
     getcore_equivalent,
     getcore_rounds,
     piggyback_ledger,
-    piggyback_wrap,
     project_synchronized_run,
     stack_model,
-    synchronizer_wrap,
 )
 from adversim.sync_engine import (
     NO_FAULT,
@@ -260,8 +259,8 @@ def test_ledger_audit_matches_seen_set_reference(float_mean, seed):
 
 
 def _wrapped_run(n, inputs, faults, rounds=1):
-    base = phase_king_lite(n)
-    wrapped = get_core_wrap(base, n)
+    base = PhaseKingLite(n)
+    wrapped = GetCoreWrapper(base, n)
     config = initial_configuration(wrapped, inputs)
     result = run(config, wrapped, "ftr", faults, horizon=3 * rounds, keep_configs=True)
     return base, result
@@ -301,6 +300,11 @@ def test_adversarial_sample_always_classifiable():
         _, result = _wrapped_run(n, (1, 0, 0), combo)
         rep = getcore_rounds(result.configs)[0]
         assert len(rep.core) >= n - 1
+        # the core read off the fault is every sender all others delivered
+        delivered_by_all = tuple(
+            s for s in range(n) if all(s in rep.delivery[q] for q in range(n) if q != s)
+        )
+        assert rep.core == delivered_by_all
 
 
 def test_wrapped_decisions_agree_with_direct_run():
@@ -312,23 +316,87 @@ def test_wrapped_decisions_agree_with_direct_run():
 
 def test_core_set_and_classify_hand_cases():
     delivery = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
-    assert core_set(delivery, 3) == {0, 1, 2}
     assert classify_delivery(delivery, 3) == NO_FAULT
     partial = {0: (2,), 1: (0, 2), 2: (0,)}
-    assert core_set(partial, 3) == {0, 2}
     assert classify_delivery(partial, 3) == RoundFault(1, [0, 2])
     broken = {0: (2,), 1: (0,), 2: (0, 1)}  # 0 misses 1, 1 misses 2
-    assert len(core_set(broken, 3)) < 2
     with pytest.raises(EmulationLemmaViolation):
         classify_delivery(broken, 3)
 
 
 def test_gather_refuses_two_payloads_for_one_sender():
-    wrapper = get_core_wrap(phase_king_lite(3), 3)
+    wrapper = GetCoreWrapper(PhaseKingLite(3), 3)
     state = wrapper.init(0, 1)._replace(phase=3, seen=frozenset({(1, b"0"), (1, b"1")}))
     with pytest.raises(AdversimError) as exc:
         wrapper.transition(state, 3, {})
     assert str(exc.value) == "two payloads for sender 1 in one simulated round"
+
+
+class FilteringGather(GetCoreWrapper):
+    """A reference gather whose ``seen`` never holds the process's own
+    entry: each gathered entry is filtered against the process's own pid as
+    it arrives, and the own entry is added only to what the process sends."""
+
+    def init(self, pid, input):
+        return GetCoreState(
+            pid=pid, inner=self.inner.init(pid, input), sim_round=1, phase=1, seen=frozenset()
+        )
+
+    def message(self, internal, round):
+        own = (internal.pid, self.inner.message(internal.inner, internal.sim_round))
+        return tuple(sorted(internal.seen | {own}))
+
+    def transition(self, internal, round, received):
+        merged = set(internal.seen)
+        for entries in received.values():
+            merged.update(entry for entry in entries if entry[0] != internal.pid)
+        if internal.phase < 3:
+            return internal._replace(phase=internal.phase + 1, seen=frozenset(merged)), None
+        delivered = {}
+        for sender, payload in sorted(merged):
+            if sender in delivered and delivered[sender] != payload:
+                raise AdversimError(f"two payloads for sender {sender} in one simulated round")
+            delivered[sender] = payload
+        inner, out = self.inner.transition(internal.inner, internal.sim_round, delivered)
+        return (
+            GetCoreState(
+                pid=internal.pid,
+                inner=inner,
+                sim_round=internal.sim_round + 1,
+                phase=1,
+                seen=frozenset(),
+                last_delivery=(internal.sim_round, tuple(sorted(delivered))),
+            ),
+            out,
+        )
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_gather_union_sends_and_delivers_as_filtering_gather(n):
+    # seen holds the process's own entry from the start of each simulated
+    # round; what a process sends, delivers and outputs must not change
+    gather, reference = GetCoreWrapper(PhaseKingLite(n), n), FilteringGather(PhaseKingLite(n), n)
+    rng = random.Random(2_400 + n)
+    for _ in range(100):
+        inputs = tuple(rng.randrange(2) for _ in range(n))
+        script = list(islice(random_faults(n, rng, "ftr", False), 12))
+        got, want = (
+            run(initial_configuration(p, inputs), p, "ftr", script, horizon=12, keep_configs=True)
+            for p in (gather, reference)
+        )
+        assert got.trace.steps == want.trace.steps
+        for mine, theirs in zip(got.configs, want.configs, strict=True):
+            assert [gather.message(s.internal, mine.round) for s in mine.states] == [
+                reference.message(s.internal, theirs.round) for s in theirs.states
+            ]
+            assert [s.internal.last_delivery for s in mine.states] == [
+                s.internal.last_delivery for s in theirs.states
+            ]
+            # every state holds its own entry, and nothing else tells it apart
+            for a, b in zip(mine.states, theirs.states):
+                own = (a.internal.pid, gather.inner.message(a.internal.inner, a.internal.sim_round))
+                assert own in a.internal.seen
+                assert a._replace(internal=a.internal._replace(seen=a.internal.seen - {own})) == b
 
 
 def test_getcore_rounds_attaches_script_when_two_senders_missed():
@@ -358,14 +426,14 @@ def test_counting_bound_behind_the_lemma():
 
 def test_get_core_requires_three():
     with pytest.raises(Exception):
-        get_core_wrap(phase_king_lite(3), 2)
+        GetCoreWrapper(PhaseKingLite(3), 2)
 
 
 # -- synchronizer ---------------------------------------------------------------
 
 
 def test_rounds_advance_unboundedly_with_horizon():
-    proto = synchronizer_wrap(phase_king_lite(3), 3)
+    proto = SynchronizerWrapper(PhaseKingLite(3), 3)
     lows = []
     for horizon in (60, 120, 240):
         result = run_async((1, 0, 0), proto, RoundRobinScheduler(3), horizon=horizon)
@@ -375,7 +443,7 @@ def test_rounds_advance_unboundedly_with_horizon():
 
 def test_advance_needs_single_message_at_n3():
     # n-2 = 1: a process moves to round 2 after hearing one round-1 message
-    proto = synchronizer_wrap(phase_king_lite(3), 3)
+    proto = SynchronizerWrapper(PhaseKingLite(3), 3)
     from adversim.async_engine import initial_async_state, step_async
 
     state = initial_async_state(proto, (1, 0, 0))
@@ -386,8 +454,8 @@ def test_advance_needs_single_message_at_n3():
 
 
 def test_projection_no_crash_validates():
-    base = phase_king_lite(3)
-    proto = synchronizer_wrap(base, 3)
+    base = PhaseKingLite(3)
+    proto = SynchronizerWrapper(base, 3)
     result = run_async((1, 1, 0), proto, RoundRobinScheduler(3), horizon=300)
     final = result.final_state
     proj = project_synchronized_run(
@@ -399,8 +467,8 @@ def test_projection_no_crash_validates():
 
 
 def test_projection_with_crash_validates():
-    base = phase_king_lite(4)
-    proto = synchronizer_wrap(base, 4)
+    base = PhaseKingLite(4)
+    proto = SynchronizerWrapper(base, 4)
     sched = SeededFairScheduler(4, 3, crash=(1, 33))
     result = run_async((1, 0, 1, 0), proto, sched, horizon=600)
     final = result.final_state
@@ -414,8 +482,8 @@ def test_projection_with_crash_validates():
 
 
 def test_projection_rejects_a_receiver_that_missed_two_senders():
-    base = phase_king_lite(3)
-    proto = synchronizer_wrap(base, 3)
+    base = PhaseKingLite(3)
+    proto = SynchronizerWrapper(base, 3)
     result = run_async((1, 0, 0), proto, RoundRobinScheduler(3), horizon=200)
     states = [s.internal for s in result.final_state.states]
     (_, _, out), *later = states[1].log
@@ -425,8 +493,8 @@ def test_projection_rejects_a_receiver_that_missed_two_senders():
 
 
 def test_projection_trace_is_plain_ftr():
-    base = phase_king_lite(3)
-    proto = synchronizer_wrap(base, 3)
+    base = PhaseKingLite(3)
+    proto = SynchronizerWrapper(base, 3)
     result = run_async((1, 0, 0), proto, RoundRobinScheduler(3), horizon=200)
     final = result.final_state
     proj = project_synchronized_run(
@@ -442,8 +510,8 @@ def test_projection_trace_is_plain_ftr():
 
 
 def _piggy(n=3):
-    inner = synchronizer_wrap(phase_king_lite(n), n)
-    return piggyback_wrap(inner, n)
+    inner = SynchronizerWrapper(PhaseKingLite(n), n)
+    return PiggybackWrapper(inner, n)
 
 
 def test_no_drops_delivers_within_one_round():
@@ -623,8 +691,8 @@ def _receive_fault_scripts(draw):
 @given(case=_receive_fault_scripts(), inner_kind=st.sampled_from(["synchronizer", "relay"]))
 def test_piggyback_matches_seen_set_reference(case, inner_kind):
     n, inputs, faults = case
-    inner = synchronizer_wrap(phase_king_lite(n), n) if inner_kind == "synchronizer" else Relay(n)
-    wrapper = piggyback_wrap(inner, n)
+    inner = SynchronizerWrapper(PhaseKingLite(n), n) if inner_kind == "synchronizer" else Relay(n)
+    wrapper = PiggybackWrapper(inner, n)
     reference = SeenSetPiggyback(inner, n)
     config = initial_configuration(wrapper, inputs)
     expected = initial_configuration(reference, inputs)
@@ -641,7 +709,7 @@ def test_piggyback_matches_seen_set_reference(case, inner_kind):
 def test_relay_traffic_reaches_message_cap():
     # Relay sends two messages per step and the wrapper takes one step per
     # delivered message, so the known traffic doubles every round.
-    proto = piggyback_wrap(Relay(3), 3)
+    proto = PiggybackWrapper(Relay(3), 3)
     config = initial_configuration(proto, (0, 1, 0))
     with pytest.raises(AdversimError) as info:
         run(config, proto, "ftr", (), horizon=30)

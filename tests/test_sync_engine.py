@@ -20,7 +20,7 @@ from adversim.core import (
     initial_configuration,
     read_step_script,
 )
-from adversim.protocols import get_protocol, phase_king_lite
+from adversim.protocols import PhaseKingLite, get_protocol
 from adversim.sync_engine import (
     enumerate_faults,
     random_faults,
@@ -94,7 +94,7 @@ def test_ftr_distinct_drops_inexpressible_as_fts():
 
 
 def test_ftr_all_drop_p_equals_fts_full_silence():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     config = initial_configuration(pk, (1, 0, 1))
     via_ftr = step_ftr(config, pk, ReceiveFault({0: 2, 1: 2}))
     via_fts = step_fts(config, pk, RoundFault(2, [0, 1]))
@@ -113,7 +113,7 @@ def test_delivery_floor_ftr():
 @given(data=st.data())
 def test_fts_embeds_in_ftr(data):
     n = data.draw(st.integers(3, 5))
-    pk = phase_king_lite(n)
+    pk = PhaseKingLite(n)
     inputs = tuple(data.draw(st.integers(0, 1)) for _ in range(n))
     sender = data.draw(st.integers(0, n - 1))
     victims = data.draw(st.sets(st.integers(0, n - 1)))
@@ -123,7 +123,7 @@ def test_fts_embeds_in_ftr(data):
 
 
 def test_step_functions_pure():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     config = initial_configuration(pk, (1, 0, 0))
     fault = RoundFault(1, [0])
     assert step_fts(config, pk, fault) == step_fts(config, pk, fault)
@@ -133,28 +133,28 @@ def test_step_functions_pure():
 
 
 def test_run_horizon_zero_header_only():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     result = run(initial_configuration(pk, (0, 1, 0)), pk, "fts", (), horizon=0)
     assert result.trace.steps == ()
     assert result.trace.to_jsonl().count("\n") == 1
 
 
 def test_run_unanimous_zero_decides_fast():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     result = run(initial_configuration(pk, (0, 0, 0)), pk, "fts", (), horizon=4)
     outs = result.final_config.outputs()
     assert outs == {0: 0, 1: 0, 2: 0}
 
 
 def test_run_silent_policy_every_fault_full_silence():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     result = run(initial_configuration(pk, (1, 0, 0)), pk, "fts", repeat(silence(1, 3)), horizon=8)
     for step in result.trace.steps:
         assert step.fault == RoundFault(1, [0, 2])
 
 
 def test_run_never_stops_early():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     result = run(initial_configuration(pk, (0, 0, 0)), pk, "fts", (), horizon=10)
     assert len(result.trace.steps) == 10  # decided at round 1, still runs on
 
@@ -169,7 +169,7 @@ def test_scripted_policy_file_round_trip(tmp_path):
     ]
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
     script = [step.fault for step in read_step_script(path, "fts")]
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     result = run(initial_configuration(pk, (1, 0, 0)), pk, "fts", script, horizon=3)
     faults = [s.fault for s in result.trace.steps]
     assert faults[0] == RoundFault(0, [1])
@@ -178,7 +178,7 @@ def test_scripted_policy_file_round_trip(tmp_path):
 
 
 def test_run_takes_only_its_models_fault_kind():
-    pk = phase_king_lite(3)
+    pk = PhaseKingLite(3)
     config = initial_configuration(pk, (1, 0, 0))
     with pytest.raises(AdversimError, match="fts runs take RoundFault faults"):
         run(config, pk, "fts", [ReceiveFault({0: 1})], horizon=1)
@@ -256,7 +256,7 @@ def test_protocol_failure_becomes_engine_error():
 
 
 def test_run_deterministic_byte_identical():
-    pk = phase_king_lite(4)
+    pk = PhaseKingLite(4)
     a = run(initial_configuration(pk, (1, 0, 1, 0)), pk, "fts", repeat(silence(3, 4)), horizon=12)
     b = run(initial_configuration(pk, (1, 0, 1, 0)), pk, "fts", repeat(silence(3, 4)), horizon=12)
     assert a.trace.to_jsonl() == b.trace.to_jsonl()
