@@ -10,12 +10,12 @@ phase-king-lite); a mutant of those names the tests it needs instead.
 
 The script prints one line per mutant, killed or survived with the seconds
 taken, then the kill count.  It exits 1 if any mutant survives, if its old
-text does not occur exactly once, or if pytest ends any other way (a
-collection or usage error counts as neither).  The list only grows: a
+text does not occur exactly once, or if pytest ends any other way: a
+collection or usage error, or a run past ``TIMEOUT`` seconds (a mutant that
+stops a loop from ending), counts as neither.  The list only grows: a
 change that adds a check adds the mutant that deletes it.
 
-    python scripts/mutants.py              # every mutant, about 10 minutes
-    python scripts/mutants.py NAME [NAME]  # only the named mutants
+    python scripts/mutants.py   # every mutant, about 10 minutes
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ ACCEPTANCE_5 = "tests/test_acceptance.py::test_acceptance_5_target_correctness"
 SUITE = ("-x", "-q", "-p", "no:cacheprovider", "--deselect", ACCEPTANCE_5)
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                 ".perfbench-out")
+TIMEOUT = 600  # seconds per pytest run; the default suite takes about 20 s
 
 
 class Mutant(NamedTuple):
@@ -97,26 +98,24 @@ def run_mutant(mutant: Mutant) -> str:
             return f"old text occurs {text.count(mutant.old)} times in {mutant.path}"
         target.write_text(text.replace(mutant.old, mutant.new))
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        proc = subprocess.run([sys.executable, "-m", "pytest", *mutant.args], cwd=copy,
-                              env=env, capture_output=True, text=True)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "pytest", *mutant.args], cwd=copy,
+                                  env=env, capture_output=True, text=True, timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return "timeout"
     return {0: "survived", 1: "killed"}.get(proc.returncode, f"pytest exit {proc.returncode}")
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
     killed = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         start = time.perf_counter()
         outcome = run_mutant(mutant)
         killed += outcome == "killed"
         print(f"{mutant.name:48} {outcome:10} {time.perf_counter() - start:6.1f} s", flush=True)
-    print(f"{killed} of {len(chosen)} mutants killed")
-    return 0 if killed == len(chosen) else 1
+    print(f"{killed} of {len(MUTANTS)} mutants killed")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
