@@ -15,7 +15,7 @@ collection or usage error, or a run past ``TIMEOUT`` seconds (a mutant that
 stops a loop from ending), counts as neither.  The list only grows: a
 change that adds a check adds the mutant that deletes it.
 
-    python scripts/mutants.py   # every mutant, about 10 minutes
+    python scripts/mutants.py   # every mutant, about 12 minutes
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 
 
 SIM = "src/adversim/simulations.py"
+ENGINE = "src/adversim/sync_engine.py"
 MUTANTS = (
     # the gather, its core and the stack tables
     Mutant("gather-delivers-own-echo", SIM,
@@ -83,6 +84,21 @@ MUTANTS = (
     # trace validation
     Mutant("validate-skips-round-check", "src/adversim/core.py",
            "elif step.round != rep.round:", "elif False:"),
+    # an expansion builds each distinct child once
+    Mutant("expansion-keeps-equal-receiver-options", ENGINE,
+           "            if nxt not in options:\n", "            if True:\n"),
+    Mutant("expansion-keeps-children-two-senders-share", ENGINE,
+           "if child not in seen and not (restricted", "if not (restricted"),
+    Mutant("restricted-expansion-keeps-full-silence", ENGINE,
+           "if child not in seen and not (restricted and len(victims) == n - 1):",
+           "if child not in seen:"),
+    Mutant("expansion-accepts-an-unknown-model", ENGINE,
+           '    if model not in ("fts", "ftr"):\n'
+           '        raise AdversimError(f"unknown synchronous model {model!r}")\n', ""),
+    Mutant("expansion-accepts-restricted-ftr", ENGINE,
+           '    if restricted and model == "ftr":\n'
+           '        raise AdversimError("restricted mode applies to the fail-to-send model only")\n',
+           ""),
 )
 
 

@@ -4,11 +4,13 @@ Exhaustive mode searches every canonical fault sequence to a depth,
 depth-first, pruning once all processes have decided (output registers are
 frozen from then on).  It expands each configuration once: all its children
 come from one fan-out round, and a configuration whose subtree was already
-searched without a violation is not searched again.  The budget bounds the
-children built: the search stops with BudgetExceeded as soon as it would
-build one more, or before it starts when one expansion alone would.  Fuzz
-mode draws seeded random inputs and faults; each run draws its inputs, then
-its faults, from one stream seeded by (seed, run index) alone, so a reported
+searched without a violation is not searched again.  An expansion builds
+each distinct child once, at the first canonical fault that builds it, so
+the first violation, its path and its trace are those of walking every
+fault.  The budget bounds the distinct children built: the search stops
+with BudgetExceeded as soon as it would build one more.  Fuzz mode draws
+seeded random inputs and faults; each run draws its inputs, then its
+faults, from one stream seeded by (seed, run index) alone, so a reported
 counterexample replays in isolation.  A fuzz round is checked only when it
 writes an output: the check reads only inputs and outputs, and an unchanged
 output set passed when it was written.
@@ -39,15 +41,7 @@ from .core import (
     check_colorless_outcome,
     initial_configuration,
 )
-from .sync_engine import (
-    ExpansionTable,
-    enumerate_faults,
-    random_faults,
-    run,
-    step_fts,
-    step_ftr,
-    successors,
-)
+from .sync_engine import ExpansionTable, distinct_children, random_faults, run, step_fts, step_ftr
 
 
 class CheckViolation(NamedTuple):
@@ -70,8 +64,8 @@ class CheckViolation(NamedTuple):
 
 class CheckResult(NamedTuple):
     violation: Optional[CheckViolation]
-    # rounds stepped: children built (exhaustive, each configuration expanded
-    # once); total rounds (fuzz)
+    # rounds stepped: distinct children built (exhaustive, each configuration
+    # expanded once); total rounds (fuzz)
     explored: int
 
     @property
@@ -110,19 +104,9 @@ def check_exhaustive(
     """Explore every canonical fault sequence up to ``depth`` for every input
     vector; return the first violation in depth-first order.  Each distinct
     configuration is expanded at most once, and the search builds at most
-    ``budget`` children."""
+    ``budget`` distinct children."""
     if depth < 1:
         raise AdversimError("depth must be >= 1")
-    # One expansion builds a child per canonical fault; refuse before listing
-    # the faults when that alone is over the budget.
-    fanout = n**n if model == "ftr" else n * 2 ** (n - 1) - (n if restricted else 0)
-    if fanout > budget:
-        raise BudgetExceeded(f"one expansion builds {fanout} children, over budget {budget}")
-    faults = enumerate_faults(model, n, restricted=restricted)
-    for fault in faults:
-        fault.validate(n)
-    drop_maps = [fault.mapping for fault in faults]
-
     explored = 0
     # Configurations whose whole subtree was explored without a violation.
     # The round is part of a configuration and fixes the depth left, so a
@@ -134,7 +118,7 @@ def check_exhaustive(
         if len(path) == depth or config.all_decided() or config in safe:
             return None
         inputs, before = config.inputs(), config.outputs()
-        for fault, child in zip(faults, successors(config, protocol, drop_maps)):
+        for fault, child in distinct_children(config, protocol, model, restricted):
             if explored == budget:
                 raise BudgetExceeded(f"search would build more children than budget {budget}")
             explored += 1

@@ -231,7 +231,7 @@ class RoundProtocol:
     and whose states are equal, as one.  ``None`` (the default) promises
     nothing, and the round is taken as it is.
 
-    The synchronous kernel (``sync_engine.successors``) calls ``transition``
+    The synchronous kernel (``sync_engine._child``) calls ``transition``
     at most once per (receiver, missed sender) of a configuration it
     expands, and builds the next state once from the result.  It calls
     ``LocalState.write`` only for an output other than ``None``, so an

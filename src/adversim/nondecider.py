@@ -29,7 +29,7 @@ from .core import (
     RoundStep,
     initial_configuration,
 )
-from .sync_engine import NO_FAULT, run, silence, step_fts, successors
+from .sync_engine import NO_FAULT, _child, _expansion, run, silence, step_fts
 
 
 class AgreementViolation(AdversimError):
@@ -323,7 +323,8 @@ def extend_dependent(
     start = 2 if restricted else 1
     # c_i delivers p's payload to exactly the first i-1 of the others.
     faults = [RoundFault(p, others[i - 1 :]) for i in range(start, n + 1)]
-    chain = successors(config, protocol, [f.mapping for f in faults])
+    inbox, after = _expansion(config, protocol, None)
+    chain = (_child(config, protocol, inbox, after, f.mapping) for f in faults)
     ff = None
     if not restricted:
         c1 = next(chain)

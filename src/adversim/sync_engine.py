@@ -7,11 +7,12 @@ per receiver, at most one dropped sender).  An adversary is the sequence of
 these faults, fixed before the run and blind to it: ``run`` takes any
 iterable of them, one per round, and once it runs out every later round
 drops nothing.  No process ever crashes, and engines always run to the
-requested horizon: decided processes keep participating.  ``successors`` is
-the one round rule: it builds every child of a configuration from one
-broadcast, and ``step_fts``/``step_ftr`` build its one-fault case.  All
-three take an optional ExpansionTable, which keeps each configuration's
-broadcast and transitions for a whole search.
+requested horizon: decided processes keep participating.  ``_child`` is
+the one round rule: one transition per (receiver, missed sender), outputs
+written once, errors raised lazily.  ``step_fts``/``step_ftr`` build one
+child, ``distinct_children`` each distinct child once.  The steps take an
+optional ExpansionTable, which keeps each configuration's broadcast and
+transitions for a whole search.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ ExpansionTable = dict[
 
 def _expansion(config: Configuration, protocol: RoundProtocol, table) -> tuple[dict, dict]:
     """``config``'s broadcast inbox (sender -> payload) and its transitions
-    computed so far, read from ``table`` or computed and stored there."""
+    computed so far, from ``table`` (one protocol's) or computed and stored there."""
     entry = None if table is None else table.get(config)
     if entry is not None:
         return entry
@@ -61,61 +62,84 @@ def _expansion(config: Configuration, protocol: RoundProtocol, table) -> tuple[d
     return inbox, after
 
 
+def _transition(config, protocol, inbox, after, q: Pid, miss: Optional[Pid]) -> LocalState:
+    """Receiver ``q``'s next state when it misses ``miss`` (``None``: no one),
+    computed and stored in ``after``; a failure stores nothing."""
+    state = config.states[q]
+    received = inbox.copy()
+    del received[q]
+    received.pop(miss, None)
+    try:
+        internal, out = protocol.transition(state.internal, config.round, received)
+    except Exception as exc:  # noqa: BLE001 - protocol bug surfaced as engine error
+        raise EngineError(f"transition() failed: {exc}", round=config.round, pid=q) from exc
+    nxt = tuple.__new__(LocalState, (state.input, internal, state.output))
+    if out is not None:
+        nxt = nxt.write(out)
+    after[q, miss] = nxt
+    return nxt
+
+
 def _child(config, protocol, inbox, after, dropped: Mapping[Pid, Pid]) -> Configuration:
-    """The child of ``config`` under one drop map, computing and storing in
-    ``after`` each transition it is the first to need."""
-    round = config.round
+    """The child of ``config`` under one drop map (receiver -> the one sender
+    it misses): each receiver transitions on every other payload, in
+    ascending sender order, except the one it drops.  A transition is
+    computed once per (receiver, missed sender), when a child first needs
+    it, so an error surfaces at the first child that meets it.  Its next
+    state is one tuple; ``LocalState.write`` runs on it only for an output
+    other than ``None``, so the register stays write-once: the first output
+    sticks, a later one is ignored, an invalid one raises if none is."""
     computed = after.get
-    new = tuple.__new__  # builds a LocalState or Configuration from a field tuple, in C
-    new_states = []
-    for q, state in enumerate(config.states):
+    states = []
+    for q in range(len(config.states)):
         miss = dropped.get(q)
-        nxt = computed((q, miss))
-        if nxt is None:
-            received = inbox.copy()
-            del received[q]
-            received.pop(miss, None)
-            try:
-                internal, out = protocol.transition(state.internal, round, received)
-            except Exception as exc:  # noqa: BLE001
-                raise EngineError(f"transition() failed: {exc}", round=round, pid=q) from exc
-            nxt = new(LocalState, (state.input, internal, state.output))
-            if out is not None:
-                nxt = nxt.write(out)
-            after[q, miss] = nxt
-        new_states.append(nxt)
-    return new(Configuration, (round + 1, tuple(new_states)))
+        states.append(computed((q, miss)) or _transition(config, protocol, inbox, after, q, miss))
+    return tuple.__new__(Configuration, (config.round + 1, tuple(states)))
 
 
-def successors(
-    config: Configuration,
-    protocol: RoundProtocol,
-    drop_maps: Iterable[Mapping[Pid, Pid]],  # each: receiver -> the one sender it misses
-    table: Optional[ExpansionTable] = None,
-) -> Iterator[Configuration]:
-    """Yield the child of ``config`` under each drop map, in order.
+def distinct_children(
+    config: Configuration, protocol: RoundProtocol, model: str, restricted: bool = False
+) -> Iterator[tuple[Any, Configuration]]:
+    """Yield ``(fault, child)`` once for each distinct child of ``config``,
+    at the first fault in ``enumerate_faults(model, n, restricted)`` order
+    that builds it.  The faults are walked as an odometer whose digits are
+    receivers (ftr: receiver n-1 fastest; fts: per sender, its first other
+    process fastest).  A receiver's option is skipped, with every combination
+    behind it, when its next state equals one under an earlier option; under
+    fts one set drops children two senders share.  Lazy, like ``_child``."""
+    if model not in ("fts", "ftr"):
+        raise AdversimError(f"unknown synchronous model {model!r}")
+    if restricted and model == "ftr":
+        raise AdversimError("restricted mode applies to the fail-to-send model only")
+    inbox, after = _expansion(config, protocol, None)
+    n, round = config.n, config.round
+    full = _child(config, protocol, inbox, after, {})  # every fault order starts with it
+    states, drops = list(full.states), [None] * n  # per receiver: its state and miss
 
-    Every process broadcasts once, then each receiver transitions on every
-    other payload, in ascending sender order, except the one it drops.  A
-    receiver's transition on a given inbox is computed once, when a child
-    first needs it, so all children of a configuration cost at most n*n
-    transitions.  Lazy: an error surfaces at the first child that meets it.
+    def walk(digits):  # digits: (receiver, its misses in canonical order), slowest first
+        if not digits:
+            yield tuple.__new__(Configuration, (round + 1, tuple(states)))
+            return
+        (q, misses), rest, options = digits[0], digits[1:], []
+        for miss in misses:
+            nxt = after.get((q, miss)) or _transition(config, protocol, inbox, after, q, miss)
+            if nxt not in options:
+                options.append(nxt)
+                states[q], drops[q] = nxt, miss
+                yield from walk(rest)
 
-    The next state is built once per (receiver, missed sender), as one
-    tuple.  ``LocalState.write`` runs on it only when the protocol returned
-    an output other than ``None``, so the register stays write-once: the
-    first output sticks, a later one is ignored, and an invalid one raises
-    unless an output is already written.
-
-    With a ``table``, the broadcast and transitions are kept under the
-    configuration (round included) and reused by every later call with the
-    same table, so a search pays them once per distinct configuration.  A
-    table must serve one protocol only; since protocols are pure and a
-    failing ``message()`` or ``transition()`` stores nothing, every call
-    yields and raises exactly what it would without the table."""
-    inbox, after = _expansion(config, protocol, table)
-    for dropped in drop_maps:
-        yield _child(config, protocol, inbox, after, dropped)
+    if model == "ftr":
+        for child in walk([(q, [None, *(s for s in range(n) if s != q)]) for q in range(n)]):
+            yield ReceiveFault({q: s for q, s in enumerate(drops) if s is not None}), child
+        return
+    seen = set()
+    for sender in range(n):
+        states[sender], drops[sender] = full.states[sender], None
+        for child in walk([(q, (None, sender)) for q in reversed(range(n)) if q != sender]):
+            victims = [q for q, miss in enumerate(drops) if miss is not None]
+            if child not in seen and not (restricted and len(victims) == n - 1):
+                seen.add(child)
+                yield RoundFault(sender, victims), child
 
 
 def step_fts(

@@ -202,7 +202,8 @@ def test_acceptance_5_target_correctness():
     _report(
         5,
         ok,
-        f"exhaustive d4 clean ({exhaustive.explored} rounds), fuzz 3x100k clean, "
+        f"exhaustive d4 {'clean' if exhaustive.ok else 'VIOLATED'} ({exhaustive.explored} "
+        f"rounds), fuzz 3x100k {'clean' if fuzz_ok else 'VIOLATED'}, "
         f"{len(liveness_failures)} benign runs undecided by round 6 {liveness_failures[:2]}, "
         f"{elapsed:.0f}s < 300s",
     )

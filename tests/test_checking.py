@@ -18,7 +18,7 @@ from itertools import product
 
 import pytest
 
-from adversim import checking
+from adversim import sync_engine
 from adversim.checking import (
     BudgetExceeded,
     CheckResult,
@@ -101,10 +101,11 @@ SHAPES = [
 
 # On these shapes (ftr, n = 4, depth 3) the reference projects more fault
 # sequences than the default budget and refuses, while the search builds far
-# fewer children.  Outcomes and children built, recorded from
-# check_exhaustive(..., budget=10**12) before the budget counted children.
+# fewer children.  Outcomes recorded from check_exhaustive(..., budget=10**12)
+# before the budget counted children; distinct children built, recorded since
+# an expansion builds each distinct child once.
 RECORDED_FTR_N4_DEPTH3 = {
-    "phase-king-lite": (("ok",), 86016),
+    "phase-king-lite": (("ok",), 1586),
     "naive-majority": (
         (
             "agreement",
@@ -113,7 +114,7 @@ RECORDED_FTR_N4_DEPTH3 = {
             '{"inputs":[0,0,1,1],"model":"ftr","n":4,"protocol":"naive-majority"}\n'
             '{"dropped":{"3":0},"outputs":{"0":0,"1":0,"2":0,"3":1},"round":1}\n',
         ),
-        770,
+        5,
     ),
     "constant-0": (
         (
@@ -123,7 +124,7 @@ RECORDED_FTR_N4_DEPTH3 = {
             '{"inputs":[1,1,1,1],"model":"ftr","n":4,"protocol":"constant-0"}\n'
             '{"dropped":{},"outputs":{"0":0,"1":0,"2":0,"3":0},"round":1}\n',
         ),
-        3841,
+        16,
     ),
     "constant-1": (
         (
@@ -193,11 +194,14 @@ def test_visited_set_keys_on_the_round():
 @pytest.mark.parametrize("model, restricted", [("fts", False), ("fts", True), ("ftr", False)])
 @pytest.mark.parametrize("n", range(2, 8))
 def test_budget_refuses_one_expansion_before_listing_faults(model, restricted, n, monkeypatch):
-    # One expansion builds one child per canonical fault: n * 2**(n-1) under
-    # fts (n fewer when restricted) and n**n under ftr.  A budget one short
-    # of that count is refused before the faults are listed; a budget equal
-    # to it gets as far as listing them.
-    count = len(enumerate_faults(model, n, restricted=restricted))
+    # A MissCounter child is fixed by the set of receivers that missed a
+    # message, so one expansion builds 2**n - 1 distinct children under fts
+    # (no sender reaches itself), n fewer when restricted (only sender s
+    # reaches everyone but s), and 2**n under ftr; depth 1 expands all 2**n
+    # input vectors.  A budget equal to that count passes, one less refuses,
+    # and neither lists the canonical faults.
+    per_expansion = {"fts": 2**n - 1 - (n if restricted else 0), "ftr": 2**n}[model]
+    count = 2**n * per_expansion
 
     class Listed(Exception):
         pass
@@ -205,21 +209,33 @@ def test_budget_refuses_one_expansion_before_listing_faults(model, restricted, n
     def listed(*args, **kwargs):
         raise Listed
 
-    monkeypatch.setattr(checking, "enumerate_faults", listed)
-    protocol = get_protocol("constant-0", n)
-    with pytest.raises(BudgetExceeded, match=f"builds {count} children"):
+    monkeypatch.setattr(sync_engine, "enumerate_faults", listed)
+    protocol = MissCounter(n)
+    result = check_exhaustive(protocol, n, 1, model, restricted, budget=count)
+    assert result.ok and result.explored == count
+    with pytest.raises(BudgetExceeded, match=f"more children than budget {count - 1}"):
         check_exhaustive(protocol, n, 1, model, restricted, budget=count - 1)
-    with pytest.raises(Listed):
-        check_exhaustive(protocol, n, 1, model, restricted, budget=count)
 
 
 def test_budget_counts_children_built():
-    # Projected fault sequences: 17,318,400.  Children the search builds: 18,144.
+    # Projected fault sequences: 17,318,400.  Distinct children the search
+    # builds: 1,775.
     protocol = get_protocol("phase-king-lite", 4)
-    result = check_exhaustive(protocol, 4, 4, budget=18144)
-    assert result.ok and result.explored == 18144
-    with pytest.raises(BudgetExceeded, match="more children than budget 18143"):
-        check_exhaustive(protocol, 4, 4, budget=18143)
+    result = check_exhaustive(protocol, 4, 4, budget=1775)
+    assert result.ok and result.explored == 1775
+    with pytest.raises(BudgetExceeded, match="more children than budget 1774"):
+        check_exhaustive(protocol, 4, 4, budget=1774)
+
+
+@pytest.mark.parametrize(
+    "model, restricted, message",
+    [("flp", False, "unknown synchronous model 'flp'"),
+     ("ftr", True, "restricted mode applies to the fail-to-send model only")],
+    ids=["unknown-model", "restricted-ftr"],
+)
+def test_exhaustive_refuses_what_it_cannot_expand(model, restricted, message):
+    with pytest.raises(AdversimError, match=message):
+        check_exhaustive(get_protocol("phase-king-lite", 3), 3, 2, model, restricted)
 
 
 def reference_check_fuzz(protocol, n, runs, depth, seed, model="fts", restricted=False):

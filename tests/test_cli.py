@@ -124,15 +124,15 @@ def test_check_exhaustive_depth_four_clean(tmp_path):
 
 
 def test_check_budget_exit_four(tmp_path):
-    code = run_cli(
-        ["check", "--protocol", "phase-king-lite", "--n", "3", "--mode", "exhaustive",
-         "--depth", "9", "--budget", "1000"]
-    )
-    assert code == 4
+    # The search builds 990 distinct children: a budget of 989 refuses.
+    argv = ["check", "--protocol", "phase-king-lite", "--n", "3", "--mode", "exhaustive",
+            "--depth", "9", "--budget"]
+    assert run_cli([*argv, "989"]) == 4
+    assert run_cli([*argv, "990"]) == 0
 
 
 def test_check_budget_counts_children_not_fault_sequences(tmp_path):
-    # 17,318,400 fault sequences, but the search builds 18,144 children.
+    # 17,318,400 fault sequences, but the search builds 1,775 distinct children.
     code = run_cli(["check", "--protocol", "phase-king-lite", "--n", "4", "--depth", "4"])
     assert code == 0
 
@@ -143,18 +143,20 @@ def _limit_address_space():
 
 
 def test_check_budget_refuses_wide_fanout_at_once(tmp_path):
-    # At n = 18 one expansion builds 18 * 2**17 children, over the default
-    # budget; listing those faults alone does not fit in 1.5 GB.
+    # At n = 18 one expansion walks 18 * 2**17 canonical faults; listing them
+    # alone does not fit in 1.5 GB.  The search builds distinct children as
+    # it goes, so it refuses at its budget, within the second input vector.
     start = time.monotonic()
     proc = run_adversim(
-        ["check", "--protocol", "phase-king-lite", "--n", "18", "--depth", "1"],
+        ["check", "--protocol", "phase-king-lite", "--n", "18", "--depth", "1",
+         "--budget", "1000"],
         tmp_path,
         preexec_fn=_limit_address_space,
     )
     elapsed = time.monotonic() - start
     assert proc.returncode == 4, proc.stderr
     assert proc.stderr.splitlines() == [
-        "adversim: one expansion builds 2359296 children, over budget 2000000"
+        "adversim: search would build more children than budget 1000"
     ]
     assert elapsed < 2
 

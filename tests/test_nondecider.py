@@ -475,9 +475,13 @@ def test_extension_probes_each_chain_entry_once(n, monkeypatch):
         ff_probes.append(config)
         return failure_free_decision(config, *args, **kwargs)
 
-    successors = nondecider.successors
+    def drawn_child(*args):  # each chain entry is built by one _child call, when drawn
+        drawn.append(child(*args))
+        return drawn[-1]
+
+    child = nondecider._child
     monkeypatch.setattr(nondecider, "failure_free_decision", counted_failure_free_decision)
-    monkeypatch.setattr(nondecider, "successors", lambda *args: _drawn(successors(*args), drawn))
+    monkeypatch.setattr(nondecider, "_child", drawn_child)
     scanned = 0
     for witness in _attack_witnesses(pk, n):
         ff_probes.clear()

@@ -1,5 +1,6 @@
 """Step semantics, delivery counts, fault enumeration, adversaries, and the
-fan-out round primitive against the per-fault round rule it replaced."""
+one-fault step and distinct-children expansion against the per-fault round
+rule they replaced."""
 
 import random
 from itertools import repeat
@@ -22,13 +23,13 @@ from adversim.core import (
 )
 from adversim.protocols import PhaseKingLite, get_protocol
 from adversim.sync_engine import (
+    distinct_children,
     enumerate_faults,
     random_faults,
     run,
     silence,
     step_fts,
     step_ftr,
-    successors,
 )
 from test_checking import reference_check_exhaustive
 
@@ -262,11 +263,11 @@ def test_run_deterministic_byte_identical():
     assert a.trace.to_jsonl() == b.trace.to_jsonl()
 
 
-# -- fan-out primitive against the per-fault round rule ------------------------
+# -- the round kernel against the per-fault round rule --------------------------
 
 
 def reference_round(config, protocol, dropped):
-    """The round rule before ``successors``: every process broadcasts, then
+    """The round rule before the shared kernel: every process broadcasts, then
     each receiver gets a fresh inbox of every other payload, in ascending
     sender order, except the one it drops."""
     round = config.round
@@ -293,6 +294,20 @@ def reference_step(config, protocol, fault):
     return reference_round(config, protocol, fault.mapping)
 
 
+def reference_distinct_children(config, protocol, model, restricted=False):
+    """Per-fault stepping over ``enumerate_faults``, keeping the first fault
+    that builds each child; lazy, so an error surfaces at its fault."""
+    seen = set()
+    for fault in enumerate_faults(model, config.n, restricted):
+        child = reference_step(config, protocol, fault)
+        if child not in seen:
+            seen.add(child)
+            yield fault, child
+
+
+EXPANSIONS = [("fts", False), ("fts", True), ("ftr", False)]
+
+
 class InboxRecorder:
     """Keeps every inbox it receives, in delivery order."""
 
@@ -309,26 +324,30 @@ class InboxRecorder:
         return internal + (tuple(received.items()),), None
 
 
-@pytest.mark.parametrize("protocol_id", ["phase-king-lite", "naive-majority", "inbox-recorder"])
+def _reached(protocol, n, seed):
+    """The configurations of one random fts run and one random ftr run of
+    three rounds each, from seeded random inputs."""
+    rng = random.Random(seed)
+    configs = []
+    for model in ("fts", "ftr"):
+        start = initial_configuration(protocol, tuple(rng.randrange(2) for _ in range(n)))
+        drawn = random_faults(n, rng, model, False)
+        configs += run(start, protocol, model, drawn, 3, keep_configs=True).configs
+    return configs
+
+
+@pytest.mark.parametrize("protocol_id", ["phase-king-lite", "naive-majority", "constant-0",
+                                         "constant-1", "inbox-recorder", "alternating-output"])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_successors_match_per_fault_rounds(protocol_id, n):
-    if protocol_id == "inbox-recorder":
-        protocol = InboxRecorder()
-    else:
-        protocol = get_protocol(protocol_id, n)
-    rng = random.Random(f"successors-{protocol_id}-{n}")
-    inputs = tuple(rng.randrange(2) for _ in range(n))
-    drawn = random_faults(n, rng, "fts", False)
-    reached = run(initial_configuration(protocol, inputs), protocol, "fts", drawn, 3, keep_configs=True)
-    fault_lists = [
-        enumerate_faults("fts", n),
-        enumerate_faults("fts", n, restricted=True),
-        enumerate_faults("ftr", n),
-    ]
-    for config in reached.configs:
-        for faults in fault_lists:
-            children = list(successors(config, protocol, [f.mapping for f in faults]))
-            assert children == [reference_round(config, protocol, f.mapping) for f in faults]
+    # Each distinct child once, at the first canonical fault that builds it.
+    stubs = {"inbox-recorder": InboxRecorder, "alternating-output": AlternatingOutput}
+    protocol = stubs[protocol_id]() if protocol_id in stubs else get_protocol(protocol_id, n)
+    for config in _reached(protocol, n, f"successors-{protocol_id}-{n}"):
+        for model, restricted in EXPANSIONS:
+            got = list(distinct_children(config, protocol, model, restricted))
+            want = list(reference_distinct_children(config, protocol, model, restricted))
+            assert got == want, (config, model, restricted)
 
 
 @pytest.mark.parametrize("protocol_id", ["phase-king-lite", "naive-majority", "constant-0",
@@ -343,17 +362,16 @@ def test_step_is_the_one_fault_successor(protocol_id, n):
         drawn = random_faults(n, rng, "fts", False)
         start = initial_configuration(protocol, inputs)
         configs += run(start, protocol, "fts", drawn, 3, keep_configs=True).configs
+    # no table; a table per model; one table for both models
+    both = {}
     for model, step in (("fts", step_fts), ("ftr", step_ftr)):
-        # no table; a table for each side; one table for both sides
-        own, other, both = {}, {}, {}
+        own = {}
         for config in configs:
             for fault in enumerate_faults(model, n):
-                want = next(successors(config, protocol, (fault.mapping,)))
+                want = reference_step(config, protocol, fault)
                 assert step(config, protocol, fault) == want
                 assert step(config, protocol, fault, own) == want
-                assert next(successors(config, protocol, (fault.mapping,), other)) == want
                 assert step(config, protocol, fault, both) == want
-                assert next(successors(config, protocol, (fault.mapping,), both)) == want
 
 
 class MissRaises:
@@ -466,30 +484,33 @@ def _children_until_error(children):
 @pytest.mark.parametrize("n", [3, 4])
 def test_successors_keep_the_first_output_of_an_alternating_protocol(n):
     protocol = AlternatingOutput()
-    maps = [f.mapping for f in enumerate_faults("fts", n) + enumerate_faults("ftr", n)]
-    configs = [initial_configuration(protocol, (0,) * n)]
-    for _ in range(3):
-        config = configs[-1]
-        children = list(successors(config, protocol, maps))
-        assert children == [reference_round(config, protocol, m) for m in maps]
-        configs.append(children[-1])
-    outputs = [c.outputs() for c in configs[1:]]
-    assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
+    for model, restricted in EXPANSIONS:
+        configs = [initial_configuration(protocol, (0,) * n)]
+        for _ in range(3):
+            config = configs[-1]
+            children = list(distinct_children(config, protocol, model, restricted))
+            want = reference_distinct_children(config, protocol, model, restricted)
+            assert children == list(want)
+            configs.append(children[-1][1])
+        outputs = [c.outputs() for c in configs[1:]]
+        assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_successors_raise_an_invalid_output_at_the_reference_child(n):
     protocol = InvalidFromRoundTwo(n)
-    maps = [f.mapping for f in enumerate_faults("fts", n) + enumerate_faults("ftr", n)]
     start = initial_configuration(protocol, (0,) * n)
     raised = clean = 0
-    for config in successors(start, protocol, maps):
-        got = _children_until_error(successors(config, protocol, maps))
-        want = _children_until_error(reference_round(config, protocol, m) for m in maps)
-        assert got == want
-        if want[1] is None:
-            clean += 1
-        else:
-            assert want[1] == (AdversimError, "output must be 0 or 1, got 2")
-            raised += len(want[0]) > 0
+    for model, restricted in EXPANSIONS:
+        for _, config in distinct_children(start, protocol, model, restricted):
+            got = _children_until_error(distinct_children(config, protocol, model, restricted))
+            want = _children_until_error(
+                reference_distinct_children(config, protocol, model, restricted)
+            )
+            assert got == want
+            if want[1] is None:
+                clean += 1
+            else:
+                assert want[1] == (AdversimError, "output must be 0 or 1, got 2")
+                raised += len(want[0]) > 0
     assert raised and clean
