@@ -15,7 +15,7 @@ collection or usage error, or a run past ``TIMEOUT`` seconds (a mutant that
 stops a loop from ending), counts as neither.  The list only grows: a
 change that adds a check adds the mutant that deletes it.
 
-    python scripts/mutants.py   # every mutant, about 12 minutes
+    python scripts/mutants.py   # every mutant, about 15 minutes
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ class Mutant(NamedTuple):
 
 SIM = "src/adversim/simulations.py"
 ENGINE = "src/adversim/sync_engine.py"
+ASYNC = "src/adversim/async_engine.py"
 MUTANTS = (
     # the gather, its core and the stack tables
     Mutant("gather-delivers-own-echo", SIM,
@@ -99,6 +100,15 @@ MUTANTS = (
            '    if restricted and model == "ftr":\n'
            '        raise AdversimError("restricted mode applies to the fail-to-send model only")\n',
            ""),
+    # the fairness audit checks each message once, at its due step
+    Mutant("audit-due-step-one-late", ASYNC,
+           "due.append((now + fairness_window, sent, state.next_index))",
+           "due.append((now + fairness_window + 1, sent, state.next_index))"),
+    Mutant("audit-reports-messages-to-crashed", ASYNC,
+           "if q != crashed and queue and queue[0].index < end:",
+           "if queue and queue[0].index < end:"),
+    Mutant("audit-orders-sends-as-tuples", ASYNC,
+           "for m in sorted(overdue, key=_index):", "for m in sorted(overdue):"),
 )
 
 

@@ -8,20 +8,26 @@ process stepping and deliver every message within a bounded window, which a
 finite-horizon fairness check can audit on any recorded run.
 
 Messages in flight wait in one queue per destination, in send order, so a
-step only ever looks at the stepping process's own queue.
+step only ever looks at the stepping process's own queue.  The audit checks
+each message once, at its due step: every event advances the step count by
+one, so a message sent by the event that brings the count to s comes due
+when it reaches s + window.  That is exact because a queue only loses
+messages and a process only becomes crashed: a message delivered, or
+addressed to a crashed process, by its due step can never be overdue later.
 
 A scheduler's event is a ``core.FlpStep`` whose outputs the engine fills in.
-The records built once per event (``InFlight``, ``FlpStep`` and
-``AsyncSystemState``) are plain immutable tuples: each compares equal to,
-and hashes like, the tuple of its fields, and a new one is made with
-``_replace`` or the constructor, never by mutation.
+The records built once per event (``InFlight``, ``LocalState``, ``FlpStep``
+and ``AsyncSystemState``) are plain immutable tuples: each compares equal
+to, and hashes like, the tuple of its fields, and a new one is built from
+its field tuple with ``tuple.__new__``, never by mutation.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from itertools import chain, takewhile
+from collections import deque
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -88,53 +94,57 @@ def step_async(
 ) -> tuple[AsyncSystemState, tuple[tuple[Pid, int], ...]]:
     """Apply one scheduler event, ignoring its ``outputs``; returns the new
     state and the outputs written during the step."""
-    n, pid, now = state.n, event.pid, state.step_count
+    states, queues, crashed, next_index, now = state
+    pid, deliver, crash, _ = event
+    n = len(states)
     if not 0 <= pid < n:
         raise ScheduleError(f"pid {pid} out of range")
-    if event.crash:
-        if state.crashed is not None:
-            raise ScheduleError(f"second crash ({pid}); {state.crashed} already crashed")
-        if event.deliver is not None:
+    if crash:
+        if crashed is not None:
+            raise ScheduleError(f"second crash ({pid}); {crashed} already crashed")
+        if deliver is not None:
             raise ScheduleError("a crash event delivers nothing")
-        return state._replace(crashed=pid, step_count=now + 1), ()
-    if pid == state.crashed:
+        return tuple.__new__(AsyncSystemState, (states, queues, pid, next_index, now + 1)), ()
+    if pid == crashed:
         raise ScheduleError(f"crashed process {pid} cannot step")
 
     incoming = None
-    queues = list(state.queues)
-    if event.deliver is not None:
+    queues = list(queues)
+    if deliver is not None:
         queue = queues[pid]
-        at = bisect_left(queue, event.deliver, key=_index)
-        if at == len(queue) or queue[at].index != event.deliver:
-            msg = next((m for m in chain(*queues) if m.index == event.deliver), None)
+        at = bisect_left(queue, deliver, key=_index)
+        if at == len(queue) or queue[at].index != deliver:
+            msg = next((m for m in chain(*queues) if m.index == deliver), None)
             if msg is None:
-                raise ScheduleError(f"message {event.deliver} is not in flight")
-            raise ScheduleError(f"message {event.deliver} is addressed to {msg.dest}, not {pid}")
+                raise ScheduleError(f"message {deliver} is not in flight")
+            raise ScheduleError(f"message {deliver} is addressed to {msg.dest}, not {pid}")
         incoming = (queue[at].sender, queue[at].payload)
         queues[pid] = queue[:at] + queue[at + 1 :]
 
-    local = state.states[pid]
+    input, internal, output = states[pid]
     try:
-        internal, sends, out = protocol.step(local.internal, incoming)
+        internal, sends, out = protocol.step(internal, incoming)
     except Exception as exc:  # noqa: BLE001 - protocol bug surfaced as engine error
         raise EngineError(f"step() failed: {exc}", round=now, pid=pid) from exc
 
-    next_index = state.next_index
     for dest, payload in sends:
-        for d in [q for q in range(n) if q != pid] if dest is None else [dest]:
-            if d == pid:
+        if dest is not None:  # a broadcast's destinations are valid by construction
+            if dest == pid:
                 raise EngineError("a process never sends to itself", round=now, pid=pid)
-            if not 0 <= d < n:
-                raise EngineError(f"send destination {d} out of range", round=now, pid=pid)
-            queues[d] += (InFlight(pid, d, payload, next_index, now),)
-            next_index += 1
+            if not 0 <= dest < n:
+                raise EngineError(f"send destination {dest} out of range", round=now, pid=pid)
+        for d in range(n) if dest is None else (dest,):
+            if d != pid:
+                queues[d] += (tuple.__new__(InFlight, (pid, d, payload, next_index, now)),)
+                next_index += 1
 
-    new_local = LocalState(local.input, internal, local.output).write(out)
-    states = state.states[:pid] + (new_local,) + state.states[pid + 1 :]
-    wrote = ()
-    if local.output is None and new_local.output is not None:
-        wrote = ((pid, new_local.output),)
-    return AsyncSystemState(states, tuple(queues), state.crashed, next_index, now + 1), wrote
+    local = tuple.__new__(LocalState, (input, internal, output))
+    if out is not None:
+        local = local.write(out)
+    states = states[:pid] + (local,) + states[pid + 1 :]
+    wrote = ((pid, local.output),) if output is None and local.output is not None else ()
+    state = tuple.__new__(AsyncSystemState, (states, tuple(queues), crashed, next_index, now + 1))
+    return state, wrote
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +160,10 @@ class Scheduler:
         raise NotImplementedError
 
 
-def _oldest_addressed(state: AsyncSystemState, pid: Pid) -> Optional[int]:
+def _deliver_oldest(state: AsyncSystemState, pid: Pid) -> FlpStep:
+    """Step ``pid``, delivering the oldest message addressed to it, if any."""
     queue = state.queues[pid]
-    return queue[0].index if queue else None
+    return tuple.__new__(FlpStep, (pid, queue[0].index if queue else None, False, ()))
 
 
 class RoundRobinScheduler(Scheduler):
@@ -171,7 +182,7 @@ class RoundRobinScheduler(Scheduler):
             pid = self._pos % self.n
             self._pos += 1
             if pid != state.crashed:
-                return FlpStep(pid, _oldest_addressed(state, pid))
+                return _deliver_oldest(state, pid)
         raise ScheduleError("no live process to step")
 
 
@@ -195,7 +206,7 @@ class SeededFairScheduler(Scheduler):
                 self.rng.shuffle(self._batch)
             pid = self._batch.pop()
             if pid != state.crashed:
-                return FlpStep(pid, _oldest_addressed(state, pid))
+                return _deliver_oldest(state, pid)
 
 
 class ScriptedScheduler(Scheduler):
@@ -243,47 +254,58 @@ def run_async(
     With ``fairness_window`` set, audits the run: every live process must
     step, and every message addressed to a live process must be delivered,
     within that many events.  (Messages addressed to a crashed process can
-    never be delivered and are exempt.)
+    never be delivered and are exempt.)  Every event, a crash included,
+    advances ``step_count`` by one, so the messages one event sends all come
+    due at one step, ``fairness_window`` steps after it.  Each is checked
+    then and never again, which is exact: a queue only loses messages and a
+    process only becomes crashed, so a message undelivered at its due step
+    to a live process was overdue, and one delivered or addressed to a
+    crashed process by then never can be.
     """
     if horizon < 0:
         raise AdversimError("horizon must be >= 0")
     state = initial_async_state(protocol, tuple(inputs))
     steps: list[FlpStep] = []
     violations: list[str] = []
-    reported_msgs: set[int] = set()
     reported_pids: set[Pid] = set()
     last_stepped = {q: 0 for q in range(state.n)}
+    due: deque[tuple[int, int, int]] = deque()  # (due step, first index, end index)
 
     for _ in range(horizon):
         event = scheduler.next_event(state)
+        sent = state.next_index
         state, wrote = step_async(state, protocol, event)
+        pid, deliver, crash, _ = event
         # a fresh record: a replayed step must not carry its recorded outputs
-        steps.append(FlpStep(event.pid, event.deliver, event.crash, wrote))
-        if not event.crash:
-            last_stepped[event.pid] = state.step_count
-        if fairness_window is not None:
-            now = state.step_count
-            for q in state.live():
-                if now - last_stepped[q] > fairness_window and q not in reported_pids:
-                    violations.append(
-                        f"process {q} unstepped for more than {fairness_window} steps at step {now}"
-                    )
-                    reported_pids.add(q)
-            # sent_at rises with the index, so the overdue messages of each
-            # queue form a prefix of it
-            cutoff = now - fairness_window
-            overdue = (
-                m
-                for q in state.live()
-                for m in takewhile(lambda m: m.sent_at < cutoff, state.queues[q])
-                if m.index not in reported_msgs
-            )
+        steps.append(tuple.__new__(FlpStep, (pid, deliver, crash, wrote)))
+        now = state.step_count
+        if not crash:
+            last_stepped[pid] = now
+        if fairness_window is None:
+            continue
+        crashed = state.crashed
+        for q, last in last_stepped.items():
+            if now - last > fairness_window and q != crashed and q not in reported_pids:
+                violations.append(
+                    f"process {q} unstepped for more than {fairness_window} steps at step {now}"
+                )
+                reported_pids.add(q)
+        if state.next_index > sent:
+            due.append((now + fairness_window, sent, state.next_index))
+        while due and due[0][0] <= now:
+            _, first, end = due.popleft()
+            overdue: list[InFlight] = []
+            for q, queue in enumerate(state.queues):
+                if q != crashed and queue and queue[0].index < end:
+                    at = bisect_left(queue, first, key=_index)
+                    overdue += queue[at : bisect_left(queue, end, at, key=_index)]
+            # by send index: one event's sends share a sender, so as tuples
+            # they would sort by destination
             for m in sorted(overdue, key=_index):
                 violations.append(
                     f"message {m.index} to process {m.dest} undelivered after "
                     f"{fairness_window} steps"
                 )
-                reported_msgs.add(m.index)
 
     trace = ExecutionTrace(
         model="flp",

@@ -96,9 +96,11 @@ class GetCoreWrapper(RoundProtocol):
     def transition(
         self, internal: GetCoreState, round: int, received: Mapping[Pid, Payload]
     ) -> tuple[GetCoreState, Optional[int]]:
-        merged = internal.seen.union(*received.values())
-        if internal.phase < 3:
-            return internal._replace(phase=internal.phase + 1, seen=merged), None
+        pid, inner, sim_round, phase, seen, last_delivery = internal
+        merged = seen.union(*received.values())
+        if phase < 3:
+            phased = (pid, inner, sim_round, phase + 1, merged, last_delivery)
+            return tuple.__new__(GetCoreState, phased), None
         delivered: dict[Pid, Payload] = {}
         for sender, payload in sorted(merged):
             if sender == internal.pid:
@@ -250,19 +252,16 @@ class SynchronizerWrapper(AsyncProtocol):
     def step(
         self, internal: SynchronizerState, incoming: Optional[tuple[Pid, Payload]]
     ) -> tuple[SynchronizerState, list, Optional[int]]:
-        buffer = internal.buffer
+        pid, inner, round, started, buffer, log = internal
         if incoming is not None:
             sender, (r, payload) = incoming
             entry = (r, sender, payload)
             at = bisect_left(buffer, entry)
-            if r >= internal.round and buffer[at : at + 1] != (entry,):
+            if r >= round and buffer[at : at + 1] != (entry,):
                 buffer = buffer[:at] + (entry,) + buffer[at:]
-        inner = internal.inner
-        round = internal.round
-        log = internal.log
         sends = []
         output = None
-        if not internal.started:
+        if not started:
             sends.append((None, (round, self.inner.message(inner, round))))
         while True:
             # every buffered round is >= round, so this round's entries are
@@ -279,18 +278,8 @@ class SynchronizerWrapper(AsyncProtocol):
             buffer = buffer[end:]
             round += 1
             sends.append((None, (round, self.inner.message(inner, round))))
-        return (
-            SynchronizerState(
-                pid=internal.pid,
-                inner=inner,
-                round=round,
-                started=True,
-                buffer=buffer,
-                log=log,
-            ),
-            sends,
-            output,
-        )
+        state = tuple.__new__(SynchronizerState, (pid, inner, round, True, buffer, log))
+        return state, sends, output
 
 
 class SynchronizerProjection(NamedTuple):

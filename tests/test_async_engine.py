@@ -1,6 +1,8 @@
 """Asynchronous engine: events, crashes, schedulers, fairness, replay."""
 
+import random
 from dataclasses import dataclass, replace
+from itertools import takewhile
 from typing import Optional
 
 import pytest
@@ -333,3 +335,96 @@ def test_queue_engine_matches_flat_delivery_rules(n, relay, length, data):
             assert [m.index for m in state.queues[q]] == [
                 m[0] for m in flat.in_flight if m[2] == q
             ]
+
+
+# -- differential test against the rescanning fairness audit -------------------
+
+
+def rescanning_audit(inputs, protocol, scheduler, horizon, window):
+    """The audit before it checked each message once at its due step: after
+    every event, rescan each live process and each live queue's overdue
+    prefix, reporting what was not reported before.  Returns the recorded
+    steps and the violations."""
+    state = initial_async_state(protocol, inputs)
+    steps, violations = [], []
+    reported_msgs, reported_pids = set(), set()
+    last_stepped = {q: 0 for q in range(state.n)}
+    for _ in range(horizon):
+        event = scheduler.next_event(state)
+        state, wrote = step_async(state, protocol, event)
+        steps.append(FlpStep(event.pid, event.deliver, event.crash, wrote))
+        if not event.crash:
+            last_stepped[event.pid] = state.step_count
+        now = state.step_count
+        for q in state.live():
+            if now - last_stepped[q] > window and q not in reported_pids:
+                violations.append(
+                    f"process {q} unstepped for more than {window} steps at step {now}"
+                )
+                reported_pids.add(q)
+        cutoff = now - window
+        overdue = (
+            m
+            for q in state.live()
+            for m in takewhile(lambda m: m.sent_at < cutoff, state.queues[q])
+            if m.index not in reported_msgs
+        )
+        for m in sorted(overdue, key=lambda m: m.index):
+            violations.append(
+                f"message {m.index} to process {m.dest} undelivered after {window} steps"
+            )
+            reported_msgs.add(m.index)
+    return tuple(steps), violations
+
+
+class StarvingChooser(Scheduler):
+    """Never steps process ``starved``; steps a seeded choice of the others,
+    delivering any message addressed to it (not only the oldest) or none,
+    and crashes ``crash[0]`` once ``crash[1]`` events have run."""
+
+    def __init__(self, seed, starved, crash=None):
+        self.rng = random.Random(seed)
+        self.starved = starved
+        self.crash = crash
+
+    def next_event(self, state):
+        if self.crash is not None and state.crashed is None and state.step_count >= self.crash[1]:
+            return FlpStep(self.crash[0], crash=True)
+        pid = self.rng.choice([q for q in state.live() if q != self.starved])
+        queue = state.queues[pid]
+        if not queue or self.rng.random() < 0.2:
+            return FlpStep(pid)
+        return FlpStep(pid, self.rng.choice(queue).index)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(3, 5),
+    relay=st.booleans(),
+    kind=st.sampled_from(["round-robin", "seeded", "scripted"]),
+    window=st.integers(1, 20),
+    horizon=st.integers(0, 160),
+    crash=st.none() | st.tuples(st.integers(0, 4), st.integers(0, 160)),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_due_step_audit_matches_rescanning_audit(
+    n, relay, kind, window, horizon, crash, seed, data
+):
+    inputs = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    crash = None if crash is None else (crash[0] % n, crash[1])
+    proto = Relay(n) if relay else _sync(n)
+
+    def scheduler():
+        if kind == "round-robin":
+            return RoundRobinScheduler(n, crash=crash)
+        if kind == "seeded":
+            return SeededFairScheduler(n, seed, crash=crash)
+        return StarvingChooser(seed, seed % n, crash=crash)
+
+    steps, violations = rescanning_audit(inputs, proto, scheduler(), horizon, window)
+    # the scripted kind replays the chooser's events, non-head deliveries included
+    replay = ScriptedScheduler(steps) if kind == "scripted" else scheduler()
+    result = run_async(inputs, proto, replay, horizon, fairness_window=window)
+    assert result.trace.steps == steps
+    assert result.fairness.violations == violations
