@@ -51,11 +51,16 @@ ASYNC = "src/adversim/async_engine.py"
 MUTANTS = (
     # the gather, its core and the stack tables
     Mutant("gather-delivers-own-echo", SIM,
-           "            if sender == internal.pid:\n"
+           "            if sender == pid:\n"
            "                continue  # a process does not deliver its own message\n", ""),
     Mutant("gather-round-starts-without-own-entry", SIM,
-           "seen=frozenset({(internal.pid, self.inner.message(inner, sim_round))}),",
-           "seen=frozenset(),"),
+           "own = frozenset({(pid, self.inner.message(inner, sim_round + 1))})",
+           "own = frozenset()"),
+    Mutant("gather-delivery-ignores-drops", SIM,
+           "known[q] = before[d] | after[d]", "known[q] = total"),
+    Mutant("gather-period-is-inner-period", SIM,
+           "self.period = 3 * inner.period", "self.period = inner.period"),
+    Mutant("gather-phase-off-by-one", SIM, "if round % 3:", "if (round + 1) % 3:"),
     Mutant("gather-accepts-two-payloads", SIM,
            "if sender in delivered and delivered[sender] != payload:", "if False:"),
     Mutant("core-rule-without-victims-condition", SIM,

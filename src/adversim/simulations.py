@@ -64,19 +64,17 @@ class ResourceLimitError(AdversimError):
 class GetCoreState(NamedTuple):
     pid: Pid
     inner: Any
-    sim_round: int
-    phase: int  # 1..3 within the current simulated round
     seen: frozenset  # (sender, payload) pairs gathered this simulated round, own included
-    last_delivery: Optional[tuple[int, tuple[Pid, ...]]] = None  # analysis aid
 
 
 class GetCoreWrapper(RoundProtocol):
-    """Runs a fail-to-send protocol on the fail-to-receive engine, three real
-    rounds per simulated round.  Broadcasts accumulate: each phase a process
+    """Runs a fail-to-send protocol on the fail-to-receive engine: real rounds
+    3s-2, 3s-1 and 3s (hosts count from 1) are simulated round s, which ends
+    where ``round % 3`` is 0.  Broadcasts accumulate: each phase a process
     sends everything it has gathered, own message included, which is what
     guarantees the common core of n-1 senders.  Each simulated round starts
     with the process's own entry in its gathered set, so an echo of that
-    entry changes no state."""
+    entry changes no state.  The state keeps no round: 3 inner periods make one."""
 
     def __init__(self, inner: RoundProtocol, n: int):
         if n < 3:
@@ -84,11 +82,12 @@ class GetCoreWrapper(RoundProtocol):
         self.inner = inner
         self.n = n
         self.protocol_id = f"fts-over-ftr:{inner.protocol_id}"
+        if inner.period is not None:
+            self.period = 3 * inner.period
 
     def init(self, pid: Pid, input: int) -> GetCoreState:
         inner = self.inner.init(pid, input)
-        own = frozenset({(pid, self.inner.message(inner, 1))})
-        return GetCoreState(pid=pid, inner=inner, sim_round=1, phase=1, seen=own)
+        return GetCoreState(pid, inner, frozenset({(pid, self.inner.message(inner, 1))}))
 
     def message(self, internal: GetCoreState, round: int) -> Payload:
         return tuple(sorted(internal.seen))
@@ -96,31 +95,46 @@ class GetCoreWrapper(RoundProtocol):
     def transition(
         self, internal: GetCoreState, round: int, received: Mapping[Pid, Payload]
     ) -> tuple[GetCoreState, Optional[int]]:
-        pid, inner, sim_round, phase, seen, last_delivery = internal
+        pid, inner, seen = internal
         merged = seen.union(*received.values())
-        if phase < 3:
-            phased = (pid, inner, sim_round, phase + 1, merged, last_delivery)
-            return tuple.__new__(GetCoreState, phased), None
+        if round % 3:  # phases 1 and 2 only gather
+            return tuple.__new__(GetCoreState, (pid, inner, merged)), None
         delivered: dict[Pid, Payload] = {}
         for sender, payload in sorted(merged):
-            if sender == internal.pid:
+            if sender == pid:
                 continue  # a process does not deliver its own message
             if sender in delivered and delivered[sender] != payload:
                 raise AdversimError(f"two payloads for sender {sender} in one simulated round")
             delivered[sender] = payload
-        inner, out = self.inner.transition(internal.inner, internal.sim_round, delivered)
-        sim_round = internal.sim_round + 1
-        return (
-            GetCoreState(
-                pid=internal.pid,
-                inner=inner,
-                sim_round=sim_round,
-                phase=1,
-                seen=frozenset({(internal.pid, self.inner.message(inner, sim_round))}),
-                last_delivery=(internal.sim_round, tuple(sorted(delivered))),
-            ),
-            out,
-        )
+        sim_round = round // 3
+        inner, out = self.inner.transition(inner, sim_round, delivered)
+        own = frozenset({(pid, self.inner.message(inner, sim_round + 1))})
+        return tuple.__new__(GetCoreState, (pid, inner, own)), out
+
+
+def gather_delivery(script: Sequence[ReceiveFault], n: int) -> dict[Pid, tuple[Pid, ...]]:
+    """The senders each process delivers after a gather run under the
+    fail-to-receive fault ``script`` (three faults for one simulated round),
+    from the script alone.  Process q's knowledge K_q starts as {q}, and
+    each round q gains K_p for every p != q that q does not drop; q delivers
+    K_q without itself.  Knowledge sets are bitmasks, unioned once per round
+    from both ends, so a receiver that drops d gets all but K_d in O(1)."""
+    known = [1 << q for q in range(n)]
+    for fault in script:
+        before, total = [], 0  # before[i]: the union of known[:i]
+        for k in known:
+            before.append(total)
+            total |= k
+        after, rest = [0] * n, 0  # after[i]: the union of known[i + 1:]
+        for i in range(n - 1, 0, -1):
+            rest |= known[i]
+            after[i - 1] = rest
+        known = [total] * n
+        for q, d in fault.drops:
+            known[q] = before[d] | after[d]
+    everyone, full = tuple(range(n)), (1 << n) - 1
+    return {q: everyone[:q] + everyone[q + 1 :] if k == full  # the common case
+            else tuple(s for s in everyone if s != q and k >> s & 1) for q, k in enumerate(known)}
 
 
 def classify_delivery(
@@ -132,10 +146,11 @@ def classify_delivery(
     round's three-phase fault script, to the error when given."""
     missing: dict[Pid, list[Pid]] = {}
     for q in range(n):
-        got = set(delivery[q])
-        for s in range(n):
-            if s != q and s not in got:
-                missing.setdefault(s, []).append(q)
+        got = {q, *delivery[q]}
+        if len(got) < n:
+            for s in range(n):
+                if s not in got:
+                    missing.setdefault(s, []).append(q)
     if not missing:
         return NO_FAULT
     if len(missing) > 1:
@@ -147,52 +162,34 @@ def classify_delivery(
 
 
 class SimulatedRound(NamedTuple):
-    sim_round: int
+    round: int  # the simulated round, counted from 1
     delivery: dict[Pid, tuple[Pid, ...]]
     core: tuple[Pid, ...]
     fault: RoundFault
 
     def record(self) -> dict:
         return {
-            "sim_round": self.sim_round,
+            "sim_round": self.round,
             "core": list(self.core),
             "core_size": len(self.core),
             "fault": {"sender": self.fault.sender, "victims": sorted(self.fault.victims)},
         }
 
 
-def getcore_rounds(
-    configs: Sequence[Configuration], faults: Optional[Sequence[ReceiveFault]] = None
-) -> list[SimulatedRound]:
-    """Per-simulated-round delivery reports from a kept-config wrapped run.
-
-    ``configs`` must include the initial configuration; a simulated round
-    completes every third real round.  Pass the run's fault sequence to get
-    the offending three-phase script attached to any lemma violation."""
-    if not configs:
-        return []
-    n = configs[0].n
+def getcore_rounds(faults: Sequence[ReceiveFault], n: int) -> list[SimulatedRound]:
+    """Per-simulated-round reports of a gather run under the fault sequence
+    ``faults``: each round's delivery is ``gather_delivery`` of its three
+    faults, classified as one fail-to-send fault, with the script attached
+    to any ``EmulationLemmaViolation``.  ``getcore_equivalent`` checks that
+    the wrapped run matches the direct run under those faults."""
     reports = []
-    for i in range(3, len(configs), 3):
-        states = configs[i].states
-        script = None if faults is None else list(faults[i - 3 : i])
-        delivery = {}
-        sim_round = None
-        for q in range(n):
-            internal: GetCoreState = states[q].internal
-            if internal.last_delivery is None:
-                raise AdversimError("wrapped run out of phase: no delivery recorded")
-            r, senders = internal.last_delivery
-            sim_round = r if sim_round is None else sim_round
-            if r != sim_round:
-                raise AdversimError("wrapped run out of lockstep across processes")
-            delivery[q] = tuple(s for s in senders if s != q)
+    for r in range(1, len(faults) // 3 + 1):
+        script = list(faults[3 * r - 3 : 3 * r])
+        delivery = gather_delivery(script, n)
         fault = classify_delivery(delivery, n, script)
         # a legal round misses at most one sender: the core is everyone else
         core = tuple(s for s in range(n) if s != fault.sender or not fault.victims)
-        reports.append(
-            SimulatedRound(sim_round=sim_round, delivery=delivery, core=core, fault=fault)
-        )
+        reports.append(SimulatedRound(round=r, delivery=delivery, core=core, fault=fault))
     return reports
 
 
@@ -205,7 +202,7 @@ def getcore_equivalent(
     direct = initial_configuration(base, configs[0].inputs())
     for rep in rounds:
         direct = step_fts(direct, base, rep.fault)
-        wrapped = [(s.internal.inner, s.output) for s in configs[3 * rep.sim_round].states]
+        wrapped = [(s.internal.inner, s.output) for s in configs[3 * rep.round].states]
         if wrapped != [(s.internal, s.output) for s in direct.states]:
             return False
     return True
@@ -602,7 +599,7 @@ def audit_stack(protocol, result) -> StackAudit:
         summary = f"crashed={proj.crashed} min_round={proj.min_round} projection_valid={valid}"
         return StackAudit([proj.record()], valid, summary)
     if isinstance(protocol, GetCoreWrapper):
-        rounds = getcore_rounds(result.configs, [s.fault for s in result.trace.steps])
+        rounds = getcore_rounds([s.fault for s in result.trace.steps], protocol.n)
         ok = getcore_equivalent(protocol.inner, result.configs, rounds)
         min_core = min((len(r.core) for r in rounds), default=protocol.n)
         records = [r.record() for r in rounds] + [{"equivalent_direct_run": ok}]

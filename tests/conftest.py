@@ -1,6 +1,7 @@
 """Shared test helpers: launch the CLI in a fresh interpreter,
-re-establish an attack witness, and a flooding protocol that is safe only in
-the restricted fail-to-send model.
+re-establish an attack witness, a flooding protocol that is safe only in
+the restricted fail-to-send model, and a phase-king-lite that records the
+senders it was delivered.
 
 Subprocess tests run ``python -m adversim`` with ``cwd`` set to a temporary
 directory, so a relative ``PYTHONPATH`` entry such as ``src`` would resolve
@@ -17,6 +18,7 @@ from pathlib import Path
 
 from adversim.core import RoundProtocol
 from adversim.nondecider import failure_free_decision, silent_decision
+from adversim.protocols import PhaseKingLite
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -71,3 +73,25 @@ class FloodMin(RoundProtocol):
             return internal, None
         known = internal.union(*received.values())
         return known, min(known) if round == 2 else None
+
+
+class RecordingPhaseKing(PhaseKingLite):
+    """Phase-king-lite whose state is (phase-king-lite state, the senders its
+    last ``transition`` received), so that run inside a wrapper it records
+    the delivery the wrapper actually made."""
+
+    def init(self, pid, input):
+        return super().init(pid, input), ()
+
+    def message(self, internal, round):
+        return super().message(internal[0], round)
+
+    def transition(self, internal, round, received):
+        state, out = super().transition(internal[0], round, received)
+        return (state, tuple(received)), out
+
+
+def recorded_delivery(config):
+    """Per process, the senders a gather around ``RecordingPhaseKing`` last
+    delivered in ``config``."""
+    return {q: s.internal.inner[1] for q, s in enumerate(config.states)}

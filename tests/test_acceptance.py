@@ -12,7 +12,7 @@ import time
 from functools import partial
 
 import pytest
-from conftest import run_adversim, verify_witness
+from conftest import RecordingPhaseKing, recorded_delivery, run_adversim, verify_witness
 
 from adversim import checking
 from adversim.async_engine import SeededFairScheduler, run_async
@@ -236,31 +236,35 @@ def test_acceptance_6_negative_controls():
 
 
 def test_acceptance_7_core_lemma():
+    # each core is read off the fault script; the recording inner protocol
+    # checks that the wrapper delivered exactly what the script says
     start = time.time()
     n = 3
-    wrapped = GetCoreWrapper(PhaseKingLite(n), n)
+    wrapped = GetCoreWrapper(RecordingPhaseKing(n), n)
     base_config = initial_configuration(wrapped, (1, 0, 0))
     faults = enumerate_faults("ftr", n)
     worst = n
     combos = 0
+    delivered_ok = True
     for combo in itertools.product(faults, repeat=3):
-        result = run(base_config, wrapped, "ftr", list(combo), horizon=3, keep_configs=True)
-        rep = getcore_rounds(result.configs)[0]
+        result = run(base_config, wrapped, "ftr", list(combo), horizon=3)
+        rep = getcore_rounds(combo, n)[0]
         worst = min(worst, len(rep.core))
+        delivered_ok = delivered_ok and recorded_delivery(result.final_config) == rep.delivery
         combos += 1
-    exhaustive_ok = worst >= n - 1 and combos == 27**3
+    exhaustive_ok = worst >= n - 1 and combos == 27**3 and delivered_ok
 
     fuzz_ok = True
     for nn in (4, 5):
-        w = GetCoreWrapper(PhaseKingLite(nn), nn)
+        w = GetCoreWrapper(RecordingPhaseKing(nn), nn)
         cfg = initial_configuration(w, tuple((i * 7 + 1) % 2 for i in range(nn)))
         fs = enumerate_faults("ftr", nn)
         rng = random.Random(520 + nn)
         for _ in range(10_000):
             combo = [rng.choice(fs) for _ in range(3)]
-            result = run(cfg, w, "ftr", combo, horizon=3, keep_configs=True)
-            rep = getcore_rounds(result.configs)[0]
-            if len(rep.core) < nn - 1:
+            result = run(cfg, w, "ftr", combo, horizon=3)
+            rep = getcore_rounds(combo, nn)[0]
+            if len(rep.core) < nn - 1 or recorded_delivery(result.final_config) != rep.delivery:
                 fuzz_ok = False
                 break
     elapsed = time.time() - start
@@ -268,7 +272,8 @@ def test_acceptance_7_core_lemma():
     _report(
         7,
         ok,
-        f"27^3 exhaustive worst core {worst} >= 2, fuzz 2x10k clean, {elapsed:.0f}s < 120s",
+        f"27^3 exhaustive worst core {worst} >= 2, delivery as scripted, fuzz 2x10k clean, "
+        f"{elapsed:.0f}s < 120s",
     )
 
 

@@ -25,7 +25,8 @@ from adversim.nondecider import (
     report_records,
     silent_decision,
 )
-from adversim.protocols import NaiveMajority, PhaseKingLite
+from adversim.protocols import NaiveMajority, PhaseKingLite, get_protocol
+from adversim.simulations import GetCoreWrapper
 from adversim.sync_engine import NO_FAULT, RoundFault, enumerate_faults, run, step_fts
 
 CAP = default_cap(3)
@@ -708,6 +709,16 @@ def test_restricted_lasso_attack_matches_unperiodic_attack(n):
     rounds = 8 * n
     got = _attack_outcome(PhaseKingLite(n), n, rounds, restricted=True)
     assert got == _attack_outcome(_unperiodic(n), n, rounds, restricted=True)
+
+
+@pytest.mark.parametrize("n, lasso", [(3, (15, 18)), (4, (9, 24)), (5, (21, 30))])
+def test_lasso_closes_on_a_gather_stack(n, lasso):
+    # the gather declares three inner periods; probing every round of the
+    # same gather around an unperiodic phase-king-lite gives the same attack
+    gather = get_protocol("fts-over-ftr:phase-king-lite", n)
+    assert build_nondeciding_execution(gather, n, 200).lasso == lasso
+    unperiodic = GetCoreWrapper(_unperiodic(n), n)
+    assert _attack_outcome(gather, n, 200) == _attack_outcome(unperiodic, n, 200)
 
 
 def test_wrong_period_fails_the_differential():

@@ -185,8 +185,7 @@ def test_phase_king_lite_repeats_with_its_declared_period(n):
 
 @pytest.mark.parametrize(
     "protocol_id",
-    ["naive-majority", "constant-0", "constant-1", "fts-over-ftr:phase-king-lite",
-     "flp-over-ftr:phase-king-lite"],
+    ["naive-majority", "constant-0", "constant-1", "flp-over-ftr:phase-king-lite"],
 )
 def test_other_protocols_and_wrappers_declare_no_period(protocol_id):
     assert get_protocol(protocol_id, 3).period is None

@@ -1,7 +1,7 @@
 """Model reductions: gather core, synchronizer projection, piggyback ledger."""
 
 import random
-from itertools import islice, repeat
+from itertools import islice, product, repeat
 from dataclasses import dataclass
 from typing import Any
 
@@ -19,7 +19,7 @@ from adversim.core import (
     validate_trace,
 )
 from adversim.async_engine import RoundRobinScheduler, SeededFairScheduler, run_async
-from adversim.protocols import PhaseKingLite
+from adversim.protocols import PhaseKingLite, get_protocol
 from adversim.simulations import (
     EmulationLemmaViolation,
     GetCoreState,
@@ -33,6 +33,7 @@ from adversim.simulations import (
     audit_stack,
     build_stack,
     classify_delivery,
+    gather_delivery,
     getcore_equivalent,
     getcore_rounds,
     piggyback_ledger,
@@ -49,6 +50,7 @@ from adversim.sync_engine import (
     step_fts,
     step_ftr,
 )
+from conftest import RecordingPhaseKing, recorded_delivery
 from test_async_engine import Relay
 
 
@@ -88,11 +90,11 @@ def _assert_gather_equals_direct(configs, faults, n, inputs):
     run of float-mean under the classified fault, state for state."""
     base = FloatMean(n)
     direct = initial_configuration(base, inputs)
-    rounds = getcore_rounds(configs, faults)
+    rounds = getcore_rounds(faults, n)
     assert len(rounds) >= 4
     for rep in rounds:
         direct = step_fts(direct, base, rep.fault)
-        wrapped = configs[3 * rep.sim_round]
+        wrapped = configs[3 * rep.round]
         assert [s.internal.inner for s in wrapped.states] == [s.internal for s in direct.states]
         assert wrapped.outputs() == direct.outputs()
     assert len(direct.outputs()) == n
@@ -176,7 +178,7 @@ def test_gather_audit_matches_reference(float_mean, seed):
     proto, result = _gather_run(n, inputs, seed)
     faults = [step.fault for step in result.trace.steps]
     _assert_gather_equals_direct(result.configs, faults, n, inputs)
-    rounds = getcore_rounds(result.configs, faults)
+    rounds = getcore_rounds(faults, n)
     assert getcore_equivalent(proto.inner, result.configs, rounds)
     audit = audit_stack(proto, result)
     assert audit.ok
@@ -197,7 +199,7 @@ def test_gather_audit_rejects_tampered_inner_state(float_mean):
     faults = [step.fault for step in result.trace.steps]
     with pytest.raises(AssertionError):
         _assert_gather_equals_direct(tampered.configs, faults, n, inputs)
-    assert not getcore_equivalent(proto.inner, tampered.configs, getcore_rounds(tampered.configs))
+    assert not getcore_equivalent(proto.inner, tampered.configs, getcore_rounds(faults, n))
     audit = audit_stack(proto, tampered)
     assert not audit.ok
     assert audit.records[-1] == {"equivalent_direct_run": False}
@@ -266,9 +268,14 @@ def _wrapped_run(n, inputs, faults, rounds=1):
     return base, result
 
 
+def _first_round(result):
+    """The first simulated round's report of a gather run, from its trace."""
+    return getcore_rounds([step.fault for step in result.trace.steps], result.trace.n)[0]
+
+
 def test_no_drops_full_delivery():
     _, result = _wrapped_run(3, (1, 0, 0), [])
-    rep = getcore_rounds(result.configs)[0]
+    rep = _first_round(result)
     assert rep.core == (0, 1, 2)
     assert rep.fault == NO_FAULT
     assert all(len(v) == 2 for v in rep.delivery.values())  # n-1 senders each
@@ -281,7 +288,7 @@ def test_three_phase_silence_equals_direct_full_silence_fault():
     p = 1
     silence = ReceiveFault({q: p for q in range(n) if q != p})
     base, result = _wrapped_run(n, (1, 0, 0), [silence] * 3)
-    rep = getcore_rounds(result.configs)[0]
+    rep = _first_round(result)
     assert rep.fault == RoundFault(p, [0, 2])
     assert rep.core == (0, 2)
     direct = step_fts(initial_configuration(base, (1, 0, 0)), base, RoundFault(p, [0, 2]))
@@ -298,7 +305,7 @@ def test_adversarial_sample_always_classifiable():
     for _ in range(300):
         combo = [rng.choice(faults) for _ in range(3)]
         _, result = _wrapped_run(n, (1, 0, 0), combo)
-        rep = getcore_rounds(result.configs)[0]
+        rep = _first_round(result)
         assert len(rep.core) >= n - 1
         # the core read off the fault is every sender all others delivered
         delivered_by_all = tuple(
@@ -326,7 +333,7 @@ def test_core_set_and_classify_hand_cases():
 
 def test_gather_refuses_two_payloads_for_one_sender():
     wrapper = GetCoreWrapper(PhaseKingLite(3), 3)
-    state = wrapper.init(0, 1)._replace(phase=3, seen=frozenset({(1, b"0"), (1, b"1")}))
+    state = wrapper.init(0, 1)._replace(seen=frozenset({(1, b"0"), (1, b"1")}))
     with pytest.raises(AdversimError) as exc:
         wrapper.transition(state, 3, {})
     assert str(exc.value) == "two payloads for sender 1 in one simulated round"
@@ -338,44 +345,33 @@ class FilteringGather(GetCoreWrapper):
     it arrives, and the own entry is added only to what the process sends."""
 
     def init(self, pid, input):
-        return GetCoreState(
-            pid=pid, inner=self.inner.init(pid, input), sim_round=1, phase=1, seen=frozenset()
-        )
+        return GetCoreState(pid=pid, inner=self.inner.init(pid, input), seen=frozenset())
 
     def message(self, internal, round):
-        own = (internal.pid, self.inner.message(internal.inner, internal.sim_round))
+        own = (internal.pid, self.inner.message(internal.inner, (round + 2) // 3))
         return tuple(sorted(internal.seen | {own}))
 
     def transition(self, internal, round, received):
         merged = set(internal.seen)
         for entries in received.values():
             merged.update(entry for entry in entries if entry[0] != internal.pid)
-        if internal.phase < 3:
-            return internal._replace(phase=internal.phase + 1, seen=frozenset(merged)), None
+        if round % 3 != 0:
+            return internal._replace(seen=frozenset(merged)), None
         delivered = {}
         for sender, payload in sorted(merged):
             if sender in delivered and delivered[sender] != payload:
                 raise AdversimError(f"two payloads for sender {sender} in one simulated round")
             delivered[sender] = payload
-        inner, out = self.inner.transition(internal.inner, internal.sim_round, delivered)
-        return (
-            GetCoreState(
-                pid=internal.pid,
-                inner=inner,
-                sim_round=internal.sim_round + 1,
-                phase=1,
-                seen=frozenset(),
-                last_delivery=(internal.sim_round, tuple(sorted(delivered))),
-            ),
-            out,
-        )
+        inner, out = self.inner.transition(internal.inner, round // 3, delivered)
+        return GetCoreState(pid=internal.pid, inner=inner, seen=frozenset()), out
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_gather_union_sends_and_delivers_as_filtering_gather(n):
     # seen holds the process's own entry from the start of each simulated
     # round; what a process sends, delivers and outputs must not change
-    gather, reference = GetCoreWrapper(PhaseKingLite(n), n), FilteringGather(PhaseKingLite(n), n)
+    gather = GetCoreWrapper(RecordingPhaseKing(n), n)
+    reference = FilteringGather(RecordingPhaseKing(n), n)
     rng = random.Random(2_400 + n)
     for _ in range(100):
         inputs = tuple(rng.randrange(2) for _ in range(n))
@@ -389,28 +385,51 @@ def test_gather_union_sends_and_delivers_as_filtering_gather(n):
             assert [gather.message(s.internal, mine.round) for s in mine.states] == [
                 reference.message(s.internal, theirs.round) for s in theirs.states
             ]
-            assert [s.internal.last_delivery for s in mine.states] == [
-                s.internal.last_delivery for s in theirs.states
-            ]
+            assert recorded_delivery(mine) == recorded_delivery(theirs)
             # every state holds its own entry, and nothing else tells it apart
+            sim_round = (mine.round + 2) // 3
             for a, b in zip(mine.states, theirs.states):
-                own = (a.internal.pid, gather.inner.message(a.internal.inner, a.internal.sim_round))
+                own = (a.internal.pid, gather.inner.message(a.internal.inner, sim_round))
                 assert own in a.internal.seen
                 assert a._replace(internal=a.internal._replace(seen=a.internal.seen - {own})) == b
+        for r in range(1, 5):
+            want_delivery = gather_delivery(script[3 * r - 3 : 3 * r], n)
+            assert recorded_delivery(got.configs[3 * r]) == want_delivery
 
 
-def test_getcore_rounds_attaches_script_when_two_senders_missed():
-    faults = enumerate_faults("ftr", 3)[:3]
-    _, result = _wrapped_run(3, (1, 0, 0), faults)
-    config = result.configs[3]
-    deaf = config.states[0]._replace(
-        internal=config.states[0].internal._replace(last_delivery=(1, (0,)))
-    )
-    configs = [*result.configs[:3], config._replace(states=(deaf, *config.states[1:]))]
+def test_gather_delivers_what_the_script_says_on_every_script_at_n3():
+    # the wrapper's own delivery, recorded by its inner protocol, against
+    # the delivery computed from the fault script alone
+    n = 3
+    gather = GetCoreWrapper(RecordingPhaseKing(n), n)
+    faults = enumerate_faults("ftr", n)
+    level = [((), initial_configuration(gather, (1, 0, 0)))]
+    for _ in range(3):
+        level = [(script + (f,), step_ftr(c, gather, f)) for script, c in level for f in faults]
+    assert len(level) == 27**3
+    for script, config in level:
+        assert recorded_delivery(config) == gather_delivery(script, n)
+
+
+def test_gather_delivers_what_the_script_says_on_seeded_scripts_at_n4():
+    n = 4
+    gather = GetCoreWrapper(RecordingPhaseKing(n), n)
+    config = initial_configuration(gather, (1, 0, 1, 0))
+    faults = enumerate_faults("ftr", n)
+    rng = random.Random(2_804)
+    for _ in range(2_000):
+        script = [rng.choice(faults) for _ in range(3)]
+        final = run(config, gather, "ftr", script, horizon=3).final_config
+        assert recorded_delivery(final) == gather_delivery(script, n)
+
+
+def test_classify_delivery_attaches_script_when_two_senders_missed():
+    script = enumerate_faults("ftr", 3)[:3]
+    broken = {0: (2,), 1: (0,), 2: (0, 1)}  # 0 misses 1, 1 misses 2
     with pytest.raises(EmulationLemmaViolation) as exc:
-        getcore_rounds(configs, faults)
+        classify_delivery(broken, 3, script)
     assert str(exc.value).startswith("multiple senders missed in one simulated round: [1, 2]")
-    assert exc.value.script == faults[0:3]
+    assert exc.value.script == script
 
 
 def test_lemma_violation_carries_script():
@@ -419,9 +438,79 @@ def test_lemma_violation_carries_script():
     assert "fault script" in str(err)
 
 
-def test_counting_bound_behind_the_lemma():
-    for n in range(3, 11):
-        assert n * (n - 2) > n * (n - 3)
+def test_two_rounds_already_give_a_core_of_n_minus_1():
+    # ROADMAP item 13: a process missing s after two rounds dropped s in
+    # round 2 and heard everyone else, so everyone but s dropped s in round
+    # 1; two such senders would make a third process drop both in round 1
+    for n in (3, 4):
+        for script in product(enumerate_faults("ftr", n), repeat=2):
+            classify_delivery(gather_delivery(script, n), n)
+
+
+# -- the gather's period -------------------------------------------------------
+
+
+def _gather_script(n, rng, sim_rounds):
+    """Three ftr faults per simulated round: with equal odds, one process
+    silenced in all three phases (a simulated fail-to-send fault, which can
+    split the inner protocol's processes) or three uniform draws."""
+    draws = random_faults(n, rng, "ftr", False)
+    script = []
+    for _ in range(sim_rounds):
+        if rng.random() < 0.5:
+            script += [silence(rng.randrange(n), n, "ftr")] * 3
+        else:
+            script += islice(draws, 3)
+    return script
+
+
+def _repeats_with_declared_period(gather, n, seed):
+    """Whether ``message`` and ``transition`` give equal results at rounds r
+    and r + period on every configuration 30 seeded ftr runs reach, each
+    transition on the inbox the run's next fault delivers."""
+    period = gather.period
+    rng = random.Random(seed)
+    for _ in range(30):
+        inputs = tuple(rng.randrange(2) for _ in range(n))
+        script = _gather_script(n, rng, 2 * n)
+        start = initial_configuration(gather, inputs)
+        result = run(start, gather, "ftr", script, horizon=len(script), keep_configs=True)
+        for config, fault in zip(result.configs, script):
+            r, states = config.round, [s.internal for s in config.states]
+            sent = [gather.message(state, r) for state in states]
+            if sent != [gather.message(state, r + period) for state in states]:
+                return False
+            dropped = fault.mapping
+            for q, state in enumerate(states):
+                inbox = {p: sent[p] for p in range(n) if p not in (q, dropped.get(q))}
+                if gather.transition(state, r, inbox) != gather.transition(
+                    state, r + period, inbox
+                ):
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_gather_repeats_with_its_declared_period(n):
+    gather = get_protocol("fts-over-ftr:phase-king-lite", n)
+    assert gather.period == 3 * 2 * n
+    assert _repeats_with_declared_period(gather, n, seed=2_800 + n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_gather_around_a_wrong_inner_period_fails_the_period_check(n):
+    # Negative control: n is not a period of phase-king-lite (the parity or
+    # the king of the round changes), so three times n is none of the gather
+    wrong = PhaseKingLite(n)
+    wrong.period = n
+    gather = GetCoreWrapper(wrong, n)
+    assert gather.period == 3 * n
+    assert not _repeats_with_declared_period(gather, n, seed=2_800 + n)
+
+
+def test_gather_around_an_unperiodic_inner_declares_no_period(float_mean):
+    assert build_stack("fts-over-ftr", "naive-majority", 3).period is None
+    assert build_stack("fts-over-ftr", "float-mean", 3).period is None
 
 
 def test_get_core_requires_three():
@@ -770,7 +859,7 @@ def test_build_stack_rejects_asynchronous_base_under_round_models(stack):
 @pytest.mark.parametrize(
     "state, plain",
     [
-        (GetCoreState(0, "s", 1, 2, frozenset()), (0, "s", 1, 2, frozenset(), None)),
+        (GetCoreState(0, "s", frozenset()), (0, "s", frozenset())),
         (SynchronizerState(1, "s", 3, True, ()), (1, "s", 3, True, (), ())),
         (PiggybackState(2, "s", False, ((), (), ())), (2, "s", False, ((), (), ()), (), ())),
     ],
