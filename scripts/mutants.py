@@ -78,6 +78,18 @@ MUTANTS = (
            '("flp", "ftr"): PiggybackWrapper,', '("flp", "ftr"): GetCoreWrapper,'),
     Mutant("flp-stack-skips-the-synchronizer", SIM,
            "protocol = SynchronizerWrapper(protocol, n)", "pass"),
+    # the piggyback: its idle step bootstraps round 1, and its ledger is read
+    # from the kept configurations
+    Mutant("piggyback-skips-idle-step", SIM,
+           "        if not stepped:\n"
+           "            take(None)  # idle round, round 1 included: the simulated process still steps\n",
+           ""),
+    Mutant("ledger-credits-unicast-to-everyone", SIM,
+           "elif dest is None or dest == q:", "elif True:"),
+    Mutant("ledger-delivers-own-messages", SIM,
+           "elif dest is None or dest == q:", "if dest is None or dest == q:"),
+    Mutant("ledger-sent-round-off-by-one", SIM,
+           "sent[p].append((dest, r, []))", "sent[p].append((dest, r - 1, []))"),
     # the protocol registry
     Mutant("registry-naive-majority-is-phase-king-lite", "src/adversim/protocols.py",
            '"naive-majority": NaiveMajority,', '"naive-majority": PhaseKingLite,'),

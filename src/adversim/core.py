@@ -402,9 +402,11 @@ def _loads(line: str, lineno: int):
     return obj
 
 
-def _pid_object(pairs: Iterable[tuple[Pid, int]]) -> str:
+def _pid_object(pairs: tuple[tuple[Pid, int], ...]) -> str:
     """``(pid, int)`` pairs as a JSON object in ``sort_keys`` order (pid 10
     before pid 2): a key's closing quote sorts below every digit and "-"."""
+    if not pairs:
+        return "{}"  # most steps write no output and most rounds drop nothing
     return "{" + ",".join(sorted(['"%d":%d' % pair for pair in pairs])) + "}"
 
 

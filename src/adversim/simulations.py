@@ -23,7 +23,9 @@ leave the process and never appear in a trace, so nothing serializes them.
 The wrapper states (``GetCoreState``, ``SynchronizerState`` and
 ``PiggybackState``), one built per process per round or event, are plain
 immutable tuples: each compares equal to, and hashes like, the tuple of its
-fields, so configurations holding them key memo tables at tuple cost.
+fields, so configurations holding them key memo tables at tuple cost.  Every
+field of ``PiggybackState`` is one the wrapper reads; its delivery ledger is
+read from a run's kept configurations.
 """
 
 from __future__ import annotations
@@ -367,15 +369,10 @@ MAX_SIMULATED_MESSAGES = 100_000
 class PiggybackState(NamedTuple):
     pid: Pid
     inner: Any
-    started: bool
     # Per process, the longest prefix of its send log seen so far, as
     # (seq, dest or None for broadcast, payload) entries; a process's own
     # entry is its whole log.
     logs: tuple
-    # Round of each own send, by seq.
-    sent_rounds: tuple = ()
-    # Deliveries consumed by this process: ((sender, seq), round delivered).
-    delivered: tuple = ()
 
 
 class PiggybackWrapper(RoundProtocol):
@@ -386,7 +383,8 @@ class PiggybackWrapper(RoundProtocol):
     message addressed to itself the first time it sees one, in ascending
     (sender, sequence) order.  Each round a process delivers everything newly
     addressed to it, or takes one spontaneous step if nothing arrived, so the
-    simulated processes keep taking steps forever."""
+    simulated processes keep taking steps forever.  Round 1 delivers nothing,
+    so its idle step is each simulated process's first step."""
 
     def __init__(self, inner: AsyncProtocol, n: int):
         if n < 3:
@@ -396,9 +394,7 @@ class PiggybackWrapper(RoundProtocol):
         self.protocol_id = f"flp-over-ftr:{inner.protocol_id}"
 
     def init(self, pid: Pid, input: int) -> PiggybackState:
-        return PiggybackState(
-            pid=pid, inner=self.inner.init(pid, input), started=False, logs=((),) * self.n
-        )
+        return PiggybackState(pid, self.inner.init(pid, input), ((),) * self.n)
 
     def message(self, internal: PiggybackState, round: int) -> Payload:
         return internal.logs
@@ -418,7 +414,6 @@ class PiggybackWrapper(RoundProtocol):
             )
 
         inner = internal.inner
-        delivered = list(internal.delivered)
         outbox = []
         output = None
         stepped = False
@@ -431,16 +426,12 @@ class PiggybackWrapper(RoundProtocol):
             if output is None and out is not None:
                 output = out
 
-        if not internal.started:
-            take(None)  # bootstrap step: first sends happen here
-
         for sender, (old, log) in enumerate(zip(internal.logs, logs)):
-            for seq, dest, payload in log[len(old) :]:
+            for _seq, dest, payload in log[len(old) :]:
                 if dest == pid or dest is None:
                     take((sender, payload))
-                    delivered.append(((sender, seq), round))
         if not stepped:
-            take(None)  # idle round: the simulated process still steps
+            take(None)  # idle round, round 1 included: the simulated process still steps
 
         if any(dest == pid for dest, _ in outbox):
             raise AdversimError("a process never sends to itself")
@@ -449,17 +440,7 @@ class PiggybackWrapper(RoundProtocol):
             (seq, dest, payload) for seq, (dest, payload) in enumerate(outbox, len(own))
         )
 
-        return (
-            PiggybackState(
-                pid=pid,
-                inner=inner,
-                started=True,
-                logs=tuple(logs),
-                sent_rounds=internal.sent_rounds + (round,) * len(outbox),
-                delivered=tuple(delivered),
-            ),
-            output,
-        )
+        return tuple.__new__(PiggybackState, (pid, inner, tuple(logs))), output
 
 
 class LedgerEntry(NamedTuple):
@@ -493,28 +474,32 @@ class LedgerEntry(NamedTuple):
         }
 
 
-def piggyback_ledger(config: Configuration) -> list[LedgerEntry]:
-    """Reconstruct the simulated-message delivery ledger from the final
-    configuration of a piggybacked run."""
-    n = config.n
-    states = [config.states[q].internal for q in range(n)]
-    deliveries: dict[tuple[Pid, int], list[tuple[Pid, int]]] = {}
-    for q in range(n):
-        for mid, round in states[q].delivered:
-            deliveries.setdefault(tuple(mid), []).append((q, round))
-    entries = []
-    for p in range(n):
-        for (seq, dest, _payload), sent_round in zip(states[p].logs[p], states[p].sent_rounds):
-            entries.append(
-                LedgerEntry(
-                    sender=p,
-                    seq=seq,
-                    dest=dest,
-                    sent_round=sent_round,
-                    deliveries=tuple(sorted(deliveries.get((p, seq), []))),
-                )
-            )
-    return sorted(entries, key=lambda e: (e.sender, e.seq))
+def piggyback_ledger(configs: Sequence[Configuration]) -> list[LedgerEntry]:
+    """Reconstruct the simulated-message delivery ledger of a piggybacked run
+    from its kept configurations, in one pass over the rounds.  Message
+    (p, seq) was sent in the round p's own log first grows past seq, and
+    delivered to q != p in the round q's copy of p's log first grows past
+    seq, if it is broadcast or addressed to q: that is when the wrapper
+    delivers it."""
+    n = configs[0].n
+    known = [[0] * n for _ in range(n)]  # known[q][p]: length of q's copy of p's log
+    sent: list[list] = [[] for _ in range(n)]  # per sender, by seq: (dest, round, deliveries)
+    for prev, config in zip(configs, configs[1:]):
+        r = prev.round
+        for q, state in enumerate(config.states):
+            lengths = known[q]
+            for p, log in enumerate(state.internal.logs):
+                for seq, dest, _payload in log[lengths[p] :]:
+                    if p == q:
+                        sent[p].append((dest, r, []))
+                    elif dest is None or dest == q:
+                        sent[p][seq][2].append((q, r))
+                lengths[p] = len(log)
+    return [
+        LedgerEntry(p, seq, dest, r, tuple(sorted(deliveries)))
+        for p in range(n)
+        for seq, (dest, r, deliveries) in enumerate(sent[p])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -586,10 +571,11 @@ class StackAudit(NamedTuple):
 
 def audit_stack(protocol, result) -> StackAudit:
     """Audit one run of a built stack by its outermost simulation: the
-    gather's rounds and equivalence (the run must keep its configurations),
-    the synchronizer's projection (the only audit of a nested stack), or the
-    piggyback ledger, which is never unfaithful.  A gather core below n-1
-    raises ``EmulationLemmaViolation``."""
+    gather's rounds and equivalence, the synchronizer's projection (the only
+    audit of a nested stack), or the piggyback ledger, which is never
+    unfaithful.  The gather and the piggyback both read the run's kept
+    configurations.  A gather core below n-1 raises
+    ``EmulationLemmaViolation``."""
     if isinstance(protocol, SynchronizerWrapper):
         final = result.final_state
         proj = project_synchronized_run(
@@ -604,7 +590,7 @@ def audit_stack(protocol, result) -> StackAudit:
         min_core = min((len(r.core) for r in rounds), default=protocol.n)
         records = [r.record() for r in rounds] + [{"equivalent_direct_run": ok}]
         return StackAudit(records, ok, f"{len(rounds)} simulated rounds, min core size {min_core}")
-    ledger = piggyback_ledger(result.final_config)
+    ledger = piggyback_ledger(result.configs)
     undelivered = sum(not e.fully_delivered(protocol.n) for e in ledger)
     summary = f"{len(ledger)} simulated messages, {undelivered} not fully delivered"
     return StackAudit([e.record() for e in ledger], True, summary)

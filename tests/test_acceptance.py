@@ -332,10 +332,9 @@ def test_acceptance_9_piggyback_liveness():
     lag_ok = True
     for name, faults in scripts.items():
         proto = fresh()
-        result = run(
-            initial_configuration(proto, (1, 0, 0)), proto, "ftr", faults, horizon=horizon
-        )
-        for entry in piggyback_ledger(result.final_config):
+        config = initial_configuration(proto, (1, 0, 0))
+        result = run(config, proto, "ftr", faults, horizon=horizon, keep_configs=True)
+        for entry in piggyback_ledger(result.configs):
             if entry.sent_round > horizon - 2:
                 continue  # no room left in the horizon to observe delivery
             got = dict(entry.deliveries)
@@ -348,8 +347,9 @@ def test_acceptance_9_piggyback_liveness():
     p = 1
     proto = fresh()
     silenced = itertools.repeat(silence(p, n, "ftr"))
-    result = run(initial_configuration(proto, (1, 0, 0)), proto, "ftr", silenced, horizon=horizon)
-    for entry in piggyback_ledger(result.final_config):
+    config = initial_configuration(proto, (1, 0, 0))
+    result = run(config, proto, "ftr", silenced, horizon=horizon, keep_configs=True)
+    for entry in piggyback_ledger(result.configs):
         if entry.sender == p or entry.sent_round > horizon - 2:
             continue
         if not entry.fully_delivered(n):

@@ -244,7 +244,9 @@ def test_ledger_audit_matches_seen_set_reference(float_mean, seed):
     n, inputs = 3, (1, 0, 1)
     proto = build_stack("flp-over-ftr", "float-mean", n)
     faults = random_faults(n, random.Random(seed), "ftr", False)
-    result = run(initial_configuration(proto, inputs), proto, "ftr", faults, horizon=20)
+    result = run(
+        initial_configuration(proto, inputs), proto, "ftr", faults, horizon=20, keep_configs=True
+    )
     reference = SeenSetPiggyback(proto.inner, n)
     expected = initial_configuration(reference, inputs)
     for step in result.trace.steps:
@@ -606,8 +608,9 @@ def _piggy(n=3):
 def test_no_drops_delivers_within_one_round():
     n = 3
     proto = _piggy(n)
-    result = run(initial_configuration(proto, (1, 0, 0)), proto, "ftr", (), horizon=20)
-    ledger = piggyback_ledger(result.final_config)
+    config = initial_configuration(proto, (1, 0, 0))
+    result = run(config, proto, "ftr", (), horizon=20, keep_configs=True)
+    ledger = piggyback_ledger(result.configs)
     assert ledger
     for entry in ledger:
         if entry.sent_round <= 18:
@@ -620,8 +623,9 @@ def test_silent_sender_everyone_else_delivered():
     p = 2
     proto = _piggy(n)
     silenced = repeat(silence(p, n, "ftr"))
-    result = run(initial_configuration(proto, (1, 1, 0)), proto, "ftr", silenced, horizon=30)
-    ledger = piggyback_ledger(result.final_config)
+    config = initial_configuration(proto, (1, 1, 0))
+    result = run(config, proto, "ftr", silenced, horizon=30, keep_configs=True)
+    ledger = piggyback_ledger(result.configs)
     others = [e for e in ledger if e.sender != p and e.sent_round <= 27]
     assert others
     for entry in others:
@@ -639,8 +643,8 @@ def test_drop_then_relent_delivers_via_piggyback():
     # simulated sends enter seen-sets during round 1; real round 2 carries
     # them; make process 1 miss process 0's round-2 broadcast, then relent
     faults = [ReceiveFault({}), ReceiveFault({1: 0}), ReceiveFault({})]
-    result = run(config, proto, "ftr", faults, horizon=4)
-    ledger = piggyback_ledger(result.final_config)
+    result = run(config, proto, "ftr", faults, horizon=4, keep_configs=True)
+    ledger = piggyback_ledger(result.configs)
     lagged = [
         e
         for e in ledger
@@ -783,16 +787,15 @@ def test_piggyback_matches_seen_set_reference(case, inner_kind):
     inner = SynchronizerWrapper(PhaseKingLite(n), n) if inner_kind == "synchronizer" else Relay(n)
     wrapper = PiggybackWrapper(inner, n)
     reference = SeenSetPiggyback(inner, n)
-    config = initial_configuration(wrapper, inputs)
+    configs = [initial_configuration(wrapper, inputs)]
     expected = initial_configuration(reference, inputs)
     for fault in faults:
-        config = step_ftr(config, wrapper, fault)
+        configs.append(step_ftr(configs[-1], wrapper, fault))
         expected = step_ftr(expected, reference, fault)
-        assert config.outputs() == expected.outputs()
-        for got, want in zip(config.states, expected.states):
+        assert configs[-1].outputs() == expected.outputs()
+        for got, want in zip(configs[-1].states, expected.states):
             assert got.internal.inner == want.internal.inner
-            assert got.internal.delivered == want.internal.delivered
-    assert piggyback_ledger(config) == _seen_set_ledger(expected)
+        assert piggyback_ledger(configs) == _seen_set_ledger(expected)
 
 
 def test_relay_traffic_reaches_message_cap():
@@ -861,7 +864,7 @@ def test_build_stack_rejects_asynchronous_base_under_round_models(stack):
     [
         (GetCoreState(0, "s", frozenset()), (0, "s", frozenset())),
         (SynchronizerState(1, "s", 3, True, ()), (1, "s", 3, True, (), ())),
-        (PiggybackState(2, "s", False, ((), (), ())), (2, "s", False, ((), (), ()), (), ())),
+        (PiggybackState(2, "s", ((), (), ())), (2, "s", ((), (), ()))),
     ],
     ids=["gather", "synchronizer", "piggyback"],
 )
