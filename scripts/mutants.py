@@ -72,18 +72,30 @@ MUTANTS = (
            "    if len(missing) > 1:\n        raise EmulationLemmaViolation(",
            "    if len(missing) > 2:\n        raise EmulationLemmaViolation("),
     Mutant("projection-accepts-two-missed-senders", SIM,
-           "            if len(missing) > 1:\n                raise AdversimError(",
-           "            if len(missing) > 2:\n                raise AdversimError("),
+           "            if len(missing) > 1:\n                raise EmulationLemmaViolation(",
+           "            if len(missing) > 2:\n                raise EmulationLemmaViolation("),
     Mutant("piggyback-stack-builds-a-gather", SIM,
            '("flp", "ftr"): PiggybackWrapper,', '("flp", "ftr"): GetCoreWrapper,'),
     Mutant("flp-stack-skips-the-synchronizer", SIM,
            "protocol = SynchronizerWrapper(protocol, n)", "pass"),
-    # the piggyback: its idle step bootstraps round 1, and its ledger is read
-    # from the kept configurations
-    Mutant("piggyback-skips-idle-step", SIM,
-           "        if not stepped:\n"
-           "            take(None)  # idle round, round 1 included: the simulated process still steps\n",
-           ""),
+    # the synchronizer buffers each current or future message it is given
+    Mutant("synchronizer-keeps-stale-messages", SIM, "            if r >= round:\n",
+           "            if True:\n"),
+    Mutant("synchronizer-drops-duplicates", SIM,
+           "                buffer = buffer[:at] + (entry,) + buffer[at:]\n",
+           "                if buffer[at : at + 1] != (entry,):\n"
+           "                    buffer = buffer[:at] + (entry,) + buffer[at:]\n"),
+    # the piggyback: its idle step bootstraps round 1, its ledger is read
+    # from the kept configurations, and its audit checks the relay bound
+    Mutant("piggyback-skips-idle-step", SIM, "for incoming in arrived or [None]:",
+           "for incoming in arrived:"),
+    Mutant("piggyback-delivers-others-unicasts", SIM,
+           "            if dest == pid or dest is None\n", "            if True\n"),
+    Mutant("relay-bound-ignored", SIM,
+           "return StackAudit([e.record() for e in ledger], not late, summary)",
+           "return StackAudit([e.record() for e in ledger], True, summary)"),
+    Mutant("relay-bound-one-round-late", SIM,
+           "rounds[-1] > rounds[0] + 1", "rounds[-1] > rounds[0] + 2"),
     Mutant("ledger-credits-unicast-to-everyone", SIM,
            "elif dest is None or dest == q:", "elif True:"),
     Mutant("ledger-delivers-own-messages", SIM,
@@ -112,11 +124,24 @@ MUTANTS = (
            "if child not in seen:"),
     Mutant("expansion-accepts-an-unknown-model", ENGINE,
            '    if model not in ("fts", "ftr"):\n'
-           '        raise AdversimError(f"unknown synchronous model {model!r}")\n', ""),
+           '        raise AdversimError(f"unknown synchronous model {model!r}")\n'
+           '    if restricted and model == "ftr":\n',
+           '    if restricted and model == "ftr":\n'),
     Mutant("expansion-accepts-restricted-ftr", ENGINE,
            '    if restricted and model == "ftr":\n'
            '        raise AdversimError("restricted mode applies to the fail-to-send model only")\n',
            ""),
+    # the fault sources refuse an unknown model
+    Mutant("random-faults-accept-an-unknown-model", ENGINE,
+           '    if model not in ("fts", "ftr"):\n'
+           '        raise AdversimError(f"unknown synchronous model {model!r}")\n'
+           '    if restricted and model != "fts":\n',
+           '    if restricted and model != "fts":\n'),
+    Mutant("silence-accepts-an-unknown-model", ENGINE,
+           '    if model == "ftr":\n'
+           '        return ReceiveFault({q: p for q in range(n) if q != p})\n'
+           '    raise AdversimError(f"unknown synchronous model {model!r}")\n',
+           '    return ReceiveFault({q: p for q in range(n) if q != p})\n'),
     # the fairness audit checks each message once, at its due step
     Mutant("audit-due-step-one-late", ASYNC,
            "due.append((now + fairness_window, sent, state.next_index))",

@@ -57,8 +57,8 @@ class OracleCapExceeded(AdversimError):
 
 
 class EmulationLemmaViolation(AdversimError):
-    """A simulated round left fewer than n-1 senders commonly delivered.
-    Carries the three-phase fault script as a counterexample when known."""
+    """A simulated round falls outside the simulated model.  Carries the
+    gather's three-phase fault script as a counterexample when known."""
 
     def __init__(self, message: str, script=None):
         if script is not None:

@@ -20,12 +20,13 @@ Wrapper messages are plain payload values (see ``core.Payload``): tuples of
 prefixes that nest the inner protocol's payloads unchanged.  They never
 leave the process and never appear in a trace, so nothing serializes them.
 
-The wrapper states (``GetCoreState``, ``SynchronizerState`` and
-``PiggybackState``), one built per process per round or event, are plain
-immutable tuples: each compares equal to, and hashes like, the tuple of its
-fields, so configurations holding them key memo tables at tuple cost.  Every
-field of ``PiggybackState`` is one the wrapper reads; its delivery ledger is
-read from a run's kept configurations.
+The wrapper states, one built per process per round or event, hold only what
+the wrapper or its audit reads: ``GetCoreState`` (pid, inner, seen),
+``SynchronizerState`` (inner, round, started, buffer, log) with log entries
+(round, senders, output), and ``PiggybackState`` (pid, inner, logs) with
+send-log entries (dest, payload), each numbered by its position.  They are
+plain immutable tuples that compare equal to, and hash like, the tuple of
+their fields, so configurations holding them key memo tables at tuple cost.
 """
 
 from __future__ import annotations
@@ -216,13 +217,12 @@ def getcore_equivalent(
 
 
 class SynchronizerState(NamedTuple):
-    pid: Pid
     inner: Any
     round: int
     started: bool
     buffer: tuple  # sorted (round, sender, payload), every round >= current
     # Completed rounds, for projection back onto the synchronous model:
-    # (round, delivered (sender, payload) pairs, output emitted then).
+    # (round, senders delivered in ascending order, output emitted then).
     log: tuple = ()
 
 
@@ -240,23 +240,17 @@ class SynchronizerWrapper(AsyncProtocol):
         self.protocol_id = f"ftr-over-flp:{inner.protocol_id}"
 
     def init(self, pid: Pid, input: int) -> SynchronizerState:
-        return SynchronizerState(
-            pid=pid,
-            inner=self.inner.init(pid, input),
-            round=1,
-            started=False,
-            buffer=(),
-        )
+        return SynchronizerState(self.inner.init(pid, input), 1, False, ())
 
     def step(
         self, internal: SynchronizerState, incoming: Optional[tuple[Pid, Payload]]
     ) -> tuple[SynchronizerState, list, Optional[int]]:
-        pid, inner, round, started, buffer, log = internal
+        inner, round, started, buffer, log = internal
         if incoming is not None:
             sender, (r, payload) = incoming
-            entry = (r, sender, payload)
-            at = bisect_left(buffer, entry)
-            if r >= round and buffer[at : at + 1] != (entry,):
+            if r >= round:
+                entry = (r, sender, payload)
+                at = bisect_left(buffer, entry)
                 buffer = buffer[:at] + (entry,) + buffer[at:]
         sends = []
         output = None
@@ -268,16 +262,15 @@ class SynchronizerWrapper(AsyncProtocol):
             end = bisect_left(buffer, (round + 1,))
             if end < self.n - 2:
                 break
-            current = [(sender, payload) for _, sender, payload in buffer[:end]]
-            received = dict(current)
+            received = {sender: payload for _, sender, payload in buffer[:end]}
             inner, out = self.inner.transition(inner, round, received)
             if output is None:
                 output = out
-            log = log + ((round, tuple(current), out),)
+            log = log + ((round, tuple(received), out),)
             buffer = buffer[end:]
             round += 1
             sends.append((None, (round, self.inner.message(inner, round))))
-        state = tuple.__new__(SynchronizerState, (pid, inner, round, True, buffer, log))
+        state = tuple.__new__(SynchronizerState, (inner, round, True, buffer, log))
         return state, sends, output
 
 
@@ -322,13 +315,12 @@ def project_synchronized_run(final_states, crashed: Optional[Pid], base: RoundPr
                 continue  # crashed mid-run; replay continues it unchecked
             round_no, received, out = final_states[q].log[r - 1]
             if round_no != r:
-                raise AdversimError(f"process {q} log out of order at round {r}")
-            senders = {s for s, _ in received}
+                raise EmulationLemmaViolation(f"process {q} log out of order at round {r}")
+            senders = set(received)
             missing = [s for s in range(n) if s != q and s not in senders]
             if len(missing) > 1:
-                raise AdversimError(
-                    f"process {q} missed {len(missing)} senders in round {r}"
-                )
+                raise EmulationLemmaViolation(
+                    f"process {q} missed {len(missing)} senders in round {r}")
             if missing:
                 dropped[q] = missing[0]
             if out is not None:
@@ -370,8 +362,8 @@ class PiggybackState(NamedTuple):
     pid: Pid
     inner: Any
     # Per process, the longest prefix of its send log seen so far, as
-    # (seq, dest or None for broadcast, payload) entries; a process's own
-    # entry is its whole log.
+    # (dest or None for broadcast, payload) entries whose position is their
+    # sequence number; a process's own entry is its whole log.
     logs: tuple
 
 
@@ -402,8 +394,8 @@ class PiggybackWrapper(RoundProtocol):
     def transition(
         self, internal: PiggybackState, round: int, received: Mapping[Pid, Payload]
     ) -> tuple[PiggybackState, Optional[int]]:
-        pid = internal.pid
-        logs = list(internal.logs)
+        pid, inner, old_logs = internal
+        logs = list(old_logs)
         for their_logs in received.values():
             for s, log in enumerate(their_logs):
                 if len(log) > len(logs[s]):
@@ -413,33 +405,24 @@ class PiggybackWrapper(RoundProtocol):
                 f"more than {MAX_SIMULATED_MESSAGES} simulated messages known"
             )
 
-        inner = internal.inner
+        arrived = [
+            (sender, payload)
+            for sender, (old, log) in enumerate(zip(old_logs, logs))
+            for dest, payload in log[len(old) :]
+            if dest == pid or dest is None
+        ]
         outbox = []
         output = None
-        stepped = False
-
-        def take(step_incoming):
-            nonlocal inner, output, stepped
-            inner, sends, out = self.inner.step(inner, step_incoming)
-            outbox.extend(sends)
-            stepped = True
-            if output is None and out is not None:
+        # an idle round, round 1 included, still takes one simulated step
+        for incoming in arrived or [None]:
+            inner, sends, out = self.inner.step(inner, incoming)
+            outbox += sends
+            if output is None:
                 output = out
-
-        for sender, (old, log) in enumerate(zip(internal.logs, logs)):
-            for _seq, dest, payload in log[len(old) :]:
-                if dest == pid or dest is None:
-                    take((sender, payload))
-        if not stepped:
-            take(None)  # idle round, round 1 included: the simulated process still steps
 
         if any(dest == pid for dest, _ in outbox):
             raise AdversimError("a process never sends to itself")
-        own = logs[pid]
-        logs[pid] = own + tuple(
-            (seq, dest, payload) for seq, (dest, payload) in enumerate(outbox, len(own))
-        )
-
+        logs[pid] += tuple(outbox)
         return tuple.__new__(PiggybackState, (pid, inner, tuple(logs))), output
 
 
@@ -489,7 +472,7 @@ def piggyback_ledger(configs: Sequence[Configuration]) -> list[LedgerEntry]:
         for q, state in enumerate(config.states):
             lengths = known[q]
             for p, log in enumerate(state.internal.logs):
-                for seq, dest, _payload in log[lengths[p] :]:
+                for seq, (dest, _payload) in enumerate(log[lengths[p] :], lengths[p]):
                     if p == q:
                         sent[p].append((dest, r, []))
                     elif dest is None or dest == q:
@@ -572,9 +555,11 @@ class StackAudit(NamedTuple):
 def audit_stack(protocol, result) -> StackAudit:
     """Audit one run of a built stack by its outermost simulation: the
     gather's rounds and equivalence, the synchronizer's projection (the only
-    audit of a nested stack), or the piggyback ledger, which is never
-    unfaithful.  The gather and the piggyback both read the run's kept
-    configurations.  A gather core below n-1 raises
+    audit of a nested stack), or the piggyback ledger's relay bound: a
+    broadcast that reaches a receiver in round r reaches every receiver by
+    round r + 1 if the run lasts that long, as the sender and that receiver
+    both relay it then and a receiver drops one sender at most.  A gather
+    core below n-1, or a synchronized round missing two senders, raises
     ``EmulationLemmaViolation``."""
     if isinstance(protocol, SynchronizerWrapper):
         final = result.final_state
@@ -591,6 +576,14 @@ def audit_stack(protocol, result) -> StackAudit:
         records = [r.record() for r in rounds] + [{"equivalent_direct_run": ok}]
         return StackAudit(records, ok, f"{len(rounds)} simulated rounds, min core size {min_core}")
     ledger = piggyback_ledger(result.configs)
-    undelivered = sum(not e.fully_delivered(protocol.n) for e in ledger)
+    n, last = protocol.n, result.configs[-1].round - 1  # the run's last round
+    undelivered = sum(not e.fully_delivered(n) for e in ledger)
     summary = f"{len(ledger)} simulated messages, {undelivered} not fully delivered"
-    return StackAudit([e.record() for e in ledger], True, summary)
+    late = 0  # broadcasts past the relay bound
+    for e in ledger:
+        rounds = sorted(r for _, r in e.deliveries)
+        if e.dest is None and rounds and rounds[0] < last:
+            late += len(rounds) < n - 1 or rounds[-1] > rounds[0] + 1
+    if late:
+        summary += f", {late} broadcasts past the relay bound"
+    return StackAudit([e.record() for e in ledger], not late, summary)

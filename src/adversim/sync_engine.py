@@ -176,7 +176,9 @@ def silence(p: Pid, n: int, model: str = "fts"):
     payload (fts: (p, everyone else); ftr: each other receiver drops p)."""
     if model == "fts":
         return RoundFault(p, range(n))
-    return ReceiveFault({q: p for q in range(n) if q != p})
+    if model == "ftr":
+        return ReceiveFault({q: p for q in range(n) if q != p})
+    raise AdversimError(f"unknown synchronous model {model!r}")
 
 
 def random_faults(n: int, rng, model: str, restricted: bool) -> Iterator:
@@ -185,6 +187,8 @@ def random_faults(n: int, rng, model: str, restricted: bool) -> Iterator:
     probability 1/2; ``restricted`` redraws the victims (not the sender)
     while they would silence the sender completely.  ftr: each receiver
     keeps all payloads or drops one sender, n choices uniformly."""
+    if model not in ("fts", "ftr"):
+        raise AdversimError(f"unknown synchronous model {model!r}")
     if restricted and model != "fts":
         raise AdversimError("restricted mode applies to the fail-to-send model only")
 

@@ -30,7 +30,9 @@ from adversim.checking import (
 )
 from adversim.core import AdversimError, EngineError, initial_configuration
 from adversim.protocols import get_protocol
-from adversim.sync_engine import enumerate_faults, random_faults, run, step_fts, step_ftr
+from adversim.sync_engine import (
+    enumerate_faults, random_faults, run, silence, step_fts, step_ftr,
+)
 
 
 def reference_check_exhaustive(
@@ -236,6 +238,17 @@ def test_budget_counts_children_built():
 def test_exhaustive_refuses_what_it_cannot_expand(model, restricted, message):
     with pytest.raises(AdversimError, match=message):
         check_exhaustive(get_protocol("phase-king-lite", 3), 3, 2, model, restricted)
+
+
+@pytest.mark.parametrize("model", ["flp", "bogus"])
+def test_fault_sources_refuse_an_unknown_model(model):
+    message = f"unknown synchronous model '{model}'"
+    with pytest.raises(AdversimError, match=message):
+        check_fuzz(get_protocol("phase-king-lite", 4), 4, runs=50, depth=10, seed=1, model=model)
+    with pytest.raises(AdversimError, match=message):
+        random_faults(4, random.Random(1), model, False)
+    with pytest.raises(AdversimError, match=message):
+        silence(1, 4, model)
 
 
 def reference_check_fuzz(protocol, n, runs, depth, seed, model="fts", restricted=False):

@@ -440,6 +440,52 @@ def test_simulate_unfaithful_audit_exits_one_with_report(tmp_path, monkeypatch, 
     assert capsys.readouterr().err.splitlines()[0] == "simulate: x"
 
 
+def test_simulate_out_of_model_synchronized_round_exits_one(tmp_path, monkeypatch, capsys):
+    from adversim.simulations import SynchronizerWrapper
+
+    init = SynchronizerWrapper.__init__
+
+    def advance_early(self, inner, n):
+        init(self, inner, n)
+        self.n = n - 1  # advance on n-3 current-round messages
+
+    monkeypatch.setattr(SynchronizerWrapper, "__init__", advance_early)
+    code = run_cli(
+        ["simulate", "--stack", "ftr-over-flp", "--protocol", "phase-king-lite", "--n", "4",
+         "--seed", "3", "--out", str(tmp_path / "t.jsonl"), "--report", str(tmp_path / "r.jsonl")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "adversim: process 0 missed 2 senders in round 1"
+    ]
+    assert (tmp_path / "t.jsonl").exists()
+
+
+@pytest.mark.parametrize("relay", [True, False], ids=["relay", "no-relay"])
+def test_simulate_piggyback_relay_bound(tmp_path, monkeypatch, capsys, relay):
+    from adversim.simulations import PiggybackWrapper
+
+    if not relay:  # each process passes on its own send log only
+        monkeypatch.setattr(PiggybackWrapper, "message", lambda self, internal, round: tuple(
+            log if s == internal.pid else () for s, log in enumerate(internal.logs)))
+    # process 2 misses process 0 in rounds 2 and 3, so 0's round-1 broadcast
+    # reaches 1 in round 2 and reaches 2 in round 3 only through 1's relay
+    script = tmp_path / "adv.jsonl"
+    script.write_text("".join(
+        json.dumps({"round": r, "dropped": {"2": 0} if r in (2, 3) else {}, "outputs": {}})
+        + "\n" for r in range(1, 7)))
+    code = run_cli(
+        ["simulate", "--stack", "flp-over-ftr", "--protocol", "phase-king-lite", "--n", "3",
+         "--inputs", "1,1,0", "--adversary", f"script:{script}", "--horizon", "6",
+         "--out", str(tmp_path / "t.jsonl"), "--report", str(tmp_path / "r.jsonl")]
+    )
+    summary = capsys.readouterr().err.splitlines()[0]
+    if relay:
+        assert code == 0 and summary.endswith("not fully delivered")
+    else:
+        assert code == 1 and summary.endswith(", 1 broadcasts past the relay bound")
+
+
 # -- reproducibility ----------------------------------------------------------------
 
 

@@ -579,8 +579,26 @@ def test_projection_rejects_a_receiver_that_missed_two_senders():
     states = [s.internal for s in result.final_state.states]
     (_, _, out), *later = states[1].log
     states[1] = states[1]._replace(log=((1, (), out), *later))  # round 1 delivers nothing
-    with pytest.raises(AdversimError, match="process 1 missed 2 senders in round 1"):
+    with pytest.raises(EmulationLemmaViolation, match="process 1 missed 2 senders in round 1"):
         project_synchronized_run(states, None, base, (1, 0, 0))
+
+
+def test_a_duplicate_delivery_reaches_the_projection():
+    # the buffer keeps a duplicate, which counts toward the n-2 threshold:
+    # process 1 completes round 1 having heard process 0 alone
+    base = PhaseKingLite(4)
+    proto = SynchronizerWrapper(base, 4)
+    states, sent = [], []
+    for q in range(4):
+        state, ((_, message),), _ = proto.step(proto.init(q, 1), None)
+        states.append(state)
+        sent.append((q, message))
+    for q in range(4):
+        for incoming in [sent[0]] * 2 if q == 1 else [m for m in sent if m[0] != q][:2]:
+            states[q], _, _ = proto.step(states[q], incoming)
+    assert [s.log[0][1] for s in states] == [(1, 2), (0,), (0, 1), (0, 1)]
+    with pytest.raises(EmulationLemmaViolation, match="process 1 missed 2 senders in round 1"):
+        project_synchronized_run(states, None, base, (1,) * 4)
 
 
 def test_projection_trace_is_plain_ftr():
@@ -863,7 +881,7 @@ def test_build_stack_rejects_asynchronous_base_under_round_models(stack):
     "state, plain",
     [
         (GetCoreState(0, "s", frozenset()), (0, "s", frozenset())),
-        (SynchronizerState(1, "s", 3, True, ()), (1, "s", 3, True, (), ())),
+        (SynchronizerState("s", 3, True, ()), ("s", 3, True, (), ())),
         (PiggybackState(2, "s", ((), (), ())), (2, "s", ((), (), ()))),
     ],
     ids=["gather", "synchronizer", "piggyback"],
