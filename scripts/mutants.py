@@ -85,8 +85,9 @@ MUTANTS = (
            "                buffer = buffer[:at] + (entry,) + buffer[at:]\n",
            "                if buffer[at : at + 1] != (entry,):\n"
            "                    buffer = buffer[:at] + (entry,) + buffer[at:]\n"),
-    # the piggyback: its idle step bootstraps round 1, its ledger is read
-    # from the kept configurations, and its audit checks the relay bound
+    # the piggyback: its idle step bootstraps round 1, it refuses a send to
+    # self, its ledger is read from the kept configurations and expects a
+    # unicast at its addressee alone, and its audit checks the relay bound
     Mutant("piggyback-skips-idle-step", SIM, "for incoming in arrived or [None]:",
            "for incoming in arrived:"),
     Mutant("piggyback-delivers-others-unicasts", SIM,
@@ -102,6 +103,14 @@ MUTANTS = (
            "elif dest is None or dest == q:", "if dest is None or dest == q:"),
     Mutant("ledger-sent-round-off-by-one", SIM,
            "sent[p].append((dest, r, []))", "sent[p].append((dest, r - 1, []))"),
+    Mutant("ledger-unicast-expects-everyone", SIM,
+           "        if self.dest is None:\n"
+           "            return tuple(q for q in range(n) if q != self.sender)\n"
+           "        return (self.dest,)\n",
+           "        return tuple(q for q in range(n) if q != self.sender)\n"),
+    Mutant("piggyback-sends-to-itself", SIM,
+           "        if any(dest == pid for dest, _ in outbox):\n"
+           '            raise AdversimError("a process never sends to itself")\n', ""),
     # the protocol registry
     Mutant("registry-naive-majority-is-phase-king-lite", "src/adversim/protocols.py",
            '"naive-majority": NaiveMajority,', '"naive-majority": PhaseKingLite,'),
@@ -146,9 +155,12 @@ MUTANTS = (
     Mutant("audit-due-step-one-late", ASYNC,
            "due.append((now + fairness_window, sent, state.next_index))",
            "due.append((now + fairness_window + 1, sent, state.next_index))"),
-    Mutant("audit-reports-messages-to-crashed", ASYNC,
-           "if q != crashed and queue and queue[0].index < end:",
-           "if queue and queue[0].index < end:"),
+    # a crash empties the crashed queue and later sends skip it, so every
+    # queued message is one a live process can receive
+    Mutant("crash-keeps-its-queue", ASYNC,
+           "        queues = queues[:pid] + ((),) + queues[pid + 1 :]\n", ""),
+    Mutant("sends-queue-to-crashed", ASYNC,
+           "if d != crashed:  # a crashed process receives nothing", "if True:"),
     Mutant("audit-orders-sends-as-tuples", ASYNC,
            "for m in sorted(overdue, key=_index):", "for m in sorted(overdue):"),
 )

@@ -3,17 +3,17 @@
 Processes take atomic steps in scheduler-chosen order; a step optionally
 consumes one in-flight message addressed to the stepping process, updates
 state, and sends any number of messages.  At most one process may crash-stop,
-after which it takes no further steps.  Fair schedulers keep every live
-process stepping and deliver every message within a bounded window, which a
-finite-horizon fairness check can audit on any recorded run.
+after which it takes no further steps and receives nothing: the crash drops
+its queue, and a later send to it only uses up its index.  Fair schedulers
+keep every live process stepping and deliver every message within a bounded
+window, which a finite-horizon fairness check can audit on any recorded run.
 
 Messages in flight wait in one queue per destination, in send order, so a
 step only ever looks at the stepping process's own queue.  The audit checks
 each message once, at its due step: every event advances the step count by
 one, so a message sent by the event that brings the count to s comes due
 when it reaches s + window.  That is exact because a queue only loses
-messages and a process only becomes crashed: a message delivered, or
-addressed to a crashed process, by its due step can never be overdue later.
+messages: one gone from its queue by its due step is never overdue later.
 
 A scheduler's event is a ``core.FlpStep`` whose outputs the engine fills in.
 The records built once per event (``InFlight``, ``LocalState``, ``FlpStep``
@@ -53,7 +53,6 @@ class InFlight(NamedTuple):
     dest: Pid
     payload: Payload
     index: int  # global send order; doubles as the message id in traces
-    sent_at: int  # step count when sent, for fairness ageing
 
 
 _index = attrgetter("index")
@@ -61,7 +60,7 @@ _index = attrgetter("index")
 
 class AsyncSystemState(NamedTuple):
     states: tuple[LocalState, ...]
-    queues: tuple[tuple[InFlight, ...], ...]  # per destination, in send order
+    queues: tuple[tuple[InFlight, ...], ...]  # per live destination, in send order
     crashed: Optional[Pid]
     next_index: int
     step_count: int
@@ -72,7 +71,7 @@ class AsyncSystemState(NamedTuple):
 
     @property
     def in_flight(self) -> tuple[InFlight, ...]:
-        """Every message in flight, in send order."""
+        """Every deliverable message, in send order."""
         return tuple(sorted(chain.from_iterable(self.queues), key=_index))
 
     def live(self) -> list[Pid]:
@@ -104,6 +103,7 @@ def step_async(
             raise ScheduleError(f"second crash ({pid}); {crashed} already crashed")
         if deliver is not None:
             raise ScheduleError("a crash event delivers nothing")
+        queues = queues[:pid] + ((),) + queues[pid + 1 :]
         return tuple.__new__(AsyncSystemState, (states, queues, pid, next_index, now + 1)), ()
     if pid == crashed:
         raise ScheduleError(f"crashed process {pid} cannot step")
@@ -135,7 +135,8 @@ def step_async(
                 raise EngineError(f"send destination {dest} out of range", round=now, pid=pid)
         for d in range(n) if dest is None else (dest,):
             if d != pid:
-                queues[d] += (tuple.__new__(InFlight, (pid, d, payload, next_index, now)),)
+                if d != crashed:  # a crashed process receives nothing
+                    queues[d] += (tuple.__new__(InFlight, (pid, d, payload, next_index)),)
                 next_index += 1
 
     local = tuple.__new__(LocalState, (input, internal, output))
@@ -252,15 +253,12 @@ def run_async(
     """Drive ``horizon`` scheduler events and record the trace.
 
     With ``fairness_window`` set, audits the run: every live process must
-    step, and every message addressed to a live process must be delivered,
-    within that many events.  (Messages addressed to a crashed process can
-    never be delivered and are exempt.)  Every event, a crash included,
-    advances ``step_count`` by one, so the messages one event sends all come
-    due at one step, ``fairness_window`` steps after it.  Each is checked
-    then and never again, which is exact: a queue only loses messages and a
-    process only becomes crashed, so a message undelivered at its due step
-    to a live process was overdue, and one delivered or addressed to a
-    crashed process by then never can be.
+    step, and every message in flight must be delivered, within that many
+    events.  Every event, a crash included, advances ``step_count`` by one,
+    so the messages one event sends all come due at one step,
+    ``fairness_window`` steps after it.  Each is checked then and never
+    again, which is exact: a queue only loses messages, so a message still
+    queued at its due step was overdue, and one gone by then never can be.
     """
     if horizon < 0:
         raise AdversimError("horizon must be >= 0")
@@ -283,9 +281,8 @@ def run_async(
             last_stepped[pid] = now
         if fairness_window is None:
             continue
-        crashed = state.crashed
         for q, last in last_stepped.items():
-            if now - last > fairness_window and q != crashed and q not in reported_pids:
+            if now - last > fairness_window and q != state.crashed and q not in reported_pids:
                 violations.append(
                     f"process {q} unstepped for more than {fairness_window} steps at step {now}"
                 )
@@ -295,8 +292,8 @@ def run_async(
         while due and due[0][0] <= now:
             _, first, end = due.popleft()
             overdue: list[InFlight] = []
-            for q, queue in enumerate(state.queues):
-                if q != crashed and queue and queue[0].index < end:
+            for queue in state.queues:
+                if queue and queue[0].index < end:
                     at = bisect_left(queue, first, key=_index)
                     overdue += queue[at : bisect_left(queue, end, at, key=_index)]
             # by send index: one event's sends share a sender, so as tuples
@@ -314,7 +311,5 @@ def run_async(
         inputs=tuple(s.input for s in state.states),
         steps=tuple(steps),
     )
-    fairness = None
-    if fairness_window is not None:
-        fairness = FairnessReport(ok=not violations, violations=violations)
+    fairness = None if fairness_window is None else FairnessReport(not violations, violations)
     return AsyncRunResult(trace=trace, final_state=state, fairness=fairness)

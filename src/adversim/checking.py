@@ -1,4 +1,4 @@
-"""Agreement/validity/write-once checking over fault schedules.
+"""Agreement/validity checking over fault schedules.
 
 Exhaustive mode searches every canonical fault sequence to a depth,
 depth-first, pruning once all processes have decided (output registers are
@@ -23,6 +23,7 @@ its round, the table lives for one call with one protocol, and a failing
 faults, reaches the same configurations and gives the same verdict, count and
 trace as it would stepping afresh.
 Both modes return the first violation together with a replayable trace.
+Output registers are write-once, so only agreement and validity can fail.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .sync_engine import ExpansionTable, distinct_children, random_faults, run, 
 
 
 class CheckViolation(NamedTuple):
-    kind: str  # "agreement" | "validity" | "write-once"
+    kind: str  # "agreement" | "validity"
     inputs: tuple[int, ...]
     round: int
     outputs: dict[int, int]
@@ -71,12 +72,6 @@ class CheckResult(NamedTuple):
     @property
     def ok(self) -> bool:
         return self.violation is None
-
-
-def _violation_kind(inputs, before: dict, after: dict) -> Optional[str]:
-    if any(after.get(q) != v for q, v in before.items()):
-        return "write-once"
-    return check_colorless_outcome(inputs, after.values()).violation
 
 
 def _violation(kind, protocol, model, inputs, faults, run_index=None) -> CheckViolation:
@@ -117,13 +112,13 @@ def check_exhaustive(
         nonlocal explored
         if len(path) == depth or config.all_decided() or config in safe:
             return None
-        inputs, before = config.inputs(), config.outputs()
+        inputs = config.inputs()
         for fault, child in distinct_children(config, protocol, model, restricted):
             if explored == budget:
                 raise BudgetExceeded(f"search would build more children than budget {budget}")
             explored += 1
             path.append(fault)
-            kind = _violation_kind(inputs, before, child.outputs())
+            kind = check_colorless_outcome(inputs, child.outputs().values()).violation
             if kind is not None:
                 return _violation(kind, protocol, model, inputs, path)
             found = dfs(child, path)
@@ -191,7 +186,7 @@ def check_fuzz(
             after = config.outputs()
             if after == before:
                 continue  # an unchanged output set passed when it was written
-            kind = _violation_kind(inputs, before, after)
+            kind = check_colorless_outcome(inputs, after.values()).violation
             if kind is not None:
                 violation = _violation(kind, protocol, model, inputs, path, run_index)
                 return CheckResult(violation=violation, explored=explored)

@@ -306,9 +306,25 @@ def cmd_attack(args) -> int:
             protocol, args.n, rounds=args.rounds, cap=args.cap, restricted=args.restricted
         )
     except nondecider.NoFlipInChain:
+        # the chain's ends decide the same b, so the unanimous 1 - b vector decided b
+        from .checking import _violation
+        from .sync_engine import NO_FAULT
+
+        cap = args.cap or nondecider.default_cap(args.n)
+        zeros = initial_configuration(protocol, (0,) * args.n)
+        inputs = (1 - nondecider.failure_free_decision(zeros, protocol, cap).decision,) * args.n
+        config = initial_configuration(protocol, inputs)
+        rounds = nondecider.failure_free_decision(config, protocol, cap).rounds_used
+        v = _violation("validity", protocol, "fts", inputs, [NO_FAULT] * rounds)
+        out = _outpath(None, "violation.trace.jsonl")
+        report = _outpath(None, "violation.report.jsonl")
+        v.trace.write(out)
+        _write_jsonl(report, [v.record()])
         _say(
             "attack: no dependent initial configuration (failure-free decisions "
-            "never flip across the input chain; target is not pseudo-consensus)"
+            "never flip across the input chain; target is not pseudo-consensus); "
+            f"validity violation from inputs {list(inputs)}; "
+            f"trace written to {out}; report written to {report}"
         )
         return EXIT_VIOLATION
     except nondecider.OutOfModelProbe as exc:

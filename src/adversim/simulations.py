@@ -22,9 +22,9 @@ leave the process and never appear in a trace, so nothing serializes them.
 
 The wrapper states, one built per process per round or event, hold only what
 the wrapper or its audit reads: ``GetCoreState`` (pid, inner, seen),
-``SynchronizerState`` (inner, round, started, buffer, log) with log entries
-(round, senders, output), and ``PiggybackState`` (pid, inner, logs) with
-send-log entries (dest, payload), each numbered by its position.  They are
+``SynchronizerState`` (inner, started, buffer, log) with log entries
+(senders, output), and ``PiggybackState`` (pid, inner, logs) with send-log
+entries (dest, payload), each numbered by its position.  They are
 plain immutable tuples that compare equal to, and hash like, the tuple of
 their fields, so configurations holding them key memo tables at tuple cost.
 """
@@ -218,11 +218,11 @@ def getcore_equivalent(
 
 class SynchronizerState(NamedTuple):
     inner: Any
-    round: int
     started: bool
     buffer: tuple  # sorted (round, sender, payload), every round >= current
     # Completed rounds, for projection back onto the synchronous model:
-    # (round, senders delivered in ascending order, output emitted then).
+    # (senders delivered in ascending order, output emitted then); round r
+    # is entry r - 1, so the current round is len(log) + 1.
     log: tuple = ()
 
 
@@ -240,22 +240,21 @@ class SynchronizerWrapper(AsyncProtocol):
         self.protocol_id = f"ftr-over-flp:{inner.protocol_id}"
 
     def init(self, pid: Pid, input: int) -> SynchronizerState:
-        return SynchronizerState(self.inner.init(pid, input), 1, False, ())
+        return SynchronizerState(self.inner.init(pid, input), False, ())
 
     def step(
         self, internal: SynchronizerState, incoming: Optional[tuple[Pid, Payload]]
     ) -> tuple[SynchronizerState, list, Optional[int]]:
-        inner, round, started, buffer, log = internal
+        inner, started, buffer, log = internal
+        round = len(log) + 1
         if incoming is not None:
             sender, (r, payload) = incoming
             if r >= round:
                 entry = (r, sender, payload)
                 at = bisect_left(buffer, entry)
                 buffer = buffer[:at] + (entry,) + buffer[at:]
-        sends = []
+        sends = [] if started else [(None, (round, self.inner.message(inner, round)))]
         output = None
-        if not started:
-            sends.append((None, (round, self.inner.message(inner, round))))
         while True:
             # every buffered round is >= round, so this round's entries are
             # the buffer's prefix, already in (sender, payload) order
@@ -266,11 +265,11 @@ class SynchronizerWrapper(AsyncProtocol):
             inner, out = self.inner.transition(inner, round, received)
             if output is None:
                 output = out
-            log = log + ((round, tuple(received), out),)
+            log = log + ((tuple(received), out),)
             buffer = buffer[end:]
             round += 1
             sends.append((None, (round, self.inner.message(inner, round))))
-        state = tuple.__new__(SynchronizerState, (inner, round, True, buffer, log))
+        state = tuple.__new__(SynchronizerState, (inner, True, buffer, log))
         return state, sends, output
 
 
@@ -303,8 +302,7 @@ def project_synchronized_run(final_states, crashed: Optional[Pid], base: RoundPr
     values at the end of the run."""
     n = len(final_states)
     completed = {q: len(final_states[q].log) for q in range(n)}
-    live = [q for q in range(n) if q != crashed]
-    min_round = min(completed[q] for q in live) if live else 0
+    min_round = min(r for q, r in completed.items() if q != crashed)
 
     steps = []
     for r in range(1, min_round + 1):
@@ -313,11 +311,8 @@ def project_synchronized_run(final_states, crashed: Optional[Pid], base: RoundPr
         for q in range(n):
             if completed[q] < r:
                 continue  # crashed mid-run; replay continues it unchecked
-            round_no, received, out = final_states[q].log[r - 1]
-            if round_no != r:
-                raise EmulationLemmaViolation(f"process {q} log out of order at round {r}")
-            senders = set(received)
-            missing = [s for s in range(n) if s != q and s not in senders]
+            received, out = final_states[q].log[r - 1]
+            missing = [s for s in range(n) if s != q and s not in received]
             if len(missing) > 1:
                 raise EmulationLemmaViolation(
                     f"process {q} missed {len(missing)} senders in round {r}")
@@ -325,9 +320,7 @@ def project_synchronized_run(final_states, crashed: Optional[Pid], base: RoundPr
                 dropped[q] = missing[0]
             if out is not None:
                 outputs.append((q, out))
-        steps.append(
-            RoundStep(round=r, fault=ReceiveFault(dropped), outputs=tuple(sorted(outputs)))
-        )
+        steps.append(RoundStep(r, ReceiveFault(dropped), tuple(sorted(outputs))))
 
     trace = ExecutionTrace(
         model="ftr",

@@ -50,12 +50,13 @@ def test_engine_records_are_plain_tuples():
     state = initial_async_state(proto, (1, 0, 0))
     state, _ = step_async(state, proto, FlpStep(0))
     msg = state.queues[1][0]
-    plain_msg = (0, 1, msg.payload, 0, 0)
+    plain_msg = (0, 1, msg.payload, 0)
     assert msg == plain_msg and hash(msg) == hash(plain_msg)
     plain = (state.states, state.queues, None, 2, 1)
     assert state == plain and hash(state) == hash(plain)
     crashed, _ = step_async(state, proto, FlpStep(1, crash=True))
-    assert crashed == state._replace(crashed=1, step_count=2)
+    queues = (state.queues[0], (), state.queues[2])  # the crash empties its queue
+    assert crashed == state._replace(queues=queues, crashed=1, step_count=2)
     for value in (msg, state, FlpStep(0)):
         with pytest.raises(AttributeError):
             value.pid = 1
@@ -177,9 +178,11 @@ def test_crashed_trace_validates_and_single_crash_enforced():
 
 @dataclass(frozen=True)
 class FlatState:
-    """Every message in flight in one tuple of (index, sender, dest, payload,
-    sent_at), in send order: the engine's delivery rules before it kept one
-    queue per destination."""
+    """Every message in flight in one tuple of (index, sender, dest, payload),
+    in send order: the engine's delivery rules before it kept one queue per
+    destination, with its crash rule: a crash drops the messages to the
+    crashed process, and later sends to it use up their index but are
+    dropped."""
 
     states: tuple
     in_flight: tuple
@@ -197,7 +200,10 @@ def flat_step(state, protocol, event):
             raise ScheduleError(f"second crash ({event.pid}); {state.crashed} already crashed")
         if event.deliver is not None:
             raise ScheduleError("a crash event delivers nothing")
-        return replace(state, crashed=event.pid, step_count=state.step_count + 1), ()
+        in_flight = tuple(m for m in state.in_flight if m[2] != event.pid)
+        return replace(
+            state, in_flight=in_flight, crashed=event.pid, step_count=state.step_count + 1
+        ), ()
     if event.pid == state.crashed:
         raise ScheduleError(f"crashed process {event.pid} cannot step")
     in_flight, incoming = state.in_flight, None
@@ -205,7 +211,7 @@ def flat_step(state, protocol, event):
         found = [m for m in in_flight if m[0] == event.deliver]
         if not found:
             raise ScheduleError(f"message {event.deliver} is not in flight")
-        _, sender, dest, payload, _ = found[0]
+        _, sender, dest, payload = found[0]
         if dest != event.pid:
             raise ScheduleError(f"message {event.deliver} is addressed to {dest}, not {event.pid}")
         incoming = (sender, payload)
@@ -215,7 +221,8 @@ def flat_step(state, protocol, event):
     index = state.next_index
     for dest, payload in sends:
         for d in ([q for q in range(n) if q != event.pid] if dest is None else [dest]):
-            in_flight += ((index, event.pid, d, payload, state.step_count),)
+            if d != state.crashed:
+                in_flight += ((index, event.pid, d, payload),)
             index += 1
     new_local = LocalState(local.input, internal, local.output).write(out)
     wrote = ()
@@ -292,7 +299,7 @@ def test_crashed_run_fairness_violations_in_send_order(name):
 
 
 def _view(state):
-    return [(m.index, m.sender, m.dest, m.payload, m.sent_at) for m in state.in_flight]
+    return [(m.index, m.sender, m.dest, m.payload) for m in state.in_flight]
 
 
 @settings(max_examples=40, deadline=None)
@@ -331,6 +338,7 @@ def test_queue_engine_matches_flat_delivery_rules(n, relay, length, data):
         assert wrote == flat_wrote
         assert _view(state) == list(flat.in_flight)
         assert state.states == flat.states and state.crashed == flat.crashed
+        assert state.next_index == flat.next_index
         for q in range(n):
             assert [m.index for m in state.queues[q]] == [
                 m[0] for m in flat.in_flight if m[2] == q
@@ -343,15 +351,19 @@ def test_queue_engine_matches_flat_delivery_rules(n, relay, length, data):
 def rescanning_audit(inputs, protocol, scheduler, horizon, window):
     """The audit before it checked each message once at its due step: after
     every event, rescan each live process and each live queue's overdue
-    prefix, reporting what was not reported before.  Returns the recorded
+    prefix, reporting what was not reported before.  A message's age counts
+    from the step count before the event that sent it.  Returns the recorded
     steps and the violations."""
     state = initial_async_state(protocol, inputs)
     steps, violations = [], []
     reported_msgs, reported_pids = set(), set()
     last_stepped = {q: 0 for q in range(state.n)}
+    sent_at = []  # by send index
     for _ in range(horizon):
         event = scheduler.next_event(state)
+        before = state
         state, wrote = step_async(state, protocol, event)
+        sent_at += [before.step_count] * (state.next_index - before.next_index)
         steps.append(FlpStep(event.pid, event.deliver, event.crash, wrote))
         if not event.crash:
             last_stepped[event.pid] = state.step_count
@@ -366,7 +378,7 @@ def rescanning_audit(inputs, protocol, scheduler, horizon, window):
         overdue = (
             m
             for q in state.live()
-            for m in takewhile(lambda m: m.sent_at < cutoff, state.queues[q])
+            for m in takewhile(lambda m: sent_at[m.index] < cutoff, state.queues[q])
             if m.index not in reported_msgs
         )
         for m in sorted(overdue, key=lambda m: m.index):
@@ -428,3 +440,44 @@ def test_due_step_audit_matches_rescanning_audit(
     result = run_async(inputs, proto, replay, horizon, fairness_window=window)
     assert result.trace.steps == steps
     assert result.fairness.violations == violations
+
+
+# -- the crash rule: every queued message is one a live process can receive -----
+
+
+class CountingSends(AsyncProtocol):
+    """Its inner protocol, counting every message it sends (a broadcast as
+    n - 1 messages)."""
+
+    def __init__(self, inner, n):
+        self.inner, self.n, self.sent = inner, n, 0
+        self.protocol_id = inner.protocol_id
+
+    def init(self, pid, input_bit):
+        return self.inner.init(pid, input_bit)
+
+    def step(self, internal, incoming):
+        internal, sends, out = self.inner.step(internal, incoming)
+        self.sent += sum(self.n - 1 if dest is None else 1 for dest, _ in sends)
+        return internal, sends, out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 5),
+    relay=st.booleans(),
+    crash=st.tuples(st.integers(0, 4), st.integers(0, 60)),
+    horizon=st.integers(1, 150),
+    seed=st.integers(0, 2**16),
+)
+def test_crash_empties_its_queue_and_later_sends_use_their_index(n, relay, crash, horizon, seed):
+    proto = CountingSends(Relay(n) if relay else _sync(n), n)
+    inputs = tuple(random.Random(seed).randrange(2) for _ in range(n))
+    crashed = crash[0] % n
+    scheduler = StarvingChooser(seed, None, crash=(crashed, crash[1]))
+    state = initial_async_state(proto, inputs)
+    for _ in range(horizon):
+        state, _ = step_async(state, proto, scheduler.next_event(state))
+        assert state.next_index == proto.sent
+        if state.crashed is not None:
+            assert all(m.dest != crashed for queue in state.queues for m in queue)

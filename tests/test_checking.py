@@ -23,12 +23,11 @@ from adversim.checking import (
     BudgetExceeded,
     CheckResult,
     _violation,
-    _violation_kind,
     check_exhaustive,
     check_fuzz,
     stream_seed,
 )
-from adversim.core import AdversimError, EngineError, initial_configuration
+from adversim.core import AdversimError, EngineError, check_colorless_outcome, initial_configuration
 from adversim.protocols import get_protocol
 from adversim.sync_engine import (
     enumerate_faults, random_faults, run, silence, step_fts, step_ftr,
@@ -58,12 +57,11 @@ def reference_check_exhaustive(
         nonlocal explored
         if config.all_decided() or len(path) == depth:
             return None
-        before = config.outputs()
         for fault in faults:
             child = step(config, protocol, fault)
             explored += 1
             path.append(fault)
-            kind = _violation_kind(config.inputs(), before, child.outputs())
+            kind = check_colorless_outcome(config.inputs(), child.outputs().values()).violation
             if kind is not None:
                 return _violation(kind, protocol, model, config.inputs(), path)
             found = dfs(child, path)
@@ -267,11 +265,10 @@ def reference_check_fuzz(protocol, n, runs, depth, seed, model="fts", restricted
             if config.all_decided():
                 break
             fault = next(faults)
-            before = config.outputs()
             config = step(config, protocol, fault)
             explored += 1
             path.append(fault)
-            kind = _violation_kind(inputs, before, config.outputs())
+            kind = check_colorless_outcome(inputs, config.outputs().values()).violation
             if kind is not None:
                 violation = _violation(kind, protocol, model, inputs, path, run_index)
                 return CheckResult(violation=violation, explored=explored)

@@ -81,12 +81,23 @@ def test_attack_oracle_cap_exit_two(tmp_path):
 
 
 def test_attack_constant_reports_no_dependence(tmp_path, capsys):
-    code = run_cli(
-        ["attack", "--protocol", "constant-0", "--n", "3", "--rounds", "5",
-         "--out", str(tmp_path / "t.jsonl"), "--report", str(tmp_path / "r.jsonl")]
-    )
-    assert code != 0
-    assert "no dependent initial configuration" in capsys.readouterr().err
+    # every input vector decides b, so the unanimous 1 - b vector violates validity
+    for b in (0, 1):
+        outdir = tmp_path / str(b)
+        outdir.mkdir()
+        code = run_cli(["attack", "--protocol", f"constant-{b}", "--n", "3", "--rounds", "5"],
+                       env_extra={"ADVERSIM_OUTDIR": str(outdir)})
+        assert code == 1
+        assert "no dependent initial configuration" in capsys.readouterr().err
+        names = sorted(p.name for p in outdir.iterdir())
+        assert names == ["violation.report.jsonl", "violation.trace.jsonl"]
+        (record,) = read_jsonl(outdir / "violation.report.jsonl")
+        assert record == {"violation": "validity", "inputs": [1 - b] * 3, "round": 1,
+                          "outputs": {"0": b, "1": b, "2": b}}
+        header, *steps = read_jsonl(outdir / "violation.trace.jsonl")
+        assert header["inputs"] == [1 - b] * 3 and header["protocol"] == f"constant-{b}"
+        assert steps[-1]["outputs"] == record["outputs"]
+        assert run_cli(["validate", str(outdir / "violation.trace.jsonl")]) == 0
 
 
 # -- check ----------------------------------------------------------------------

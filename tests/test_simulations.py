@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from adversim import protocols, simulations
 from adversim.core import (
     AdversimError,
+    AsyncProtocol,
+    EngineError,
     FlpStep,
     ReceiveFault,
     RoundProtocol,
@@ -225,9 +227,9 @@ def test_projection_audit_rejects_tampered_log_output(float_mean):
     final = result.final_state
     state = final.states[0]
     log = list(state.internal.log)
-    r, received, out = log[3]
-    assert r == 4 and out is not None  # float-mean outputs in round 4
-    log[3] = (r, received, 1 - out)
+    received, out = log[3]
+    assert out is not None  # float-mean outputs in round 4
+    log[3] = (received, 1 - out)
     internal = state.internal._replace(log=tuple(log))
     states = (state._replace(internal=internal),) + final.states[1:]
     tampered = result._replace(final_state=final._replace(states=states))
@@ -528,7 +530,7 @@ def test_rounds_advance_unboundedly_with_horizon():
     lows = []
     for horizon in (60, 120, 240):
         result = run_async((1, 0, 0), proto, RoundRobinScheduler(3), horizon=horizon)
-        lows.append(min(s.internal.round for s in result.final_state.states))
+        lows.append(min(len(s.internal.log) + 1 for s in result.final_state.states))
     assert lows[0] < lows[1] < lows[2]
 
 
@@ -541,7 +543,7 @@ def test_advance_needs_single_message_at_n3():
     state, _ = step_async(state, proto, FlpStep(pid=0))  # broadcasts round 1
     msg = [m for m in state.in_flight if m.dest == 1][0]
     state, _ = step_async(state, proto, FlpStep(pid=1, deliver=msg.index))
-    assert state.states[1].internal.round == 2
+    assert len(state.states[1].internal.log) == 1  # round 1 done: now in round 2
 
 
 def test_projection_no_crash_validates():
@@ -577,8 +579,8 @@ def test_projection_rejects_a_receiver_that_missed_two_senders():
     proto = SynchronizerWrapper(base, 3)
     result = run_async((1, 0, 0), proto, RoundRobinScheduler(3), horizon=200)
     states = [s.internal for s in result.final_state.states]
-    (_, _, out), *later = states[1].log
-    states[1] = states[1]._replace(log=((1, (), out), *later))  # round 1 delivers nothing
+    (_, out), *later = states[1].log
+    states[1] = states[1]._replace(log=(((), out), *later))  # round 1 delivers nothing
     with pytest.raises(EmulationLemmaViolation, match="process 1 missed 2 senders in round 1"):
         project_synchronized_run(states, None, base, (1, 0, 0))
 
@@ -596,7 +598,7 @@ def test_a_duplicate_delivery_reaches_the_projection():
     for q in range(4):
         for incoming in [sent[0]] * 2 if q == 1 else [m for m in sent if m[0] != q][:2]:
             states[q], _, _ = proto.step(states[q], incoming)
-    assert [s.log[0][1] for s in states] == [(1, 2), (0,), (0, 1), (0, 1)]
+    assert [s.log[0][0] for s in states] == [(1, 2), (0,), (0, 1), (0, 1)]
     with pytest.raises(EmulationLemmaViolation, match="process 1 missed 2 senders in round 1"):
         project_synchronized_run(states, None, base, (1,) * 4)
 
@@ -826,6 +828,46 @@ def test_relay_traffic_reaches_message_cap():
     assert isinstance(info.value.__cause__, ResourceLimitError)
 
 
+def test_audit_counts_unicasts_delivered_to_their_addressee():
+    # Relay sends only unicasts; six rounds stay far below the message cap
+    n = 3
+    proto = PiggybackWrapper(Relay(n), n)
+    faults = random_faults(n, random.Random(1), "ftr", False)
+    config = initial_configuration(proto, (0, 1, 0))
+    result = run(config, proto, "ftr", faults, horizon=6, keep_configs=True)
+    ledger = piggyback_ledger(result.configs)
+    assert all(e.dest is not None for e in ledger)
+    got = [{q for q, _ in e.deliveries} for e in ledger]
+    delivered = sum(g == {e.dest} for e, g in zip(ledger, got))
+    assert 0 < delivered < len(ledger)
+    audit = audit_stack(proto, result)
+    assert audit.ok
+    assert audit.summary == (
+        f"{len(ledger)} simulated messages, {len(ledger) - delivered} not fully delivered"
+    )
+
+
+class SelfSender(AsyncProtocol):
+    """Every step sends one message to its own process."""
+
+    protocol_id = "self-sender"
+
+    def init(self, pid, input_bit):
+        return pid
+
+    def step(self, internal, incoming):
+        return internal, [(internal, b"x")], None
+
+
+def test_piggyback_refuses_a_send_to_self():
+    proto = PiggybackWrapper(SelfSender(), 3)
+    config = initial_configuration(proto, (0, 1, 0))
+    with pytest.raises(EngineError) as info:
+        run(config, proto, "ftr", (), horizon=2)
+    cause = info.value.__cause__
+    assert type(cause) is AdversimError and str(cause) == "a process never sends to itself"
+
+
 # -- stacks -----------------------------------------------------------------------
 
 
@@ -881,7 +923,7 @@ def test_build_stack_rejects_asynchronous_base_under_round_models(stack):
     "state, plain",
     [
         (GetCoreState(0, "s", frozenset()), (0, "s", frozenset())),
-        (SynchronizerState("s", 3, True, ()), ("s", 3, True, (), ())),
+        (SynchronizerState("s", True, ()), ("s", True, (), ())),
         (PiggybackState(2, "s", ((), (), ())), (2, "s", ((), (), ()))),
     ],
     ids=["gather", "synchronizer", "piggyback"],
