@@ -48,6 +48,7 @@ class Mutant(NamedTuple):
 SIM = "src/adversim/simulations.py"
 ENGINE = "src/adversim/sync_engine.py"
 ASYNC = "src/adversim/async_engine.py"
+CHECK = "src/adversim/checking.py"
 MUTANTS = (
     # the gather, its core and the stack tables
     Mutant("gather-delivers-own-echo", SIM,
@@ -163,6 +164,16 @@ MUTANTS = (
            "if d != crashed:  # a crashed process receives nothing", "if True:"),
     Mutant("audit-orders-sends-as-tuples", ASYNC,
            "for m in sorted(overdue, key=_index):", "for m in sorted(overdue):"),
+    # the exhaustive search checks every child it builds, and rebuilds a
+    # violation's path from each configuration's first parent
+    Mutant("explorer-checks-only-new-children", CHECK,
+           "                if explored == budget:\n",
+           "                if child in found:\n"
+           "                    continue\n"
+           "                if explored == budget:\n"),
+    Mutant("explorer-path-drops-final-fault", CHECK, "path = [fault]", "path = []"),
+    Mutant("explorer-keeps-last-parent", CHECK,
+           "found.setdefault(child, (config, fault))", "found[child] = (config, fault)"),
 )
 
 

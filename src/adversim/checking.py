@@ -1,19 +1,19 @@
 """Agreement/validity checking over fault schedules.
 
-Exhaustive mode searches every canonical fault sequence to a depth,
-depth-first, pruning once all processes have decided (output registers are
-frozen from then on).  It expands each configuration once: all its children
-come from one fan-out round, and a configuration whose subtree was already
-searched without a violation is not searched again.  An expansion builds
-each distinct child once, at the first canonical fault that builds it, so
-the first violation, its path and its trace are those of walking every
-fault.  The budget bounds the distinct children built: the search stops
-with BudgetExceeded as soon as it would build one more.  Fuzz mode draws
-seeded random inputs and faults; each run draws its inputs, then its
-faults, from one stream seeded by (seed, run index) alone, so a reported
-counterexample replays in isolation.  A fuzz round is checked only when it
-writes an output: the check reads only inputs and outputs, and an unchanged
-output set passed when it was written.
+Exhaustive mode searches every canonical fault sequence to a depth, level
+by level, pruning once all processes have decided (output registers are
+frozen from then on).  It expands each configuration of a level once: all
+its children come from one fan-out round, and each child keeps the first
+parent and fault that built it.  An expansion builds each distinct child
+once, at the first canonical fault that builds it, so the violation found,
+a shallowest one and first in level order, has the path and trace of
+stepping every fault level by level.  The budget bounds the distinct
+children built: the search stops with BudgetExceeded as soon as it would
+build one more.  Fuzz mode draws seeded random inputs and faults; each run
+draws its inputs, then its faults, from one stream seeded by (seed, run
+index) alone, so a reported counterexample replays in isolation.  A fuzz
+round is checked only when it writes an output: the check reads only inputs
+and outputs, and an unchanged output set passed when it was written.
 Fuzz runs revisit the same configurations often, so one fuzz call shares a
 single expansion table across all its runs: each configuration's broadcast
 and each (receiver, missed sender) transition is computed once per call.
@@ -22,7 +22,7 @@ its round, the table lives for one call with one protocol, and a failing
 ``message()`` or ``transition()`` stores nothing; so every run draws the same
 faults, reaches the same configurations and gives the same verdict, count and
 trace as it would stepping afresh.
-Both modes return the first violation together with a replayable trace.
+Both modes return their first violation together with a replayable trace.
 Output registers are write-once, so only agreement and validity can fail.
 """
 
@@ -97,42 +97,38 @@ def check_exhaustive(
     budget: int = 2_000_000,
 ) -> CheckResult:
     """Explore every canonical fault sequence up to ``depth`` for every input
-    vector; return the first violation in depth-first order.  Each distinct
-    configuration is expanded at most once, and the search builds at most
-    ``budget`` distinct children."""
+    vector, level by level; return a shallowest violation, first in level
+    order.  Each distinct configuration is expanded at most once, and the
+    search builds at most ``budget`` distinct children."""
     if depth < 1:
         raise AdversimError("depth must be >= 1")
     explored = 0
-    # Configurations whose whole subtree was explored without a violation.
-    # The round is part of a configuration and fixes the depth left, so a
-    # configuration's subtree depends on the configuration alone.
-    safe: set[Configuration] = set()
-
-    def dfs(config: Configuration, path: list) -> Optional[CheckViolation]:
-        nonlocal explored
-        if len(path) == depth or config.all_decided() or config in safe:
-            return None
-        inputs = config.inputs()
-        for fault, child in distinct_children(config, protocol, model, restricted):
-            if explored == budget:
-                raise BudgetExceeded(f"search would build more children than budget {budget}")
-            explored += 1
-            path.append(fault)
-            kind = check_colorless_outcome(inputs, child.outputs().values()).violation
-            if kind is not None:
-                return _violation(kind, protocol, model, inputs, path)
-            found = dfs(child, path)
-            if found is not None:
-                return found
-            path.pop()
-        safe.add(config)
-        return None
-
-    for bits in product((0, 1), repeat=n):
-        config = initial_configuration(protocol, bits)
-        found = dfs(config, [])
-        if found is not None:
-            return CheckResult(violation=found, explored=explored)
+    # Per level after the input vectors: each configuration to expand, with
+    # the first (parent, fault) that built it, in the order found.  Decided
+    # children are not kept, nor is the last level.  The round is part of a
+    # configuration, so no configuration is on two levels.
+    levels: list[dict[Configuration, tuple]] = []
+    level = (initial_configuration(protocol, bits) for bits in product((0, 1), repeat=n))
+    for d in range(depth):
+        found: dict[Configuration, tuple] = {}
+        for config in level:
+            inputs = config.inputs()
+            for fault, child in distinct_children(config, protocol, model, restricted):
+                if explored == budget:
+                    raise BudgetExceeded(f"search would build more children than budget {budget}")
+                explored += 1
+                kind = check_colorless_outcome(inputs, child.outputs().values()).violation
+                if kind is not None:
+                    path = [fault]
+                    for parents in reversed(levels):
+                        config, fault = parents[config]
+                        path.append(fault)
+                    violation = _violation(kind, protocol, model, inputs, path[::-1])
+                    return CheckResult(violation=violation, explored=explored)
+                if d + 1 < depth and not child.all_decided():
+                    found.setdefault(child, (config, fault))
+        levels.append(found)
+        level = found
     return CheckResult(violation=None, explored=explored)
 
 

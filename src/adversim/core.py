@@ -73,8 +73,8 @@ class EmulationLemmaViolation(AdversimError):
 
 Pid = int
 
-# A message payload: any immutable, hashable, orderable value - bytes, int,
-# str, None, or tuples of these.  Engines and wrappers pass payloads along
+# A message payload: any immutable, hashable value - bytes, int, str, None,
+# or tuples or frozensets of these.  Engines and wrappers pass payloads along
 # as they are; nothing serializes them.
 Payload = Any
 
@@ -220,8 +220,8 @@ class RoundProtocol:
     delivered this round as a mapping sender -> payload, built by the engine
     in ascending sender order (the models fix a delivery order; ascending id
     is the one used throughout this lab).  Payloads are opaque ``Payload``
-    values: immutable, hashable and orderable, so wrappers can keep them in
-    sets and sort them.  Internal states are immutable and hashable too:
+    values: immutable and hashable, so wrappers can keep them in sets and
+    send those sets on.  Internal states are immutable and hashable too:
     the decision oracles memoize their results by configuration.
 
     ``period`` is an optional round period.  A protocol that declares one

@@ -75,9 +75,11 @@ class GetCoreWrapper(RoundProtocol):
     3s-2, 3s-1 and 3s (hosts count from 1) are simulated round s, which ends
     where ``round % 3`` is 0.  Broadcasts accumulate: each phase a process
     sends everything it has gathered, own message included, which is what
-    guarantees the common core of n-1 senders.  Each simulated round starts
-    with the process's own entry in its gathered set, so an echo of that
-    entry changes no state.  The state keeps no round: 3 inner periods make one."""
+    guarantees the common core of n-1 senders.  It sends the gathered set as
+    it keeps it, and phase 3 sorts it to deliver in sender order.  Each
+    simulated round starts with the process's own entry in its gathered
+    set, so an echo of that entry changes no state.  The state keeps no
+    round: 3 inner periods make one."""
 
     def __init__(self, inner: RoundProtocol, n: int):
         if n < 3:
@@ -93,7 +95,7 @@ class GetCoreWrapper(RoundProtocol):
         return GetCoreState(pid, inner, frozenset({(pid, self.inner.message(inner, 1))}))
 
     def message(self, internal: GetCoreState, round: int) -> Payload:
-        return tuple(sorted(internal.seen))
+        return internal.seen
 
     def transition(
         self, internal: GetCoreState, round: int, received: Mapping[Pid, Payload]

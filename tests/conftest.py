@@ -1,7 +1,7 @@
 """Shared test helpers: launch the CLI in a fresh interpreter,
 re-establish an attack witness, a flooding protocol that is safe only in
-the restricted fail-to-send model, and a phase-king-lite that records the
-senders it was delivered.
+the restricted fail-to-send model, a phase-king-lite that records the
+senders it was delivered, and random lookup-table protocols.
 
 Subprocess tests run ``python -m adversim`` with ``cwd`` set to a temporary
 directory, so a relative ``PYTHONPATH`` entry such as ``src`` would resolve
@@ -11,6 +11,7 @@ the child imports the code under test wherever pytest is started from, with
 or without an installed copy of the package.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -95,3 +96,45 @@ def recorded_delivery(config):
     """Per process, the senders a gather around ``RecordingPhaseKing`` last
     delivered in ``config``."""
     return {q: s.internal.inner[1] for q, s in enumerate(config.states)}
+
+
+def _draw(*key) -> int:
+    """A 64-bit number fixed by ``key``'s repr: the same in every process."""
+    return int.from_bytes(hashlib.blake2b(repr(key).encode(), digest_size=8).digest(), "big")
+
+
+class TableProtocol(RoundProtocol):
+    """A random round protocol, one per ``seed``, whose lookup table is
+    drawn entry by entry as it is first read.  A process's state is (value,
+    decided, aux), starting at (input, False, 0), and it broadcasts (value,
+    aux).  Its next state is drawn by a stable hash of the seed, the state,
+    the round modulo the declared ``period`` (2 to 4), the multiset of
+    payloads received and, for half the seeds, the senders it missed (its
+    own pid among them).  A process becomes decided with a chance of 1/2 to
+    1/16 per round, fixed by the seed, and outputs its value in that round.
+    The table reads the round only modulo the period, so the promise holds."""
+
+    def __init__(self, n, seed):
+        self.n, self.seed = n, seed
+        self.protocol_id = f"table-{seed}"
+        self.period = 2 + _draw(seed, "period") % 3
+        self.sees_missing = _draw(seed, "missing") % 2 == 0
+        self.undecided = (1 << 1 + _draw(seed, "rate") % 4) - 1  # the mask that must be 0
+        self.table = {}  # the entries drawn so far
+
+    def init(self, pid, input):
+        return input, False, 0
+
+    def message(self, internal, round):
+        return internal[0], internal[2]
+
+    def transition(self, internal, round, received):
+        missing = self.sees_missing and tuple(s for s in range(self.n) if s not in received)
+        key = (internal, round % self.period, tuple(sorted(received.values())), missing)
+        entry = self.table.get(key)
+        if entry is None:
+            h = _draw(self.seed, *key)
+            value, decided, aux = h & 1, internal[1] or h >> 2 & self.undecided == 0, h >> 1 & 1
+            out = value if decided and not internal[1] else None
+            entry = self.table[key] = (value, decided, aux), out
+        return entry

@@ -1,12 +1,15 @@
 """Exhaustive and fuzz checking against the loops they replaced.
 
-``check_exhaustive`` expands each configuration once.  The reference below
-is the earlier search: it steps every canonical fault sequence to the depth,
-one fault at a time, with no visited set.  Both must report the same first
-violation, with the same record and the same replayable trace.  The
-reference refuses by the number of fault sequences it projects; where that
-is over the budget but the children the search builds are not, the search is
-compared with outcomes recorded before the budget counted children.
+``check_exhaustive`` expands each configuration once, level by level.  Two
+references step every canonical fault, one at a time, with no visited set.
+The level-order one must report the same violation, with the same record
+and the same replayable trace.  The earlier depth-first search must agree
+on pass or fail; its first violation may be deeper, never shallower, and on
+a pass it steps at least as many rounds.  On the registered protocols its
+first violation is the same.  The depth-first reference refuses by the
+number of fault sequences it projects; where that is over the budget but
+the children the search builds are not, the search is compared with
+outcomes recorded before the budget counted children.
 
 ``check_fuzz`` shares one expansion table across its runs; its reference is
 the fuzz loop without one, which builds and steps every run afresh.
@@ -17,8 +20,9 @@ import random
 from itertools import product
 
 import pytest
+from conftest import TableProtocol
 
-from adversim import sync_engine
+from adversim import protocols, sync_engine
 from adversim.checking import (
     BudgetExceeded,
     CheckResult,
@@ -27,7 +31,14 @@ from adversim.checking import (
     check_fuzz,
     stream_seed,
 )
-from adversim.core import AdversimError, EngineError, check_colorless_outcome, initial_configuration
+from adversim.core import (
+    AdversimError,
+    EngineError,
+    ExecutionTrace,
+    check_colorless_outcome,
+    initial_configuration,
+    validate_trace,
+)
 from adversim.protocols import get_protocol
 from adversim.sync_engine import (
     enumerate_faults, random_faults, run, silence, step_fts, step_ftr,
@@ -74,6 +85,35 @@ def reference_check_exhaustive(
         found = dfs(initial_configuration(protocol, bits), [])
         if found is not None:
             return CheckResult(violation=found, explored=explored)
+    return CheckResult(violation=None, explored=explored)
+
+
+def level_order_check_exhaustive(protocol, n, depth, model="fts", restricted=False, step=None):
+    """Step every canonical fault from every configuration of a level, one
+    level after another, for every input vector; return the first violation
+    in level order.  ``step`` defaults to the model's step function."""
+    if depth < 1:
+        raise AdversimError("depth must be >= 1")
+    faults = enumerate_faults(model, n, restricted=restricted)
+    if step is None:
+        step = step_fts if model == "fts" else step_ftr
+    explored = 0
+    level = [(initial_configuration(protocol, bits), ()) for bits in product((0, 1), repeat=n)]
+    for _ in range(depth):
+        below = []
+        for config, path in level:
+            if config.all_decided():
+                continue
+            inputs = config.inputs()
+            for fault in faults:
+                child = step(config, protocol, fault)
+                explored += 1
+                kind = check_colorless_outcome(inputs, child.outputs().values()).violation
+                if kind is not None:
+                    violation = _violation(kind, protocol, model, inputs, [*path, fault])
+                    return CheckResult(violation=violation, explored=explored)
+                below.append((child, (*path, fault)))
+        level = below
     return CheckResult(violation=None, explored=explored)
 
 
@@ -189,6 +229,58 @@ def test_visited_set_keys_on_the_round():
     want, _ = _outcome(reference_check_exhaustive, protocol, 3, 3, "fts", False)
     assert want[0] == "validity"
     assert got == want
+
+
+class FlipsItsInput:
+    """Stub that writes 1 - input: from input 0 at round 3, from input 1 at
+    round 1, whatever it receives.  All-0 inputs, the first depth-first
+    branch, violate validity at round 3; all-1 inputs, the last vector,
+    violate it at round 1."""
+
+    protocol_id = "flips-its-input"
+    n = None
+
+    def init(self, pid, input):
+        return input
+
+    def message(self, internal, round):
+        return None
+
+    def transition(self, internal, round, received):
+        return internal, (1 - internal if round == 3 - 2 * internal else None)
+
+
+def test_exhaustive_returns_a_shallowest_violation():
+    protocol = FlipsItsInput()
+    depth_first = reference_check_exhaustive(protocol, 3, 3).violation
+    assert (depth_first.inputs, depth_first.round) == ((0, 0, 0), 3)
+    got, _ = _outcome(check_exhaustive, protocol, 3, 3, "fts", False)
+    want, _ = _outcome(level_order_check_exhaustive, protocol, 3, 3, "fts", False)
+    assert got == want
+    assert (got[1]["inputs"], got[1]["round"]) == ([1, 1, 1], 1)
+
+
+@pytest.mark.parametrize("model, depth", [("fts", 3), ("ftr", 2)])
+def test_exhaustive_matches_both_references_on_random_protocols(model, depth, monkeypatch):
+    verdicts = set()
+    for seed in range(100):
+        protocol = TableProtocol(3, seed)
+        monkeypatch.setitem(protocols._REGISTRY, protocol.protocol_id,
+                            lambda n, seed=seed: TableProtocol(n, seed))
+        step = functools.lru_cache(maxsize=None)(step_fts if model == "fts" else step_ftr)
+        args = (protocol, 3, depth, model, False)
+        got, explored = _outcome(check_exhaustive, *args)
+        level_order, level_order_explored = _outcome(level_order_check_exhaustive, *args, step=step)
+        assert got == level_order and explored <= level_order_explored
+        depth_first, depth_first_explored = _outcome(reference_check_exhaustive, *args, step=step)
+        verdicts.add(got[0])
+        if got[0] == "ok":
+            assert depth_first[0] == "ok" and explored <= depth_first_explored
+        else:
+            # a shallower violation may be of the other kind
+            assert depth_first[0] != "ok" and got[1]["round"] <= depth_first[1]["round"]
+            assert validate_trace(ExecutionTrace.from_jsonl(got[2])).valid
+    assert verdicts == {"ok", "agreement", "validity"}
 
 
 @pytest.mark.parametrize("model, restricted", [("fts", False), ("fts", True), ("ftr", False)])

@@ -1,9 +1,10 @@
 """Decision oracles, dependence machinery, and the attack loop."""
 
 import itertools
+from collections import Counter
 
 import pytest
-from conftest import FloodMin, verify_witness
+from conftest import FloodMin, TableProtocol, verify_witness
 
 from adversim import nondecider
 from adversim.core import AdversimError, initial_configuration
@@ -538,6 +539,42 @@ def test_restricted_extension_raises_chain_exhausted():
     entry = result.witnesses[-1]
     with pytest.raises(ChainExhausted):
         extend_dependent(entry.witness, pk, restricted=True)
+
+
+def test_attack_on_random_table_protocols_ends_in_a_documented_verdict():
+    # The extension argument holds for every deterministic protocol: each
+    # attack builds a run that writes no output, or shows that the target
+    # is not pseudo-consensus.  Anything else fails, InvariantViolation
+    # included: each table protocol's period holds by construction.
+    outcomes = Counter()
+    for n in (3, 4):
+        cap = default_cap(n)
+        for seed in range(150):
+            protocol = TableProtocol(n, seed)
+            for restricted in (False, True):
+                try:
+                    result = build_nondeciding_execution(protocol, n, 10, restricted=restricted)
+                except NoFlipInChain:
+                    # both ends of the input chain decide the same b, so the
+                    # unanimous 1 - b vector decides b: a validity violation
+                    ends = {failure_free_decision(initial_configuration(protocol, (b,) * n),
+                                                  protocol, cap).decision for b in (0, 1)}
+                    assert len(ends) == 1
+                    outcomes["validity"] += 1
+                except (OutOfModelProbe, ChainExhausted) as exc:
+                    assert restricted
+                    outcomes[type(exc).__name__] += 1
+                except (AgreementViolation, OracleCapExceeded) as exc:
+                    outcomes[type(exc).__name__] += 1
+                else:
+                    assert result.exhausted_at is None or restricted
+                    faults = [step.fault for step in result.trace.steps]
+                    start = initial_configuration(protocol, result.trace.inputs)
+                    replay = run(start, protocol, "fts", faults, len(faults))
+                    assert replay.final_config.outputs() == {}
+                    outcomes["non-deciding"] += 1
+    assert {"validity", "OutOfModelProbe", "AgreementViolation", "OracleCapExceeded",
+            "non-deciding"} <= set(outcomes), outcomes
 
 
 def test_restricted_faults_never_full_silence():

@@ -31,7 +31,7 @@ from adversim.sync_engine import (
     step_fts,
     step_ftr,
 )
-from test_checking import reference_check_exhaustive
+from test_checking import level_order_check_exhaustive
 
 
 class CountingProtocol:
@@ -400,20 +400,19 @@ class MissRaises:
 
 @pytest.mark.parametrize("model", ["fts", "ftr"])
 def test_exhaustive_raises_the_first_per_fault_engine_error(model):
-    # The first failing round is the first fault that drops the sender at
-    # the bottom of the first branch; computing children eagerly would
-    # fail at round 1 instead.
+    # The error is the one the first fault, in level order, that drops the
+    # sender meets: a fault of the first level, so it comes from round 1.
     protocol = MissRaises(sender=2)
     errors = []
     for check, kwargs in (
         (check_exhaustive, {}),
-        (reference_check_exhaustive, {"step": reference_step}),
+        (level_order_check_exhaustive, {"step": reference_step}),
     ):
         with pytest.raises(EngineError) as info:
             check(protocol, 3, 3, model=model, **kwargs)
         errors.append((str(info.value), info.value.round, info.value.pid))
     assert errors[0] == errors[1]
-    assert errors[0][1] == 3
+    assert errors[0][1] == 1
 
 
 @pytest.mark.parametrize("model", ["fts", "ftr"])
@@ -422,8 +421,9 @@ def test_exhaustive_stops_at_a_violation_before_a_failing_fault(model):
     # before missing process 2 in fault order, so no error may surface.
     protocol = MissRaises(sender=2, writes_on=0)
     result = check_exhaustive(protocol, 3, 3, model=model)
-    reference = reference_check_exhaustive(protocol, 3, 3, model=model, step=reference_step)
+    reference = level_order_check_exhaustive(protocol, 3, 3, model=model, step=reference_step)
     assert result.violation.kind == "validity"
+    assert result.violation.round == 1
     assert result.violation.record() == reference.violation.record()
     assert result.violation.trace.to_jsonl() == reference.violation.trace.to_jsonl()
 
