@@ -141,6 +141,14 @@ MUTANTS = (
            '    if restricted and model == "ftr":\n'
            '        raise AdversimError("restricted mode applies to the fail-to-send model only")\n',
            ""),
+    # an expansion table shares a transition only under all it reads: the
+    # round, the broadcast, the receiver and its state (and the missed sender)
+    Mutant("table-key-drops-receiver-state", ENGINE,
+           "(round, broadcast, q, state)", "(round, broadcast, q)"),
+    Mutant("table-key-drops-round", ENGINE,
+           "(round, broadcast, q, state)", "(broadcast, q, state)"),
+    Mutant("table-key-drops-receiver", ENGINE,
+           "(round, broadcast, q, state)", "(round, broadcast, state)"),
     # the fault sources refuse an unknown model
     Mutant("random-faults-accept-an-unknown-model", ENGINE,
            '    if model not in ("fts", "ftr"):\n'

@@ -74,7 +74,9 @@ class EmulationLemmaViolation(AdversimError):
 Pid = int
 
 # A message payload: any immutable, hashable value - bytes, int, str, None,
-# or tuples or frozensets of these.  Engines and wrappers pass payloads along
+# or tuples or frozensets of these.  Payloads that compare equal must be
+# interchangeable to ``transition``: an expansion table reuses a transition
+# computed on one for the other.  Engines and wrappers pass payloads along
 # as they are; nothing serializes them.
 Payload = Any
 
@@ -221,8 +223,10 @@ class RoundProtocol:
     in ascending sender order (the models fix a delivery order; ascending id
     is the one used throughout this lab).  Payloads are opaque ``Payload``
     values: immutable and hashable, so wrappers can keep them in sets and
-    send those sets on.  Internal states are immutable and hashable too:
-    the decision oracles memoize their results by configuration.
+    send those sets on.  Payloads that compare equal must be interchangeable
+    to ``transition``: the kernel reuses a transition computed on one for
+    the other.  Internal states are immutable and hashable too: the
+    decision oracles memoize their results by configuration.
 
     ``period`` is an optional round period.  A protocol that declares one
     promises that ``message`` and ``transition`` return equal results at
@@ -232,10 +236,12 @@ class RoundProtocol:
     nothing, and the round is taken as it is.
 
     The synchronous kernel (``sync_engine._child``) calls ``transition``
-    at most once per (receiver, missed sender) of a configuration it
-    expands, and builds the next state once from the result.  It calls
-    ``LocalState.write`` only for an output other than ``None``, so an
-    output register stays write-once: the first output sticks.
+    at most once per (round, broadcast, receiver state, missed sender) of
+    one expansion table, or, without a table, once per (receiver, missed
+    sender) of a configuration it expands, and builds the next state once
+    from the result.  It calls ``LocalState.write`` only for an output
+    other than ``None``, so an output register stays write-once: the first
+    output sticks.
     """
 
     protocol_id: str = "?"

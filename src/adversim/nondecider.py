@@ -323,8 +323,8 @@ def extend_dependent(
     start = 2 if restricted else 1
     # c_i delivers p's payload to exactly the first i-1 of the others.
     faults = [RoundFault(p, others[i - 1 :]) for i in range(start, n + 1)]
-    inbox, after = _expansion(config, protocol, None)
-    chain = (_child(config, protocol, inbox, after, f.mapping) for f in faults)
+    inbox, afters = _expansion(config, protocol, None)
+    chain = (_child(config, protocol, inbox, afters, f.mapping) for f in faults)
     ff = None
     if not restricted:
         c1 = next(chain)

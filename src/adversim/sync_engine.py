@@ -10,9 +10,14 @@ drops nothing.  No process ever crashes, and engines always run to the
 requested horizon: decided processes keep participating.  ``_child`` is
 the one round rule: one transition per (receiver, missed sender), outputs
 written once, errors raised lazily.  ``step_fts``/``step_ftr`` build one
-child, ``distinct_children`` each distinct child once.  The steps take an
-optional ExpansionTable, which keeps each configuration's broadcast and
-transitions for a whole search.
+child, ``distinct_children`` each distinct child once.  Both take an
+optional ExpansionTable, which keeps for a whole search each
+configuration's broadcast, and each transition keyed on what it reads: the
+round, the broadcast, the receiver's state and the sender it misses.  That
+is exact.  Protocols are pure and payloads that compare equal are
+interchangeable, a table lives for one call with one protocol, and a
+failing ``message()`` or ``transition()`` stores nothing; so a step with a
+table builds the same child, or raises the same error, as one without.
 """
 
 from __future__ import annotations
@@ -36,35 +41,47 @@ from .core import (
 )
 
 
-# Per configuration: its broadcast inbox (sender -> payload), and the state
-# each (receiver, missed sender) transition reached, as far as computed.
+# Per configuration: its broadcast inbox (sender -> payload) and, per
+# receiver, the states its transitions reached as far as computed, keyed by
+# the sender it missed (None: no one).  A transition reads only the round,
+# the broadcast, the receiver's own state and the sender it misses, so a
+# receiver's dict is shared, under the key (round, broadcast, receiver,
+# state), by every configuration with that round and broadcast that gives
+# the receiver that state.  A configuration is a pair, so the two kinds of
+# key never meet.
 ExpansionTable = dict[
-    Configuration, tuple[dict[Pid, Any], dict[tuple[Pid, Optional[Pid]], LocalState]]
+    Configuration | tuple[int, tuple, Pid, LocalState],
+    tuple[dict[Pid, Any], list[dict]] | dict[Optional[Pid], LocalState],
 ]
 
 
-def _expansion(config: Configuration, protocol: RoundProtocol, table) -> tuple[dict, dict]:
-    """``config``'s broadcast inbox (sender -> payload) and its transitions
-    computed so far, from ``table`` (one protocol's) or computed and stored there."""
+def _expansion(config: Configuration, protocol: RoundProtocol, table) -> tuple[dict, list]:
+    """``config``'s broadcast inbox (sender -> payload) and, per receiver,
+    its transitions computed so far (missed sender -> next state): from
+    ``table`` (one protocol's), or computed and stored there, or fresh
+    dicts when there is no table."""
     entry = None if table is None else table.get(config)
     if entry is not None:
         return entry
-    round = config.round
+    round, states = config
     inbox = {}
-    for p, state in enumerate(config.states):
+    for p, state in enumerate(states):
         try:
             inbox[p] = protocol.message(state.internal, round)
         except Exception as exc:  # noqa: BLE001 - protocol bug surfaced as engine error
             raise EngineError(f"message() failed: {exc}", round=round, pid=p) from exc
-    after: dict[tuple[Pid, Optional[Pid]], LocalState] = {}  # (receiver, missed) -> state
-    if table is not None:
-        table[config] = (inbox, after)
-    return inbox, after
+    if table is None:
+        return inbox, [{} for _ in states]
+    broadcast = tuple(inbox.values())
+    afters = [table.setdefault((round, broadcast, q, state), {})
+              for q, state in enumerate(states)]
+    entry = table[config] = inbox, afters
+    return entry
 
 
 def _transition(config, protocol, inbox, after, q: Pid, miss: Optional[Pid]) -> LocalState:
     """Receiver ``q``'s next state when it misses ``miss`` (``None``: no one),
-    computed and stored in ``after``; a failure stores nothing."""
+    computed and stored in ``after``, its dict; a failure stores nothing."""
     state = config.states[q]
     received = inbox.copy()
     del received[q]
@@ -76,29 +93,29 @@ def _transition(config, protocol, inbox, after, q: Pid, miss: Optional[Pid]) -> 
     nxt = tuple.__new__(LocalState, (state.input, internal, state.output))
     if out is not None:
         nxt = nxt.write(out)
-    after[q, miss] = nxt
+    after[miss] = nxt
     return nxt
 
 
-def _child(config, protocol, inbox, after, dropped: Mapping[Pid, Pid]) -> Configuration:
+def _child(config, protocol, inbox, afters, dropped: Mapping[Pid, Pid]) -> Configuration:
     """The child of ``config`` under one drop map (receiver -> the one sender
     it misses): each receiver transitions on every other payload, in
     ascending sender order, except the one it drops.  A transition is
-    computed once per (receiver, missed sender), when a child first needs
-    it, so an error surfaces at the first child that meets it.  Its next
-    state is one tuple; ``LocalState.write`` runs on it only for an output
-    other than ``None``, so the register stays write-once: the first output
-    sticks, a later one is ignored, an invalid one raises if none is."""
-    computed = after.get
+    computed once per key of its dict, when a child first needs it, so an
+    error surfaces at the first child that meets it.  Its next state is one
+    tuple; ``LocalState.write`` runs on it only for an output other than
+    ``None``, so the register stays write-once: the first output sticks, a
+    later one is ignored, an invalid one raises if none is."""
     states = []
-    for q in range(len(config.states)):
+    for q, after in enumerate(afters):
         miss = dropped.get(q)
-        states.append(computed((q, miss)) or _transition(config, protocol, inbox, after, q, miss))
+        states.append(after.get(miss) or _transition(config, protocol, inbox, after, q, miss))
     return tuple.__new__(Configuration, (config.round + 1, tuple(states)))
 
 
 def distinct_children(
-    config: Configuration, protocol: RoundProtocol, model: str, restricted: bool = False
+    config: Configuration, protocol: RoundProtocol, model: str, restricted: bool = False,
+    table: Optional[ExpansionTable] = None,
 ) -> Iterator[tuple[Any, Configuration]]:
     """Yield ``(fault, child)`` once for each distinct child of ``config``,
     at the first fault in ``enumerate_faults(model, n, restricted)`` order
@@ -106,14 +123,16 @@ def distinct_children(
     receivers (ftr: receiver n-1 fastest; fts: per sender, its first other
     process fastest).  A receiver's option is skipped, with every combination
     behind it, when its next state equals one under an earlier option; under
-    fts one set drops children two senders share.  Lazy, like ``_child``."""
+    fts one set drops children two senders share.  Lazy, like ``_child``,
+    and with ``table`` its transitions are read from and kept in it, as a
+    step's are."""
     if model not in ("fts", "ftr"):
         raise AdversimError(f"unknown synchronous model {model!r}")
     if restricted and model == "ftr":
         raise AdversimError("restricted mode applies to the fail-to-send model only")
-    inbox, after = _expansion(config, protocol, None)
+    inbox, afters = _expansion(config, protocol, table)
     n, round = config.n, config.round
-    full = _child(config, protocol, inbox, after, {})  # every fault order starts with it
+    full = _child(config, protocol, inbox, afters, {})  # every fault order starts with it
     states, drops = list(full.states), [None] * n  # per receiver: its state and miss
 
     def walk(digits):  # digits: (receiver, its misses in canonical order), slowest first
@@ -121,8 +140,9 @@ def distinct_children(
             yield tuple.__new__(Configuration, (round + 1, tuple(states)))
             return
         (q, misses), rest, options = digits[0], digits[1:], []
+        after = afters[q]
         for miss in misses:
-            nxt = after.get((q, miss)) or _transition(config, protocol, inbox, after, q, miss)
+            nxt = after.get(miss) or _transition(config, protocol, inbox, after, q, miss)
             if nxt not in options:
                 options.append(nxt)
                 states[q], drops[q] = nxt, miss

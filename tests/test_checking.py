@@ -11,8 +11,14 @@ number of fault sequences it projects; where that is over the budget but
 the children the search builds are not, the search is compared with
 outcomes recorded before the budget counted children.
 
-``check_fuzz`` shares one expansion table across its runs; its reference is
-the fuzz loop without one, which builds and steps every run afresh.
+Each call of either check keeps one expansion table, which computes each
+transition once per (round, broadcast, receiver state, missed sender).
+``check_fuzz``'s reference is the fuzz loop without one, which builds and
+steps every run afresh, on the registered protocols and on random table
+protocols, some of which read which senders they missed.  Counting
+``transition`` calls pins the table: a fuzz call makes one per distinct key
+among the rounds its reference steps, and an exhaustive check fewer than
+the same search without a table.
 """
 
 import functools
@@ -22,7 +28,7 @@ from itertools import product
 import pytest
 from conftest import TableProtocol
 
-from adversim import protocols, sync_engine
+from adversim import checking, protocols, sync_engine
 from adversim.checking import (
     BudgetExceeded,
     CheckResult,
@@ -341,10 +347,12 @@ def test_fault_sources_refuse_an_unknown_model(model):
         silence(1, 4, model)
 
 
-def reference_check_fuzz(protocol, n, runs, depth, seed, model="fts", restricted=False):
+def reference_check_fuzz(protocol, n, runs, depth, seed, model="fts", restricted=False,
+                         stepped=None):
     """The fuzz loop with no expansion table: every run builds its initial
     configuration and steps each of its rounds afresh, and checks every
-    round, whether or not it wrote an output."""
+    round, whether or not it wrote an output.  Each (configuration, fault)
+    stepped is appended to ``stepped`` when one is given."""
     step = step_fts if model == "fts" else step_ftr
     explored = 0
     for run_index in range(runs):
@@ -357,6 +365,8 @@ def reference_check_fuzz(protocol, n, runs, depth, seed, model="fts", restricted
             if config.all_decided():
                 break
             fault = next(faults)
+            if stepped is not None:
+                stepped.append((config, fault))
             config = step(config, protocol, fault)
             explored += 1
             path.append(fault)
@@ -398,6 +408,17 @@ def test_fuzz_matches_table_free_loop(protocol_id, model, restricted, n):
     # trace bytes are compared and not just two clean verdicts.
     if protocol_id != "phase-king-lite":
         assert got[0][0] != "ok"
+
+
+@pytest.mark.parametrize("model", ["fts", "ftr"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_fuzz_matches_table_free_loop_on_random_protocols(model, n):
+    # Protocols that read the senders they missed give a different next
+    # state per receiver and per missed sender from one broadcast.
+    for seed in range(40):
+        got = _fuzz_outcome(check_fuzz, TableProtocol(n, seed), n, model, False)
+        want = _fuzz_outcome(reference_check_fuzz, TableProtocol(n, seed), n, model, False)
+        assert got == want, seed
 
 
 def test_fuzz_run_replays_from_its_own_stream():
@@ -442,6 +463,40 @@ def test_fuzz_table_saves_transitions():
     want = reference_check_fuzz(reference, 4, 200, 10, 3)
     assert got.ok and want.ok and got.explored == want.explored
     assert 0 < with_table.transitions < reference.transitions
+
+
+@pytest.mark.parametrize("model, n", [("fts", 4), ("ftr", 4), ("fts", 5)])
+def test_fuzz_makes_one_transition_per_key(model, n):
+    # A transition reads the round, the broadcast, its receiver's state and
+    # the sender that receiver misses; the fuzz call computes each once.
+    protocol = get_protocol("phase-king-lite", n)
+    counting = CountingProtocol(protocol)
+    stepped = []
+    got = check_fuzz(counting, n, 200, 10, 3, model=model)
+    want = reference_check_fuzz(protocol, n, 200, 10, 3, model=model, stepped=stepped)
+    assert got.ok and want.ok and got.explored == want.explored == len(stepped)
+    keys = set()
+    for config, fault in stepped:
+        broadcast = tuple(protocol.message(s.internal, config.round) for s in config.states)
+        dropped = fault.mapping
+        keys.update((config.round, broadcast, q, state, dropped.get(q))
+                    for q, state in enumerate(config.states))
+    assert counting.transitions == len(keys)
+
+
+@pytest.mark.parametrize("model, n", [("fts", 4), ("ftr", 3)])
+def test_exhaustive_table_saves_transitions(model, n, monkeypatch):
+    with_table = CountingProtocol(get_protocol("phase-king-lite", n))
+    without = CountingProtocol(get_protocol("phase-king-lite", n))
+    got = _outcome(check_exhaustive, with_table, n, 3, model, False)
+
+    def tableless(config, protocol, model, restricted, table):
+        return sync_engine.distinct_children(config, protocol, model, restricted)
+
+    monkeypatch.setattr(checking, "distinct_children", tableless)
+    want = _outcome(check_exhaustive, without, n, 3, model, False)
+    assert got == want
+    assert 0 < with_table.transitions < without.transitions
 
 
 class FailsOnce:

@@ -6,6 +6,7 @@ import random
 from itertools import repeat
 
 import pytest
+from conftest import TableProtocol
 from hypothesis import given, settings, strategies as st
 
 from adversim.checking import check_exhaustive
@@ -343,11 +344,31 @@ def test_successors_match_per_fault_rounds(protocol_id, n):
     # Each distinct child once, at the first canonical fault that builds it.
     stubs = {"inbox-recorder": InboxRecorder, "alternating-output": AlternatingOutput}
     protocol = stubs[protocol_id]() if protocol_id in stubs else get_protocol(protocol_id, n)
+    table = {}  # one table for every configuration and expansion
     for config in _reached(protocol, n, f"successors-{protocol_id}-{n}"):
         for model, restricted in EXPANSIONS:
-            got = list(distinct_children(config, protocol, model, restricted))
+            got = list(distinct_children(config, protocol, model, restricted, table))
             want = list(reference_distinct_children(config, protocol, model, restricted))
             assert got == want, (config, model, restricted)
+
+
+def test_table_shares_transitions_only_where_they_read_alike():
+    # Random table protocols, half of which read the senders they missed,
+    # their own pid among them: one table for every configuration, fault
+    # and model must give each receiver and missed sender its own next state.
+    n = 3
+    for seed in range(40):
+        protocol = TableProtocol(n, seed)
+        table = {}
+        for config in _reached(protocol, n, f"table-{n}-{seed}"):
+            for model, step in (("fts", step_fts), ("ftr", step_ftr)):
+                for fault in enumerate_faults(model, n):
+                    assert step(config, protocol, fault, table) == \
+                        reference_step(config, protocol, fault), (seed, config, fault)
+            for model, restricted in EXPANSIONS:
+                got = list(distinct_children(config, protocol, model, restricted, table))
+                want = reference_distinct_children(config, protocol, model, restricted)
+                assert got == list(want), (seed, config, model, restricted)
 
 
 @pytest.mark.parametrize("protocol_id", ["phase-king-lite", "naive-majority", "constant-0",
