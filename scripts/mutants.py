@@ -15,7 +15,7 @@ collection or usage error, or a run past ``TIMEOUT`` seconds (a mutant that
 stops a loop from ending), counts as neither.  The list only grows: a
 change that adds a check adds the mutant that deletes it.
 
-    python scripts/mutants.py   # every mutant, about 15 minutes
+    python scripts/mutants.py   # every mutant, about 25 minutes
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ SIM = "src/adversim/simulations.py"
 ENGINE = "src/adversim/sync_engine.py"
 ASYNC = "src/adversim/async_engine.py"
 CHECK = "src/adversim/checking.py"
+ATTACK = "src/adversim/nondecider.py"
 MUTANTS = (
     # the gather, its core and the stack tables
     Mutant("gather-delivers-own-echo", SIM,
@@ -182,6 +183,16 @@ MUTANTS = (
     Mutant("explorer-path-drops-final-fault", CHECK, "path = [fault]", "path = []"),
     Mutant("explorer-keeps-last-parent", CHECK,
            "found.setdefault(child, (config, fault))", "found[child] = (config, fault)"),
+    # the attack: the chain scan checks c_j's silent decision before it
+    # returns c_j, the extension tries full silence before the chain, a memo
+    # hit still counts against the cap, and the lasso keys on the pivot
+    Mutant("chain-scan-skips-silent-check", ATTACK, "    if sil != ff:\n", "    if True:\n"),
+    Mutant("extension-tries-only-full-silence", ATTACK,
+           "if ff != witness.silent_decision:", "if True:"),
+    Mutant("memo-hit-ignores-cap", ATTACK, "        if rounds > cap:\n", "        if False:\n"),
+    Mutant("lasso-key-drops-pivot", ATTACK,
+           "(_key(witness.config, period), witness.process, witness.ff_decision,",
+           "(_key(witness.config, period), witness.ff_decision,"),
 )
 
 

@@ -35,13 +35,12 @@ _LAZY = {
             "failure_free_decision",
             "find_dependent_in_chain",
             "find_initial_dependent",
-            "is_p_dependent",
             "silent_decision",
         ),
         "nondecider",
     ),
     **dict.fromkeys(("get_protocol", "registered_protocols"), "protocols"),
-    **dict.fromkeys(("enumerate_faults", "run", "silence", "step_fts", "step_ftr"), "sync_engine"),
+    **dict.fromkeys(("run", "silence", "step_fts", "step_ftr"), "sync_engine"),
 }
 _SUBMODULES = (
     "async_engine",
@@ -76,14 +75,12 @@ __all__ = [
     "RoundFault",
     "build_nondeciding_execution",
     "check_colorless_outcome",
-    "enumerate_faults",
     "extend_dependent",
     "failure_free_decision",
     "find_dependent_in_chain",
     "find_initial_dependent",
     "get_protocol",
     "initial_configuration",
-    "is_p_dependent",
     "registered_protocols",
     "run",
     "silence",

@@ -14,15 +14,16 @@ draws its inputs, then its faults, from one stream seeded by (seed, run
 index) alone, so a reported counterexample replays in isolation.  A fuzz
 round is checked only when it writes an output: the check reads only inputs
 and outputs, and an unchanged output set passed when it was written.
-Each call of either mode keeps one expansion table for all its rounds: each
-configuration's broadcast is computed once per call, and each transition
-once per (round, broadcast, receiver state, missed sender), the whole of
-what it reads, so configurations that share a broadcast share their
-transitions.  That is exact.  Protocols are pure and payloads that compare
-equal are interchangeable, the table lives for one call with one protocol,
-and a failing ``message()`` or ``transition()`` stores nothing; so every run
-draws the same faults, reaches the same configurations and gives the same
-verdict, count and trace as it would stepping afresh.
+A fuzz call keeps one expansion table, and the exhaustive search one per
+level (every key holds the round): each configuration's broadcast is
+computed once, and each transition once per (round, broadcast, receiver
+state, missed sender), the whole of what it reads, so configurations that
+share a broadcast share their transitions.  That is exact.  Protocols are
+pure and payloads that compare equal are interchangeable, a table lives
+within one call with one protocol, and a failing ``message()`` or
+``transition()`` stores nothing; so every run draws the same faults,
+reaches the same configurations and gives the same verdict, count and
+trace as it would stepping afresh.
 Both modes return their first violation together with a replayable trace.
 Output registers are write-once, so only agreement and validity can fail.
 """
@@ -100,12 +101,11 @@ def check_exhaustive(
     """Explore every canonical fault sequence up to ``depth`` for every input
     vector, level by level; return a shallowest violation, first in level
     order.  Each distinct configuration is expanded at most once, through
-    one expansion table for the call, and the search builds at most
+    one expansion table per level, and the search builds at most
     ``budget`` distinct children."""
     if depth < 1:
         raise AdversimError("depth must be >= 1")
     explored = 0
-    table: ExpansionTable = {}
     # Per level after the input vectors: each configuration to expand, with
     # the first (parent, fault) that built it, in the order found.  Decided
     # children are not kept, nor is the last level.  The round is part of a
@@ -113,6 +113,7 @@ def check_exhaustive(
     levels: list[dict[Configuration, tuple]] = []
     level = (initial_configuration(protocol, bits) for bits in product((0, 1), repeat=n))
     for d in range(depth):
+        table: ExpansionTable = {}
         found: dict[Configuration, tuple] = {}
         for config in level:
             inputs = config.inputs()

@@ -344,7 +344,7 @@ def cmd_attack(args) -> int:
     report = _outpath(args.report, "attack.report.jsonl")
     result.trace.write(out)
     _write_jsonl(report, nondecider.report_records(result))
-    written = result.outputs_written()
+    written = len(result.witnesses[-1].witness.config.outputs())
     if result.exhausted_at is not None:
         # only the restricted adversary runs out of chain: unrestricted
         # extension raises InvariantViolation instead

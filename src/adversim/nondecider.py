@@ -72,7 +72,8 @@ class ChainExhausted(AdversimError):
 
 class InvariantViolation(AdversimError):
     """An identity the construction guarantees failed; the target is not a
-    deterministic pseudo-consensus machine (or there is an engine bug)."""
+    deterministic pseudo-consensus machine (or there is an engine bug).
+    First suspect: a wrong declared period, which the oracle memo trusts."""
 
 
 class DecisionOracleResult(NamedTuple):
@@ -183,20 +184,6 @@ def silent_decision(
     (fault (p, everyone else)); p still hears the others and must also
     output for the probe to complete."""
     return _probe(config, protocol, silence(p, config.n), cap, f"{p}-silent", memo)
-
-
-def is_p_dependent(
-    config: Configuration,
-    p: Pid,
-    protocol: RoundProtocol,
-    cap: int,
-    *,
-    memo: Optional[OracleMemo] = None,
-) -> Optional[DependenceWitness]:
-    """Two-oracle dependence test."""
-    ff = failure_free_decision(config, protocol, cap, memo=memo)
-    sil = silent_decision(config, p, protocol, cap, memo=memo)
-    return _witness(config, p, ff.decision, sil.decision)
 
 
 def _witness(config: Configuration, p: Pid, ff: int, sil: int) -> Optional[DependenceWitness]:
@@ -342,8 +329,10 @@ def extend_dependent(
     except NoFlipInChain:
         if restricted:
             raise ChainExhausted() from None
+        period = getattr(protocol, "period", None)
         raise InvariantViolation(
-            "progressive delivery chain endpoints failed to flip"
+            "progressive delivery chain endpoints failed to flip; first suspect: "
+            f"the declared period {period}, which the oracle memo trusts"
         ) from None
     return AttackRound(fault=faults[k], witness=w)
 
@@ -366,9 +355,6 @@ class AttackResult(NamedTuple):
     @property
     def rounds_built(self) -> int:
         return len(self.trace.steps)
-
-    def outputs_written(self) -> int:
-        return len(self.trace.output_map())
 
 
 def build_nondeciding_execution(

@@ -11,7 +11,7 @@ requested horizon: decided processes keep participating.  ``_child`` is
 the one round rule: one transition per (receiver, missed sender), outputs
 written once, errors raised lazily.  ``step_fts``/``step_ftr`` build one
 child, ``distinct_children`` each distinct child once.  Both take an
-optional ExpansionTable, which keeps for a whole search each
+optional ExpansionTable, which keeps, as long as a search holds it, each
 configuration's broadcast, and each transition keyed on what it reads: the
 round, the broadcast, the receiver's state and the sender it misses.  That
 is exact.  Protocols are pure and payloads that compare equal are
@@ -118,14 +118,15 @@ def distinct_children(
     table: Optional[ExpansionTable] = None,
 ) -> Iterator[tuple[Any, Configuration]]:
     """Yield ``(fault, child)`` once for each distinct child of ``config``,
-    at the first fault in ``enumerate_faults(model, n, restricted)`` order
-    that builds it.  The faults are walked as an odometer whose digits are
-    receivers (ftr: receiver n-1 fastest; fts: per sender, its first other
-    process fastest).  A receiver's option is skipped, with every combination
-    behind it, when its next state equals one under an earlier option; under
-    fts one set drops children two senders share.  Lazy, like ``_child``,
-    and with ``table`` its transitions are read from and kept in it, as a
-    step's are."""
+    at the first fault that builds it in canonical order.  fts: senders
+    ascending; per sender, victim sets counted in binary from the empty
+    set, the lowest other pid the fastest digit, without full silence if
+    ``restricted``.  ftr: drop maps as an odometer over receivers, n-1 the
+    fastest, each keeping all first, then dropping each sender ascending.
+    A receiver's option is skipped, with every combination behind it, when
+    its next state equals one under an earlier option; under fts one set
+    drops children two senders share.  Lazy, like ``_child``, and with
+    ``table`` its transitions are read from and kept in it, as a step's are."""
     if model not in ("fts", "ftr"):
         raise AdversimError(f"unknown synchronous model {model!r}")
     if restricted and model == "ftr":
@@ -282,42 +283,3 @@ def run(
         steps=tuple(steps),
     )
     return RunResult(trace=trace, final_config=current, configs=tuple(configs) if configs else None)
-
-
-# ---------------------------------------------------------------------------
-# Canonical fault enumeration
-# ---------------------------------------------------------------------------
-
-
-def enumerate_faults(model: str, n: int, restricted: bool = False) -> list:
-    """All canonical per-round faults for a model, in a fixed order.
-
-    fts: every (sender, victims) with victims a subset of the other
-    processes; ``restricted`` excludes full-silence faults (victim sets of
-    size n-1, i.e. more than n-2 messages removed).  ftr: every per-receiver
-    drop map (each receiver independently keeps all or drops one sender).
-    """
-    if n < 2:
-        raise AdversimError("need n >= 2")
-    if model == "fts":
-        faults = []
-        for sender in range(n):
-            others = [q for q in range(n) if q != sender]
-            for mask in range(2 ** len(others)):
-                victims = [q for i, q in enumerate(others) if mask >> i & 1]
-                if restricted and len(victims) == n - 1:
-                    continue
-                faults.append(RoundFault(sender, victims))
-        return faults
-    if model == "ftr":
-        if restricted:
-            raise AdversimError("restricted mode applies to the fail-to-send model only")
-        per_receiver = []
-        for q in range(n):
-            per_receiver.append([None] + [s for s in range(n) if s != q])
-        faults = []
-        for combo in itertools.product(*per_receiver):
-            dropped = {q: s for q, s in enumerate(combo) if s is not None}
-            faults.append(ReceiveFault(dropped))
-        return faults
-    raise AdversimError(f"unknown synchronous model {model!r}")

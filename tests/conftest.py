@@ -1,7 +1,8 @@
-"""Shared test helpers: launch the CLI in a fresh interpreter,
-re-establish an attack witness, a flooding protocol that is safe only in
-the restricted fail-to-send model, a phase-king-lite that records the
-senders it was delivered, and random lookup-table protocols.
+"""Shared test helpers: launch the CLI in a fresh interpreter, list every
+canonical fault of a round, test and re-establish dependence with two
+fresh oracle calls, a flooding protocol that is safe only in the
+restricted fail-to-send model, a phase-king-lite that records the senders
+it was delivered, and random lookup-table protocols.
 
 Subprocess tests run ``python -m adversim`` with ``cwd`` set to a temporary
 directory, so a relative ``PYTHONPATH`` entry such as ``src`` would resolve
@@ -12,13 +13,14 @@ or without an installed copy of the package.
 """
 
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from adversim.core import RoundProtocol
-from adversim.nondecider import failure_free_decision, silent_decision
+from adversim.core import AdversimError, ReceiveFault, RoundFault, RoundProtocol
+from adversim.nondecider import _witness, failure_free_decision, silent_decision
 from adversim.protocols import PhaseKingLite
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -38,6 +40,46 @@ def run_adversim(args, cwd, preexec_fn=None):
         timeout=120,
         preexec_fn=preexec_fn,
     )
+
+
+def enumerate_faults(model, n, restricted=False):
+    """All canonical per-round faults for a model, in the order
+    ``distinct_children`` keeps the first of.
+
+    fts: every (sender, victims) with victims a subset of the other
+    processes; ``restricted`` excludes full-silence faults (victim sets of
+    size n-1, i.e. more than n-2 messages removed).  ftr: every per-receiver
+    drop map (each receiver independently keeps all or drops one sender).
+    """
+    if n < 2:
+        raise AdversimError("need n >= 2")
+    if model == "fts":
+        faults = []
+        for sender in range(n):
+            others = [q for q in range(n) if q != sender]
+            for mask in range(2 ** len(others)):
+                victims = [q for i, q in enumerate(others) if mask >> i & 1]
+                if restricted and len(victims) == n - 1:
+                    continue
+                faults.append(RoundFault(sender, victims))
+        return faults
+    if model == "ftr":
+        if restricted:
+            raise AdversimError("restricted mode applies to the fail-to-send model only")
+        per_receiver = [[None] + [s for s in range(n) if s != q] for q in range(n)]
+        return [
+            ReceiveFault({q: s for q, s in enumerate(combo) if s is not None})
+            for combo in itertools.product(*per_receiver)
+        ]
+    raise AdversimError(f"unknown synchronous model {model!r}")
+
+
+def is_p_dependent(config, p, protocol, cap, *, memo=None):
+    """The dependence witness of ``p`` at ``config`` from the two oracles,
+    or ``None`` when they agree."""
+    ff = failure_free_decision(config, protocol, cap, memo=memo)
+    sil = silent_decision(config, p, protocol, cap, memo=memo)
+    return _witness(config, p, ff.decision, sil.decision)
 
 
 def verify_witness(witness, protocol, cap):
@@ -112,12 +154,13 @@ class TableProtocol(RoundProtocol):
     payloads received and, for half the seeds, the senders it missed (its
     own pid among them).  A process becomes decided with a chance of 1/2 to
     1/16 per round, fixed by the seed, and outputs its value in that round.
-    The table reads the round only modulo the period, so the promise holds."""
+    The table reads the round only modulo ``cycle``, the period, so the
+    promise holds."""
 
     def __init__(self, n, seed):
         self.n, self.seed = n, seed
         self.protocol_id = f"table-{seed}"
-        self.period = 2 + _draw(seed, "period") % 3
+        self.period = self.cycle = 2 + _draw(seed, "period") % 3
         self.sees_missing = _draw(seed, "missing") % 2 == 0
         self.undecided = (1 << 1 + _draw(seed, "rate") % 4) - 1  # the mask that must be 0
         self.table = {}  # the entries drawn so far
@@ -130,7 +173,7 @@ class TableProtocol(RoundProtocol):
 
     def transition(self, internal, round, received):
         missing = self.sees_missing and tuple(s for s in range(self.n) if s not in received)
-        key = (internal, round % self.period, tuple(sorted(received.values())), missing)
+        key = (internal, round % self.cycle, tuple(sorted(received.values())), missing)
         entry = self.table.get(key)
         if entry is None:
             h = _draw(self.seed, *key)
@@ -138,3 +181,13 @@ class TableProtocol(RoundProtocol):
             out = value if decided and not internal[1] else None
             entry = self.table[key] = (value, decided, aux), out
         return entry
+
+
+class MisdeclaredTable(TableProtocol):
+    """A table protocol whose table reads the round modulo ``cycle``, 3 or 4
+    by the seed, but which declares ``period`` 2: a broken promise."""
+
+    def __init__(self, n, seed):
+        super().__init__(n, seed)
+        self.cycle = 3 + _draw(seed, "true") % 2
+        self.period = 2

@@ -12,7 +12,14 @@ import time
 from functools import partial
 
 import pytest
-from conftest import RecordingPhaseKing, recorded_delivery, run_adversim, verify_witness
+from conftest import (
+    RecordingPhaseKing,
+    enumerate_faults,
+    is_p_dependent,
+    recorded_delivery,
+    run_adversim,
+    verify_witness,
+)
 
 from adversim import checking
 from adversim.async_engine import SeededFairScheduler, run_async
@@ -29,7 +36,6 @@ from adversim.nondecider import (
     extend_dependent,
     failure_free_decision,
     find_initial_dependent,
-    is_p_dependent,
     silent_decision,
 )
 from adversim.protocols import PhaseKingLite, get_protocol
@@ -41,7 +47,7 @@ from adversim.simulations import (
     piggyback_ledger,
     project_synchronized_run,
 )
-from adversim.sync_engine import enumerate_faults, run, silence, step_fts
+from adversim.sync_engine import run, silence, step_fts
 
 
 def _report(criterion, ok, detail):

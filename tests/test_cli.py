@@ -40,7 +40,7 @@ def read_jsonl(path):
 # -- attack ---------------------------------------------------------------------
 
 
-def test_attack_exit_zero_and_artifacts(tmp_path):
+def test_attack_exit_zero_and_artifacts(tmp_path, capsys):
     out = tmp_path / "t.jsonl"
     rep = tmp_path / "r.jsonl"
     code = run_cli(
@@ -48,6 +48,7 @@ def test_attack_exit_zero_and_artifacts(tmp_path):
          "--out", str(out), "--report", str(rep)]
     )
     assert code == 0
+    assert "10 non-deciding rounds, 11 witnesses, 0 outputs written" in capsys.readouterr().err
     records = read_jsonl(rep)
     assert len(records) == 11
     assert all(r["outputs_written"] == 0 for r in records)

@@ -4,10 +4,17 @@ import itertools
 from collections import Counter
 
 import pytest
-from conftest import FloodMin, TableProtocol, verify_witness
+from conftest import (
+    FloodMin,
+    MisdeclaredTable,
+    TableProtocol,
+    enumerate_faults,
+    is_p_dependent,
+    verify_witness,
+)
 
 from adversim import nondecider
-from adversim.core import AdversimError, initial_configuration
+from adversim.core import AdversimError, initial_configuration, validate_trace
 from adversim.nondecider import (
     AgreementViolation,
     AttackRound,
@@ -22,13 +29,12 @@ from adversim.nondecider import (
     failure_free_decision,
     find_dependent_in_chain,
     find_initial_dependent,
-    is_p_dependent,
     report_records,
     silent_decision,
 )
 from adversim.protocols import NaiveMajority, PhaseKingLite, get_protocol
 from adversim.simulations import GetCoreWrapper
-from adversim.sync_engine import NO_FAULT, RoundFault, enumerate_faults, run, step_fts
+from adversim.sync_engine import NO_FAULT, RoundFault, run, step_fts
 
 CAP = default_cap(3)
 
@@ -501,7 +507,7 @@ def test_attack_single_round():
     pk = PhaseKingLite(3)
     result = build_nondeciding_execution(pk, 3, rounds=1)
     assert result.rounds_built == 1
-    assert result.outputs_written() == 0
+    assert validate_trace(result.trace).valid
     assert len(result.witnesses) == 2
     for entry in result.witnesses:
         assert verify_witness(entry.witness, pk, CAP)
@@ -511,14 +517,12 @@ def test_attack_thirty_rounds_no_outputs():
     pk = PhaseKingLite(3)
     result = build_nondeciding_execution(pk, 3, rounds=30)
     assert result.rounds_built == 30
-    assert result.outputs_written() == 0
+    assert validate_trace(result.trace).valid
     assert len(result.witnesses) == 31
     assert result.exhausted_at is None
 
 
 def test_attack_trace_replays_clean():
-    from adversim.core import validate_trace
-
     pk = PhaseKingLite(3)
     result = build_nondeciding_execution(pk, 3, rounds=15)
     report = validate_trace(result.trace)
@@ -529,7 +533,7 @@ def test_restricted_attack_exhausts():
     pk = PhaseKingLite(3)
     result = build_nondeciding_execution(pk, 3, rounds=50, restricted=True)
     assert result.exhausted_at is not None
-    assert result.outputs_written() == 0
+    assert validate_trace(result.trace).valid
 
 
 def test_restricted_extension_raises_chain_exhausted():
@@ -575,6 +579,24 @@ def test_attack_on_random_table_protocols_ends_in_a_documented_verdict():
                     outcomes["non-deciding"] += 1
     assert {"validity", "OutOfModelProbe", "AgreementViolation", "OracleCapExceeded",
             "non-deciding"} <= set(outcomes), outcomes
+
+
+@pytest.mark.parametrize("n, seed, cycle", [(3, 14085, 3), (3, 41617, 4), (4, 13222, 4)])
+def test_wrong_period_is_the_suspect_invariant_violation_names(n, seed, cycle):
+    # The negative control: a table that reads the round modulo 3 or 4 but
+    # declares period 2.  The oracle memo then reuses a probe from a round
+    # the table tells apart, and the chain's ends fail to flip.  These are
+    # the three seeds that raised in 60,000 at n = 3 and 15,000 at n = 4,
+    # restricted or not.  Declared truthfully, each table lets a probe
+    # disagree: it is not consensus-safe.
+    protocol = MisdeclaredTable(n, seed)
+    assert protocol.cycle == cycle
+    with pytest.raises(InvariantViolation, match="first suspect: the declared period 2,"):
+        build_nondeciding_execution(protocol, n, 10)
+    honest = MisdeclaredTable(n, seed)
+    honest.period = cycle
+    with pytest.raises(AgreementViolation):
+        build_nondeciding_execution(honest, n, 10)
 
 
 def test_restricted_faults_never_full_silence():

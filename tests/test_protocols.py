@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from conftest import enumerate_faults, is_p_dependent
 
 from adversim.core import UnknownProtocolError, initial_configuration
 from adversim.protocols import (
@@ -12,7 +13,7 @@ from adversim.protocols import (
     get_protocol,
     registered_protocols,
 )
-from adversim.sync_engine import enumerate_faults, run, silence, step_fts
+from adversim.sync_engine import run, silence, step_fts
 
 
 def _all_inputs(n):
@@ -146,8 +147,6 @@ def test_constant_violates_validity_on_opposite_unanimity():
 
 
 def test_constant_never_dependent():
-    from adversim.nondecider import is_p_dependent
-
     c0 = Constant(0)
     for inputs in _all_inputs(3):
         config = initial_configuration(c0, inputs)

@@ -45,14 +45,13 @@ from adversim.simulations import (
 from adversim.sync_engine import (
     NO_FAULT,
     RoundFault,
-    enumerate_faults,
     random_faults,
     run,
     silence,
     step_fts,
     step_ftr,
 )
-from conftest import RecordingPhaseKing, recorded_delivery
+from conftest import RecordingPhaseKing, enumerate_faults, recorded_delivery
 from test_async_engine import Relay
 
 

@@ -6,7 +6,7 @@ import random
 from itertools import repeat
 
 import pytest
-from conftest import TableProtocol
+from conftest import TableProtocol, enumerate_faults
 from hypothesis import given, settings, strategies as st
 
 from adversim.checking import check_exhaustive
@@ -25,7 +25,6 @@ from adversim.core import (
 from adversim.protocols import PhaseKingLite, get_protocol
 from adversim.sync_engine import (
     distinct_children,
-    enumerate_faults,
     random_faults,
     run,
     silence,
