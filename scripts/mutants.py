@@ -56,7 +56,7 @@ MUTANTS = (
            "            if sender == pid:\n"
            "                continue  # a process does not deliver its own message\n", ""),
     Mutant("gather-round-starts-without-own-entry", SIM,
-           "own = frozenset({(pid, self.inner.message(inner, sim_round + 1))})",
+           "own = frozenset({(pid, self.inner.message(inner, shown_round(self.inner, sim_round + 1)))})",
            "own = frozenset()"),
     Mutant("gather-delivery-ignores-drops", SIM,
            "known[q] = before[d] | after[d]", "known[q] = total"),
@@ -87,6 +87,26 @@ MUTANTS = (
            "                buffer = buffer[:at] + (entry,) + buffer[at:]\n",
            "                if buffer[at : at + 1] != (entry,):\n"
            "                    buffer = buffer[:at] + (entry,) + buffer[at:]\n"),
+    # the round a protocol is shown: each caller of message and transition
+    # shows the round modulo the declared period, and so does the memo key
+    Mutant("engine-message-sees-true-round", ENGINE,
+           "inbox[p] = protocol.message(state.internal, shown)",
+           "inbox[p] = protocol.message(state.internal, round)"),
+    Mutant("engine-transition-sees-true-round", ENGINE,
+           "protocol.transition(state.internal, shown, received)",
+           "protocol.transition(state.internal, config.round, received)"),
+    Mutant("gather-message-sees-true-round", SIM,
+           "self.inner.message(inner, shown_round(self.inner, sim_round + 1))",
+           "self.inner.message(inner, sim_round + 1)"),
+    Mutant("synchronizer-transition-sees-true-round", SIM,
+           "self.inner.transition(inner, shown_round(self.inner, round), received)",
+           "self.inner.transition(inner, round, received)"),
+    Mutant("synchronizer-message-sees-true-round", SIM,
+           "self.inner.message(inner, shown_round(self.inner, round))",
+           "self.inner.message(inner, round)"),
+    Mutant("config-key-holds-true-round", "src/adversim/core.py",
+           "return shown_round(protocol, config.round), config.states",
+           "return config.round, config.states"),
     # the piggyback: its idle step bootstraps round 1, it refuses a send to
     # self, its ledger is read from the kept configurations and expects a
     # unicast at its addressee alone, and its audit checks the relay bound
@@ -94,6 +114,9 @@ MUTANTS = (
            "for incoming in arrived:"),
     Mutant("piggyback-delivers-others-unicasts", SIM,
            "            if dest == pid or dest is None\n", "            if True\n"),
+    Mutant("piggyback-cap-refuses-its-own-limit", SIM,
+           "if sum(map(len, logs)) > MAX_SIMULATED_MESSAGES:",
+           "if sum(map(len, logs)) >= MAX_SIMULATED_MESSAGES:"),
     Mutant("relay-bound-ignored", SIM,
            "return StackAudit([e.record() for e in ledger], not late, summary)",
            "return StackAudit([e.record() for e in ledger], True, summary)"),
@@ -122,9 +145,16 @@ MUTANTS = (
     Mutant("phase-king-lite-needs-n-unanimous-votes", "src/adversim/protocols.py",
            "if size >= self.n - 1 and", "if size >= self.n and",
            ("-x", "-q", "-p", "no:cacheprovider", ACCEPTANCE_5)),
-    # trace validation
+    # trace validation: replayed rounds, fault senders, header sizes
     Mutant("validate-skips-round-check", "src/adversim/core.py",
            "elif step.round != rep.round:", "elif False:"),
+    Mutant("fault-accepts-sender-n", "src/adversim/core.py",
+           "if not 0 <= self.sender < n:", "if not 0 <= self.sender <= n:"),
+    Mutant("trace-header-accepts-n-below-2", "src/adversim/core.py",
+           "if not _is_int(n) or n < 2:", "if not _is_int(n) and n < 2:"),
+    # the command line silences any process, process 0 included
+    Mutant("silent-adversary-refuses-process-0", "src/adversim/cli.py",
+           "if not 0 <= p < n:", "if not 0 < p < n:"),
     # an expansion builds each distinct child once
     Mutant("expansion-keeps-equal-receiver-options", ENGINE,
            "            if nxt not in options:\n", "            if True:\n"),
@@ -143,13 +173,13 @@ MUTANTS = (
            '        raise AdversimError("restricted mode applies to the fail-to-send model only")\n',
            ""),
     # an expansion table shares a transition only under all it reads: the
-    # round, the broadcast, the receiver and its state (and the missed sender)
+    # shown round, the broadcast, the receiver and its state (and the missed sender)
     Mutant("table-key-drops-receiver-state", ENGINE,
-           "(round, broadcast, q, state)", "(round, broadcast, q)"),
+           "(shown, broadcast, q, state)", "(shown, broadcast, q)"),
     Mutant("table-key-drops-round", ENGINE,
-           "(round, broadcast, q, state)", "(broadcast, q, state)"),
+           "(shown, broadcast, q, state)", "(broadcast, q, state)"),
     Mutant("table-key-drops-receiver", ENGINE,
-           "(round, broadcast, q, state)", "(round, broadcast, state)"),
+           "(shown, broadcast, q, state)", "(shown, broadcast, state)"),
     # the fault sources refuse an unknown model
     Mutant("random-faults-accept-an-unknown-model", ENGINE,
            '    if model not in ("fts", "ftr"):\n'
@@ -191,8 +221,8 @@ MUTANTS = (
            "if ff != witness.silent_decision:", "if True:"),
     Mutant("memo-hit-ignores-cap", ATTACK, "        if rounds > cap:\n", "        if False:\n"),
     Mutant("lasso-key-drops-pivot", ATTACK,
-           "(_key(witness.config, period), witness.process, witness.ff_decision,",
-           "(_key(witness.config, period), witness.ff_decision,"),
+           "(config_key(witness.config, protocol), witness.process, witness.ff_decision,",
+           "(config_key(witness.config, protocol), witness.ff_decision,"),
 )
 
 

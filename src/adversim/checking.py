@@ -16,14 +16,14 @@ round is checked only when it writes an output: the check reads only inputs
 and outputs, and an unchanged output set passed when it was written.
 A fuzz call keeps one expansion table, and the exhaustive search one per
 level (every key holds the round): each configuration's broadcast is
-computed once, and each transition once per (round, broadcast, receiver
-state, missed sender), the whole of what it reads, so configurations that
-share a broadcast share their transitions.  That is exact.  Protocols are
-pure and payloads that compare equal are interchangeable, a table lives
-within one call with one protocol, and a failing ``message()`` or
-``transition()`` stores nothing; so every run draws the same faults,
-reaches the same configurations and gives the same verdict, count and
-trace as it would stepping afresh.
+computed once, and each transition once per (shown round, broadcast,
+receiver state, missed sender), the whole of what it reads, so
+configurations that share a broadcast share their transitions.  That is
+exact.  Protocols are pure and payloads that compare equal are
+interchangeable, a table lives within one call with one protocol, and a
+failing ``message()`` or ``transition()`` stores nothing; so every run
+draws the same faults, reaches the same configurations and gives the same
+verdict, count and trace as it would stepping afresh.
 Both modes return their first violation together with a replayable trace.
 Output registers are write-once, so only agreement and validity can fail.
 """

@@ -228,15 +228,13 @@ class RoundProtocol:
     the other.  Internal states are immutable and hashable too: the
     decision oracles memoize their results by configuration.
 
-    ``period`` is an optional round period.  A protocol that declares one
-    promises that ``message`` and ``transition`` return equal results at
-    rounds r and r + period, for every state and every inbox.  The attack
-    then treats two configurations whose rounds agree modulo the period,
-    and whose states are equal, as one.  ``None`` (the default) promises
-    nothing, and the round is taken as it is.
+    ``period`` is an optional round period that defines the round the
+    protocol sees (``shown_round``), so it repeats every period rounds by
+    construction.  Configurations, traces, reports and errors keep the true
+    round.
 
-    The synchronous kernel (``sync_engine._child``) calls ``transition``
-    at most once per (round, broadcast, receiver state, missed sender) of
+    The synchronous kernel (``sync_engine._child``) calls ``transition`` at
+    most once per (shown round, broadcast, receiver state, missed sender) of
     one expansion table, or, without a table, once per (receiver, missed
     sender) of a configuration it expands, and builds the next state once
     from the result.  It calls ``LocalState.write`` only for an output
@@ -258,6 +256,20 @@ class RoundProtocol:
         self, internal: Any, round: int, received: Mapping[Pid, Payload]
     ) -> tuple[Any, Optional[int]]:
         raise NotImplementedError
+
+
+def shown_round(protocol: RoundProtocol, round: int) -> int:
+    """The round every caller passes ``protocol`` at true round r: (r - 1)
+    mod P + 1 when it declares period P, and r when it declares none."""
+    period = getattr(protocol, "period", None)  # duck-typed protocols declare none
+    return round if period is None else (round - 1) % period + 1
+
+
+def config_key(config: Configuration, protocol: RoundProtocol) -> tuple:
+    """All that ``protocol`` can tell apart about ``config``: configurations
+    with equal keys have equal futures, so the attack's memo and lasso are
+    exact."""
+    return shown_round(protocol, config.round), config.states
 
 
 class AsyncProtocol:

@@ -27,20 +27,24 @@ from .core import (
     RoundFault,
     RoundProtocol,
     RoundStep,
+    config_key,
     initial_configuration,
 )
 from .sync_engine import NO_FAULT, _child, _expansion, run, silence, step_fts
 
 
 class AgreementViolation(AdversimError):
-    """A probed continuation, run under ``fault`` every round, produced two
-    different outputs."""
+    """A probed continuation, run from ``start`` under ``fault`` every round,
+    produced two different outputs.  ``trace`` runs from ``start``, or from
+    round 1 when the attack raises it."""
 
-    def __init__(self, outputs: dict[Pid, int], trace: ExecutionTrace, fault: RoundFault):
+    def __init__(self, outputs: dict[Pid, int], trace: ExecutionTrace, fault: RoundFault,
+                 start: Configuration):
         super().__init__(f"agreement violation in probed continuation: {outputs}")
         self.outputs = outputs
         self.trace = trace
         self.fault = fault
+        self.start = start
 
 
 class OutOfModelProbe(AdversimError):
@@ -72,8 +76,7 @@ class ChainExhausted(AdversimError):
 
 class InvariantViolation(AdversimError):
     """An identity the construction guarantees failed; the target is not a
-    deterministic pseudo-consensus machine (or there is an engine bug).
-    First suspect: a wrong declared period, which the oracle memo trusts."""
+    deterministic pseudo-consensus machine (or there is an engine bug)."""
 
 
 class DecisionOracleResult(NamedTuple):
@@ -100,17 +103,9 @@ def default_cap(n: int) -> int:
 
 
 # Probe results recorded along whole probe paths, one table per (protocol,
-# fault): configuration key (see _key) -> (decision, rounds the probe still
-# needs from it).  A memo belongs to one attack; nothing outlives it.
+# fault): ``core.config_key`` -> (decision, rounds the probe still needs
+# from it).  A memo belongs to one attack; nothing outlives it.
 OracleMemo = dict[tuple[RoundProtocol, RoundFault], dict[tuple, tuple[int, int]]]
-
-
-def _key(config: Configuration, period: Optional[int]) -> tuple:
-    """What a protocol with this round ``period`` can tell apart about
-    ``config``: its states and its round modulo the period, or the whole
-    configuration when the protocol declares no period.  The oracle memo
-    and the attack's lasso both key on it."""
-    return config if period is None else (config.round % period, config.states)
 
 
 def _probe(
@@ -129,18 +124,16 @@ def _probe(
     configuration after k rounds needs k + rounds_left in all and exceeds
     the cap exactly when stepping on would.  Only probes that end in
     agreement are recorded, so a disagreeing path is always stepped in full.
-    Entries are keyed on ``_key``: under a declared period, a probe also
-    stops where a probe one or more periods earlier passed.
-    """
+    Entries are keyed on ``config_key``, so a probe also stops where one
+    passed a period or more earlier."""
     if cap < 1:
         raise AdversimError("oracle cap must be >= 1")
     table = None if memo is None else memo.setdefault((protocol, fault), {})
-    period = getattr(protocol, "period", None)  # duck-typed protocols declare none
     path: list[tuple] = []
     current = config
     hit = None
     while not current.all_decided():
-        key = _key(current, period)
+        key = config_key(current, protocol)
         if table is not None and (hit := table.get(key)) is not None:
             break
         if len(path) >= cap:
@@ -157,7 +150,7 @@ def _probe(
         values = set(outputs.values())
         if len(values) != 1:
             probe = run(config, protocol, "fts", itertools.repeat(fault), len(path))
-            raise AgreementViolation(outputs, probe.trace, fault)
+            raise AgreementViolation(outputs, probe.trace, fault, config)
         decision, rounds = values.pop(), len(path)
     if table is not None:
         for i, c in enumerate(path):
@@ -217,8 +210,8 @@ def find_dependent_in_chain(
     failure-free decision, c_j is dependent.  Otherwise c_{j-1} is:
     silencing the differing process erases the only state distinction
     between the two, so their silent decisions coincide, and that value
-    disagrees with c_{j-1}'s failure-free decision.  The returned witness holds the two oracle decisions probed
-    at c_k either way.
+    disagrees with c_{j-1}'s failure-free decision.  The returned witness
+    holds the two oracle decisions probed at c_k either way.
     """
     configs = iter(configs)
     prev = next(configs)
@@ -307,11 +300,9 @@ def extend_dependent(
     n = config.n
     cap = default_cap(n) if cap is None else cap
     others = [q for q in range(n) if q != p]
-    start = 2 if restricted else 1
-    # c_i delivers p's payload to exactly the first i-1 of the others.
-    faults = [RoundFault(p, others[i - 1 :]) for i in range(start, n + 1)]
-    inbox, afters = _expansion(config, protocol, None)
-    chain = (_child(config, protocol, inbox, afters, f.mapping) for f in faults)
+    faults = _fan_out(p, n, restricted)
+    expansion = _expansion(config, protocol, None)
+    chain = (_child(config, protocol, *expansion, f.mapping) for f in faults)
     ff = None
     if not restricted:
         c1 = next(chain)
@@ -323,18 +314,20 @@ def extend_dependent(
             return AttackRound(fault=faults[0], witness=w)
         chain = itertools.chain((c1,), chain)
     try:
-        k, w = find_dependent_in_chain(
-            chain, others[start - 1 :], protocol, cap, memo=memo, first_ff=ff
-        )
+        k, w = find_dependent_in_chain(chain, others[1:] if restricted else others, protocol,
+                                       cap, memo=memo, first_ff=ff)
     except NoFlipInChain:
         if restricted:
             raise ChainExhausted() from None
-        period = getattr(protocol, "period", None)
-        raise InvariantViolation(
-            "progressive delivery chain endpoints failed to flip; first suspect: "
-            f"the declared period {period}, which the oracle memo trusts"
-        ) from None
+        raise InvariantViolation("progressive delivery chain endpoints failed to flip") from None
     return AttackRound(fault=faults[k], witness=w)
+
+
+def _fan_out(p: Pid, n: int, restricted: bool) -> list[RoundFault]:
+    """The faults of p's delivery chain: c_i delivers p's payload to the
+    first i-1 of the others, from c_1 (c_2 if ``restricted``) to c_n."""
+    others = [q for q in range(n) if q != p]
+    return [RoundFault(p, others[i:]) for i in range(1 if restricted else 0, n)]
 
 
 class AttackResult(NamedTuple):
@@ -342,10 +335,9 @@ class AttackResult(NamedTuple):
     witnesses: entry 0 certifies the initial configuration, entry r the
     configuration after round r.  ``exhausted_at`` is set when the
     restricted adversary could not extend (and the trace stops short).
-    ``lasso`` is (stem, loop) once the witnesses repeat modulo the
-    protocol's period: the witness after round stem + loop equals the one
-    after round stem, so the execution goes on forever by repeating rounds
-    stem + 1 .. stem + loop."""
+    ``lasso`` is (stem, loop) once the witness after round stem + loop
+    repeats the one after round stem, its ``config_key`` included, so the
+    execution goes on forever by repeating rounds stem + 1 .. stem + loop."""
 
     trace: ExecutionTrace
     witnesses: list[AttackRound]
@@ -371,12 +363,11 @@ def build_nondeciding_execution(
     a configuration an earlier probe passed through under the same fault
     stops there.
 
-    Under a declared period, an extension depends only on the witness's
-    pivot, decisions and configuration key (``_key``): its probes, its
-    chain and every error it can raise.  So once a witness repeats one
-    recorded ``loop`` rounds earlier, every later round copies the fault
-    and witness of the round ``loop`` before it, with the round advanced,
-    and makes no probe.
+    An extension depends only on the witness's pivot, decisions and
+    ``config_key``: its probes, its chain and every error it can raise.  So
+    once a witness repeats one recorded ``loop`` rounds earlier, every later
+    round copies the fault and witness of the round ``loop`` before it, with
+    the round advanced, and makes no probe.  Without a period no key repeats.
 
     With ``restricted`` set, a disagreeing probe that silences a process
     completely raises ``OutOfModelProbe`` instead of ``AgreementViolation``."""
@@ -392,32 +383,34 @@ def build_nondeciding_execution(
 
 
 def _build(protocol: RoundProtocol, n: int, rounds: int, cap: int, restricted: bool) -> AttackResult:
-    period = getattr(protocol, "period", None)  # duck-typed protocols declare none
     memo: OracleMemo = {}
     witness = find_initial_dependent(protocol, n, cap, memo=memo)
     records = [AttackRound(fault=NO_FAULT, witness=witness)]
     steps: list[RoundStep] = []
     exhausted_at = None
     lasso = None
-    # lasso key -> the round of the witness it was first seen at (under a
-    # declared period only: without one, the round makes every key new)
-    seen = {} if period is None else {_lasso_key(witness, period): 0}
+    # lasso key -> the round of the witness it was first seen at
+    seen = {_lasso_key(witness, protocol): 0}
     for r in range(1, rounds + 1):
         if lasso is not None:
-            earlier = records[r - lasso[1]]
-            config = earlier.witness.config
-            config = config._replace(round=config.round + lasso[1])
-            ext = AttackRound(fault=earlier.fault, witness=earlier.witness._replace(config=config))
+            fault, earlier = records[r - lasso[1]]
+            config = earlier.config._replace(round=earlier.config.round + lasso[1])
+            ext = AttackRound(fault=fault, witness=earlier._replace(config=config))
         else:
             try:
                 ext = extend_dependent(witness, protocol, cap, restricted, memo=memo)
             except ChainExhausted:
                 exhausted_at = r
                 break
-            if period is not None:
-                r0 = seen.setdefault(_lasso_key(ext.witness, period), r)
-                if r0 != r:
-                    lasso = (r0, r - r0)
+            except AgreementViolation as exc:  # from a chain entry: replay from round 1
+                into = next(f for f in _fan_out(witness.process, n, restricted)
+                            if step_fts(witness.config, protocol, f) == exc.start)
+                faults = [s.fault for s in steps] + [into] + [exc.fault] * len(exc.trace.steps)
+                exc.trace = run(records[0].witness.config, protocol, "fts", faults, len(faults)).trace
+                raise
+            r0 = seen.setdefault(_lasso_key(ext.witness, protocol), r)
+            if r0 != r:
+                lasso = (r0, r - r0)
         steps.append(RoundStep(round=witness.config.round, fault=ext.fault, outputs=()))
         records.append(ext)
         witness = ext.witness
@@ -431,8 +424,8 @@ def _build(protocol: RoundProtocol, n: int, rounds: int, cap: int, restricted: b
     return AttackResult(trace=trace, witnesses=records, exhausted_at=exhausted_at, lasso=lasso)
 
 
-def _lasso_key(witness: DependenceWitness, period: int) -> tuple:
-    return (_key(witness.config, period), witness.process, witness.ff_decision,
+def _lasso_key(witness: DependenceWitness, protocol: RoundProtocol) -> tuple:
+    return (config_key(witness.config, protocol), witness.process, witness.ff_decision,
             witness.silent_decision)
 
 

@@ -90,18 +90,17 @@ class NaiveMajority(RoundProtocol):
         self.protocol_id = "naive-majority"
 
     def init(self, pid: Pid, input: int) -> Any:
-        return (input, False)
+        return input
 
     def message(self, internal: Any, round: int) -> bytes:
-        return b"1" if internal[0] else b"0"
+        return b"1" if internal else b"0"
 
     def transition(
         self, internal: Any, round: int, received: Mapping[Pid, bytes]
     ) -> tuple[Any, Optional[int]]:
-        v, decided = internal
         if round == 1:
-            m = _majority([v] + [1 if x == b"1" else 0 for x in received.values()])
-            return (m, True), m
+            m = _majority([internal] + [1 if x == b"1" else 0 for x in received.values()])
+            return m, m
         return internal, None
 
 

@@ -50,6 +50,7 @@ from .core import (
     UnknownProtocolError,
     ValidationReport,
     initial_configuration,
+    shown_round,
     validate_trace,
 )
 from .sync_engine import NO_FAULT, step_fts
@@ -79,7 +80,7 @@ class GetCoreWrapper(RoundProtocol):
     it keeps it, and phase 3 sorts it to deliver in sender order.  Each
     simulated round starts with the process's own entry in its gathered
     set, so an echo of that entry changes no state.  The state keeps no
-    round: 3 inner periods make one."""
+    round: 3 inner periods make one, so ``round // 3`` is the inner's shown round."""
 
     def __init__(self, inner: RoundProtocol, n: int):
         if n < 3:
@@ -113,7 +114,7 @@ class GetCoreWrapper(RoundProtocol):
             delivered[sender] = payload
         sim_round = round // 3
         inner, out = self.inner.transition(inner, sim_round, delivered)
-        own = frozenset({(pid, self.inner.message(inner, sim_round + 1))})
+        own = frozenset({(pid, self.inner.message(inner, shown_round(self.inner, sim_round + 1)))})
         return tuple.__new__(GetCoreState, (pid, inner, own)), out
 
 
@@ -232,7 +233,8 @@ class SynchronizerWrapper(AsyncProtocol):
     """Runs a fail-to-receive protocol in the asynchronous model.  A process
     broadcasts its round-r message on entering round r, buffers messages
     tagged with the current or a future round, discards stale ones, and
-    advances as soon as n-2 current-round messages are buffered."""
+    advances as soon as n-2 current-round messages are buffered.  It calls
+    the inner protocol with ``shown_round``, as the engine does."""
 
     def __init__(self, inner: RoundProtocol, n: int):
         if n < 3:
@@ -255,7 +257,7 @@ class SynchronizerWrapper(AsyncProtocol):
                 entry = (r, sender, payload)
                 at = bisect_left(buffer, entry)
                 buffer = buffer[:at] + (entry,) + buffer[at:]
-        sends = [] if started else [(None, (round, self.inner.message(inner, round)))]
+        sends = [] if started else [(None, (1, self.inner.message(inner, 1)))]
         output = None
         while True:
             # every buffered round is >= round, so this round's entries are
@@ -264,13 +266,13 @@ class SynchronizerWrapper(AsyncProtocol):
             if end < self.n - 2:
                 break
             received = {sender: payload for _, sender, payload in buffer[:end]}
-            inner, out = self.inner.transition(inner, round, received)
+            inner, out = self.inner.transition(inner, shown_round(self.inner, round), received)
             if output is None:
                 output = out
             log = log + ((tuple(received), out),)
             buffer = buffer[end:]
             round += 1
-            sends.append((None, (round, self.inner.message(inner, round))))
+            sends.append((None, (round, self.inner.message(inner, shown_round(self.inner, round)))))
         state = tuple.__new__(SynchronizerState, (inner, True, buffer, log))
         return state, sends, output
 

@@ -13,11 +13,12 @@ written once, errors raised lazily.  ``step_fts``/``step_ftr`` build one
 child, ``distinct_children`` each distinct child once.  Both take an
 optional ExpansionTable, which keeps, as long as a search holds it, each
 configuration's broadcast, and each transition keyed on what it reads: the
-round, the broadcast, the receiver's state and the sender it misses.  That
-is exact.  Protocols are pure and payloads that compare equal are
-interchangeable, a table lives for one call with one protocol, and a
-failing ``message()`` or ``transition()`` stores nothing; so a step with a
-table builds the same child, or raises the same error, as one without.
+shown round (``core.shown_round``, once per expansion), the broadcast, the
+receiver's state and the sender it misses.  That is exact.  Protocols are
+pure and payloads that compare equal are interchangeable, a table lives for
+one call with one protocol, and a failing ``message()`` or ``transition()``
+stores nothing; so a step with a table builds the same child, or raises the
+same error, as one without.
 """
 
 from __future__ import annotations
@@ -38,56 +39,56 @@ from .core import (
     RoundFault,
     RoundProtocol,
     RoundStep,
+    shown_round,
 )
 
 
-# Per configuration: its broadcast inbox (sender -> payload) and, per
-# receiver, the states its transitions reached as far as computed, keyed by
-# the sender it missed (None: no one).  A transition reads only the round,
-# the broadcast, the receiver's own state and the sender it misses, so a
-# receiver's dict is shared, under the key (round, broadcast, receiver,
-# state), by every configuration with that round and broadcast that gives
-# the receiver that state.  A configuration is a pair, so the two kinds of
-# key never meet.
+# Per configuration: its shown round, its broadcast inbox (sender ->
+# payload) and, per receiver, the states its transitions reached so far,
+# keyed by the sender it missed (None: no one).  A transition reads only
+# the shown round, the broadcast, the receiver's state and the sender it
+# misses, so a receiver's dict is shared under (shown round, broadcast,
+# receiver, state).  A configuration is a pair, so the keys never meet.
 ExpansionTable = dict[
     Configuration | tuple[int, tuple, Pid, LocalState],
-    tuple[dict[Pid, Any], list[dict]] | dict[Optional[Pid], LocalState],
+    tuple[int, dict[Pid, Any], list[dict]] | dict[Optional[Pid], LocalState],
 ]
 
 
-def _expansion(config: Configuration, protocol: RoundProtocol, table) -> tuple[dict, list]:
-    """``config``'s broadcast inbox (sender -> payload) and, per receiver,
-    its transitions computed so far (missed sender -> next state): from
-    ``table`` (one protocol's), or computed and stored there, or fresh
-    dicts when there is no table."""
+def _expansion(config: Configuration, protocol: RoundProtocol, table) -> tuple[int, dict, list]:
+    """The round ``protocol`` is shown at ``config``, its broadcast inbox
+    (sender -> payload) and, per receiver, its transitions computed so far
+    (missed sender -> next state): from ``table`` (one protocol's), or
+    computed and stored there, or fresh dicts when there is no table."""
     entry = None if table is None else table.get(config)
     if entry is not None:
         return entry
     round, states = config
+    shown = shown_round(protocol, round)
     inbox = {}
     for p, state in enumerate(states):
         try:
-            inbox[p] = protocol.message(state.internal, round)
+            inbox[p] = protocol.message(state.internal, shown)
         except Exception as exc:  # noqa: BLE001 - protocol bug surfaced as engine error
             raise EngineError(f"message() failed: {exc}", round=round, pid=p) from exc
     if table is None:
-        return inbox, [{} for _ in states]
+        return shown, inbox, [{} for _ in states]
     broadcast = tuple(inbox.values())
-    afters = [table.setdefault((round, broadcast, q, state), {})
+    afters = [table.setdefault((shown, broadcast, q, state), {})
               for q, state in enumerate(states)]
-    entry = table[config] = inbox, afters
+    entry = table[config] = shown, inbox, afters
     return entry
 
 
-def _transition(config, protocol, inbox, after, q: Pid, miss: Optional[Pid]) -> LocalState:
-    """Receiver ``q``'s next state when it misses ``miss`` (``None``: no one),
-    computed and stored in ``after``, its dict; a failure stores nothing."""
+def _transition(config, protocol, shown, inbox, after, q: Pid, miss: Optional[Pid]) -> LocalState:
+    """Receiver ``q``'s next state at round ``shown`` when it misses ``miss``
+    (``None``: no one), stored in ``after``; a failure stores nothing."""
     state = config.states[q]
     received = inbox.copy()
     del received[q]
     received.pop(miss, None)
     try:
-        internal, out = protocol.transition(state.internal, config.round, received)
+        internal, out = protocol.transition(state.internal, shown, received)
     except Exception as exc:  # noqa: BLE001 - protocol bug surfaced as engine error
         raise EngineError(f"transition() failed: {exc}", round=config.round, pid=q) from exc
     nxt = tuple.__new__(LocalState, (state.input, internal, state.output))
@@ -97,7 +98,7 @@ def _transition(config, protocol, inbox, after, q: Pid, miss: Optional[Pid]) -> 
     return nxt
 
 
-def _child(config, protocol, inbox, afters, dropped: Mapping[Pid, Pid]) -> Configuration:
+def _child(config, protocol, shown, inbox, afters, dropped: Mapping[Pid, Pid]) -> Configuration:
     """The child of ``config`` under one drop map (receiver -> the one sender
     it misses): each receiver transitions on every other payload, in
     ascending sender order, except the one it drops.  A transition is
@@ -109,7 +110,7 @@ def _child(config, protocol, inbox, afters, dropped: Mapping[Pid, Pid]) -> Confi
     states = []
     for q, after in enumerate(afters):
         miss = dropped.get(q)
-        states.append(after.get(miss) or _transition(config, protocol, inbox, after, q, miss))
+        states.append(after.get(miss) or _transition(config, protocol, shown, inbox, after, q, miss))
     return tuple.__new__(Configuration, (config.round + 1, tuple(states)))
 
 
@@ -131,9 +132,9 @@ def distinct_children(
         raise AdversimError(f"unknown synchronous model {model!r}")
     if restricted and model == "ftr":
         raise AdversimError("restricted mode applies to the fail-to-send model only")
-    inbox, afters = _expansion(config, protocol, table)
+    shown, inbox, afters = _expansion(config, protocol, table)
     n, round = config.n, config.round
-    full = _child(config, protocol, inbox, afters, {})  # every fault order starts with it
+    full = _child(config, protocol, shown, inbox, afters, {})  # every fault order starts with it
     states, drops = list(full.states), [None] * n  # per receiver: its state and miss
 
     def walk(digits):  # digits: (receiver, its misses in canonical order), slowest first
@@ -143,7 +144,7 @@ def distinct_children(
         (q, misses), rest, options = digits[0], digits[1:], []
         after = afters[q]
         for miss in misses:
-            nxt = after.get(miss) or _transition(config, protocol, inbox, after, q, miss)
+            nxt = after.get(miss) or _transition(config, protocol, shown, inbox, after, q, miss)
             if nxt not in options:
                 options.append(nxt)
                 states[q], drops[q] = nxt, miss
@@ -163,24 +164,16 @@ def distinct_children(
                 yield RoundFault(sender, victims), child
 
 
-def step_fts(
-    config: Configuration,
-    protocol: RoundProtocol,
-    fault: RoundFault,
-    table: Optional[ExpansionTable] = None,
-) -> Configuration:
+def step_fts(config: Configuration, protocol: RoundProtocol, fault: RoundFault,
+             table: Optional[ExpansionTable] = None) -> Configuration:
     """One fail-to-send round: every process receives every other payload,
     except that fault.sender's payload is withheld from fault.victims."""
     fault.validate(config.n)
     return _child(config, protocol, *_expansion(config, protocol, table), fault.mapping)
 
 
-def step_ftr(
-    config: Configuration,
-    protocol: RoundProtocol,
-    fault: ReceiveFault,
-    table: Optional[ExpansionTable] = None,
-) -> Configuration:
+def step_ftr(config: Configuration, protocol: RoundProtocol, fault: ReceiveFault,
+             table: Optional[ExpansionTable] = None) -> Configuration:
     """One fail-to-receive round: each process receives every other payload
     except the single sender (if any) dropped for it."""
     fault.validate(config.n)

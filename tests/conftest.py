@@ -2,7 +2,8 @@
 canonical fault of a round, test and re-establish dependence with two
 fresh oracle calls, a flooding protocol that is safe only in the
 restricted fail-to-send model, a phase-king-lite that records the senders
-it was delivered, and random lookup-table protocols.
+it was delivered, random lookup-table protocols, misdeclared ones, and a
+wrapper that reduces the round itself.
 
 Subprocess tests run ``python -m adversim`` with ``cwd`` set to a temporary
 directory, so a relative ``PYTHONPATH`` entry such as ``src`` would resolve
@@ -185,9 +186,42 @@ class TableProtocol(RoundProtocol):
 
 class MisdeclaredTable(TableProtocol):
     """A table protocol whose table reads the round modulo ``cycle``, 3 or 4
-    by the seed, but which declares ``period`` 2: a broken promise."""
+    by the seed, but which declares ``period`` 2.  The engines show it the
+    round modulo 2, so it is a period-2 protocol: rounds 1 and 2 are all its
+    table ever reads."""
 
     def __init__(self, n, seed):
         super().__init__(n, seed)
         self.cycle = 3 + _draw(seed, "true") % 2
         self.period = 2
+
+
+class TaggedTable(MisdeclaredTable):
+    """A misdeclared table whose broadcast also carries the round it is
+    shown, modulo its cycle, so that its ``message`` reads the round too."""
+
+    def __init__(self, n, seed):
+        super().__init__(n, seed)
+        self.protocol_id = f"tagged-table-{seed}"
+
+    def message(self, internal, round):
+        return (*super().message(internal, round), round % self.cycle)
+
+
+class ReducedRound(RoundProtocol):
+    """``inner`` behind a protocol that declares no period and reduces the
+    round itself, to the round modulo the inner's declared period, counted
+    from 1: the reference that the engines' ``shown_round`` must match.  It
+    keeps the inner's id, so the traces of the two compare equal."""
+
+    def __init__(self, inner):
+        self.inner, self.n, self.protocol_id = inner, inner.n, inner.protocol_id
+
+    def init(self, pid, input):
+        return self.inner.init(pid, input)
+
+    def message(self, internal, round):
+        return self.inner.message(internal, (round - 1) % self.inner.period + 1)
+
+    def transition(self, internal, round, received):
+        return self.inner.transition(internal, (round - 1) % self.inner.period + 1, received)

@@ -204,6 +204,18 @@ def test_run_silent_adversary_decides(tmp_path):
     assert len(outputs) == 3  # everyone decided within 6 rounds
 
 
+def test_run_silences_process_zero(tmp_path):
+    out = tmp_path / "run.jsonl"
+    code = run_cli(
+        ["run", "--model", "fts", "--adversary", "silent:0", "--protocol", "phase-king-lite",
+         "--n", "3", "--inputs", "1,0,0", "--horizon", "6", "--out", str(out)]
+    )
+    assert code == 0
+    steps = read_jsonl(out)[1:]
+    assert [(step["sender"], step["victims"]) for step in steps] == [(0, [1, 2])] * 6
+    assert run_cli(["validate", str(out)]) == 0
+
+
 def test_run_flp_model_with_stack_protocol(tmp_path):
     out = tmp_path / "flp.jsonl"
     code = run_cli(
@@ -351,8 +363,9 @@ def test_validate_tampered_flp_trace_exit_five(tmp_path, capsys, tamper):
     [
         ("fts", {"victims": [0, 7]}, "replay failed: fault victims [7] out of range for n=3"),
         ("ftr", {"dropped": {"2": 2}}, "replay failed: process 2 cannot drop its own message"),
+        ("fts", {"sender": 3}, "replay failed: fault sender 3 out of range for n=3"),
     ],
-    ids=["fts-victim-out-of-range", "ftr-self-drop"],
+    ids=["fts-victim-out-of-range", "ftr-self-drop", "fts-sender-equals-n"],
 )
 def test_validate_tampered_round_trace_exit_five(tmp_path, capsys, model, tamper, problem):
     out = _recorded_trace(tmp_path, model)
@@ -375,6 +388,15 @@ def test_validate_renumbered_rounds_exit_five(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         f"validate: step {i}: expected round {i}, found {i + 1}" for i in range(2, len(steps) + 1)
     ]
+
+
+def test_validate_header_with_one_process_exit_five(tmp_path, capsys):
+    # constant-1 runs at any n, so only the header check refuses n = 1
+    trace = tmp_path / "one.jsonl"
+    trace.write_text('{"inputs":[1],"model":"fts","n":1,"protocol":"constant-1"}\n')
+    capsys.readouterr()
+    assert run_cli(["validate", str(trace)]) == 5
+    assert capsys.readouterr().err == "adversim: bad n 1\n"
 
 
 def test_validate_garbage_file_exit_five(tmp_path):

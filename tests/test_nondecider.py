@@ -7,13 +7,14 @@ import pytest
 from conftest import (
     FloodMin,
     MisdeclaredTable,
+    ReducedRound,
     TableProtocol,
     enumerate_faults,
     is_p_dependent,
     verify_witness,
 )
 
-from adversim import nondecider
+from adversim import nondecider, protocols
 from adversim.core import AdversimError, initial_configuration, validate_trace
 from adversim.nondecider import (
     AgreementViolation,
@@ -581,22 +582,56 @@ def test_attack_on_random_table_protocols_ends_in_a_documented_verdict():
             "non-deciding"} <= set(outcomes), outcomes
 
 
-@pytest.mark.parametrize("n, seed, cycle", [(3, 14085, 3), (3, 41617, 4), (4, 13222, 4)])
-def test_wrong_period_is_the_suspect_invariant_violation_names(n, seed, cycle):
-    # The negative control: a table that reads the round modulo 3 or 4 but
-    # declares period 2.  The oracle memo then reuses a probe from a round
-    # the table tells apart, and the chain's ends fail to flip.  These are
-    # the three seeds that raised in 60,000 at n = 3 and 15,000 at n = 4,
-    # restricted or not.  Declared truthfully, each table lets a probe
-    # disagree: it is not consensus-safe.
+@pytest.mark.parametrize("n, seed, cycle, verdict", [
+    (3, 14085, 3, AgreementViolation),
+    (3, 41617, 4, NoFlipInChain),
+    (4, 13222, 4, OracleCapExceeded),
+], ids=["3-14085-3-agreement", "3-41617-4-validity", "4-13222-4-cap"])
+def test_misdeclared_table_attack_is_its_reduced_round_attack(n, seed, cycle, verdict):
+    # A table that reads the round modulo 3 or 4 but declares period 2.
+    # These three seeds raised InvariantViolation in 60,000 at n = 3 and
+    # 15,000 at n = 4 while a declared period was a promise the oracle memo
+    # trusted.  The engines now show the table the round modulo 2, so each
+    # attack ends in a documented verdict: the one the same table reaches
+    # behind a wrapper that reduces the round itself and declares no period.
     protocol = MisdeclaredTable(n, seed)
     assert protocol.cycle == cycle
-    with pytest.raises(InvariantViolation, match="first suspect: the declared period 2,"):
+    with pytest.raises(verdict) as declared:
         build_nondeciding_execution(protocol, n, 10)
-    honest = MisdeclaredTable(n, seed)
-    honest.period = cycle
-    with pytest.raises(AgreementViolation):
-        build_nondeciding_execution(honest, n, 10)
+    with pytest.raises(verdict) as reduced:
+        build_nondeciding_execution(ReducedRound(MisdeclaredTable(n, seed)), n, 10)
+    assert str(declared.value) == str(reduced.value)
+    assert getattr(declared.value, "trace", None) == getattr(reduced.value, "trace", None)
+
+
+@pytest.mark.parametrize("seed", [30, 84, 122, 156])
+def test_attack_agreement_violation_replays_from_round_1(monkeypatch, seed):
+    # A probe that disagrees mid-attack starts at a chain entry; its trace
+    # is the attack's rounds so far, the fan-out fault into that entry and
+    # the probe's fault, so it replays from the inputs and writes both values.
+    n = 3
+    monkeypatch.setitem(protocols._REGISTRY, f"table-{seed}", lambda n: TableProtocol(n, seed))
+    protocol = TableProtocol(n, seed)
+    with pytest.raises(AgreementViolation) as info:
+        build_nondeciding_execution(protocol, n, 20)
+    exc = info.value
+    assert exc.start.round > 1
+    assert validate_trace(exc.trace).valid
+    faults = [step.fault for step in exc.trace.steps]
+    replay = run(initial_configuration(protocol, exc.trace.inputs), protocol, "fts", faults,
+                 len(faults))
+    assert replay.final_config.outputs() == exc.outputs
+    assert set(exc.outputs.values()) == {0, 1}
+
+
+def test_out_of_model_probe_trace_replays_from_round_1(monkeypatch):
+    n, seed = 3, 156
+    monkeypatch.setitem(protocols._REGISTRY, f"table-{seed}", lambda n: TableProtocol(n, seed))
+    with pytest.raises(OutOfModelProbe) as info:
+        build_nondeciding_execution(TableProtocol(n, seed), n, 20, restricted=True)
+    assert info.value.__cause__.start.round > 1
+    assert info.value.trace.steps[0].round == 1
+    assert validate_trace(info.value.trace).valid
 
 
 def test_restricted_faults_never_full_silence():
@@ -701,21 +736,22 @@ def test_memoized_oracles_match_fresh_on_attack_configs(n):
         witness = ext.witness
 
 
-@pytest.mark.parametrize("first", ["naive-majority", "phase-king-lite"])
+@pytest.mark.parametrize("first", ["table-3", "table-4"])
 def test_memo_entries_never_cross_protocols(first):
-    # Both protocols start from (input, False), so their initial
-    # configurations are equal; one memo must still keep them apart.
-    nm, pk = NaiveMajority(3), PhaseKingLite(3)
-    protocols = [nm, pk] if first == "naive-majority" else [pk, nm]
+    # Table protocols all start from (input, False, 0) and these two declare
+    # period 3, so their initial configurations and keys are equal; one memo
+    # must still keep them apart.
+    a, b = TableProtocol(3, 3), TableProtocol(3, 4)
+    order = [a, b] if first == "table-3" else [b, a]
     inputs = (1, 1, 0)
-    assert initial_configuration(nm, inputs) == initial_configuration(pk, inputs)
+    assert initial_configuration(a, inputs) == initial_configuration(b, inputs)
     memo = {}
-    for protocol in protocols:
+    for protocol in order:
         config = initial_configuration(protocol, inputs)
         fresh = failure_free_decision(config, protocol, CAP)
         assert failure_free_decision(config, protocol, CAP, memo=memo) == fresh
-    assert failure_free_decision(initial_configuration(nm, inputs), nm, CAP).rounds_used == 1
-    assert failure_free_decision(initial_configuration(pk, inputs), pk, CAP).rounds_used == 3
+    assert failure_free_decision(initial_configuration(a, inputs), a, CAP) == (1, 1)
+    assert failure_free_decision(initial_configuration(b, inputs), b, CAP) == (0, 2)
 
 
 def test_memoized_agreement_violation_carries_the_fresh_trace():
@@ -782,7 +818,9 @@ def test_lasso_closes_on_a_gather_stack(n, lasso):
 
 def test_wrong_period_fails_the_differential():
     # Negative control: n is not a period of phase-king-lite at n = 5 (the
-    # parity of the round changes), so keying on it must change the attack.
+    # parity of the round changes), so declaring it makes another protocol,
+    # phase-king-lite shown the round modulo 5, whose attack must differ
+    # from that of phase-king-lite shown every round.
     n = 5
     wrong = PhaseKingLite(n)
     wrong.period = n

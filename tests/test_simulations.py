@@ -51,7 +51,14 @@ from adversim.sync_engine import (
     step_fts,
     step_ftr,
 )
-from conftest import RecordingPhaseKing, enumerate_faults, recorded_delivery
+from conftest import (
+    MisdeclaredTable,
+    RecordingPhaseKing,
+    ReducedRound,
+    TaggedTable,
+    enumerate_faults,
+    recorded_delivery,
+)
 from test_async_engine import Relay
 
 
@@ -511,6 +518,44 @@ def test_gather_around_a_wrong_inner_period_fails_the_period_check(n):
     assert not _repeats_with_declared_period(gather, n, seed=2_800 + n)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_gather_around_a_misdeclared_table_equals_its_reduced_round_run(n):
+    # The gather declares three periods of its inner, so around a table that
+    # declares period 2 the engine shows it the round modulo 6, and it shows
+    # the table the simulated round modulo 2: the same run, state for state,
+    # as the gather around the table behind a wrapper that reduces the round
+    # itself.  The tagged table broadcasts the round it is shown, so each
+    # simulated round's own message counts too.  The gather's audit passes.
+    rng = random.Random(f"gather-shown-round-{n}")
+    for seed in range(20):
+        gather = GetCoreWrapper(TaggedTable(n, seed), n)
+        reference = GetCoreWrapper(ReducedRound(TaggedTable(n, seed)), n)
+        assert (gather.period, reference.period) == (6, None)
+        inputs = tuple(rng.randrange(2) for _ in range(n))
+        script = _gather_script(n, rng, 5)
+        got = run(initial_configuration(gather, inputs), gather, "ftr", script, len(script),
+                  keep_configs=True)
+        assert got == run(initial_configuration(reference, inputs), reference, "ftr", script,
+                          len(script), keep_configs=True), seed
+        assert audit_stack(gather, got).ok, seed
+
+
+@pytest.mark.parametrize("kind", [MisdeclaredTable, TaggedTable], ids=["misdeclared", "tagged"])
+def test_synchronizer_audit_passes_on_misdeclared_tables(monkeypatch, kind):
+    # The synchronizer shows its inner protocol the round as the engine
+    # does, so a synchronized run of a table that reads the round modulo 3
+    # or 4 but declares period 2 projects onto a trace that replays, and
+    # its slowest processes hold the state the direct run reaches.
+    n = 4
+    for seed in range(20):
+        monkeypatch.setitem(protocols._REGISTRY, kind(n, seed).protocol_id,
+                            lambda n, seed=seed: kind(n, seed))
+        proto = SynchronizerWrapper(kind(n, seed), n)
+        inputs = tuple(seed >> i & 1 for i in range(n))
+        _assert_synchronized_equals_direct(proto, inputs, horizon=300)
+        assert audit_stack(proto, _synchronized_run(proto, inputs, 300)).ok, seed
+
+
 def test_gather_around_an_unperiodic_inner_declares_no_period(float_mean):
     assert build_stack("fts-over-ftr", "naive-majority", 3).period is None
     assert build_stack("fts-over-ftr", "float-mean", 3).period is None
@@ -681,6 +726,26 @@ def test_seen_cap_enforced(monkeypatch):
     assert isinstance(info.value.__cause__, ResourceLimitError) or isinstance(
         info.value, ResourceLimitError
     )
+
+
+def test_seen_cap_boundary(monkeypatch):
+    # A process may know exactly MAX_SIMULATED_MESSAGES simulated messages;
+    # knowing one more raises.  What a transition knows is everything its
+    # next state holds but the sends it appends to its own log.
+    proto = _piggy(3)
+    start = initial_configuration(proto, (1, 0, 0))
+    configs = run(start, proto, "ftr", (), horizon=8, keep_configs=True).configs
+    known = max(
+        sum(map(len, new.internal.logs)) - len(new.internal.logs[q]) + len(old.internal.logs[q])
+        for before, after in zip(configs, configs[1:])
+        for q, (old, new) in enumerate(zip(before.states, after.states))
+    )
+    monkeypatch.setattr(simulations, "MAX_SIMULATED_MESSAGES", known)
+    assert run(start, proto, "ftr", (), horizon=8).final_config == configs[-1]
+    monkeypatch.setattr(simulations, "MAX_SIMULATED_MESSAGES", known - 1)
+    with pytest.raises(EngineError) as info:
+        run(start, proto, "ftr", (), horizon=8)
+    assert isinstance(info.value.__cause__, ResourceLimitError)
 
 
 # The piggyback as first written: every process keeps the set of every

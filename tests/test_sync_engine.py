@@ -3,10 +3,10 @@ one-fault step and distinct-children expansion against the per-fault round
 rule they replaced."""
 
 import random
-from itertools import repeat
+from itertools import islice, repeat
 
 import pytest
-from conftest import TableProtocol, enumerate_faults
+from conftest import MisdeclaredTable, ReducedRound, TableProtocol, TaggedTable, enumerate_faults
 from hypothesis import given, settings, strategies as st
 
 from adversim.checking import check_exhaustive
@@ -21,6 +21,7 @@ from adversim.core import (
     RoundFault,
     initial_configuration,
     read_step_script,
+    shown_round,
 )
 from adversim.protocols import PhaseKingLite, get_protocol
 from adversim.sync_engine import (
@@ -534,3 +535,41 @@ def test_successors_raise_an_invalid_output_at_the_reference_child(n):
                 assert want[1] == (AdversimError, "output must be 0 or 1, got 2")
                 raised += len(want[0]) > 0
     assert raised and clean
+
+
+# -- the round a protocol sees ------------------------------------------------------
+
+
+def test_shown_round_is_the_round_modulo_the_declared_period():
+    pk = PhaseKingLite(3)  # period 6
+    assert [shown_round(pk, r) for r in range(1, 14)] == [1, 2, 3, 4, 5, 6] * 2 + [1]
+    assert [shown_round(get_protocol("naive-majority", 3), r) for r in (1, 7, 100)] == [1, 7, 100]
+    assert shown_round(CountingProtocol(), 9) == 9  # duck-typed: no period attribute
+
+
+@pytest.mark.parametrize("model", ["fts", "ftr"])
+def test_a_declared_period_is_the_round_the_protocol_sees(model):
+    # A misdeclared table reads the round modulo 3 or 4 but declares period
+    # 2, and a tagged one broadcasts it too.  Shown the round modulo 2, each
+    # runs exactly as the same table behind a wrapper that reduces the round
+    # itself: state for state, with the true round in every configuration
+    # and trace step.  One expansion table per protocol serves every round,
+    # so transitions computed in one period are reused in the next.
+    rng = random.Random(f"shown-round-{model}")
+    for seed in range(40):
+        n = 3 + seed % 2
+        for kind in (MisdeclaredTable, TaggedTable):
+            protocol, reference = kind(n, seed), ReducedRound(kind(n, seed))
+            inputs = tuple(rng.randrange(2) for _ in range(n))
+            faults = list(islice(random_faults(n, rng, model, False), 9))
+            got = run(initial_configuration(protocol, inputs), protocol, model, faults, 9,
+                      keep_configs=True)
+            want = run(initial_configuration(reference, inputs), reference, model, faults, 9,
+                       keep_configs=True)
+            assert got == want, (seed, kind)
+            assert [step.round for step in got.trace.steps] == list(range(1, 10))
+            table = {}
+            for config in got.configs[:5]:
+                children = distinct_children(config, protocol, model, False, table)
+                assert list(children) == list(reference_distinct_children(
+                    config, reference, model)), (seed, kind, config)
