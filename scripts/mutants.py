@@ -15,7 +15,7 @@ collection or usage error, or a run past ``TIMEOUT`` seconds (a mutant that
 stops a loop from ending), counts as neither.  The list only grows: a
 change that adds a check adds the mutant that deletes it.
 
-    python scripts/mutants.py   # every mutant, about 25 minutes
+    python scripts/mutants.py   # every mutant, about 30 minutes
 """
 
 from __future__ import annotations
@@ -163,15 +163,18 @@ MUTANTS = (
     Mutant("restricted-expansion-keeps-full-silence", ENGINE,
            "if child not in seen and not (restricted and len(victims) == n - 1):",
            "if child not in seen:"),
+    # one model rule: ``_model`` refuses an unknown model and a restricted
+    # ftr, and each caller that needs no fault type from it still calls it
     Mutant("expansion-accepts-an-unknown-model", ENGINE,
-           '    if model not in ("fts", "ftr"):\n'
-           '        raise AdversimError(f"unknown synchronous model {model!r}")\n'
-           '    if restricted and model == "ftr":\n',
-           '    if restricted and model == "ftr":\n'),
+           '    if model != "ftr":\n'
+           '        raise AdversimError(f"unknown synchronous model {model!r}")\n', ""),
     Mutant("expansion-accepts-restricted-ftr", ENGINE,
-           '    if restricted and model == "ftr":\n'
+           '    if restricted:\n'
            '        raise AdversimError("restricted mode applies to the fail-to-send model only")\n',
            ""),
+    Mutant("expansion-skips-the-model-rule", ENGINE,
+           "    _model(model, restricted)\n    shown, inbox, afters = _expansion(",
+           "    shown, inbox, afters = _expansion("),
     # an expansion table shares a transition only under all it reads: the
     # shown round, the broadcast, the receiver and its state (and the missed sender)
     Mutant("table-key-drops-receiver-state", ENGINE,
@@ -182,15 +185,9 @@ MUTANTS = (
            "(shown, broadcast, q, state)", "(shown, broadcast, state)"),
     # the fault sources refuse an unknown model
     Mutant("random-faults-accept-an-unknown-model", ENGINE,
-           '    if model not in ("fts", "ftr"):\n'
-           '        raise AdversimError(f"unknown synchronous model {model!r}")\n'
-           '    if restricted and model != "fts":\n',
-           '    if restricted and model != "fts":\n'),
+           "    _model(model, restricted)\n\n    def draw_fts():", "\n    def draw_fts():"),
     Mutant("silence-accepts-an-unknown-model", ENGINE,
-           '    if model == "ftr":\n'
-           '        return ReceiveFault({q: p for q in range(n) if q != p})\n'
-           '    raise AdversimError(f"unknown synchronous model {model!r}")\n',
-           '    return ReceiveFault({q: p for q in range(n) if q != p})\n'),
+           '    _model(model)\n    if model == "fts":\n', '    if model == "fts":\n'),
     # the fairness audit checks each message once, at its due step
     Mutant("audit-due-step-one-late", ASYNC,
            "due.append((now + fairness_window, sent, state.next_index))",
@@ -223,6 +220,33 @@ MUTANTS = (
     Mutant("lasso-key-drops-pivot", ATTACK,
            "(config_key(witness.config, protocol), witness.process, witness.ff_decision,",
            "(config_key(witness.config, protocol), witness.ff_decision,"),
+    # the library's own argument checks, which the command line never reaches
+    Mutant("exhaustive-accepts-depth-0", CHECK,
+           '    if depth < 1:\n        raise AdversimError("depth must be >= 1")\n    explored = 0\n',
+           "    explored = 0\n"),
+    Mutant("fuzz-accepts-runs-0", CHECK,
+           '    if runs < 1:\n        raise AdversimError("runs must be >= 1")\n', ""),
+    Mutant("fuzz-accepts-depth-0", CHECK,
+           '        raise AdversimError("runs must be >= 1")\n'
+           '    if depth < 1:\n        raise AdversimError("depth must be >= 1")\n',
+           '        raise AdversimError("runs must be >= 1")\n'),
+    Mutant("run-accepts-a-negative-horizon", ENGINE,
+           '    if horizon < 0:\n        raise AdversimError("horizon must be >= 0")\n', ""),
+    Mutant("run-async-accepts-a-negative-horizon", ASYNC,
+           '    if horizon < 0:\n        raise AdversimError("horizon must be >= 0")\n', ""),
+    Mutant("oracle-accepts-cap-0", ATTACK,
+           '    if cap < 1:\n        raise AdversimError("oracle cap must be >= 1")\n', ""),
+    Mutant("initial-dependent-accepts-one-process", ATTACK,
+           '    if n < 2:\n        raise AdversimError("need n >= 2")\n', ""),
+    Mutant("attack-accepts-rounds-0", ATTACK,
+           '    if rounds < 1:\n        raise AdversimError("rounds must be >= 1")\n', ""),
+    # a script path is everything after "script:", colons included
+    Mutant("adversary-script-path-stops-at-a-colon", "src/adversim/cli.py",
+           'read_step_script(spec.split(":", 1)[1], model)',
+           'read_step_script(spec.split(":", 2)[1], model)'),
+    Mutant("scheduler-script-path-stops-at-a-colon", "src/adversim/cli.py",
+           'read_step_script(spec.split(":", 1)[1], "flp")',
+           'read_step_script(spec.split(":", 2)[1], "flp")'),
 )
 
 

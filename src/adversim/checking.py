@@ -44,7 +44,7 @@ from .core import (
     check_colorless_outcome,
     initial_configuration,
 )
-from .sync_engine import ExpansionTable, distinct_children, random_faults, run, step_fts, step_ftr
+from .sync_engine import ExpansionTable, distinct_children, random_faults, run, step_fts
 
 
 class CheckViolation(NamedTuple):
@@ -163,7 +163,6 @@ def check_fuzz(
         raise AdversimError("runs must be >= 1")
     if depth < 1:
         raise AdversimError("depth must be >= 1")
-    step = step_fts if model == "fts" else step_ftr
     table: ExpansionTable = {}
     initial: dict[tuple[int, ...], Configuration] = {}
     explored = 0
@@ -180,7 +179,7 @@ def check_fuzz(
             if len(before) == n:
                 break
             fault = next(faults)
-            config = step(config, protocol, fault, table)
+            config = step_fts(config, protocol, fault, table)
             explored += 1
             path.append(fault)
             after = config.outputs()

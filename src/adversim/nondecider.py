@@ -10,7 +10,8 @@ p-silent decision from a configuration), a dependence test (the two oracles
 disagree), a flip scan over chains of adjacent configurations, and an attack
 loop that keeps every reached configuration dependent.  Each extension round
 either silences the pivot process completely or walks the progressive
-delivery chain of its payload until the dependence flips hands.
+delivery chain of its payload until the dependence flips hands; the chain's
+entries are ``step_fts`` children sharing one expansion table.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .core import (
     config_key,
     initial_configuration,
 )
-from .sync_engine import NO_FAULT, _child, _expansion, run, silence, step_fts
+from .sync_engine import NO_FAULT, ExpansionTable, run, silence, step_fts
 
 
 class AgreementViolation(AdversimError):
@@ -301,8 +302,8 @@ def extend_dependent(
     cap = default_cap(n) if cap is None else cap
     others = [q for q in range(n) if q != p]
     faults = _fan_out(p, n, restricted)
-    expansion = _expansion(config, protocol, None)
-    chain = (_child(config, protocol, *expansion, f.mapping) for f in faults)
+    table: ExpansionTable = {}  # the chain's entries share one expansion
+    chain = (step_fts(config, protocol, f, table) for f in faults)
     ff = None
     if not restricted:
         c1 = next(chain)

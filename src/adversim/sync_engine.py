@@ -9,16 +9,18 @@ iterable of them, one per round, and once it runs out every later round
 drops nothing.  No process ever crashes, and engines always run to the
 requested horizon: decided processes keep participating.  ``_child`` is
 the one round rule: one transition per (receiver, missed sender), outputs
-written once, errors raised lazily.  ``step_fts``/``step_ftr`` build one
-child, ``distinct_children`` each distinct child once.  Both take an
-optional ExpansionTable, which keeps, as long as a search holds it, each
-configuration's broadcast, and each transition keyed on what it reads: the
-shown round (``core.shown_round``, once per expansion), the broadcast, the
-receiver's state and the sender it misses.  That is exact.  Protocols are
-pure and payloads that compare equal are interchangeable, a table lives for
-one call with one protocol, and a failing ``message()`` or ``transition()``
-stores nothing; so a step with a table builds the same child, or raises the
-same error, as one without.
+written once, errors raised lazily.  Every fts fault is an ftr fault (a
+drop map), so ``step_fts``, also bound as ``step_ftr``, builds one child
+under either model, and ``distinct_children`` each distinct child once;
+``_model`` is the one check of a model name.  Both take an optional
+ExpansionTable, which keeps, as long as a search or an attack's chain holds
+it, each configuration's broadcast, and each transition keyed on what it
+reads: the shown round (``core.shown_round``, once per expansion), the
+broadcast, the receiver's state and the sender it misses.  That is exact.
+Protocols are pure and payloads that compare equal are interchangeable, a
+table lives for one call with one protocol, and a failing ``message()`` or
+``transition()`` stores nothing; so a step with a table builds the same
+child, or raises the same error, as one without.
 """
 
 from __future__ import annotations
@@ -114,6 +116,18 @@ def _child(config, protocol, shown, inbox, afters, dropped: Mapping[Pid, Pid]) -
     return tuple.__new__(Configuration, (config.round + 1, tuple(states)))
 
 
+def _model(model: str, restricted: bool = False) -> tuple[type, Any]:
+    """``model``'s fault type and its fault that drops nothing; the one check
+    of a model name, and of ``restricted``, which only fts has."""
+    if model == "fts":
+        return RoundFault, NO_FAULT
+    if model != "ftr":
+        raise AdversimError(f"unknown synchronous model {model!r}")
+    if restricted:
+        raise AdversimError("restricted mode applies to the fail-to-send model only")
+    return ReceiveFault, NO_DROPS
+
+
 def distinct_children(
     config: Configuration, protocol: RoundProtocol, model: str, restricted: bool = False,
     table: Optional[ExpansionTable] = None,
@@ -128,10 +142,7 @@ def distinct_children(
     its next state equals one under an earlier option; under fts one set
     drops children two senders share.  Lazy, like ``_child``, and with
     ``table`` its transitions are read from and kept in it, as a step's are."""
-    if model not in ("fts", "ftr"):
-        raise AdversimError(f"unknown synchronous model {model!r}")
-    if restricted and model == "ftr":
-        raise AdversimError("restricted mode applies to the fail-to-send model only")
+    _model(model, restricted)
     shown, inbox, afters = _expansion(config, protocol, table)
     n, round = config.n, config.round
     full = _child(config, protocol, shown, inbox, afters, {})  # every fault order starts with it
@@ -164,20 +175,16 @@ def distinct_children(
                 yield RoundFault(sender, victims), child
 
 
-def step_fts(config: Configuration, protocol: RoundProtocol, fault: RoundFault,
+def step_fts(config: Configuration, protocol: RoundProtocol, fault: RoundFault | ReceiveFault,
              table: Optional[ExpansionTable] = None) -> Configuration:
-    """One fail-to-send round: every process receives every other payload,
-    except that fault.sender's payload is withheld from fault.victims."""
+    """One round under ``fault``, a RoundFault or a ReceiveFault: each
+    receiver gets every other payload except the one sender the fault drops
+    for it (fts: fault.sender's payload is withheld from fault.victims)."""
     fault.validate(config.n)
     return _child(config, protocol, *_expansion(config, protocol, table), fault.mapping)
 
 
-def step_ftr(config: Configuration, protocol: RoundProtocol, fault: ReceiveFault,
-             table: Optional[ExpansionTable] = None) -> Configuration:
-    """One fail-to-receive round: each process receives every other payload
-    except the single sender (if any) dropped for it."""
-    fault.validate(config.n)
-    return _child(config, protocol, *_expansion(config, protocol, table), fault.mapping)
+step_ftr = step_fts
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +195,10 @@ def step_ftr(config: Configuration, protocol: RoundProtocol, fault: ReceiveFault
 def silence(p: Pid, n: int, model: str = "fts"):
     """The fault that silences p completely: every other process misses p's
     payload (fts: (p, everyone else); ftr: each other receiver drops p)."""
+    _model(model)
     if model == "fts":
         return RoundFault(p, range(n))
-    if model == "ftr":
-        return ReceiveFault({q: p for q in range(n) if q != p})
-    raise AdversimError(f"unknown synchronous model {model!r}")
+    return ReceiveFault({q: p for q in range(n) if q != p})
 
 
 def random_faults(n: int, rng, model: str, restricted: bool) -> Iterator:
@@ -201,10 +207,7 @@ def random_faults(n: int, rng, model: str, restricted: bool) -> Iterator:
     probability 1/2; ``restricted`` redraws the victims (not the sender)
     while they would silence the sender completely.  ftr: each receiver
     keeps all payloads or drops one sender, n choices uniformly."""
-    if model not in ("fts", "ftr"):
-        raise AdversimError(f"unknown synchronous model {model!r}")
-    if restricted and model != "fts":
-        raise AdversimError("restricted mode applies to the fail-to-send model only")
+    _model(model, restricted)
 
     def draw_fts():
         sender = rng.randrange(n)
@@ -249,12 +252,7 @@ def run(
     are infinite, so decided processes keep participating to the horizon."""
     if horizon < 0:
         raise AdversimError("horizon must be >= 0")
-    if model == "fts":
-        kind, step, pad = RoundFault, step_fts, NO_FAULT
-    elif model == "ftr":
-        kind, step, pad = ReceiveFault, step_ftr, NO_DROPS
-    else:
-        raise AdversimError(f"unknown synchronous model {model!r}")
+    kind, pad = _model(model)
     steps: list[RoundStep] = []
     configs = [config] if keep_configs else None
     current = config
@@ -262,7 +260,7 @@ def run(
         if not isinstance(fault, kind):
             raise AdversimError(f"{model} runs take {kind.__name__} faults, got {fault!r}")
         before = current.outputs()
-        nxt = step(current, protocol, fault)
+        nxt = step_fts(current, protocol, fault)
         wrote = tuple(sorted((q, v) for q, v in nxt.outputs().items() if q not in before))
         steps.append(RoundStep(round=current.round, fault=fault, outputs=wrote))
         current = nxt

@@ -285,6 +285,30 @@ def test_run_with_scripted_scheduler_file(tmp_path):
     assert replayed.read_bytes() == recorded.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "model, protocol, flag",
+    [("fts", "phase-king-lite", "--adversary"),
+     ("flp", "ftr-over-flp:phase-king-lite", "--scheduler")],
+    ids=["fts", "flp"],
+)
+def test_script_path_may_contain_a_colon(tmp_path, model, protocol, flag):
+    # only the first colon ends "script:"; the rest of the spec is the path
+    def run(spec, out, *extra):
+        args = ["run", "--model", model, "--protocol", protocol, "--n", "3",
+                "--inputs", "1,0,1", "--horizon", "12", flag, spec, "--out", str(out), *extra]
+        return run_cli(args)
+
+    recorded = tmp_path / "recorded.jsonl"
+    assert run("random", recorded, "--seed", "3") == 0
+    steps = "\n".join(recorded.read_text().splitlines()[1:]) + "\n"
+    outs = []
+    for name in ("ab.jsonl", "a:b.jsonl"):
+        (tmp_path / name).write_text(steps)
+        outs.append(tmp_path / f"{name}.out")
+        assert run(f"script:{tmp_path / name}", outs[-1]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == recorded.read_bytes()
+
+
 # -- validate ---------------------------------------------------------------------
 
 

@@ -10,7 +10,8 @@ import pytest
 from conftest import SRC
 from hypothesis import given, settings, strategies as st
 
-from adversim.checking import CheckResult
+from adversim.async_engine import RoundRobinScheduler, run_async
+from adversim.checking import CheckResult, check_exhaustive, check_fuzz
 
 from adversim.core import (
     AdversimError,
@@ -29,8 +30,14 @@ from adversim.core import (
     read_step_script,
     validate_trace,
 )
-from adversim.nondecider import DependenceWitness
+from adversim.nondecider import (
+    DependenceWitness,
+    build_nondeciding_execution,
+    failure_free_decision,
+    find_initial_dependent,
+)
 from adversim.protocols import PhaseKingLite
+from adversim.simulations import SynchronizerWrapper
 from adversim.sync_engine import run, silence
 
 
@@ -388,3 +395,31 @@ def test_no_self_delivery_in_sync_engines():
         for seen in state.internal[1]:
             assert q not in seen
             assert len(seen) == 3
+
+
+_PK = PhaseKingLite(3)
+_START = initial_configuration(_PK, (0, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: check_exhaustive(_PK, 3, 0), "depth must be >= 1"),
+        (lambda: check_fuzz(_PK, 3, 0, 1, seed=0), "runs must be >= 1"),
+        (lambda: check_fuzz(_PK, 3, 1, 0, seed=0), "depth must be >= 1"),
+        (lambda: run(_START, _PK, "fts", (), -1), "horizon must be >= 0"),
+        (lambda: run_async((0, 1, 0), SynchronizerWrapper(_PK, 3), RoundRobinScheduler(3), -1),
+         "horizon must be >= 0"),
+        (lambda: failure_free_decision(_START, _PK, 0), "oracle cap must be >= 1"),
+        (lambda: find_initial_dependent(_PK, 1), "need n >= 2"),
+        (lambda: build_nondeciding_execution(_PK, 3, 0), "rounds must be >= 1"),
+    ],
+    ids=["exhaustive-depth", "fuzz-runs", "fuzz-depth", "run-horizon", "run-async-horizon",
+         "oracle-cap", "initial-dependent-n", "attack-rounds"],
+)
+def test_library_refuses_arguments_the_cli_never_passes(call, message):
+    # the command line refuses these values first, so only a library call
+    # reaches the library's own checks
+    with pytest.raises(AdversimError) as info:
+        call()
+    assert type(info.value) is AdversimError and str(info.value) == message

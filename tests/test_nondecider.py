@@ -478,21 +478,26 @@ def test_extension_probes_each_chain_entry_once(n, monkeypatch):
     # scan's first entry too: each entry drawn is probed once, in order.
     pk = PhaseKingLite(n)
     cap = default_cap(n)
-    ff_probes, drawn = [], []
+    ff_probes, drawn, start = [], [], None
 
     def counted_failure_free_decision(config, *args, **kwargs):
         ff_probes.append(config)
         return failure_free_decision(config, *args, **kwargs)
 
-    def drawn_child(*args):  # each chain entry is built by one _child call, when drawn
-        drawn.append(child(*args))
-        return drawn[-1]
+    def drawn_step(config, *args):
+        # a chain entry is one step from the witness's own configuration,
+        # taken when drawn; a probe starts at an entry, never from it
+        child = step(config, *args)
+        if config is start:
+            drawn.append(child)
+        return child
 
-    child = nondecider._child
+    step = nondecider.step_fts
     monkeypatch.setattr(nondecider, "failure_free_decision", counted_failure_free_decision)
-    monkeypatch.setattr(nondecider, "_child", drawn_child)
+    monkeypatch.setattr(nondecider, "step_fts", drawn_step)
     scanned = 0
     for witness in _attack_witnesses(pk, n):
+        start = witness.config
         ff_probes.clear()
         drawn.clear()
         extend_dependent(witness, pk, cap, memo={})
