@@ -8,14 +8,17 @@ By default the whole suite runs with ``-x`` and acceptance 5 deselected
 (about 20 s, and it exercises only the checkers, the oracles and
 phase-king-lite); a mutant of those names the tests it needs instead.
 
-The script prints one line per mutant, killed or survived with the seconds
-taken, then the kill count.  It exits 1 if any mutant survives, if its old
-text does not occur exactly once, or if pytest ends any other way: a
-collection or usage error, or a run past ``TIMEOUT`` seconds (a mutant that
-stops a loop from ending), counts as neither.  The list only grows: a
-change that adds a check adds the mutant that deletes it.
+The script runs the mutants named as arguments, or every mutant when none
+is named; an unknown name exits 2 before any runs.  It prints one line per
+mutant, killed or survived with the seconds taken, then the kill count.  It
+exits 1 if any mutant survives, if its old text does not occur exactly once,
+or if pytest ends any other way: a collection or usage error, or a run past
+``TIMEOUT`` seconds (a mutant that stops a loop from ending), counts as
+neither.  The list only grows: a change that adds a check adds the mutant
+that deletes it.
 
-    python scripts/mutants.py   # every mutant, about 30 minutes
+    python scripts/mutants.py                          # every mutant, about 30 minutes
+    python scripts/mutants.py memo-hit-ignores-cap     # the named mutants only
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ ENGINE = "src/adversim/sync_engine.py"
 ASYNC = "src/adversim/async_engine.py"
 CHECK = "src/adversim/checking.py"
 ATTACK = "src/adversim/nondecider.py"
+CLI = "src/adversim/cli.py"
 MUTANTS = (
     # the gather, its core and the stack tables
     Mutant("gather-delivers-own-echo", SIM,
@@ -152,9 +156,34 @@ MUTANTS = (
            "if not 0 <= self.sender < n:", "if not 0 <= self.sender <= n:"),
     Mutant("trace-header-accepts-n-below-2", "src/adversim/core.py",
            "if not _is_int(n) or n < 2:", "if not _is_int(n) and n < 2:"),
-    # the command line silences any process, process 0 included
-    Mutant("silent-adversary-refuses-process-0", "src/adversim/cli.py",
-           "if not 0 <= p < n:", "if not 0 < p < n:"),
+    # the command line silences any process, process 0 included, and refuses
+    # each malformed spec as a usage error naming its flag
+    Mutant("silent-adversary-refuses-process-0", CLI, "if not 0 <= p < n:", "if not 0 < p < n:"),
+    Mutant("silent-adversary-accepts-process-n", CLI, "if not 0 <= p < n:", "if not 0 <= p <= n:"),
+    Mutant("silent-adversary-accepts-a-non-integer", CLI,
+           '        except ValueError:\n            raise UsageError(f"bad --adversary spec',
+           '        except TypeError:\n            raise UsageError(f"bad --adversary spec'),
+    Mutant("inputs-accept-a-non-integer", CLI,
+           '        except ValueError:\n            raise UsageError(f"bad --inputs',
+           '        except TypeError:\n            raise UsageError(f"bad --inputs'),
+    Mutant("inputs-accept-any-length", CLI, "if len(bits) != args.n or any(", "if any("),
+    Mutant("inputs-default-without-seed", CLI,
+           '    if args.seed is None:\n'
+           '        raise UsageError("provide --inputs or --seed for random inputs")\n', ""),
+    Mutant("adversary-random-needs-no-seed", CLI,
+           '        if seed is None:\n'
+           '            raise UsageError("--adversary random requires --seed")\n', ""),
+    Mutant("scheduler-random-needs-no-seed", CLI,
+           '        if args.seed is None:\n'
+           '            raise UsageError("--scheduler random requires --seed")\n', ""),
+    Mutant("crash-accepts-a-malformed-spec", CLI,
+           '    except ValueError:\n        raise UsageError(f"bad --crash',
+           '    except TypeError:\n        raise UsageError(f"bad --crash'),
+    # a failed consensus check and an invalid report are falsy
+    Mutant("consensus-check-is-always-truthy", "src/adversim/core.py",
+           "    def __bool__(self) -> bool:\n        return self.ok\n", ""),
+    Mutant("validation-report-is-always-truthy", "src/adversim/core.py",
+           "    def __bool__(self) -> bool:\n        return self.valid\n", ""),
     # an expansion builds each distinct child once
     Mutant("expansion-keeps-equal-receiver-options", ENGINE,
            "            if nxt not in options:\n", "            if True:\n"),
@@ -220,6 +249,14 @@ MUTANTS = (
     Mutant("lasso-key-drops-pivot", ATTACK,
            "(config_key(witness.config, protocol), witness.process, witness.ff_decision,",
            "(config_key(witness.config, protocol), witness.ff_decision,"),
+    # with no flip on the input chain, the attack's validity counterexample
+    # runs the unanimous 1 - b vector and reads both probes from the memo
+    Mutant("counterexample-from-the-b-vector", ATTACK,
+           "inputs = (1 - failure_free_decision(zeros, protocol, cap, memo=memo).decision,) * n",
+           "inputs = (failure_free_decision(zeros, protocol, cap, memo=memo).decision,) * n"),
+    Mutant("counterexample-probes-without-memo", ATTACK,
+           "used = failure_free_decision(config, protocol, cap, memo=memo).rounds_used",
+           "used = failure_free_decision(config, protocol, cap).rounds_used"),
     # the library's own argument checks, which the command line never reaches
     Mutant("exhaustive-accepts-depth-0", CHECK,
            '    if depth < 1:\n        raise AdversimError("depth must be >= 1")\n    explored = 0\n',
@@ -241,10 +278,10 @@ MUTANTS = (
     Mutant("attack-accepts-rounds-0", ATTACK,
            '    if rounds < 1:\n        raise AdversimError("rounds must be >= 1")\n', ""),
     # a script path is everything after "script:", colons included
-    Mutant("adversary-script-path-stops-at-a-colon", "src/adversim/cli.py",
+    Mutant("adversary-script-path-stops-at-a-colon", CLI,
            'read_step_script(spec.split(":", 1)[1], model)',
            'read_step_script(spec.split(":", 2)[1], model)'),
-    Mutant("scheduler-script-path-stops-at-a-colon", "src/adversim/cli.py",
+    Mutant("scheduler-script-path-stops-at-a-colon", CLI,
            'read_step_script(spec.split(":", 1)[1], "flp")',
            'read_step_script(spec.split(":", 2)[1], "flp")'),
 )
@@ -270,16 +307,22 @@ def run_mutant(mutant: Mutant) -> str:
     return {0: "survived", 1: "killed"}.get(proc.returncode, f"pytest exit {proc.returncode}")
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    by_name = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in names if name not in by_name]
+    if unknown:
+        print(f"mutants.py: unknown mutant {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [by_name[name] for name in names] or MUTANTS
     killed = 0
-    for mutant in MUTANTS:
+    for mutant in chosen:
         start = time.perf_counter()
         outcome = run_mutant(mutant)
         killed += outcome == "killed"
         print(f"{mutant.name:48} {outcome:10} {time.perf_counter() - start:6.1f} s", flush=True)
-    print(f"{killed} of {len(MUTANTS)} mutants killed")
-    return 0 if killed == len(MUTANTS) else 1
+    print(f"{killed} of {len(chosen)} mutants killed")
+    return 0 if killed == len(chosen) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -76,7 +76,7 @@ class CheckResult(NamedTuple):
         return self.violation is None
 
 
-def _violation(kind, protocol, model, inputs, faults, run_index=None) -> CheckViolation:
+def replay_violation(kind, protocol, model, inputs, faults, run_index=None) -> CheckViolation:
     """Report a violation reached by ``faults``, re-running them to record
     the replayable trace."""
     result = run(initial_configuration(protocol, inputs), protocol, model, faults, len(faults))
@@ -127,7 +127,7 @@ def check_exhaustive(
                     for parents in reversed(levels):
                         config, fault = parents[config]
                         path.append(fault)
-                    violation = _violation(kind, protocol, model, inputs, path[::-1])
+                    violation = replay_violation(kind, protocol, model, inputs, path[::-1])
                     return CheckResult(violation=violation, explored=explored)
                 if d + 1 < depth and not child.all_decided():
                     found.setdefault(child, (config, fault))
@@ -187,7 +187,7 @@ def check_fuzz(
                 continue  # an unchanged output set passed when it was written
             kind = check_colorless_outcome(inputs, after.values()).violation
             if kind is not None:
-                violation = _violation(kind, protocol, model, inputs, path, run_index)
+                violation = replay_violation(kind, protocol, model, inputs, path, run_index)
                 return CheckResult(violation=violation, explored=explored)
             before = after
     return CheckResult(violation=None, explored=explored)

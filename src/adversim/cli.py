@@ -36,7 +36,7 @@ from .core import (
     initial_configuration,
     read_step_script,
     validate_trace,
-    _dumps,
+    write_jsonl,
 )
 
 # Only the standard library and core load with this module: each command
@@ -88,27 +88,31 @@ def _outpath(arg: Optional[str], default_name: str) -> str:
     return os.path.join(os.environ.get(OUTDIR_ENV, "."), default_name)
 
 
-def _write_jsonl(path: str, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(_dumps(rec) + "\n")
+def _write_violation(trace: ExecutionTrace, records, out=None, report=None) -> tuple[str, str]:
+    """Write a violation's trace and report, each to its path or, for None,
+    to its default name; return both paths."""
+    out = _outpath(out, "violation.trace.jsonl")
+    report = _outpath(report, "violation.report.jsonl")
+    trace.write(out)
+    write_jsonl(report, records)
+    return out, report
 
 
-def _parse_inputs(args, n: int, rng_seed_tag: str = "inputs") -> tuple[int, ...]:
+def _parse_inputs(args) -> tuple[int, ...]:
     if args.inputs:
         try:
             bits = tuple(int(b) for b in args.inputs.split(","))
         except ValueError:
             raise UsageError(f"bad --inputs {args.inputs!r}") from None
-        if len(bits) != n or any(b not in (0, 1) for b in bits):
+        if len(bits) != args.n or any(b not in (0, 1) for b in bits):
             raise UsageError("--inputs must be n comma-separated bits")
         return bits
     if args.seed is None:
         raise UsageError("provide --inputs or --seed for random inputs")
     from .checking import stream_seed
 
-    rng = random.Random(stream_seed(args.seed, rng_seed_tag))
-    return tuple(rng.randrange(2) for _ in range(n))
+    rng = random.Random(stream_seed(args.seed, "inputs"))
+    return tuple(rng.randrange(2) for _ in range(args.n))
 
 
 def _faults(spec: str, model: str, n: int, seed: Optional[int], restricted: bool):
@@ -121,9 +125,9 @@ def _faults(spec: str, model: str, n: int, seed: Optional[int], restricted: bool
         try:
             p = int(spec.split(":", 1)[1])
         except ValueError:
-            raise UsageError(f"bad adversary spec {spec!r}") from None
+            raise UsageError(f"bad --adversary spec {spec!r}") from None
         if not 0 <= p < n:
-            raise UsageError(f"silent process {p} out of range")
+            raise UsageError(f"--adversary {spec}: process {p} out of range")
         return itertools.repeat(silence(p, n, model))
     if spec.startswith("script:"):
         return [step.fault for step in read_step_script(spec.split(":", 1)[1], model)]
@@ -134,7 +138,7 @@ def _faults(spec: str, model: str, n: int, seed: Optional[int], restricted: bool
 
         rng = random.Random(stream_seed(seed, "adversary"))
         return random_faults(n, rng, model, restricted)
-    raise UsageError(f"unknown adversary spec {spec!r}")
+    raise UsageError(f"unknown --adversary spec {spec!r}")
 
 
 def _check_restricted(args, model: str) -> None:
@@ -213,7 +217,7 @@ def _run_async(args, protocol, inputs, **kwargs):
             raise UsageError("--crash does not apply to --scheduler script:PATH")
         scheduler = ScriptedScheduler(read_step_script(spec.split(":", 1)[1], "flp"))
     else:
-        raise UsageError(f"unknown scheduler spec {spec!r}")
+        raise UsageError(f"unknown --scheduler spec {spec!r}")
     try:
         return run_async(inputs, protocol, scheduler, args.horizon, **kwargs)
     except ScheduleError as exc:
@@ -270,8 +274,8 @@ def cmd_run(args) -> int:
     _check_seed(args)
     fairness_note = ""
     protocol = _model_protocol(args, args.model)
+    inputs = _parse_inputs(args)
     if args.model == "flp":
-        inputs = _parse_inputs(args, args.n)
         result = _run_async(args, protocol, inputs, fairness_window=args.fairness_window)
         outputs = result.final_state.outputs()
         if result.fairness is not None:
@@ -281,7 +285,6 @@ def cmd_run(args) -> int:
     else:
         from .sync_engine import run
 
-        inputs = _parse_inputs(args, args.n)
         faults = _faults(args.adversary, args.model, args.n, args.seed, args.restricted)
         config = initial_configuration(protocol, inputs)
         result = run(config, protocol, args.model, faults, args.horizon)
@@ -305,25 +308,13 @@ def cmd_attack(args) -> int:
         result = nondecider.build_nondeciding_execution(
             protocol, args.n, rounds=args.rounds, cap=args.cap, restricted=args.restricted
         )
-    except nondecider.NoFlipInChain:
-        # the chain's ends decide the same b, so the unanimous 1 - b vector decided b
-        from .checking import _violation
-        from .sync_engine import NO_FAULT
-
-        cap = args.cap or nondecider.default_cap(args.n)
-        zeros = initial_configuration(protocol, (0,) * args.n)
-        inputs = (1 - nondecider.failure_free_decision(zeros, protocol, cap).decision,) * args.n
-        config = initial_configuration(protocol, inputs)
-        rounds = nondecider.failure_free_decision(config, protocol, cap).rounds_used
-        v = _violation("validity", protocol, "fts", inputs, [NO_FAULT] * rounds)
-        out = _outpath(None, "violation.trace.jsonl")
-        report = _outpath(None, "violation.report.jsonl")
-        v.trace.write(out)
-        _write_jsonl(report, [v.record()])
+    except nondecider.NoFlipInChain as exc:
+        v = exc.violation
+        out, report = _write_violation(v.trace, [v.record()])
         _say(
             "attack: no dependent initial configuration (failure-free decisions "
             "never flip across the input chain; target is not pseudo-consensus); "
-            f"validity violation from inputs {list(inputs)}; "
+            f"validity violation from inputs {list(v.inputs)}; "
             f"trace written to {out}; report written to {report}"
         )
         return EXIT_VIOLATION
@@ -333,17 +324,14 @@ def cmd_attack(args) -> int:
         _say(f"attack: oracle precondition fails under --restricted: {exc}; probe trace written to {out}")
         return EXIT_ORACLE_CAP
     except nondecider.AgreementViolation as exc:
-        out = _outpath(None, "violation.trace.jsonl")
-        report = _outpath(None, "violation.report.jsonl")
-        exc.trace.write(out)
         outputs = {str(q): v for q, v in sorted(exc.outputs.items())}
-        _write_jsonl(report, [{"violation": "agreement", "outputs": outputs}])
+        out, report = _write_violation(exc.trace, [{"violation": "agreement", "outputs": outputs}])
         _say(f"attack: {exc}; trace written to {out}; report written to {report}")
         return EXIT_VIOLATION
     out = _outpath(args.out, "attack.trace.jsonl")
     report = _outpath(args.report, "attack.report.jsonl")
     result.trace.write(out)
-    _write_jsonl(report, nondecider.report_records(result))
+    write_jsonl(report, nondecider.report_records(result))
     written = len(result.witnesses[-1].witness.config.outputs())
     if result.exhausted_at is not None:
         # only the restricted adversary runs out of chain: unrestricted
@@ -370,26 +358,13 @@ def cmd_check(args) -> int:
 
     protocol = _model_protocol(args, args.model)
     if args.mode == "exhaustive":
-        result = checking.check_exhaustive(
-            protocol,
-            args.n,
-            depth=args.depth,
-            model=args.model,
-            restricted=args.restricted,
-            budget=args.budget,
-        )
+        result = checking.check_exhaustive(protocol, args.n, depth=args.depth, model=args.model,
+                                           restricted=args.restricted, budget=args.budget)
     else:
         if args.seed is None:
             raise UsageError("fuzz mode requires --seed")
-        result = checking.check_fuzz(
-            protocol,
-            args.n,
-            runs=args.runs,
-            depth=args.depth,
-            seed=args.seed,
-            model=args.model,
-            restricted=args.restricted,
-        )
+        result = checking.check_fuzz(protocol, args.n, runs=args.runs, depth=args.depth,
+                                     seed=args.seed, model=args.model, restricted=args.restricted)
     if result.ok:
         _say(
             f"check: no violation ({args.mode}, protocol={args.protocol}, n={args.n}, "
@@ -397,10 +372,7 @@ def cmd_check(args) -> int:
         )
         return EXIT_OK
     v = result.violation
-    out = _outpath(args.out, "violation.trace.jsonl")
-    v.trace.write(out)
-    report = _outpath(args.report, "violation.report.jsonl")
-    _write_jsonl(report, [v.record()])
+    out, report = _write_violation(v.trace, [v.record()], args.out, args.report)
     _say(
         f"check: {v.kind} violation at round {v.round}, inputs={list(v.inputs)}, "
         f"outputs={v.outputs}"
@@ -416,7 +388,7 @@ def cmd_simulate(args) -> int:
     _check_flags(args, _ENGINE_FLAGS, model, "engine")
     _check_seed(args)
     protocol = _protocol(args.protocol, args.n, args.stack)
-    inputs = _parse_inputs(args, args.n)
+    inputs = _parse_inputs(args)
     out = _outpath(args.out, "simulate.trace.jsonl")
     report_path = _outpath(args.report, "simulate.report.jsonl")
     if model == "flp":
@@ -430,7 +402,7 @@ def cmd_simulate(args) -> int:
     result.trace.write(out)
     audit = audit_stack(protocol, result)
     _say(f"simulate: {audit.summary}")
-    _write_jsonl(report_path, audit.records)
+    write_jsonl(report_path, audit.records)
     _say(f"trace written to {out}; report written to {report_path}")
     return EXIT_OK if audit.ok else EXIT_VIOLATION
 
@@ -555,7 +527,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - a bug outside the engines' wrapping
         _say(f"adversim: internal error: {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -384,6 +384,12 @@ class ExecutionTrace(NamedTuple):
         return cls.from_jsonl(_read_text(path))
 
 
+def write_jsonl(path, records) -> None:
+    """Write each record as one canonical JSON line: a report's form."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_dumps(rec) + "\n" for rec in records)
+
+
 def _numbered_lines(text: str) -> list[tuple[int, str]]:
     """Each non-blank line of a trace or script with its physical number."""
     return [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]

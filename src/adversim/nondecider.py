@@ -63,7 +63,11 @@ class OutOfModelProbe(AdversimError):
 
 
 class NoFlipInChain(AdversimError):
-    """Chain scan found no adjacent failure-free flip (precondition broken)."""
+    """Chain scan found no adjacent failure-free flip (precondition broken).
+    The attack raises it with ``violation`` set to the validity
+    counterexample that proves it, a ``checking.CheckViolation``."""
+
+    violation = None
 
 
 class ChainExhausted(AdversimError):
@@ -371,7 +375,9 @@ def build_nondeciding_execution(
     the round advanced, and makes no probe.  Without a period no key repeats.
 
     With ``restricted`` set, a disagreeing probe that silences a process
-    completely raises ``OutOfModelProbe`` instead of ``AgreementViolation``."""
+    completely raises ``OutOfModelProbe`` instead of ``AgreementViolation``.
+    A target with no flip on the input chain raises ``NoFlipInChain`` with
+    its validity counterexample."""
     if rounds < 1:
         raise AdversimError("rounds must be >= 1")
     cap = default_cap(n) if cap is None else cap
@@ -385,7 +391,19 @@ def build_nondeciding_execution(
 
 def _build(protocol: RoundProtocol, n: int, rounds: int, cap: int, restricted: bool) -> AttackResult:
     memo: OracleMemo = {}
-    witness = find_initial_dependent(protocol, n, cap, memo=memo)
+    try:
+        witness = find_initial_dependent(protocol, n, cap, memo=memo)
+    except NoFlipInChain as exc:
+        # the chain's ends decide the same b, so the unanimous 1 - b vector
+        # decided b; both probes are the scan's own, read from the memo
+        from .checking import replay_violation  # only this path loads checking
+
+        zeros = initial_configuration(protocol, (0,) * n)
+        inputs = (1 - failure_free_decision(zeros, protocol, cap, memo=memo).decision,) * n
+        config = initial_configuration(protocol, inputs)
+        used = failure_free_decision(config, protocol, cap, memo=memo).rounds_used
+        exc.violation = replay_violation("validity", protocol, "fts", inputs, [NO_FAULT] * used)
+        raise
     records = [AttackRound(fault=NO_FAULT, witness=witness)]
     steps: list[RoundStep] = []
     exhausted_at = None

@@ -33,9 +33,9 @@ from adversim import checking, protocols, sync_engine
 from adversim.checking import (
     BudgetExceeded,
     CheckResult,
-    _violation,
     check_exhaustive,
     check_fuzz,
+    replay_violation,
     stream_seed,
 )
 from adversim.core import (
@@ -79,7 +79,7 @@ def reference_check_exhaustive(
             path.append(fault)
             kind = check_colorless_outcome(config.inputs(), child.outputs().values()).violation
             if kind is not None:
-                return _violation(kind, protocol, model, config.inputs(), path)
+                return replay_violation(kind, protocol, model, config.inputs(), path)
             found = dfs(child, path)
             if found is not None:
                 return found
@@ -115,7 +115,7 @@ def level_order_check_exhaustive(protocol, n, depth, model="fts", restricted=Fal
                 explored += 1
                 kind = check_colorless_outcome(inputs, child.outputs().values()).violation
                 if kind is not None:
-                    violation = _violation(kind, protocol, model, inputs, [*path, fault])
+                    violation = replay_violation(kind, protocol, model, inputs, [*path, fault])
                     return CheckResult(violation=violation, explored=explored)
                 below.append((child, (*path, fault)))
         level = below
@@ -363,7 +363,7 @@ def reference_check_fuzz(protocol, n, runs, depth, seed, model="fts", restricted
             path.append(fault)
             kind = check_colorless_outcome(inputs, config.outputs().values()).violation
             if kind is not None:
-                violation = _violation(kind, protocol, model, inputs, path, run_index)
+                violation = replay_violation(kind, protocol, model, inputs, path, run_index)
                 return CheckResult(violation=violation, explored=explored)
     return CheckResult(violation=None, explored=explored)
 

@@ -868,6 +868,37 @@ def test_count_below_minimum_is_usage_error(tmp_path, args, flag):
     assert not (tmp_path / "t.jsonl").exists()
 
 
+_FLP3 = ["run", "--model", "flp", "--protocol", "ftr-over-flp:phase-king-lite", "--n", "3",
+         "--inputs", "1,0,1"]
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["run", "--model", "fts", *_PK3, "--inputs", "1,x,0"], "--inputs"),
+        (["run", "--model", "fts", *_PK3, "--inputs", "1,0"], "--inputs"),
+        (["run", "--model", "fts", *_PK3], "--inputs"),
+        (["run", "--model", "fts", *_PK3, "--inputs", "1,0,0", "--adversary", "silent:x"],
+         "--adversary"),
+        (["run", "--model", "fts", *_PK3, "--inputs", "1,0,0", "--adversary", "silent:3"],
+         "--adversary"),
+        (["run", "--model", "fts", *_PK3, "--inputs", "1,0,0", "--adversary", "random"],
+         "--adversary"),
+        ([*_FLP3, "--scheduler", "random"], "--scheduler"),
+        ([*_FLP3, "--crash", "1"], "--crash"),
+        ([*_FLP3, "--crash", "a:3"], "--crash"),
+    ],
+    ids=["inputs-not-bits", "inputs-too-few", "no-inputs-or-seed", "silent-not-an-integer",
+         "silent-out-of-range", "adversary-random-without-seed", "scheduler-random-without-seed",
+         "crash-one-field", "crash-not-an-integer"],
+)
+def test_malformed_spec_is_usage_error_naming_its_flag(tmp_path, capsys, args, flag):
+    assert run_cli([*args, "--out", str(tmp_path / "t.jsonl")]) == 64
+    (line,) = capsys.readouterr().err.splitlines()
+    assert flag in line, line
+    assert not (tmp_path / "t.jsonl").exists()
+
+
 @pytest.mark.parametrize("runs, depth", [(0, 4), (-5, 4), (10, 0)])
 def test_check_fuzz_rejects_bad_counts(runs, depth):
     from adversim.checking import check_fuzz

@@ -23,6 +23,7 @@ from adversim.core import (
     RoundStep,
     TraceFormatError,
     UnknownProtocolError,
+    ValidationReport,
     _dumps,
     _step_line,
     check_colorless_outcome,
@@ -105,6 +106,12 @@ def test_colorless_validity_failure():
 
 def test_colorless_empty_outputs_pass():
     assert check_colorless_outcome({0, 1}, set()).ok
+
+
+def test_failed_check_and_invalid_report_are_falsy():
+    # two-field records are truthy tuples; only __bool__ makes a failure read as one
+    assert not check_colorless_outcome({1}, {0}) and check_colorless_outcome({1}, {1})
+    assert not ValidationReport(False, ["bad step"]) and ValidationReport(True, [])
 
 
 # -- trace serialization -----------------------------------------------------

@@ -14,8 +14,8 @@ from conftest import (
     verify_witness,
 )
 
-from adversim import nondecider, protocols
-from adversim.core import AdversimError, initial_configuration, validate_trace
+from adversim import cli, nondecider, protocols
+from adversim.core import AdversimError, _dumps, initial_configuration, validate_trace
 from adversim.nondecider import (
     AgreementViolation,
     AttackRound,
@@ -266,6 +266,38 @@ def test_initial_dependent_matches_brute_force():
     assert brute, "target must have some dependent initial configuration"
     witness = find_initial_dependent(pk, 3)
     assert (witness.config.inputs(), witness.process) in brute
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("b", [0, 1])
+def test_attack_on_a_constant_carries_its_validity_counterexample(b, n, tmp_path, monkeypatch):
+    # The input chain's ends both decide b, so the unanimous 1 - b vector
+    # violates validity; the attack reads both of its probes from the scan's memo.
+    stepped = 0
+
+    def counted_step(*args):
+        nonlocal stepped
+        stepped += 1
+        return step(*args)
+
+    step = nondecider.step_fts
+    monkeypatch.setattr(nondecider, "step_fts", counted_step)
+    target = protocols.Constant(b)
+    with pytest.raises(NoFlipInChain):
+        find_initial_dependent(target, n, memo={})
+    scanned, stepped = stepped, 0
+    with pytest.raises(NoFlipInChain) as caught:
+        build_nondeciding_execution(target, n, 5)
+    assert stepped == scanned  # no round stepped after the scan
+    violation = caught.value.violation
+    assert violation.kind == "validity" and violation.inputs == (1 - b,) * n
+    assert set(violation.outputs.values()) == {b}
+    assert validate_trace(violation.trace).valid
+    monkeypatch.setenv("ADVERSIM_OUTDIR", str(tmp_path))
+    assert cli.main(["attack", "--protocol", f"constant-{b}", "--n", str(n)]) == 1
+    report = (tmp_path / "violation.report.jsonl").read_text()
+    assert report.splitlines() == [_dumps(violation.record())]
+    assert (tmp_path / "violation.trace.jsonl").read_text() == violation.trace.to_jsonl()
 
 
 def test_monotone_chain_adjacency():
