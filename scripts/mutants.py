@@ -1,9 +1,13 @@
 """Mutation check: every listed one-edit break of the code must fail a test.
 
-Each mutant replaces one exact piece of text in one file.  It is applied to
-a fresh temporary copy of this checkout, and pytest runs there with the
-copy's ``src`` first on ``PYTHONPATH``.  A mutant is killed when pytest
-reports a failing test (exit 1), and it survives when every test passes.
+Each mutant replaces one exact piece of text in one file.  The checkout is
+copied once per run, to a temporary directory; each mutant is applied to
+that copy, pytest runs there with the copy's ``src`` first on
+``PYTHONPATH``, and the file gets its original text back afterwards, a
+timeout included.  So every mutant runs against the tree as it was when the
+run began, whatever is edited in the checkout meanwhile.  A mutant is
+killed when pytest reports a failing test (exit 1), and it survives when
+every test passes.
 By default the whole suite runs with ``-x`` and acceptance 5 deselected
 (about 20 s, and it exercises only the checkers, the oracles and
 phase-king-lite); a mutant of those names the tests it needs instead.
@@ -179,6 +183,16 @@ MUTANTS = (
     Mutant("crash-accepts-a-malformed-spec", CLI,
            '    except ValueError:\n        raise UsageError(f"bad --crash',
            '    except TypeError:\n        raise UsageError(f"bad --crash'),
+    # under --restricted, run refuses every fault that silences its sender
+    Mutant("restricted-run-accepts-a-silent-adversary", CLI,
+           "        if restricted:\n"
+           '            raise UsageError(f"--restricted forbids full silence: --adversary {spec}")\n',
+           ""),
+    Mutant("restricted-run-accepts-a-full-silence-script", CLI,
+           "        for i, fault in enumerate(faults if restricted else (), 1):\n"
+           "            if fault == silence(fault.sender, n):\n"
+           '                raise UsageError(f"--restricted forbids full silence: --adversary {spec} '
+           'fault {i}")\n', ""),
     # a failed consensus check and an invalid report are falsy
     Mutant("consensus-check-is-always-truthy", "src/adversim/core.py",
            "    def __bool__(self) -> bool:\n        return self.ok\n", ""),
@@ -229,6 +243,15 @@ MUTANTS = (
            "if d != crashed:  # a crashed process receives nothing", "if True:"),
     Mutant("audit-orders-sends-as-tuples", ASYNC,
            "for m in sorted(overdue, key=_index):", "for m in sorted(overdue):"),
+    # the run loop owns the crash directive: it crashes the process once the
+    # directive's step count is reached, and only while nobody has crashed;
+    # round-robin then skips the crashed process
+    Mutant("run-async-crashes-one-step-late", ASYNC,
+           "state.step_count >= crash[1]", "state.step_count > crash[1]"),
+    Mutant("run-async-ignores-an-earlier-crash", ASYNC,
+           "crash is not None and state.crashed is None and", "crash is not None and"),
+    Mutant("round-robin-steps-the-crashed-process", ASYNC,
+           "if pid == state.crashed:", "if False:"),
     # the exhaustive search checks every child it builds, and rebuilds a
     # violation's path from each configuration's first parent
     Mutant("explorer-checks-only-new-children", CHECK,
@@ -287,23 +310,25 @@ MUTANTS = (
 )
 
 
-def run_mutant(mutant: Mutant) -> str:
-    """Apply ``mutant`` to a temporary copy of the checkout and run its
-    tests there; returns "killed", "survived" or what went wrong."""
-    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
-        copy = Path(tmp) / "checkout"
-        shutil.copytree(ROOT, copy, ignore=IGNORE)
-        target = copy / mutant.path
-        text = target.read_text()
-        if text.count(mutant.old) != 1:
-            return f"old text occurs {text.count(mutant.old)} times in {mutant.path}"
-        target.write_text(text.replace(mutant.old, mutant.new))
-        env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        try:
-            proc = subprocess.run([sys.executable, "-m", "pytest", *mutant.args], cwd=copy,
-                                  env=env, capture_output=True, text=True, timeout=TIMEOUT)
-        except subprocess.TimeoutExpired:
-            return "timeout"
+def run_mutant(mutant: Mutant, copy: Path) -> str:
+    """Apply ``mutant`` to ``copy``, a copy of the checkout, run its tests
+    there, and restore the copy; returns "killed", "survived" or what went
+    wrong."""
+    target = copy / mutant.path
+    text = target.read_text()
+    if text.count(mutant.old) != 1:
+        return f"old text occurs {text.count(mutant.old)} times in {mutant.path}"
+    target.write_text(text.replace(mutant.old, mutant.new))
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pytest", *mutant.args], cwd=copy,
+                              env=env, capture_output=True, text=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    finally:
+        target.write_text(text)
+        # examples saved by one mutant's failures must not steer the next run
+        shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
     return {0: "survived", 1: "killed"}.get(proc.returncode, f"pytest exit {proc.returncode}")
 
 
@@ -315,11 +340,15 @@ def main(names: list[str]) -> int:
         return 2
     chosen = [by_name[name] for name in names] or MUTANTS
     killed = 0
-    for mutant in chosen:
-        start = time.perf_counter()
-        outcome = run_mutant(mutant)
-        killed += outcome == "killed"
-        print(f"{mutant.name:48} {outcome:10} {time.perf_counter() - start:6.1f} s", flush=True)
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = Path(tmp) / "checkout"
+        shutil.copytree(ROOT, copy, ignore=IGNORE)
+        for mutant in chosen:
+            start = time.perf_counter()
+            outcome = run_mutant(mutant, copy)
+            killed += outcome == "killed"
+            print(f"{mutant.name:48} {outcome:10} {time.perf_counter() - start:6.1f} s",
+                  flush=True)
     print(f"{killed} of {len(chosen)} mutants killed")
     return 0 if killed == len(chosen) else 1
 

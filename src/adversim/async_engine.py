@@ -4,9 +4,10 @@ Processes take atomic steps in scheduler-chosen order; a step optionally
 consumes one in-flight message addressed to the stepping process, updates
 state, and sends any number of messages.  At most one process may crash-stop,
 after which it takes no further steps and receives nothing: the crash drops
-its queue, and a later send to it only uses up its index.  Fair schedulers
-keep every live process stepping and deliver every message within a bounded
-window, which a finite-horizon fairness check can audit on any recorded run.
+its queue, and a later send to it only uses up its index.  ``run_async``'s
+``crash`` directive makes the crash, and schedulers only choose steps: fair
+ones keep every live process stepping and deliver every message within a
+bounded window, which a finite-horizon fairness check can audit on any run.
 
 Messages in flight wait in one queue per destination, in send order, so a
 step only ever looks at the stepping process's own queue.  The audit checks
@@ -27,7 +28,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import deque
-from itertools import chain
+from itertools import chain, cycle
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -171,20 +172,14 @@ class RoundRobinScheduler(Scheduler):
     """Cycle the live processes in ascending id order, always delivering the
     oldest message addressed to the stepped process."""
 
-    def __init__(self, n: int, crash: Optional[tuple[Pid, int]] = None):
-        self.n = n
-        self.crash = crash
-        self._pos = 0
+    def __init__(self, n: int):
+        self._ids = cycle(range(n))
 
     def next_event(self, state: AsyncSystemState) -> FlpStep:
-        if self.crash is not None and state.crashed is None and state.step_count >= self.crash[1]:
-            return FlpStep(self.crash[0], crash=True)
-        for _ in range(self.n):
-            pid = self._pos % self.n
-            self._pos += 1
-            if pid != state.crashed:
-                return _deliver_oldest(state, pid)
-        raise ScheduleError("no live process to step")
+        pid = next(self._ids)
+        if pid == state.crashed:  # at most one of n >= 2 crashes, so the next is live
+            pid = next(self._ids)
+        return _deliver_oldest(state, pid)
 
 
 class SeededFairScheduler(Scheduler):
@@ -192,15 +187,12 @@ class SeededFairScheduler(Scheduler):
     (every live process steps at least once every 2n events) and always
     delivers the oldest message addressed to the stepped process."""
 
-    def __init__(self, n: int, seed: int, crash: Optional[tuple[Pid, int]] = None):
+    def __init__(self, n: int, seed: int):
         self.n = n
         self.rng = random.Random(seed)
-        self.crash = crash
         self._batch: list[Pid] = []
 
     def next_event(self, state: AsyncSystemState) -> FlpStep:
-        if self.crash is not None and state.crashed is None and state.step_count >= self.crash[1]:
-            return FlpStep(self.crash[0], crash=True)
         while True:
             if not self._batch:
                 self._batch = state.live()
@@ -249,8 +241,10 @@ def run_async(
     scheduler: Scheduler,
     horizon: int,
     fairness_window: Optional[int] = None,
+    crash: Optional[tuple[Pid, int]] = None,
 ) -> AsyncRunResult:
-    """Drive ``horizon`` scheduler events and record the trace.
+    """Drive ``horizon`` events and record the trace.  ``crash`` = (pid, step)
+    makes event step + 1 crash pid, if none has; the scheduler picks the rest.
 
     With ``fairness_window`` set, audits the run: every live process must
     step, and every message in flight must be delivered, within that many
@@ -270,14 +264,15 @@ def run_async(
     due: deque[tuple[int, int, int]] = deque()  # (due step, first index, end index)
 
     for _ in range(horizon):
-        event = scheduler.next_event(state)
+        crash_now = crash is not None and state.crashed is None and state.step_count >= crash[1]
+        event = FlpStep(crash[0], crash=True) if crash_now else scheduler.next_event(state)
         sent = state.next_index
         state, wrote = step_async(state, protocol, event)
-        pid, deliver, crash, _ = event
+        pid, deliver, crashes, _ = event
         # a fresh record: a replayed step must not carry its recorded outputs
-        steps.append(tuple.__new__(FlpStep, (pid, deliver, crash, wrote)))
+        steps.append(tuple.__new__(FlpStep, (pid, deliver, crashes, wrote)))
         now = state.step_count
-        if not crash:
+        if not crashes:
             last_stepped[pid] = now
         if fairness_window is None:
             continue

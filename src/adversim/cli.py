@@ -116,7 +116,7 @@ def _parse_inputs(args) -> tuple[int, ...]:
 
 
 def _faults(spec: str, model: str, n: int, seed: Optional[int], restricted: bool):
-    """The fault sequence an ``--adversary`` spec names."""
+    """The fault sequence an ``--adversary`` spec names; ``restricted`` refuses full silence."""
     from .sync_engine import random_faults, silence
 
     if spec == "none":
@@ -128,9 +128,15 @@ def _faults(spec: str, model: str, n: int, seed: Optional[int], restricted: bool
             raise UsageError(f"bad --adversary spec {spec!r}") from None
         if not 0 <= p < n:
             raise UsageError(f"--adversary {spec}: process {p} out of range")
+        if restricted:
+            raise UsageError(f"--restricted forbids full silence: --adversary {spec}")
         return itertools.repeat(silence(p, n, model))
     if spec.startswith("script:"):
-        return [step.fault for step in read_step_script(spec.split(":", 1)[1], model)]
+        faults = [step.fault for step in read_step_script(spec.split(":", 1)[1], model)]
+        for i, fault in enumerate(faults if restricted else (), 1):
+            if fault == silence(fault.sender, n):
+                raise UsageError(f"--restricted forbids full silence: --adversary {spec} fault {i}")
+        return faults
     if spec == "random":
         if seed is None:
             raise UsageError("--adversary random requires --seed")
@@ -190,8 +196,8 @@ def _parse_crash(spec: Optional[str], n: int):
 
 
 def _run_async(args, protocol, inputs, **kwargs):
-    """Run the command's scheduler; an event a scheduler script cannot play
-    is an error in that script, not in the engine."""
+    """Run the command's scheduler and crash directive; an event a scheduler
+    script cannot play is an error in that script, not in the engine."""
     from .async_engine import (
         RoundRobinScheduler,
         ScheduleError,
@@ -202,28 +208,26 @@ def _run_async(args, protocol, inputs, **kwargs):
 
     spec, n = args.scheduler, args.n
     crash = _parse_crash(args.crash, n)
+    if spec.startswith("script:"):
+        if crash is not None:
+            # a script crashes a process through its own "crash" events
+            raise UsageError("--crash does not apply to --scheduler script:PATH")
+        scheduler = ScriptedScheduler(read_step_script(spec.split(":", 1)[1], "flp"))
+        try:
+            return run_async(inputs, protocol, scheduler, args.horizon, **kwargs)
+        except ScheduleError as exc:
+            raise TraceFormatError(f"{spec}: {exc}") from None
     if spec == "round-robin":
-        scheduler = RoundRobinScheduler(n, crash=crash)
+        scheduler = RoundRobinScheduler(n)
     elif spec == "random":
         if args.seed is None:
             raise UsageError("--scheduler random requires --seed")
         from .checking import stream_seed
 
-        seed = stream_seed(args.seed, "scheduler")
-        scheduler = SeededFairScheduler(n, seed, crash=crash)
-    elif spec.startswith("script:"):
-        if crash is not None:
-            # a script crashes a process through its own "crash" events
-            raise UsageError("--crash does not apply to --scheduler script:PATH")
-        scheduler = ScriptedScheduler(read_step_script(spec.split(":", 1)[1], "flp"))
+        scheduler = SeededFairScheduler(n, stream_seed(args.seed, "scheduler"))
     else:
         raise UsageError(f"unknown --scheduler spec {spec!r}")
-    try:
-        return run_async(inputs, protocol, scheduler, args.horizon, **kwargs)
-    except ScheduleError as exc:
-        if isinstance(scheduler, ScriptedScheduler):
-            raise TraceFormatError(f"{spec}: {exc}") from None
-        raise
+    return run_async(inputs, protocol, scheduler, args.horizon, crash=crash, **kwargs)
 
 
 def _protocol(protocol_id: str, n: int, stack: Optional[str] = None):

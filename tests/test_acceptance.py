@@ -297,9 +297,9 @@ def test_acceptance_8_synchronizer_faithfulness():
         if rng.random() < 0.5:
             crash = (rng.randrange(n), rng.randrange(350))
         proto = SynchronizerWrapper(base, n)
-        sched = SeededFairScheduler(n, checking.stream_seed(8_800, "seed", i), crash=crash)
+        sched = SeededFairScheduler(n, checking.stream_seed(8_800, "seed", i))
         inputs = tuple(rng.randrange(2) for _ in range(n))
-        result = run_async(inputs, proto, sched, horizon=horizon)
+        result = run_async(inputs, proto, sched, horizon=horizon, crash=crash)
         final = result.final_state
         proj = project_synchronized_run(
             [s.internal for s in final.states], final.crashed, base, inputs

@@ -133,8 +133,9 @@ def test_starving_scheduler_flagged():
 
 def test_messages_to_crashed_process_exempt_from_fairness():
     proto = _sync()
-    sched = RoundRobinScheduler(3, crash=(2, 9))
-    result = run_async((1, 0, 0), proto, sched, horizon=300, fairness_window=15)
+    result = run_async(
+        (1, 0, 0), proto, RoundRobinScheduler(3), horizon=300, fairness_window=15, crash=(2, 9)
+    )
     assert result.final_state.crashed == 2
     assert result.fairness.ok, result.fairness.violations
 
@@ -164,8 +165,7 @@ def test_crashed_trace_validates_and_single_crash_enforced():
     from adversim.core import validate_trace
 
     proto = _sync()
-    sched = RoundRobinScheduler(3, crash=(1, 20))
-    result = run_async((1, 0, 0), proto, sched, horizon=150)
+    result = run_async((1, 0, 0), proto, RoundRobinScheduler(3), horizon=150, crash=(1, 20))
     report = validate_trace(result.trace)
     assert report.valid, report.problems
     crashes = [s for s in result.trace.steps if s.crash]
@@ -291,10 +291,10 @@ CRASHED_RUN_VIOLATIONS = {
 @pytest.mark.parametrize("name", sorted(CRASHED_RUN_VIOLATIONS))
 def test_crashed_run_fairness_violations_in_send_order(name):
     if name == "synchronizer":
-        args = ((1, 0, 0), _sync(), RoundRobinScheduler(3, crash=(2, 9)), 80)
+        args, crash = ((1, 0, 0), _sync(), RoundRobinScheduler(3), 80), (2, 9)
     else:
-        args = ((1, 0, 0, 1), Relay(4), RoundRobinScheduler(4, crash=(3, 7)), 24)
-    result = run_async(*args, fairness_window=5)
+        args, crash = ((1, 0, 0, 1), Relay(4), RoundRobinScheduler(4), 24), (3, 7)
+    result = run_async(*args, fairness_window=5, crash=crash)
     assert result.fairness.violations == CRASHED_RUN_VIOLATIONS[name]
 
 
@@ -389,19 +389,30 @@ def rescanning_audit(inputs, protocol, scheduler, horizon, window):
     return tuple(steps), violations
 
 
-class StarvingChooser(Scheduler):
-    """Never steps process ``starved``; steps a seeded choice of the others,
-    delivering any message addressed to it (not only the oldest) or none,
-    and crashes ``crash[0]`` once ``crash[1]`` events have run."""
+class CrashingScheduler(Scheduler):
+    """``scheduler`` that reads a crash directive itself, as the schedulers
+    did before ``run_async`` took it: once ``crash[1]`` events have run and
+    nobody has crashed, crash ``crash[0]`` without asking ``scheduler``."""
 
-    def __init__(self, seed, starved, crash=None):
-        self.rng = random.Random(seed)
-        self.starved = starved
+    def __init__(self, scheduler, crash):
+        self.scheduler = scheduler
         self.crash = crash
 
     def next_event(self, state):
         if self.crash is not None and state.crashed is None and state.step_count >= self.crash[1]:
             return FlpStep(self.crash[0], crash=True)
+        return self.scheduler.next_event(state)
+
+
+class StarvingChooser(Scheduler):
+    """Never steps process ``starved``; steps a seeded choice of the others,
+    delivering any message addressed to it (not only the oldest) or none."""
+
+    def __init__(self, seed, starved):
+        self.rng = random.Random(seed)
+        self.starved = starved
+
+    def next_event(self, state):
         pid = self.rng.choice([q for q in state.live() if q != self.starved])
         queue = state.queues[pid]
         if not queue or self.rng.random() < 0.2:
@@ -429,17 +440,46 @@ def test_due_step_audit_matches_rescanning_audit(
 
     def scheduler():
         if kind == "round-robin":
-            return RoundRobinScheduler(n, crash=crash)
+            return RoundRobinScheduler(n)
         if kind == "seeded":
-            return SeededFairScheduler(n, seed, crash=crash)
-        return StarvingChooser(seed, seed % n, crash=crash)
+            return SeededFairScheduler(n, seed)
+        return StarvingChooser(seed, seed % n)
 
-    steps, violations = rescanning_audit(inputs, proto, scheduler(), horizon, window)
-    # the scripted kind replays the chooser's events, non-head deliveries included
-    replay = ScriptedScheduler(steps) if kind == "scripted" else scheduler()
-    result = run_async(inputs, proto, replay, horizon, fairness_window=window)
+    reference = CrashingScheduler(scheduler(), crash)
+    steps, violations = rescanning_audit(inputs, proto, reference, horizon, window)
+    if kind == "scripted":  # replays the chooser's events, its crash and non-head deliveries
+        result = run_async(inputs, proto, ScriptedScheduler(steps), horizon, fairness_window=window)
+    else:
+        result = run_async(inputs, proto, scheduler(), horizon, fairness_window=window, crash=crash)
     assert result.trace.steps == steps
     assert result.fairness.violations == violations
+
+
+# -- run_async's crash directive replays the crash the schedulers once injected --
+
+
+@pytest.mark.parametrize("at", [0, 1, 37, 119, 120, 500])
+@pytest.mark.parametrize("kind", ["round-robin", "seeded"])
+def test_run_async_crash_matches_scheduler_injected_crash(kind, at):
+    horizon = 120
+    for seed in range(6):
+        n = 3 + seed % 3
+        inputs = tuple(random.Random(seed).randrange(2) for _ in range(n))
+
+        def scheduler():
+            return RoundRobinScheduler(n) if kind == "round-robin" else SeededFairScheduler(n, seed)
+
+        def protocol():
+            return Relay(n) if seed % 2 else _sync(n)
+
+        crash = (seed % n, at)
+        old = run_async(inputs, protocol(), CrashingScheduler(scheduler(), crash), horizon,
+                        fairness_window=6)
+        new = run_async(inputs, protocol(), scheduler(), horizon, fairness_window=6, crash=crash)
+        assert new.trace == old.trace
+        assert new.final_state == old.final_state
+        assert new.fairness == old.fairness
+        assert new.final_state.crashed == (crash[0] if at < horizon else None)
 
 
 # -- the crash rule: every queued message is one a live process can receive -----
@@ -474,7 +514,7 @@ def test_crash_empties_its_queue_and_later_sends_use_their_index(n, relay, crash
     proto = CountingSends(Relay(n) if relay else _sync(n), n)
     inputs = tuple(random.Random(seed).randrange(2) for _ in range(n))
     crashed = crash[0] % n
-    scheduler = StarvingChooser(seed, None, crash=(crashed, crash[1]))
+    scheduler = CrashingScheduler(StarvingChooser(seed, None), (crashed, crash[1]))
     state = initial_async_state(proto, inputs)
     for _ in range(horizon):
         state, _ = step_async(state, proto, scheduler.next_event(state))

@@ -388,8 +388,10 @@ def test_validate_tampered_flp_trace_exit_five(tmp_path, capsys, tamper):
         ("fts", {"victims": [0, 7]}, "replay failed: fault victims [7] out of range for n=3"),
         ("ftr", {"dropped": {"2": 2}}, "replay failed: process 2 cannot drop its own message"),
         ("fts", {"sender": 3}, "replay failed: fault sender 3 out of range for n=3"),
+        ("ftr", {"dropped": {"1": 5}}, "replay failed: drop (1,5) out of range for n=3"),
     ],
-    ids=["fts-victim-out-of-range", "ftr-self-drop", "fts-sender-equals-n"],
+    ids=["fts-victim-out-of-range", "ftr-self-drop", "fts-sender-equals-n",
+         "ftr-drop-out-of-range"],
 )
 def test_validate_tampered_round_trace_exit_five(tmp_path, capsys, model, tamper, problem):
     out = _recorded_trace(tmp_path, model)
@@ -399,6 +401,21 @@ def test_validate_tampered_round_trace_exit_five(tmp_path, capsys, model, tamper
     capsys.readouterr()
     assert run_cli(["validate", str(out)]) == 5
     assert capsys.readouterr().err == f"validate: {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "model, protocol", [("fts", "ftr-over-flp:phase-king-lite"), ("flp", "phase-king-lite")]
+)
+def test_validate_protocol_on_the_wrong_model_exit_five(tmp_path, capsys, model, protocol):
+    out = _recorded_trace(tmp_path, model)
+    header, *steps = read_jsonl(out)
+    header["protocol"] = protocol
+    out.write_text("".join(json.dumps(record) + "\n" for record in [header, *steps]))
+    capsys.readouterr()
+    assert run_cli(["validate", str(out)]) == 5
+    assert capsys.readouterr().err == (
+        f"validate: protocol {protocol!r} does not run on the {model} model\n"
+    )
 
 
 def test_validate_renumbered_rounds_exit_five(tmp_path, capsys):
@@ -926,6 +943,46 @@ def test_restricted_outside_fts_is_usage_error(tmp_path, args):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and "--restricted" in lines[0], proc.stderr
     assert not (tmp_path / "t.jsonl").exists()
+
+
+_RESTRICTED_RUN = ["run", "--model", "fts", *_PK3, "--inputs", "0,1,1", "--horizon", "4",
+                   "--out", "t.jsonl"]
+
+
+def _fault_script(path, faults):
+    path.write_text("".join(
+        json.dumps({"round": r, "sender": s, "victims": v, "outputs": {}}) + "\n"
+        for r, (s, v) in enumerate(faults, 1)
+    ))
+
+
+@pytest.mark.parametrize(
+    "adversary, line",
+    [
+        ("silent:0", "--restricted forbids full silence: --adversary silent:0"),
+        ("script:adv.jsonl",
+         "--restricted forbids full silence: --adversary script:adv.jsonl fault 2"),
+    ],
+    ids=["silent", "script"],
+)
+def test_restricted_run_refuses_full_silence(tmp_path, adversary, line):
+    _fault_script(tmp_path / "adv.jsonl", [(0, [1]), (2, [0, 1]), (1, [0, 2])])
+    args = [*_RESTRICTED_RUN, "--adversary", adversary]
+    proc = _assert_fails_closed([*args, "--restricted"], tmp_path, 64)
+    assert proc.stderr == f"adversim: {line}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adv.jsonl"]
+    assert run_adversim(args, tmp_path).returncode == 0  # the model without --restricted runs it
+
+
+@pytest.mark.parametrize(
+    "adversary", [["random", "--seed", "1"], ["script:adv.jsonl"]], ids=["random", "script"]
+)
+def test_restricted_run_keeps_in_model_faults(tmp_path, adversary):
+    _fault_script(tmp_path / "adv.jsonl", [(0, [1]), (2, [0]), (1, [])])
+    proc = run_adversim([*_RESTRICTED_RUN, "--adversary", *adversary, "--restricted"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    steps = read_jsonl(tmp_path / "t.jsonl")[1:]
+    assert len(steps) == 4 and all(len(s["victims"]) < 2 for s in steps)
 
 
 _SYNC3 = ["--protocol", "ftr-over-flp:phase-king-lite", "--n", "3"]

@@ -145,6 +145,19 @@ def test_engine_trace_validates():
     assert report.valid, report.problems
 
 
+def test_output_map_holds_each_process_first_output():
+    pk = PhaseKingLite(4)
+    result = run(initial_configuration(pk, (1, 0, 1, 1)), pk, "fts", (), horizon=12)
+    trace = result.trace
+    written = [w for step in trace.steps for w in step.outputs]
+    assert sorted(q for q, _ in written) == [0, 1, 2, 3]  # each process writes once
+    assert trace.output_map() == dict(written) == result.final_config.outputs()
+    # a later step writing the other value leaves each process's first output
+    rewrite = tuple((q, 1 - v) for q, v in written)
+    last = trace.steps[-1]._replace(outputs=rewrite)
+    assert trace._replace(steps=(*trace.steps, last)).output_map() == dict(written)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     inputs=st.lists(st.integers(0, 1), min_size=3, max_size=5),

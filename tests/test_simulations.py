@@ -606,8 +606,8 @@ def test_projection_no_crash_validates():
 def test_projection_with_crash_validates():
     base = PhaseKingLite(4)
     proto = SynchronizerWrapper(base, 4)
-    sched = SeededFairScheduler(4, 3, crash=(1, 33))
-    result = run_async((1, 0, 1, 0), proto, sched, horizon=600)
+    sched = SeededFairScheduler(4, 3)
+    result = run_async((1, 0, 1, 0), proto, sched, horizon=600, crash=(1, 33))
     final = result.final_state
     assert final.crashed == 1
     proj = project_synchronized_run(
