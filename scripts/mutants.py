@@ -189,10 +189,13 @@ MUTANTS = (
            '            raise UsageError(f"--restricted forbids full silence: --adversary {spec}")\n',
            ""),
     Mutant("restricted-run-accepts-a-full-silence-script", CLI,
-           "        for i, fault in enumerate(faults if restricted else (), 1):\n"
            "            if fault == silence(fault.sender, n):\n"
            '                raise UsageError(f"--restricted forbids full silence: --adversary {spec} '
            'fault {i}")\n', ""),
+    # a script fault out of range is a trace error before --restricted classifies it
+    Mutant("restricted-script-skips-range-check", CLI,
+           "            fault.validate(n)  # an out-of-range fault is a trace error, restricted or not\n",
+           ""),
     # a failed consensus check and an invalid report are falsy
     Mutant("consensus-check-is-always-truthy", "src/adversim/core.py",
            "    def __bool__(self) -> bool:\n        return self.ok\n", ""),
@@ -263,15 +266,19 @@ MUTANTS = (
     Mutant("explorer-keeps-last-parent", CHECK,
            "found.setdefault(child, (config, fault))", "found[child] = (config, fault)"),
     # the attack: the chain scan checks c_j's silent decision before it
-    # returns c_j, the extension tries full silence before the chain, a memo
-    # hit still counts against the cap, and the lasso keys on the pivot
+    # returns c_j, the extension walks on past full silence, its chain is
+    # headed by the witness's own configuration, a memo hit still counts
+    # against the cap, and the lasso keys on the pivot
     Mutant("chain-scan-skips-silent-check", ATTACK, "    if sil != ff:\n", "    if True:\n"),
     Mutant("extension-tries-only-full-silence", ATTACK,
-           "if ff != witness.silent_decision:", "if True:"),
+           "(config,), [p, *others], witness.silent_decision",
+           "(config,), [p], witness.silent_decision"),
+    Mutant("extension-chain-loses-its-head", ATTACK,
+           "head, differing, first = (config,),", "head, differing, first = (),"),
     Mutant("memo-hit-ignores-cap", ATTACK, "        if rounds > cap:\n", "        if False:\n"),
     Mutant("lasso-key-drops-pivot", ATTACK,
-           "(config_key(witness.config, protocol), witness.process, witness.ff_decision,",
-           "(config_key(witness.config, protocol), witness.ff_decision,"),
+           "return (config_key(witness.config, protocol), witness.process)",
+           "return (config_key(witness.config, protocol),)"),
     # with no flip on the input chain, the attack's validity counterexample
     # runs the unanimous 1 - b vector and reads both probes from the memo
     Mutant("counterexample-from-the-b-vector", ATTACK,

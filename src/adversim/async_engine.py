@@ -187,8 +187,7 @@ class SeededFairScheduler(Scheduler):
     (every live process steps at least once every 2n events) and always
     delivers the oldest message addressed to the stepped process."""
 
-    def __init__(self, n: int, seed: int):
-        self.n = n
+    def __init__(self, seed: int):
         self.rng = random.Random(seed)
         self._batch: list[Pid] = []
 

@@ -134,6 +134,7 @@ def _faults(spec: str, model: str, n: int, seed: Optional[int], restricted: bool
     if spec.startswith("script:"):
         faults = [step.fault for step in read_step_script(spec.split(":", 1)[1], model)]
         for i, fault in enumerate(faults if restricted else (), 1):
+            fault.validate(n)  # an out-of-range fault is a trace error, restricted or not
             if fault == silence(fault.sender, n):
                 raise UsageError(f"--restricted forbids full silence: --adversary {spec} fault {i}")
         return faults
@@ -224,7 +225,7 @@ def _run_async(args, protocol, inputs, **kwargs):
             raise UsageError("--scheduler random requires --seed")
         from .checking import stream_seed
 
-        scheduler = SeededFairScheduler(n, stream_seed(args.seed, "scheduler"))
+        scheduler = SeededFairScheduler(stream_seed(args.seed, "scheduler"))
     else:
         raise UsageError(f"unknown --scheduler spec {spec!r}")
     return run_async(inputs, protocol, scheduler, args.horizon, crash=crash, **kwargs)

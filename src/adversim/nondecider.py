@@ -8,10 +8,11 @@ ever writes an output.
 The machinery: two decision oracles (the failure-free decision and the
 p-silent decision from a configuration), a dependence test (the two oracles
 disagree), a flip scan over chains of adjacent configurations, and an attack
-loop that keeps every reached configuration dependent.  Each extension round
-either silences the pivot process completely or walks the progressive
-delivery chain of its payload until the dependence flips hands; the chain's
-entries are ``step_fts`` children sharing one expansion table.
+loop that keeps every reached configuration dependent.  Both lemmas are one
+scan each: the initial configuration is found on the input chain, and each
+extension round on the fan-out chain of the pivot's payload, from the pivot
+silenced outright to the pivot heard by everyone, whose entries are
+``step_fts`` children sharing one expansion table.
 """
 
 from __future__ import annotations
@@ -123,23 +124,24 @@ def _probe(
 ) -> DecisionOracleResult:
     """Run the same fault every round until all processes have output.
 
-    With a memo, every configuration the probe passes through is recorded
-    with the decision and the rounds still needed from it, since the rest of
-    this probe is its own probe.  A later probe that reaches a recorded
-    configuration after k rounds needs k + rounds_left in all and exceeds
-    the cap exactly when stepping on would.  Only probes that end in
+    Every configuration the probe passes through is recorded, in the memo
+    or in a table of its own, with the decision and the rounds still needed
+    from it, since the rest of this probe is its own probe.  A probe reads
+    only entries earlier probes wrote.  A later probe that reaches a
+    recorded configuration after k rounds needs k + rounds_left in all and
+    exceeds the cap exactly when stepping on would.  Only probes that end in
     agreement are recorded, so a disagreeing path is always stepped in full.
     Entries are keyed on ``config_key``, so a probe also stops where one
     passed a period or more earlier."""
     if cap < 1:
         raise AdversimError("oracle cap must be >= 1")
-    table = None if memo is None else memo.setdefault((protocol, fault), {})
+    table = {} if memo is None else memo.setdefault((protocol, fault), {})
     path: list[tuple] = []
     current = config
     hit = None
     while not current.all_decided():
         key = config_key(current, protocol)
-        if table is not None and (hit := table.get(key)) is not None:
+        if (hit := table.get(key)) is not None:
             break
         if len(path) >= cap:
             raise OracleCapExceeded(kind, cap)
@@ -157,9 +159,8 @@ def _probe(
             probe = run(config, protocol, "fts", itertools.repeat(fault), len(path))
             raise AgreementViolation(outputs, probe.trace, fault, config)
         decision, rounds = values.pop(), len(path)
-    if table is not None:
-        for i, c in enumerate(path):
-            table[c] = (decision, rounds - i)
+    for i, c in enumerate(path):
+        table[c] = (decision, rounds - i)
     return DecisionOracleResult(decision=decision, rounds_used=rounds)
 
 
@@ -201,7 +202,7 @@ def find_dependent_in_chain(
     cap: int,
     *,
     memo: Optional[OracleMemo] = None,
-    first_ff: Optional[int] = None,
+    first: Optional[int] = None,
 ) -> tuple[int, DependenceWitness]:
     """Locate a dependent configuration on a chain c_0, c_1, ... whose
     failure-free decisions flip somewhere; c_{i-1} and c_i differ exactly in
@@ -209,8 +210,8 @@ def find_dependent_in_chain(
 
     Draws and probes one configuration at a time and stops at the first
     adjacent pair (c_{j-1}, c_j) with differing failure-free decisions, so a
-    lazy chain is built no further than c_j.  A caller that has already
-    probed c_0 passes its failure-free decision as ``first_ff``.  If the
+    lazy chain is built no further than c_j.  ``first`` is the decision c_0
+    stands for, when the caller knows it; c_0 is then not probed.  If the
     silent decision of the differing process at c_j disagrees with c_j's
     failure-free decision, c_j is dependent.  Otherwise c_{j-1} is:
     silencing the differing process erases the only state distinction
@@ -220,7 +221,7 @@ def find_dependent_in_chain(
     """
     configs = iter(configs)
     prev = next(configs)
-    prev_ff = first_ff
+    prev_ff = first
     if prev_ff is None:
         prev_ff = failure_free_decision(prev, protocol, cap, memo=memo).decision
     # differing first, so zip draws no configuration past the chain's end
@@ -285,21 +286,23 @@ def extend_dependent(
     """One attack round: from a p-dependent configuration, pick a fault whose
     successor is again dependent for some process.
 
-    Let b be the p-silent decision from here.  Silencing p completely gives
-    c_1; if its failure-free decision is not b, c_1 is itself p-dependent
-    (its p-silent continuation is a suffix of this one's, so it still
-    decides b).  Otherwise walk the chain c_1..c_n in which p's payload is
-    delivered to one more process each time, in ascending id order: the
-    failure-free decisions at the ends are b and (not b), and consecutive
-    entries differ only in whether one process heard p, so the chain scan
-    lands on a dependent successor and the generating fault is returned.
-    The whole chain comes from one fan-out round, stepped lazily, so no
-    entry past the first flip is built or probed, and c_1 is probed once:
-    the scan takes its failure-free decision from the full-silence test.
+    Let b be the p-silent decision from here.  One chain scan walks from p
+    silenced outright (c_1) to p heard by everyone (c_n), p's payload
+    reaching one more process each time, in ascending id order, and the
+    chain is headed by this configuration, standing for b.  c_1 is the first
+    round of the p-silent continuation from here, so its p-silent decision
+    is b; c_n is the first round of the failure-free one, so its
+    failure-free decision is not b.  So b, ff(c_1), ..., ff(c_n) flip
+    somewhere.  A flip at c_1 is the scan's own test with p as the
+    differing process: ff(c_1) differs from b, c_1's p-silent decision.
+    Later entries differ only in whether one process heard p, so the scan
+    lands on a dependent successor either way, and the generating fault is
+    returned.  The whole chain comes from one fan-out round, stepped
+    lazily, so no entry past the first flip is built or probed.
 
     With ``restricted`` set, full-silence faults are forbidden: the chain
-    starts at c_2 and is one configuration short, so the scan may find no
-    flip; that outcome is reported as ChainExhausted.
+    is c_2..c_n, headless and one configuration short, so the scan may find
+    no flip; that outcome is reported as ChainExhausted.
     """
     config, p = witness.config, witness.process
     n = config.n
@@ -307,25 +310,19 @@ def extend_dependent(
     others = [q for q in range(n) if q != p]
     faults = _fan_out(p, n, restricted)
     table: ExpansionTable = {}  # the chain's entries share one expansion
-    chain = (step_fts(config, protocol, f, table) for f in faults)
-    ff = None
-    if not restricted:
-        c1 = next(chain)
-        ff = failure_free_decision(c1, protocol, cap, memo=memo).decision
-        if ff != witness.silent_decision:
-            w = _witness(c1, p, ff, silent_decision(c1, p, protocol, cap, memo=memo).decision)
-            if w is None:
-                raise InvariantViolation("full-silence successor failed re-verification")
-            return AttackRound(fault=faults[0], witness=w)
-        chain = itertools.chain((c1,), chain)
+    entries = (step_fts(config, protocol, f, table) for f in faults)
+    if restricted:
+        head, differing, first = (), others[1:], None
+    else:
+        head, differing, first = (config,), [p, *others], witness.silent_decision
     try:
-        k, w = find_dependent_in_chain(chain, others[1:] if restricted else others, protocol,
-                                       cap, memo=memo, first_ff=ff)
+        k, w = find_dependent_in_chain(itertools.chain(head, entries), differing, protocol, cap,
+                                       memo=memo, first=first)
     except NoFlipInChain:
         if restricted:
             raise ChainExhausted() from None
         raise InvariantViolation("progressive delivery chain endpoints failed to flip") from None
-    return AttackRound(fault=faults[k], witness=w)
+    return AttackRound(fault=faults[k - len(head)], witness=w)
 
 
 def _fan_out(p: Pid, n: int, restricted: bool) -> list[RoundFault]:
@@ -368,11 +365,13 @@ def build_nondeciding_execution(
     a configuration an earlier probe passed through under the same fault
     stops there.
 
-    An extension depends only on the witness's pivot, decisions and
-    ``config_key``: its probes, its chain and every error it can raise.  So
-    once a witness repeats one recorded ``loop`` rounds earlier, every later
-    round copies the fault and witness of the round ``loop`` before it, with
-    the round advanced, and makes no probe.  Without a period no key repeats.
+    An extension depends only on the witness's ``config_key`` and pivot:
+    its probes, its chain, every error it can raise, and the witness's two
+    decisions too, since probes are deterministic and equal keys have equal
+    futures.  So once a witness repeats one recorded ``loop`` rounds
+    earlier, every later round copies the fault and witness of the round
+    ``loop`` before it, with the round advanced, and makes no probe.
+    Without a period no key repeats.
 
     With ``restricted`` set, a disagreeing probe that silences a process
     completely raises ``OutOfModelProbe`` instead of ``AgreementViolation``.
@@ -444,8 +443,7 @@ def _build(protocol: RoundProtocol, n: int, rounds: int, cap: int, restricted: b
 
 
 def _lasso_key(witness: DependenceWitness, protocol: RoundProtocol) -> tuple:
-    return (config_key(witness.config, protocol), witness.process, witness.ff_decision,
-            witness.silent_decision)
+    return (config_key(witness.config, protocol), witness.process)
 
 
 def report_records(result: AttackResult) -> list[dict]:

@@ -108,8 +108,6 @@ class Constant(RoundProtocol):
     """Outputs a fixed value at round 1 no matter what arrives."""
 
     def __init__(self, b: int):
-        if b not in (0, 1):
-            raise ValueError("constant value must be 0 or 1")
         self.b = b
         self.protocol_id = f"constant-{b}"
 

@@ -297,7 +297,7 @@ def test_acceptance_8_synchronizer_faithfulness():
         if rng.random() < 0.5:
             crash = (rng.randrange(n), rng.randrange(350))
         proto = SynchronizerWrapper(base, n)
-        sched = SeededFairScheduler(n, checking.stream_seed(8_800, "seed", i))
+        sched = SeededFairScheduler(checking.stream_seed(8_800, "seed", i))
         inputs = tuple(rng.randrange(2) for _ in range(n))
         result = run_async(inputs, proto, sched, horizon=horizon, crash=crash)
         final = result.final_state

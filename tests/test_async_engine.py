@@ -18,7 +18,7 @@ from adversim.async_engine import (
     run_async,
     step_async,
 )
-from adversim.core import AdversimError, AsyncProtocol, FlpStep, LocalState
+from adversim.core import AdversimError, AsyncProtocol, EngineError, FlpStep, LocalState
 from adversim.protocols import PhaseKingLite
 from adversim.simulations import SynchronizerWrapper
 
@@ -86,6 +86,40 @@ def test_delivery_validation():
         step_async(state, proto, FlpStep(pid=wrong, deliver=msg.index))
 
 
+class Misbehaving(AsyncProtocol):
+    """Process 0 steps quietly; any other process's step returns ``act(pid)``
+    as its sends, or raises what ``act`` raises."""
+
+    protocol_id = "misbehaving"
+
+    def __init__(self, act):
+        self.act = act
+
+    def init(self, pid, input_bit):
+        return pid
+
+    def step(self, internal, incoming):
+        return internal, [] if internal == 0 else self.act(internal), None
+
+
+@pytest.mark.parametrize(
+    "act, problem",
+    [
+        (lambda pid: 1 // 0, "step() failed: integer division or modulo by zero"),
+        (lambda pid: [(pid, b"x")], "a process never sends to itself"),
+        (lambda pid: [(3, b"x")], "send destination 3 out of range"),
+    ],
+    ids=["step-raises", "self-send", "destination-out-of-range"],
+)
+def test_protocol_faults_are_engine_errors_with_round_and_pid(act, problem):
+    proto = Misbehaving(act)
+    state, _ = step_async(initial_async_state(proto, (1, 0, 0)), proto, FlpStep(pid=0))
+    with pytest.raises(EngineError) as info:
+        step_async(state, proto, FlpStep(pid=1))
+    assert (info.value.round, info.value.pid) == (1, 1)
+    assert str(info.value) == f"round 1, process 1: {problem}"
+
+
 def test_message_conservation():
     proto = _sync()
     result = run_async((1, 0, 0), proto, RoundRobinScheduler(3), horizon=200)
@@ -99,7 +133,7 @@ def test_message_conservation():
 
 def test_deliver_then_step_replay_equality():
     proto = _sync()
-    sched = SeededFairScheduler(3, 5)
+    sched = SeededFairScheduler(5)
     first = run_async((1, 0, 0), proto, sched, horizon=150)
     second = run_async((1, 0, 0), proto, ScriptedScheduler(first.trace.steps), horizon=150)
     assert second.trace == first.trace
@@ -142,15 +176,15 @@ def test_messages_to_crashed_process_exempt_from_fairness():
 
 def test_same_seed_identical_traces_long_horizon():
     proto = _sync()
-    a = run_async((1, 0, 0), proto, SeededFairScheduler(3, 77), horizon=2000)
-    b = run_async((1, 0, 0), proto, SeededFairScheduler(3, 77), horizon=2000)
+    a = run_async((1, 0, 0), proto, SeededFairScheduler(77), horizon=2000)
+    b = run_async((1, 0, 0), proto, SeededFairScheduler(77), horizon=2000)
     assert a.trace.to_jsonl() == b.trace.to_jsonl()
 
 
 def test_different_seed_differs():
     proto = _sync()
-    a = run_async((1, 0, 0), proto, SeededFairScheduler(3, 1), horizon=200)
-    b = run_async((1, 0, 0), proto, SeededFairScheduler(3, 2), horizon=200)
+    a = run_async((1, 0, 0), proto, SeededFairScheduler(1), horizon=200)
+    b = run_async((1, 0, 0), proto, SeededFairScheduler(2), horizon=200)
     assert a.trace != b.trace
 
 
@@ -442,7 +476,7 @@ def test_due_step_audit_matches_rescanning_audit(
         if kind == "round-robin":
             return RoundRobinScheduler(n)
         if kind == "seeded":
-            return SeededFairScheduler(n, seed)
+            return SeededFairScheduler(seed)
         return StarvingChooser(seed, seed % n)
 
     reference = CrashingScheduler(scheduler(), crash)
@@ -467,7 +501,7 @@ def test_run_async_crash_matches_scheduler_injected_crash(kind, at):
         inputs = tuple(random.Random(seed).randrange(2) for _ in range(n))
 
         def scheduler():
-            return RoundRobinScheduler(n) if kind == "round-robin" else SeededFairScheduler(n, seed)
+            return RoundRobinScheduler(n) if kind == "round-robin" else SeededFairScheduler(seed)
 
         def protocol():
             return Relay(n) if seed % 2 else _sync(n)

@@ -685,6 +685,32 @@ def test_validate_mistyped_field_exit_five(tmp_path, model, line, key, value):
 
 
 @pytest.mark.parametrize(
+    "model, line, tamper, problem",
+    [
+        ("fts", None, None, "empty trace file"),
+        ("fts", 0, lambda record: record.pop("n"), "header missing 'n'"),
+        ("fts", 1, lambda record: record.update(outputs=[]), "line 2: outputs must be an object"),
+        ("fts", 1, lambda record: record.update(outputs={"x": 1}), "line 2: bad output pid 'x'"),
+        ("ftr", 1, lambda record: record.update(dropped={"x": 1}), "line 2: bad dropped map"),
+        ("flp", 1, lambda record: record.pop("event"), "line 2: flp step must have event='step'"),
+    ],
+    ids=["empty", "header-without-n", "outputs-list", "output-pid", "dropped-pid", "no-event"],
+)
+def test_validate_malformed_trace_exit_five(tmp_path, model, line, tamper, problem):
+    trace = _recorded_trace(tmp_path, model)
+    lines = trace.read_text().splitlines()
+    if tamper is None:
+        lines = []
+    else:
+        record = json.loads(lines[line])
+        tamper(record)
+        lines[line] = json.dumps(record)
+    trace.write_text("".join(f"{text}\n" for text in lines))
+    proc = _assert_fails_closed(["validate", str(trace)], tmp_path, 5)
+    assert proc.stderr == f"adversim: {problem}\n"
+
+
+@pytest.mark.parametrize(
     "model, script_line",
     [
         ("fts", "[1]"),
@@ -758,8 +784,9 @@ def test_validate_trace_at_unsupported_size_exit_five(tmp_path):
          "--inputs", "1,0"],
         ["simulate", "--stack", "fts-over-ftr", "--protocol", "constant-0", "--n", "2",
          "--inputs", "1,0"],
+        ["simulate", "--stack", "ftr-over-flp", "--protocol", "constant-0", "--n", "2"],
     ],
-    ids=["run", "attack", "check", "simulate", "simulate-wrapper"],
+    ids=["run", "attack", "check", "simulate", "simulate-wrapper", "simulate-synchronizer"],
 )
 def test_protocol_size_error_is_usage_error(tmp_path, args):
     _assert_fails_closed(args, tmp_path, 64)
@@ -972,6 +999,16 @@ def test_restricted_run_refuses_full_silence(tmp_path, adversary, line):
     assert proc.stderr == f"adversim: {line}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["adv.jsonl"]
     assert run_adversim(args, tmp_path).returncode == 0  # the model without --restricted runs it
+
+
+@pytest.mark.parametrize("restricted", [[], ["--restricted"]], ids=["free", "restricted"])
+def test_out_of_range_script_fault_is_a_trace_error(tmp_path, restricted):
+    # the range check comes first, so --restricted does not call it full silence
+    _fault_script(tmp_path / "adv.jsonl", [(5, [0, 1, 2])])
+    args = [*_RESTRICTED_RUN, "--adversary", "script:adv.jsonl", *restricted]
+    proc = _assert_fails_closed(args, tmp_path, 5)
+    assert proc.stderr == "adversim: fault sender 5 out of range for n=3\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adv.jsonl"]
 
 
 @pytest.mark.parametrize(

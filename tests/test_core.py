@@ -209,6 +209,13 @@ def test_trace_steps_are_plain_tuples():
     assert ReceiveFault({})._replace(drops={2: 0, 1: 0}) == (((1, 0), (2, 0)),)
 
 
+def test_package_refuses_an_unknown_name():
+    import adversim
+
+    with pytest.raises(AttributeError, match="^module 'adversim' has no attribute 'nope'$"):
+        adversim.nope
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect(tmp_path):
     """The records are tuples, so importing the command line pulls in
     neither ``dataclasses`` nor the ``inspect`` it imports.  Each command

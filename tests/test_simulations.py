@@ -113,7 +113,7 @@ def _assert_synchronized_equals_direct(protocol, inputs, horizon):
     """A synchronized asynchronous run projects onto a valid fail-to-receive
     trace, and the slowest live processes hold exactly the state that the
     direct run of the inner protocol under that trace reaches."""
-    sched = SeededFairScheduler(len(inputs), 5)
+    sched = SeededFairScheduler(5)
     final = run_async(inputs, protocol, sched, horizon=horizon).final_state
     states = [s.internal for s in final.states]
     proj = project_synchronized_run(states, final.crashed, protocol.inner, inputs)
@@ -176,7 +176,7 @@ def _gather_run(n, inputs, seed):
 
 def _synchronized_run(proto, inputs, horizon):
     # the scheduler _assert_synchronized_equals_direct runs
-    sched = SeededFairScheduler(len(inputs), 5)
+    sched = SeededFairScheduler(5)
     return run_async(inputs, proto, sched, horizon=horizon)
 
 
@@ -606,7 +606,7 @@ def test_projection_no_crash_validates():
 def test_projection_with_crash_validates():
     base = PhaseKingLite(4)
     proto = SynchronizerWrapper(base, 4)
-    sched = SeededFairScheduler(4, 3)
+    sched = SeededFairScheduler(3)
     result = run_async((1, 0, 1, 0), proto, sched, horizon=600, crash=(1, 33))
     final = result.final_state
     assert final.crashed == 1
@@ -930,6 +930,12 @@ def test_piggyback_refuses_a_send_to_self():
         run(config, proto, "ftr", (), horizon=2)
     cause = info.value.__cause__
     assert type(cause) is AdversimError and str(cause) == "a process never sends to itself"
+
+
+def test_piggyback_needs_three_processes():
+    # every command refuses n < 3 at the synchronizer first; only the library gets here
+    with pytest.raises(ValueError, match=r"^piggybacked delivery needs n >= 3$"):
+        PiggybackWrapper(SynchronizerWrapper(protocols.Constant(0), 3), 2)
 
 
 # -- stacks -----------------------------------------------------------------------
